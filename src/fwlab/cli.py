@@ -2,9 +2,10 @@
 
 Verbs: simulate, breaking, verify, wave, sweep.  Exit codes: 0 all checks
 pass, 1 a mathematical check failed or the solver aborted, 2 usage/config
-error.  FWLAB_THREADS caps sweep concurrency.  Outputs are written once and
-atomically renamed into place, so identical config + seed gives
-byte-identical files.
+error.  Config keys that name a field of StrongConfig, FVConfig or
+Thresholds set it (see _config_from).  FWLAB_THREADS caps sweep concurrency.
+Outputs are written once and atomically renamed into place, so identical
+config + seed gives byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import math
 import os
 import sys
 import tempfile
+import typing
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -24,11 +27,12 @@ from . import __version__
 from .diagnostics import (Thresholds, attach_observation, breaking_precheck,
                           conservation_report, entropy_report, envelope_check,
                           l1_stability_check)
-from .grid import Domain, GridFn, line, norm, sample, torus, write_snapshot_csv
+from .grid import (Domain, GridFn, line, norm, sample, torus, write_csv,
+                   write_snapshot_csv)
 from .kernels import KernelOp
 from .shock import FVConfig, run_fv, viscosity_sweep
 from .strong import StrongConfig, run_strong
-from .trajectory import Trajectory, write_series_csv
+from .trajectory import Trajectory, synthetic_trajectory, write_series_csv
 from .waves import (b_formula, cusp_profile, measured_cusp_jump, peakon,
                     tw_defect, tw_first_integral)
 
@@ -105,7 +109,47 @@ def load_config(path: str | None, preset: str | None,
 
 
 # ---------------------------------------------------------------------------
+# config keys -> config dataclasses
+
+# config keys that name a dataclass field by another name
+_ALIASES = {"lambda": "lambda_coeff", "splitting": "source_splitting"}
+
+
+def _coerce(key: str, value, typ):
+    try:
+        return typ(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}={value!r}: expected {typ.__name__}") from exc
+
+
+def _config_from(cls, cfg: dict, **defaults):
+    """Build the config dataclass cls from the keys of cfg that name its
+    fields (or alias them, see _ALIASES), each coerced to the field's type.
+
+    cfg overrides ``defaults``, which override the field defaults.  Bad values
+    and rejected configs raise ConfigError.
+    """
+    hints = typing.get_type_hints(cls)  # the dataclass fields, types resolved
+    kwargs = dict(defaults)
+    for key, value in cfg.items():
+        name = _ALIASES.get(key, key)
+        if name in hints:
+            # an optional field (int | None) coerces to its non-None type
+            typ = next((t for t in typing.get_args(hints[name])
+                        if t is not type(None)), hints[name])
+            kwargs[name] = _coerce(key, value, typ)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+# ---------------------------------------------------------------------------
 # pieces shared by the commands
+
+def _n_from(cfg: dict, default: int) -> int:
+    return _coerce("n", cfg.get("n", default), int)
+
 
 def _domain_from(cfg: dict) -> Domain:
     kind = cfg.get("domain", "line")
@@ -128,45 +172,13 @@ def _initial_from(cfg: dict, domain: Domain, n: int) -> GridFn:
         raise ConfigError(str(exc)) from exc
 
 
-def _run_from(cfg: dict, domain: Domain, u0: GridFn,
-              op: KernelOp | None = None) -> Trajectory:
+def _run_from(cfg: dict, u0: GridFn, op: KernelOp | None = None) -> Trajectory:
     solver = cfg.get("solver", "fv")
-    n = u0.n
     if solver == "strong":
-        scfg = StrongConfig(
-            dt=float(cfg.get("dt", 1e-3)),
-            T=float(cfg.get("T", 1.0)),
-            n=n,
-            dealias=bool(cfg.get("dealias", True)),
-            lambda_coeff=float(cfg.get("lambda", 1.0)),
-            stop_slope=float(cfg.get("stop_slope", 1e3)),
-            advect=cfg.get("advect", "central"),
-            snapshot_stride=int(cfg.get("snapshot_stride", 10)),
-        )
-        return run_strong(u0, scfg, op)
+        return run_strong(u0, _config_from(StrongConfig, cfg), op)
     if solver == "fv":
-        fcfg = FVConfig(
-            T=float(cfg.get("T", 1.0)),
-            n=n,
-            cfl=float(cfg.get("cfl", 0.45)),
-            eps=float(cfg.get("eps", 0.0)),
-            source_splitting=cfg.get("splitting", "strang"),
-            dt=float(cfg["dt"]) if "dt" in cfg else None,
-            source_on=bool(cfg.get("source_on", True)),
-            snapshot_stride=int(cfg.get("snapshot_stride", 4)),
-        )
-        return run_fv(u0, fcfg, op)
+        return run_fv(u0, _config_from(FVConfig, cfg), op)
     raise ConfigError(f"unknown solver {solver!r}")
-
-
-_THRESHOLD_KEYS = ("mass_tol", "l2_rel_tol", "weak_tol", "kruzhkov_tol",
-                   "adversarial_tol", "oleinik_rel_tol", "l1_ratio_tol",
-                   "tobs_factor", "envelope_slack")
-
-
-def _thresholds_from(cfg: dict) -> Thresholds:
-    overrides = {k: float(cfg[k]) for k in _THRESHOLD_KEYS if k in cfg}
-    return Thresholds(**overrides) if overrides else Thresholds()
 
 
 def _atomic_write(path: str, writer) -> None:
@@ -222,7 +234,7 @@ def _check(name: str, ok: bool, value, threshold, **details) -> dict:
     return entry
 
 
-def _emit_outputs(traj: Trajectory, out: str, cfg: dict) -> None:
+def _emit_outputs(traj: Trajectory, out: str) -> None:
     write_series = lambda tmp: write_series_csv(traj, tmp)
     _atomic_write(os.path.join(out, "series.csv"), write_series)
     for label, idx in (("initial", 0), ("final", len(traj.snapshots) - 1)):
@@ -236,11 +248,11 @@ def _emit_outputs(traj: Trajectory, out: str, cfg: dict) -> None:
 
 def cmd_simulate(cfg: dict, out: str) -> int:
     domain = _domain_from(cfg)
-    n = int(cfg.get("n", 1024))
+    n = _n_from(cfg, 1024)
     u0 = _initial_from(cfg, domain, n)
-    traj = _run_from(cfg, domain, u0)
-    _emit_outputs(traj, out, cfg)
-    thr = _thresholds_from(cfg)
+    traj = _run_from(cfg, u0)
+    _emit_outputs(traj, out)
+    thr = _config_from(Thresholds, cfg)
     cons = conservation_report(traj)
     checks = [_check("completed", traj.stop_reason != "overflow",
                      traj.stop_reason, "no overflow")]
@@ -276,14 +288,14 @@ def _crest(x: np.ndarray, u: np.ndarray) -> float:
 
 def cmd_breaking(cfg: dict, out: str) -> int:
     domain = _domain_from(cfg)
-    n = int(cfg.get("n", 20480))
+    n = _n_from(cfg, 20480)
     u0 = _initial_from(cfg, domain, n)
     report = breaking_precheck(u0)
     checks = [_check("precheck", True, {"S": report.S, "m1_0": report.m1_0,
                                         "m2_0": report.m2_0,
                                         "t_star": report.t_star},
                      "S >= 1 triggers the breaking run")]
-    thr = _thresholds_from(cfg)
+    thr = _config_from(Thresholds, cfg)
     payload = {"m1_0": report.m1_0, "m2_0": report.m2_0, "S": report.S,
                "condition_met": report.condition_met, "M0": report.M0,
                "t_star": report.t_star, "t_observed": None}
@@ -291,7 +303,7 @@ def cmd_breaking(cfg: dict, out: str) -> int:
         cfg = dict(cfg)
         cfg.setdefault("solver", "strong")
         cfg.setdefault("advect", "upwind" if not domain.periodic else "central")
-        traj = _run_from(cfg, domain, u0)
+        traj = _run_from(cfg, u0)
         attach_observation(report, traj)
         payload["t_observed"] = report.t_observed
         ok_obs = (report.t_observed is not None
@@ -302,7 +314,7 @@ def cmd_breaking(cfg: dict, out: str) -> int:
         env_ok, worst, _ = envelope_check(traj, thr)
         checks.append(_check("slope_envelope", env_ok, worst,
                              "m2 <= riccati envelope + slack"))
-        _emit_outputs(traj, out, cfg)
+        _emit_outputs(traj, out)
     else:
         checks.append(_check("criterion_not_met", True, report.S,
                              "S < 1: no breaking guarantee; run skipped"))
@@ -312,25 +324,10 @@ def cmd_breaking(cfg: dict, out: str) -> int:
     return EXIT_OK if all(c["pass"] for c in checks) else EXIT_CHECK_FAILED
 
 
-def _upjump_trajectory(cfg: dict, domain: Domain, n: int) -> Trajectory:
-    """Stationary non-entropic expansion shock (-1 -> +1), source off."""
-    from .trajectory import _Recorder
-    from .diagnostics import slope_extrema_values
-    u = np.where(domain.cell_centers(n) < cfg.get("jump_at", 0.0), -1.0, 1.0)
-    h = domain.length / n
-    T = float(cfg.get("T", 0.5))
-    steps = int(cfg.get("steps", 100))
-    rec = _Recorder(domain, n, 1, meta={"solver": "synthetic-upjump"})
-    for k in range(steps + 1):
-        rec.record(T * k / steps, u,
-                   lambda v: slope_extrema_values(v, h, False, domain.a))
-    return rec.build("completed", T)
-
-
 def cmd_verify(cfg: dict, out: str) -> int:
     domain = _domain_from(cfg)
-    n = int(cfg.get("n", 4000))
-    thr = _thresholds_from(cfg)
+    n = _n_from(cfg, 4000)
+    thr = _config_from(Thresholds, cfg)
     checks = []
     if cfg.get("check") == "stability":
         u0 = _initial_from(cfg, domain, n)
@@ -340,12 +337,10 @@ def cmd_verify(cfg: dict, out: str) -> int:
                     "profile.radius": float(cfg.get("bump_radius", 2.0))}
         bump = _initial_from(bump_cfg, domain, n)
         v0 = GridFn(domain, u0.values + bump.values)
-        dt = float(cfg.get("dt", 0.45 * u0.h / (2.0 + norm(u0, "Linf"))))
-        fv = dict(cfg)
-        fv["dt"] = dt
+        fv = {"dt": 0.45 * u0.h / (2.0 + norm(u0, "Linf")), **cfg}
         op = KernelOp(domain, n)
-        tu = _run_from(fv, domain, u0, op)
-        tv = _run_from(fv, domain, v0, op)
+        tu = _run_from(fv, u0, op)
+        tv = _run_from(fv, v0, op)
         ratio = l1_stability_check(tu, tv)
         checks.append(_check("l1_stability_ratio", ratio <= thr.l1_ratio_tol,
                              ratio, thr.l1_ratio_tol))
@@ -357,10 +352,17 @@ def cmd_verify(cfg: dict, out: str) -> int:
         return EXIT_OK if all(c["pass"] for c in checks) else EXIT_CHECK_FAILED
 
     if cfg.get("trajectory") == "upjump":
-        traj = _upjump_trajectory(cfg, domain, n)
+        # stationary non-entropic expansion shock (-1 -> +1), source off
+        T = _coerce("T", cfg.get("T", 0.5), float)
+        steps = _coerce("steps", cfg.get("steps", 100), int)
+        jump_at = cfg.get("jump_at", 0.0)
+        traj = synthetic_trajectory(
+            domain, n, [T * k / steps for k in range(steps + 1)],
+            lambda x, t: np.where(x < jump_at, -1.0, 1.0),
+            meta={"solver": "synthetic-upjump"})
     else:
         u0 = _initial_from(cfg, domain, n)
-        traj = _run_from(cfg, domain, u0)
+        traj = _run_from(cfg, u0)
     lambdas = cfg.get("lambdas")
     if lambdas is not None and not isinstance(lambdas, list):
         lambdas = [lambdas]
@@ -392,7 +394,7 @@ def cmd_wave(cfg: dict, out: str) -> int:
     kind = cfg.get("kind")
     if kind not in ("peakon", "cusp"):
         raise ConfigError("wave kind must be 'peakon' or 'cusp'")
-    n = int(cfg.get("n", 8000))
+    n = _n_from(cfg, 8000)
     window = (float(cfg.get("a", -30.0)), float(cfg.get("b", 30.0)))
     checks = []
     if kind == "peakon":
@@ -429,12 +431,9 @@ def cmd_wave(cfg: dict, out: str) -> int:
         payload = {"kind": kind, "c": c, "b": b_formula(c), "lambda1": lam1,
                    "mismatch": mismatch, "slope_jump": jump}
     prof = wave.profile
-    def w(tmp):
-        with open(tmp, "w") as fh:
-            fh.write("xi,v\n")
-            for xi, vi in zip(prof.x, prof.values):
-                fh.write(f"{xi:.17g},{vi:.17g}\n")
-    _atomic_write(os.path.join(out, "profile.csv"), w)
+    _atomic_write(os.path.join(out, "profile.csv"),
+                  lambda tmp: write_csv(tmp, ("xi", "v"),
+                                        (prof.x, prof.values)))
     _write_json(os.path.join(out, "defect.json"), payload)
     _write_json(os.path.join(out, "report.json"), _report("wave", cfg, checks))
     return EXIT_OK if all(c["pass"] for c in checks) else EXIT_CHECK_FAILED
@@ -455,14 +454,13 @@ def cmd_sweep(cfg: dict, out: str) -> int:
     domain = _domain_from(cfg)
     checks = []
     if kind == "viscosity":
-        n = int(cfg.get("n", 2000))
+        n = _n_from(cfg, 2000)
         u0 = _initial_from(cfg, domain, n)
         eps_list = cfg.get("eps_list", [1e-2, 5e-3, 2.5e-3])
         if not isinstance(eps_list, list):
             eps_list = [eps_list]
-        fcfg = FVConfig(T=float(cfg.get("T", 0.5)), n=n,
-                        cfl=float(cfg.get("cfl", 0.45)))
-        pairs = viscosity_sweep(u0, eps_list, fcfg)
+        pairs = viscosity_sweep(u0, eps_list,
+                                _config_from(FVConfig, cfg, T=0.5))
         dists = [d for _, d in pairs]
         decreasing = all(b < a for a, b in zip(dists, dists[1:]))
         checks.append(_check("distances_decreasing", decreasing, dists, ""))
@@ -470,25 +468,19 @@ def cmd_sweep(cfg: dict, out: str) -> int:
         checks.append(_check("first_order_in_eps",
                              all(1.5 <= r <= 2.5 for r in ratios),
                              ratios, "2 +- 0.5"))
-        def w(tmp):
-            with open(tmp, "w") as fh:
-                fh.write("eps,l1_distance\n")
-                for eps, d in pairs:
-                    fh.write(f"{eps:.17g},{d:.17g}\n")
-        _atomic_write(os.path.join(out, "sweep.csv"), w)
+        _atomic_write(os.path.join(out, "sweep.csv"),
+                      lambda tmp: write_csv(tmp, ("eps", "l1_distance"),
+                                            ([e for e, _ in pairs], dists)))
     elif kind == "resolution":
         n_list = cfg.get("n_list", [2000, 4000, 8000])
         if not isinstance(n_list, list):
             n_list = [n_list]
-        n_list = [int(v) for v in n_list]
-        T = float(cfg.get("T", 1.0))
+        n_list = [_coerce("n_list", v, int) for v in n_list]
+        fcfg = _config_from(FVConfig, cfg, snapshot_stride=10 ** 9)
 
         def one(n):
             u0 = _initial_from(cfg, domain, n)
-            fcfg = FVConfig(T=T, n=n, cfl=float(cfg.get("cfl", 0.45)),
-                            snapshot_stride=10 ** 9)
-            traj = run_fv(u0, fcfg)
-            return n, traj
+            return n, run_fv(u0, replace(fcfg, n=n))
 
         with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
             runs = dict(pool.map(one, n_list))
@@ -504,13 +496,11 @@ def cmd_sweep(cfg: dict, out: str) -> int:
         ok = all(0.7 <= o <= 1.2 for o in orders)
         checks.append(_check("l1_self_convergence_order", ok or not orders,
                              orders, "[0.7, 1.2]"))
-        def w(tmp):
-            with open(tmp, "w") as fh:
-                fh.write("n,dt_mean,l1_err,order\n")
-                for i, (n_c, dtm, err) in enumerate(errs):
-                    o = orders[i - 1] if i >= 1 else float("nan")
-                    fh.write(f"{n_c},{dtm:.17g},{err:.17g},{o:.17g}\n")
-        _atomic_write(os.path.join(out, "convergence.csv"), w)
+        columns = [[e[i] for e in errs] for i in range(3)]
+        columns.append([math.nan] + orders)
+        _atomic_write(os.path.join(out, "convergence.csv"),
+                      lambda tmp: write_csv(tmp, ("n", "dt_mean", "l1_err",
+                                                  "order"), columns))
     else:
         raise ConfigError(f"unknown sweep kind {kind!r}")
     _write_json(os.path.join(out, "report.json"), _report("sweep", cfg, checks))

@@ -5,7 +5,8 @@ bound t* = 1/|m1(0) + 1/2|), Riccati comparison envelopes for the maximum
 slope, the one-sided Oleinik estimate, L1 stability between runs, weak-form
 and Kruzhkov entropy residuals over a family of smooth space-time bumps, and
 conservation drift.  All tolerances live in ``Thresholds`` so the tolerance
-policy is auditable in one place.
+policy is auditable in one place.  ``slope_extrema_values`` is defined in
+``grid`` (the run recorder needs it) and re-exported here.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Domain, GridFn, norm
+from .grid import Domain, GridFn, norm, slope_extrema_values
 from .kernels import KernelOp
 from .trajectory import Trajectory
 
@@ -53,40 +54,14 @@ class Thresholds:
     l2_rel_tol: float = 1e-8
     weak_tol: float = 5e-3
     kruzhkov_tol: float = 1e-6
-    adversarial_tol: float = 1e-3
     oleinik_rel_tol: float = 1e-8
     l1_ratio_tol: float = 1.05
     tobs_factor: float = 1.05
     envelope_slack: float = 0.05
-    ineq_tol_coeff: float = 0.05
-    ineq_quantile: float = 0.95
-    opnorm_slack: float = 0.02
 
 
 # ---------------------------------------------------------------------------
 # slope extrema (one-sided differences at cell interfaces)
-
-def slope_extrema_values(values: np.ndarray, h: float, periodic: bool,
-                         a: float):
-    """(m1, xi1, m2, xi2) from forward differences; ties pick the smallest
-    index.  Locations are interface positions (the wrap interface of the
-    torus reports x = a)."""
-    if periodic:
-        d = (np.roll(values, -1) - values) / h
-        n = values.size
-        i1 = int(np.argmin(d))
-        i2 = int(np.argmax(d))
-
-        def loc(i):
-            x = a + (i + 1) * h
-            return a if i == n - 1 else x  # wrap interface
-        return float(d[i1]), loc(i1), float(d[i2]), loc(i2)
-    d = np.diff(values) / h
-    i1 = int(np.argmin(d))
-    i2 = int(np.argmax(d))
-    return (float(d[i1]), a + (i1 + 1) * h,
-            float(d[i2]), a + (i2 + 1) * h)
-
 
 def slope_extrema(u: GridFn):
     """Min/max discrete slope of u and their grid locations."""

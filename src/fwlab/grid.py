@@ -1,4 +1,5 @@
-"""Spatial domains, sampled grid functions, norms, quadrature, differentiation.
+"""Spatial domains, sampled grid functions, norms, quadrature, differentiation,
+slope extrema and CSV output.
 
 Everything downstream operates on cell-centered samples: a ``GridFn`` holds
 ``n`` values at ``x_i = a + (i + 1/2) h``.  The torus has period 1 by
@@ -24,6 +25,8 @@ __all__ = [
     "derivative",
     "second_difference",
     "PROFILES",
+    "slope_extrema_values",
+    "write_csv",
     "write_snapshot_csv",
     "read_snapshot_csv",
 ]
@@ -295,14 +298,43 @@ def second_difference(values: np.ndarray, h: float, periodic: bool) -> np.ndarra
     return out / (h * h)
 
 
+def slope_extrema_values(values: np.ndarray, h: float, periodic: bool,
+                         a: float):
+    """(m1, xi1, m2, xi2) from forward differences; ties pick the smallest
+    index.  Locations are interface positions (the wrap interface of the
+    torus reports x = a)."""
+    if periodic:
+        d = (np.roll(values, -1) - values) / h
+        n = values.size
+        i1 = int(np.argmin(d))
+        i2 = int(np.argmax(d))
+
+        def loc(i):
+            x = a + (i + 1) * h
+            return a if i == n - 1 else x  # wrap interface
+        return float(d[i1]), loc(i1), float(d[i2]), loc(i2)
+    d = np.diff(values) / h
+    i1 = int(np.argmin(d))
+    i2 = int(np.argmax(d))
+    return (float(d[i1]), a + (i1 + 1) * h,
+            float(d[i2]), a + (i2 + 1) * h)
+
+
 # ---------------------------------------------------------------------------
-# snapshot CSV interface: header "x,u", >= 15 significant digits
+# CSV output: 17 significant digits, so every float round-trips exactly
+
+def write_csv(path, header, columns) -> None:
+    """Equal-length columns as CSV: header names, then one row per index."""
+    cols = [np.asarray(c).tolist() for c in columns]
+    row = ",".join(["{:.17g}"] * len(cols)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row.format(*vals) for vals in zip(*cols))
+
 
 def write_snapshot_csv(g: GridFn, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("x,u\n")
-        for xi, ui in zip(g.x, g.values):
-            fh.write(f"{xi:.17g},{ui:.17g}\n")
+    """Snapshot CSV with header x,u."""
+    write_csv(path, ("x", "u"), (g.x, g.values))
 
 
 def read_snapshot_csv(path, domain: Domain) -> GridFn:

@@ -5,19 +5,20 @@ f(u) = u^2/2) with the nonlocal source update u <- u - dt K'*u, either Lie or
 Strang ordered.  The source sub-step uses an explicit midpoint evaluation,
 which keeps the splitting second order in the smooth regime.  A nonnegative
 viscosity eps adds an explicit eps*D2 u term to the Burgers sub-step
-(vanishing-viscosity variant).
+(vanishing-viscosity variant).  ``run_fv`` marches through
+``trajectory.march`` with a CFL-adapted (or fixed, CFL-checked) step that is
+shortened to land on T.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import slope_extrema_values
 from .grid import GridFn, second_difference
 from .kernels import KernelOp
-from .trajectory import Trajectory, _Recorder
+from .trajectory import Trajectory, _Recorder, march
 
 __all__ = ["FVConfig", "godunov_flux", "fv_step", "run_fv", "viscosity_sweep"]
 
@@ -26,7 +27,7 @@ _TINY = 1e-12
 
 @dataclass(frozen=True)
 class FVConfig:
-    T: float
+    T: float = 1.0
     n: int | None = None
     cfl: float = 0.45
     eps: float = 0.0
@@ -129,21 +130,15 @@ def run_fv(u0: GridFn, cfg: FVConfig, op: KernelOp | None = None) -> Trajectory:
         op._check(u0)
     periodic = u0.domain.periodic
     h = u0.h
-    a = u0.domain.a
-
-    def slope_fn(values):
-        return slope_extrema_values(values, h, periodic, a)
-
     rec = _Recorder(u0.domain, u0.n, cfg.snapshot_stride,
                     meta={"solver": "fv", "cfl": cfg.cfl, "eps": cfg.eps,
                           "T": cfg.T, "splitting": cfg.source_splitting,
                           "fixed_dt": cfg.dt, "source_on": cfg.source_on})
-    u = u0.values.copy()
-    t = 0.0
-    rec.record(t, u, slope_fn)
-    stop_reason = "completed"
     dts = []
-    while t < cfg.T - 1e-13:
+
+    def next_dt(t, u):
+        if t >= cfg.T - 1e-13:
+            return None
         if cfg.dt is not None:
             dt = min(cfg.dt, cfg.T - t)
             _check_cfl(u, dt, h, cfg.cfl, cfg.eps)
@@ -152,17 +147,14 @@ def run_fv(u0: GridFn, cfg: FVConfig, op: KernelOp | None = None) -> Trajectory:
             if cfg.eps > 0.0:
                 dt = min(dt, 0.4 * h * h / cfg.eps)
             dt = min(dt, cfg.T - t)
-        u_new = _step_values(u, dt, h, periodic, op, cfg)
-        if not np.all(np.isfinite(u_new)):
-            stop_reason = "overflow"
-            break
-        u = u_new
-        t += dt
         dts.append(dt)
-        rec.record(t, u, slope_fn)
-    rec.force_snapshot(t, u)
-    rec.meta["dt_mean"] = float(np.mean(dts)) if dts else 0.0
-    return rec.build(stop_reason, t)
+        return dt
+
+    traj = march(u0.values, rec, next_dt,
+                 lambda u, dt: _step_values(u, dt, h, periodic, op, cfg))
+    taken = dts[:traj.times.size - 1]  # an overflowing step is not taken
+    traj.meta["dt_mean"] = float(np.mean(taken)) if taken else 0.0
+    return traj
 
 
 def viscosity_sweep(u0: GridFn, eps_list, cfg: FVConfig,
@@ -178,18 +170,11 @@ def viscosity_sweep(u0: GridFn, eps_list, cfg: FVConfig,
         raise ValueError("eps values must be strictly descending")
     if op is None:
         op = KernelOp(u0.domain, u0.n)
-    base_cfg = FVConfig(T=cfg.T, n=cfg.n, cfl=cfg.cfl, eps=0.0,
-                        source_splitting=cfg.source_splitting, dt=cfg.dt,
-                        source_on=cfg.source_on,
-                        snapshot_stride=10 ** 9)
-    base = run_fv(u0, base_cfg, op).last()
+    cfg = replace(cfg, snapshot_stride=10 ** 9)
+    base = run_fv(u0, replace(cfg, eps=0.0), op).last()
     out = []
     h = u0.h
     for eps in eps_list:
-        cfg_e = FVConfig(T=cfg.T, n=cfg.n, cfl=cfg.cfl, eps=eps,
-                         source_splitting=cfg.source_splitting, dt=cfg.dt,
-                         source_on=cfg.source_on,
-                         snapshot_stride=10 ** 9)
-        ue = run_fv(u0, cfg_e, op).last()
+        ue = run_fv(u0, replace(cfg, eps=eps), op).last()
         out.append((eps, float(h * np.abs(ue.values - base.values).sum())))
     return out

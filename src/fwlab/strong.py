@@ -4,7 +4,8 @@ Torus: Fourier differentiation with 2/3-rule dealiasing of the quadratic
 term.  Line: second-order central differences; an optional first-order
 upwind mode exists for runs that are driven through wave breaking, where a
 non-dissipative stencil rings at the grid scale and contaminates the slope
-diagnostics (see the breaking preset).
+diagnostics (see the breaking preset).  ``run_strong`` takes exactly T/dt
+RK4 steps through ``trajectory.march``, so T must be a multiple of dt.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import slope_extrema_values
 from .grid import GridFn, _central_dx
 from .kernels import KernelOp
-from .trajectory import Trajectory, _Recorder
+from .trajectory import Trajectory, _Recorder, march
 
 __all__ = ["StrongConfig", "OverflowAbort", "rhs", "step_rk4", "run_strong",
            "scaling_transport"]
@@ -32,8 +32,8 @@ class OverflowAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class StrongConfig:
-    dt: float
-    T: float
+    dt: float = 1e-3
+    T: float = 1.0  # an integer multiple of dt: the run takes T/dt steps
     n: int | None = None
     dealias: bool = True
     lambda_coeff: float = 1.0
@@ -44,6 +44,9 @@ class StrongConfig:
     def __post_init__(self):
         if not (self.dt > 0 and self.T > 0):
             raise ValueError("dt and T must be positive")
+        if abs(round(self.T / self.dt) * self.dt - self.T) > 1e-9 * self.T:
+            raise ValueError(f"T={self.T!r} is not an integer multiple of "
+                             f"dt={self.dt!r}")
         if self.n is not None and self.n < 16:
             raise ValueError("n must be at least 16")
         if not self.stop_slope > 0:
@@ -59,13 +62,12 @@ def _dealias_mask(n: int) -> np.ndarray:
     return k <= n // 3
 
 
-def _make_rhs(op: KernelOp, cfg: StrongConfig):
+def _make_rhs(op: KernelOp, lam: float, dealias: bool, advect: str):
     """Build a raw-array closure computing -lam u u_x - K'*u."""
-    lam = cfg.lambda_coeff
     n, h = op.n, op.h
 
     if op.domain.periodic:
-        mask = _dealias_mask(n) if cfg.dealias else None
+        mask = _dealias_mask(n) if dealias else None
         ik = op._ik.copy()
         if n % 2 == 0:
             ik[-1] = 0.0  # unpaired Nyquist mode carries no derivative
@@ -82,7 +84,7 @@ def _make_rhs(op: KernelOp, cfg: StrongConfig):
             return -lam * adv - conv
         return f
 
-    if cfg.advect == "central":
+    if advect == "central":
         def f(u):
             return -lam * u * _central_dx(u, h) - op.conv_Kprime_values(u)
         return f
@@ -104,19 +106,15 @@ def rhs(u: GridFn, lam: float, op: KernelOp, dealias: bool = True,
         advect: str = "central") -> GridFn:
     """Semi-discrete right-hand side -lam u u_x - K'*u."""
     op._check(u)
-    cfg = StrongConfig(dt=1.0, T=1.0, dealias=dealias,
-                       lambda_coeff=lam, advect=advect)
-    return u.with_values(_make_rhs(op, cfg)(u.values))
+    return u.with_values(_make_rhs(op, lam, dealias, advect)(u.values))
 
 
 def _rk4(f, u: np.ndarray, dt: float) -> np.ndarray:
-    # overflow here is detected and reported, not a numerical accident
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1 = f(u)
-        k2 = f(u + 0.5 * dt * k1)
-        k3 = f(u + 0.5 * dt * k2)
-        k4 = f(u + dt * k3)
-        return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k1 = f(u)
+    k2 = f(u + 0.5 * dt * k1)
+    k3 = f(u + 0.5 * dt * k2)
+    k4 = f(u + dt * k3)
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def step_rk4(u: GridFn, dt: float, lam: float, op: KernelOp,
@@ -125,9 +123,9 @@ def step_rk4(u: GridFn, dt: float, lam: float, op: KernelOp,
     if dt <= 0:
         raise ValueError("dt must be positive")
     op._check(u)
-    cfg = StrongConfig(dt=dt, T=dt, dealias=dealias, lambda_coeff=lam,
-                       advect=advect)
-    out = _rk4(_make_rhs(op, cfg), u.values, dt)
+    # overflow here is detected and reported, not a numerical accident
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _rk4(_make_rhs(op, lam, dealias, advect), u.values, dt)
     if not np.all(np.isfinite(out)):
         raise OverflowAbort(0.0)
     return u.with_values(out)
@@ -142,37 +140,19 @@ def run_strong(u0: GridFn, cfg: StrongConfig, op: KernelOp | None = None) -> Tra
         op = KernelOp(u0.domain, u0.n)
     else:
         op._check(u0)
-    f = _make_rhs(op, cfg)
-    periodic = u0.domain.periodic
-    h = u0.h
-    a = u0.domain.a
-
-    def slope_fn(values):
-        return slope_extrema_values(values, h, periodic, a)
-
+    f = _make_rhs(op, cfg.lambda_coeff, cfg.dealias, cfg.advect)
     rec = _Recorder(u0.domain, u0.n, cfg.snapshot_stride,
                     meta={"solver": "strong", "dt": cfg.dt, "T": cfg.T,
                           "lambda_coeff": cfg.lambda_coeff,
                           "dealias": cfg.dealias, "advect": cfg.advect,
                           "stop_slope": cfg.stop_slope})
-    u = u0.values.copy()
-    t = 0.0
-    rec.record(t, u, slope_fn)
     nsteps = int(round(cfg.T / cfg.dt))
-    stop_reason = "completed"
-    for _ in range(nsteps):
-        u_new = _rk4(f, u, cfg.dt)
-        if not np.all(np.isfinite(u_new)):
-            stop_reason = "overflow"
-            break
-        u = u_new
-        t += cfg.dt
-        rec.record(t, u, slope_fn)
-        if rec.cols["m1"][-1] < -cfg.stop_slope:
-            stop_reason = "slope_threshold"
-            break
-    rec.force_snapshot(t, u)
-    return rec.build(stop_reason, t)
+    # a fixed step count, not t < T: accumulated t drifts from k * dt, and
+    # rec holds t = 0 plus one record per step taken
+    return march(u0.values, rec,
+                 lambda t, u: cfg.dt if len(rec.times) <= nsteps else None,
+                 lambda u, dt: _rk4(f, u, dt),
+                 stop=lambda r: r.cols["m1"][-1] < -cfg.stop_slope)
 
 
 def scaling_transport(traj: Trajectory, lam: float) -> Trajectory:

@@ -1,4 +1,5 @@
-"""Time-stamped run records shared by the strong and finite-volume solvers."""
+"""Time-stamped run records and the time-marching loop shared by the strong
+and finite-volume solvers."""
 
 from __future__ import annotations
 
@@ -6,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Domain, GridFn, ScalarSeries
+from .grid import (Domain, GridFn, ScalarSeries, slope_extrema_values,
+                   write_csv)
 
 SERIES_NAMES = ("mass", "l1", "l2", "linf", "m1", "m2", "xi1", "xi2")
 
@@ -58,14 +60,15 @@ class _Recorder:
         self.snapshots = []
         self._step = 0
 
-    def record(self, t: float, values: np.ndarray, slope_fn) -> None:
+    def record(self, t: float, values: np.ndarray) -> None:
         h = self.h
         self.times.append(t)
         self.cols["mass"].append(h * values.sum())
         self.cols["l1"].append(h * np.abs(values).sum())
         self.cols["l2"].append(np.sqrt(h * (values * values).sum()))
         self.cols["linf"].append(np.abs(values).max())
-        m1, xi1, m2, xi2 = slope_fn(values)
+        m1, xi1, m2, xi2 = slope_extrema_values(
+            values, h, self.domain.periodic, self.domain.a)
         self.cols["m1"].append(m1)
         self.cols["m2"].append(m2)
         self.cols["xi1"].append(xi1)
@@ -96,6 +99,37 @@ class _Recorder:
         )
 
 
+def march(u0: np.ndarray, rec: _Recorder, next_dt, step,
+          stop=None) -> Trajectory:
+    """Record u0 at t = 0, then advance u <- step(u, dt) while
+    dt = next_dt(t, u) is not None, recording after every step.
+
+    A step with non-finite output ends the run as ``"overflow"`` (t_stop is
+    the last finite time, whose state is kept); ``stop(rec)`` holding after a
+    record ends it as ``"slope_threshold"``.  The end state is always
+    snapshotted.
+    """
+    u = u0
+    t = 0.0
+    rec.record(t, u)
+    stop_reason = "completed"
+    # overflow here is detected and reported, not a numerical accident
+    with np.errstate(over="ignore", invalid="ignore"):
+        while (dt := next_dt(t, u)) is not None:
+            u_new = step(u, dt)
+            if not np.all(np.isfinite(u_new)):
+                stop_reason = "overflow"
+                break
+            u = u_new
+            t += dt
+            rec.record(t, u)
+            if stop is not None and stop(rec):
+                stop_reason = "slope_threshold"
+                break
+    rec.force_snapshot(t, u)
+    return rec.build(stop_reason, t)
+
+
 def synthetic_trajectory(domain: Domain, n: int, times, field_fn,
                          meta: dict | None = None) -> Trajectory:
     """Trajectory built from an analytic field (x, t) -> values.
@@ -103,24 +137,17 @@ def synthetic_trajectory(domain: Domain, n: int, times, field_fn,
     Snapshots are recorded at every listed time; used for closed-form
     references (transported profiles, stationary jumps) in tests and checks.
     """
-    from .diagnostics import slope_extrema_values
-
-    h = domain.length / n
     x = domain.cell_centers(n)
     rec = _Recorder(domain, n, 1, meta or {"solver": "synthetic"})
     times = np.asarray(times, dtype=np.float64)
     for t in times:
-        rec.record(float(t), np.asarray(field_fn(x, float(t)), dtype=np.float64),
-                   lambda v: slope_extrema_values(v, h, domain.periodic,
-                                                  domain.a))
+        rec.record(float(t),
+                   np.asarray(field_fn(x, float(t)), dtype=np.float64))
     return rec.build("completed", float(times[-1]))
 
 
 def write_series_csv(traj: Trajectory, path) -> None:
     """Series CSV with header t,mass,l2,linf,m1,m2,xi1,xi2."""
     names = ("mass", "l2", "linf", "m1", "m2", "xi1", "xi2")
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(names) + "\n")
-        for i, t in enumerate(traj.times):
-            row = ",".join(f"{traj.series[k][i]:.17g}" for k in names)
-            fh.write(f"{t:.17g},{row}\n")
+    write_csv(path, ("t",) + names,
+              [traj.times] + [traj.series[k] for k in names])

@@ -171,3 +171,35 @@ def test_exit_code_contract_on_check_failure(tmp_path):
         "stop_slope = 1e308\n")
     code, out = run_cli(tmp_path, "simulate", "--config", str(cfgfile))
     assert code == EXIT_CHECK_FAILED
+
+
+@pytest.mark.parametrize("verb, preset, overrides, code, message", [
+    # bad values and rejected configs are config errors naming the key
+    ("simulate", "conservation_sine", ["T=1,2"], EXIT_USAGE, "T=[1, 2]"),
+    ("simulate", "conservation_sine", ["T=0.25", "dt=0.1"], EXIT_USAGE,
+     "T=0.25 is not an integer multiple of dt=0.1"),
+    ("simulate", "conservation_sine", ["advect=sideways"], EXIT_USAGE,
+     "advect"),
+    ("simulate", "peakon_transport", ["n=abc"], EXIT_USAGE, "n='abc'"),
+    ("simulate", "peakon_transport", ["cfl=1.5"], EXIT_USAGE, "cfl"),
+    ("simulate", "peakon_transport", ["splitting=trotter"], EXIT_USAGE,
+     "splitting"),
+    ("breaking", "breaking_gaussian", ["n=abc"], EXIT_USAGE, "n='abc'"),
+    ("verify", "l1_stability", ["n=abc"], EXIT_USAGE, "n='abc'"),
+    ("verify", "riemann_entropy", ["kruzhkov_tol=tight"], EXIT_USAGE,
+     "kruzhkov_tol='tight'"),
+    ("wave", "wave_peakon", ["n=abc"], EXIT_USAGE, "n='abc'"),
+    ("sweep", "viscosity_sweep", ["n=abc"], EXIT_USAGE, "n='abc'"),
+    ("sweep", "convergence_peakon", ["n_list=500,abc"], EXIT_USAGE,
+     "n_list='abc'"),
+    # a step rejected while the run is in progress is not a config error
+    ("simulate", "peakon_transport", ["dt=0.5"], EXIT_CHECK_FAILED,
+     "time step too large"),
+])
+def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
+                                 code, message):
+    got, _ = run_cli(tmp_path, verb, "--preset", preset, *overrides)
+    assert got == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert ("config error" in err) == (code == EXIT_USAGE)

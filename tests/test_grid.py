@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwlab import GridFn, derivative, line, norm, sample, torus
-from fwlab.grid import read_snapshot_csv, write_snapshot_csv
+from fwlab.grid import read_snapshot_csv, write_csv, write_snapshot_csv
 
 
 def test_sample_zero_is_zero():
@@ -145,3 +145,13 @@ def test_snapshot_csv_roundtrip(tmp_path):
     assert np.allclose(back.values, g.values, rtol=0, atol=0)
     header = path.read_text().splitlines()[0]
     assert header == "x,u"
+
+
+def test_write_csv_formats_ints_floats_and_nan(tmp_path):
+    # the convergence table mixes an integer n column with a leading nan
+    path = tmp_path / "t.csv"
+    write_csv(path, ("n", "err", "order"),
+              ([2000, 4000], np.array([0.1, 1 / 3]), [math.nan, 1.0]))
+    assert path.read_text() == ("n,err,order\n"
+                                "2000,0.10000000000000001,nan\n"
+                                "4000,0.33333333333333331,1\n")

@@ -1,0 +1,57 @@
+import numpy as np
+import pytest
+
+from fwlab import torus
+from fwlab.trajectory import _Recorder, march
+
+
+def recorder(stride=1):
+    return _Recorder(torus(), 8, stride, meta={"solver": "toy"})
+
+
+def steps_of(dt, count, rec):
+    """next_dt rule taking exactly `count` steps of size dt."""
+    return lambda t, u: dt if len(rec.times) <= count else None
+
+
+def test_march_completes_after_exactly_n_steps():
+    rec = recorder()
+    traj = march(np.zeros(8), rec, steps_of(0.25, 4, rec),
+                 lambda u, dt: u + dt)
+    assert traj.stop_reason == "completed"
+    assert traj.times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert traj.t_stop == 1.0
+    assert np.all(traj.last().values == 1.0)
+
+
+def test_march_overflow_keeps_the_last_finite_state():
+    rec = recorder()
+    u0 = np.linspace(1.0, 2.0, 8)
+    traj = march(u0, rec, steps_of(0.5, 10, rec), lambda u, dt: u * 1e200)
+    assert traj.stop_reason == "overflow"
+    assert traj.t_stop == 0.5  # the second step overflows
+    assert traj.times.tolist() == [0.0, 0.5]
+    assert traj.snap_times.tolist() == [0.0, 0.5]
+    assert all(np.all(np.isfinite(s)) for s in traj.snapshots)
+    assert np.array_equal(traj.snapshots[-1], u0 * 1e200)
+
+
+def test_march_stops_when_stop_holds():
+    rec = recorder()
+    traj = march(np.zeros(8), rec, steps_of(0.25, 8, rec),
+                 lambda u, dt: u + dt, stop=lambda r: r.times[-1] >= 0.5)
+    assert traj.stop_reason == "slope_threshold"
+    assert traj.t_stop == 0.5
+    assert traj.times.tolist() == [0.0, 0.25, 0.5]
+
+
+@pytest.mark.parametrize("count, snap_times", [
+    (4, [0.0, 0.5, 1.0]),    # the stride already snapshots t_stop
+    (3, [0.0, 0.5, 0.75]),   # the end state is snapshotted once more
+])
+def test_march_final_snapshot_is_not_duplicated(count, snap_times):
+    rec = recorder(stride=2)
+    traj = march(np.zeros(8), rec, steps_of(0.25, count, rec),
+                 lambda u, dt: u + dt)
+    assert traj.snap_times.tolist() == snap_times
+    assert len(traj.snapshots) == len(snap_times)
