@@ -3,7 +3,8 @@
 Verbs: simulate, breaking, verify, wave, sweep.  Exit codes: 0 all checks
 pass, 1 a mathematical check failed or the solver aborted, 2 usage/config
 error.  Config keys that name a field of StrongConfig, FVConfig or
-Thresholds set it (see _config_from).  FWLAB_THREADS caps sweep concurrency.
+Thresholds set it (see _config_from); a key no command reads is a config
+error.  FWLAB_THREADS caps sweep concurrency.
 Outputs are written once and atomically renamed into place, so identical
 config + seed gives byte-identical files.
 """
@@ -18,7 +19,7 @@ import sys
 import tempfile
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 
 import numpy as np
@@ -105,6 +106,9 @@ def load_config(path: str | None, preset: str | None,
         cfg[key.strip()] = _parse_value(val)
     if not cfg:
         raise ConfigError("no configuration given (use --config or --preset)")
+    for key in cfg:
+        if key not in _KEYS and not key.startswith("profile."):
+            raise ConfigError(f"unknown key {key!r}")
     return cfg
 
 
@@ -113,6 +117,14 @@ def load_config(path: str | None, preset: str | None,
 
 # config keys that name a dataclass field by another name
 _ALIASES = {"lambda": "lambda_coeff", "splitting": "source_splitting"}
+
+# every key a config may hold, besides the profile.* parameters: the config
+# dataclass fields, their aliases and the keys the commands read themselves
+_KEYS = ({f.name for cls in (StrongConfig, FVConfig, Thresholds)
+          for f in fields(cls)} | set(_ALIASES)
+         | {"solver", "domain", "a", "b", "profile", "n", "check",
+            "bump_amplitude", "bump_center", "bump_radius", "trajectory",
+            "steps", "jump_at", "lambdas", "kind", "c", "eps_list", "n_list"})
 
 
 def _coerce(key: str, value, typ):

@@ -212,6 +212,8 @@ class KruzhkovPair:
     """Entropy |z - lam| with flux sgn(z - lam)(z^2 - lam^2)/2.
 
     The flux is the unique (up to constants) Q with Q'(z) = eta'(z) z.
+    ``lam`` may be an array, e.g. a column of lambdas, and every method then
+    broadcasts it against z.
     """
 
     lam: float
@@ -219,9 +221,13 @@ class KruzhkovPair:
     def eta(self, z):
         return np.abs(np.asarray(z, dtype=np.float64) - self.lam)
 
+    def deta(self, z):
+        """eta'(z) = sgn(z - lam)."""
+        return np.sign(np.asarray(z, dtype=np.float64) - self.lam)
+
     def flux(self, z):
         z = np.asarray(z, dtype=np.float64)
-        return np.sign(z - self.lam) * 0.5 * (z * z - self.lam ** 2)
+        return self.deta(z) * 0.5 * (z * z - self.lam ** 2)
 
 
 def _psi(z: np.ndarray) -> np.ndarray:
@@ -315,72 +321,50 @@ def _validate_family(traj: Trajectory, family, need_zero_at_t0: bool):
             raise ValueError("entropy-form test functions need t0 - s > 0")
 
 
-def _interfaces(domain: Domain, n: int) -> np.ndarray:
-    h = domain.length / n
-    return domain.a + np.arange(n + 1) * h
+def _residuals(traj: Trajectory, family, entropies,
+               op: KernelOp) -> np.ndarray:
+    """Entropy-form integrals of L entropies against J bumps, an (L, J) array.
 
+    ``entropies(u)`` gives eta(u), its flux q(u) and eta'(u), each (L, n) or
+    broadcastable to it.  Each snapshot interval [t_k, t_k+1] adds
+    h <eta_bar, phi_k+1 - phi_k> + dt <q_bar, g_bar>
+    - dt h (<s_k, phi_k> + <s_k+1, phi_k+1>) / 2, where bars average the two
+    ends, g is the cell-interface difference of phi (wrapped at the seam on
+    the torus) and s = eta'(u) K'*u.  The first two pairings telescope, over
+    time and over the window, so in exact arithmetic constants contribute
+    nothing, and an entropy with lambda outside the solution range reduces to
+    -+ the weak form; in floating point both hold to round-off.
 
-class _ResidualQuadrature:
-    """Space-time quadrature against one test function.
-
-    Pairings are chosen so that constants telescope exactly: the phi_t term
-    uses time differences of phi at cell centers (sums to zero over the
-    support in t), the phi_x term uses cell-interface differences of phi
-    (sums to zero over the window), and the plain phi term uses a product
-    trapezoid.  Entropy integrals with |lambda| above the solution range
-    then reduce to the weak form exactly in floating point.
+    Every bump is separable, phi = psi(zx) psi(zt) with psi exactly zero off
+    its support, so phi at t_k is P a_k (P is n x J, a_k one time factor per
+    bump).  Each snapshot is contracted once, into eta @ P, q @ G and s @ P,
+    and the pairings act on those (K, L, J) stacks.
     """
-
-    def __init__(self, traj: Trajectory, tf: TestFn):
-        self.tf = tf
-        x = traj.domain.cell_centers(traj.n)
-        xi = _interfaces(traj.domain, traj.n)
-        times = traj.snap_times
-        self.idx = [k for k, t in enumerate(times)
-                    if abs(t - tf.t0) < tf.s or
-                    (k + 1 < times.size and abs(times[k + 1] - tf.t0) < tf.s)]
-        self.h = traj.h
-        self.phi = {k: tf.phi(x, times[k]) for k in self.idx_with_next(times)}
-        if traj.domain.periodic:
-            # interface values with the periodic wrap at the seam
-            gvals = {k: tf.phi(xi[:-1], times[k]) for k in self.phi}
-            self.g = {k: np.roll(v, -1) - v for k, v in gvals.items()}
-        else:
-            gvals = {k: tf.phi(xi, times[k]) for k in self.phi}
-            self.g = {k: np.diff(v) for k, v in gvals.items()}
-        self.times = times
-
-    def idx_with_next(self, times):
-        ks = set()
-        for k in self.idx:
-            ks.add(k)
-            if k + 1 < times.size:
-                ks.add(k + 1)
-        return sorted(ks)
-
-    def accumulate(self, density_at, flux_at, source_at) -> float:
-        """Sum over snapshot intervals of the three pairings.
-
-        density_at(k), flux_at(k), source_at(k) return cell arrays for
-        snapshot k; density and flux are averaged over the interval ends,
-        the source uses a product trapezoid.
-        """
-        total = 0.0
-        times = self.times
-        for k in self.idx:
-            if k + 1 >= times.size:
-                continue
-            dt = times[k + 1] - times[k]
-            dphi = self.phi[k + 1] - self.phi[k]
-            eta = 0.5 * (density_at(k) + density_at(k + 1))
-            total += self.h * float(np.dot(eta, dphi))
-            q = 0.5 * (flux_at(k) + flux_at(k + 1))
-            gbar = 0.5 * (self.g[k] + self.g[k + 1])
-            total += dt * float(np.dot(q, gbar))
-            total -= 0.5 * dt * self.h * float(
-                np.dot(source_at(k), self.phi[k])
-                + np.dot(source_at(k + 1), self.phi[k + 1]))
-        return total
+    x = traj.domain.cell_centers(traj.n)
+    xi = traj.domain.a + np.arange(traj.n + 1) * traj.h
+    P = np.column_stack([_psi(tf._zx(x)) for tf in family])
+    if traj.domain.periodic:
+        # interface values with the periodic wrap at the seam
+        Gv = np.column_stack([_psi(tf._zx(xi[:-1])) for tf in family])
+        G = np.roll(Gv, -1, axis=0) - Gv
+    else:
+        G = np.diff(np.column_stack([_psi(tf._zx(xi)) for tf in family]),
+                    axis=0)
+    times = traj.snap_times
+    A = np.column_stack([_psi(tf._zt(times)) for tf in family])[:, None, :]
+    E, Q, S = [], [], []
+    for u in traj.snapshots:
+        eta, q, deta = map(np.atleast_2d, entropies(u))
+        E.append(eta @ P)
+        Q.append(q @ G)
+        S.append((deta * op.conv_Kprime_values(u)) @ P)
+    E, Q, S = np.array(E), np.array(Q), np.array(S)
+    h = traj.h
+    dt = np.diff(times)[:, None, None]
+    a0, a1 = A[:-1], A[1:]
+    return (h * 0.5 * (E[:-1] + E[1:]) * (a1 - a0)
+            + dt * 0.5 * (Q[:-1] + Q[1:]) * 0.5 * (a0 + a1)
+            - 0.5 * dt * h * (S[:-1] * a0 + S[1:] * a1)).sum(axis=0)
 
 
 def weak_residual(traj: Trajectory, family, op: KernelOp | None = None) -> float:
@@ -389,41 +373,27 @@ def weak_residual(traj: Trajectory, family, op: KernelOp | None = None) -> float
     _validate_family(traj, family, need_zero_at_t0=False)
     if op is None:
         op = KernelOp(traj.domain, traj.n)
-    conv = [op.conv_Kprime_values(s) for s in traj.snapshots]
-    snaps = traj.snapshots
+    r = _residuals(traj, family, lambda u: (u, 0.5 * u * u, 1.0), op)[0]
     x = traj.domain.cell_centers(traj.n)
-    h = traj.h
-    worst = 0.0
-    for tf in family:
-        quad = _ResidualQuadrature(traj, tf)
-        r = quad.accumulate(lambda k: snaps[k],
-                            lambda k: 0.5 * snaps[k] ** 2,
-                            lambda k: conv[k])
-        r += h * float(np.dot(snaps[0], tf.phi(x, traj.snap_times[0])))
-        worst = max(worst, abs(r))
-    return worst
+    r += traj.h * np.array([np.dot(traj.snapshots[0],
+                                   tf.phi(x, traj.snap_times[0]))
+                            for tf in family])
+    return float(np.abs(r).max(initial=0.0))
 
 
 def kruzhkov_residual(traj: Trajectory, lambdas, family,
                       op: KernelOp | None = None,
                       return_matrix: bool = False):
     """min over (lambda, phi) of the entropy-form integral; admissible runs
-    keep it above -tol, an inadmissible up-jump drives it strongly negative."""
+    keep it above -tol, an inadmissible up-jump drives it strongly negative.
+    The matrix has one row per lambda and one column per bump."""
     _validate_family(traj, family, need_zero_at_t0=True)
     if op is None:
         op = KernelOp(traj.domain, traj.n)
-    conv = [op.conv_Kprime_values(s) for s in traj.snapshots]
-    snaps = traj.snapshots
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=np.float64))
-    mat = np.zeros((lambdas.size, len(family)))
-    for j, tf in enumerate(family):
-        quad = _ResidualQuadrature(traj, tf)
-        for i, lam in enumerate(lambdas):
-            pair = KruzhkovPair(float(lam))
-            mat[i, j] = quad.accumulate(
-                lambda k: pair.eta(snaps[k]),
-                lambda k: pair.flux(snaps[k]),
-                lambda k: np.sign(snaps[k] - pair.lam) * conv[k])
+    pair = KruzhkovPair(lambdas[:, None])
+    mat = _residuals(traj, family,
+                     lambda u: (pair.eta(u), pair.flux(u), pair.deta(u)), op)
     if return_matrix:
         return float(mat.min()), mat
     return float(mat.min())

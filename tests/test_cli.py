@@ -195,6 +195,11 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     # a step rejected while the run is in progress is not a config error
     ("simulate", "peakon_transport", ["dt=0.5"], EXIT_CHECK_FAILED,
      "time step too large"),
+    # a misspelt key is rejected, not ignored
+    ("simulate", "dispersion_mode1", ["dtt=5"], EXIT_USAGE,
+     "unknown key 'dtt'"),
+    ("simulate", "dispersion_mode1", ["lamda=2"], EXIT_USAGE,
+     "unknown key 'lamda'"),
 ])
 def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
                                  code, message):

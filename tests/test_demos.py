@@ -1,0 +1,13 @@
+"""Every demo script runs to the end without raising."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path):
+    runpy.run_path(str(path), run_name="__main__")

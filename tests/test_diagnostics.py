@@ -271,6 +271,58 @@ def test_kruzhkov_admissible_run_floor(line_op_4000):
     assert kmin > -2e-4
 
 
+def _reference_residuals(traj, lambdas, family, op):
+    """Direct per-interval quadrature, phi evaluated cell by cell with
+    TestFn.phi at every snapshot.  Row 0 is the weak form with its initial
+    term, the other rows the Kruzhkov entropies |u - lam|."""
+    dom, n, h, t, u = (traj.domain, traj.n, traj.h, traj.snap_times,
+                       traj.snapshots)
+    x = dom.cell_centers(n)
+    xi = dom.a + np.arange(n + 1) * h
+    conv = [op.conv_Kprime_values(v) for v in u]
+    forms = [(lambda z: z, lambda z: 0.5 * z * z, lambda z: 1.0)]
+    forms += [(lambda z, lam=lam: np.abs(z - lam),
+               lambda z, lam=lam: np.sign(z - lam) * 0.5 * (z * z - lam * lam),
+               lambda z, lam=lam: np.sign(z - lam)) for lam in lambdas]
+    out = np.zeros((len(forms), len(family)))
+    for j, tf in enumerate(family):
+        phi = [tf.phi(x, tk) for tk in t]
+        if dom.periodic:
+            g = [np.roll(v, -1) - v for v in (tf.phi(xi[:-1], tk) for tk in t)]
+        else:
+            g = [np.diff(tf.phi(xi, tk)) for tk in t]
+        out[0, j] = h * np.dot(u[0], phi[0])
+        for i, (eta, q, deta) in enumerate(forms):
+            for k in range(t.size - 1):
+                dt = t[k + 1] - t[k]
+                out[i, j] += h * np.dot(0.5 * (eta(u[k]) + eta(u[k + 1])),
+                                        phi[k + 1] - phi[k])
+                out[i, j] += dt * np.dot(0.5 * (q(u[k]) + q(u[k + 1])),
+                                         0.5 * (g[k] + g[k + 1]))
+                out[i, j] -= 0.5 * dt * h * (
+                    np.dot(deta(u[k]) * conv[k], phi[k])
+                    + np.dot(deta(u[k + 1]) * conv[k + 1], phi[k + 1]))
+    return out
+
+
+@pytest.mark.parametrize("dom, n, profile, params, lams", [
+    (line(-20, 20), 800, "step", {"left": 1.0, "right": -1.0, "width": 0.2},
+     np.linspace(-1.5, 1.5, 5)),
+    # the default torus family has bumps straddling the seam
+    (torus(), 256, "sine", {"amplitude": 0.5}, np.linspace(-0.6, 0.6, 5)),
+], ids=["line", "torus"])
+def test_residuals_match_direct_quadrature(dom, n, profile, params, lams):
+    op = KernelOp(dom, n)
+    traj = run_fv(sample(profile, dom, n, **params),
+                  FVConfig(T=0.3, snapshot_stride=2), op)
+    fam = make_test_family(dom, float(traj.snap_times[-1]))
+    ref = _reference_residuals(traj, lams, fam, op)
+    _, mat = kruzhkov_residual(traj, lams, fam, op, return_matrix=True)
+    assert np.abs(mat - ref[1:]).max() <= 1e-13
+    assert abs(weak_residual(traj, fam, op) - np.abs(ref[0]).max()) <= 1e-13
+    assert np.abs(ref).max() > 1e-5  # the comparison is not between zeros
+
+
 # ---------------------------------------------------------------------------
 # conservation and envelope
 
