@@ -129,6 +129,8 @@ _KEYS = ({f.name for cls in (StrongConfig, FVConfig, Thresholds)
 
 def _coerce(key: str, value, typ):
     try:
+        if isinstance(value, bool) and typ in (int, float):
+            raise TypeError("yes/true/on parse as True, which is no number")
         return typ(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}={value!r}: expected {typ.__name__}") from exc

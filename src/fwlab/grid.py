@@ -270,9 +270,11 @@ def _spectral_dx(values: np.ndarray) -> np.ndarray:
     return np.fft.irfft(vh, n)
 
 
-def _central_dx(values: np.ndarray, h: float) -> np.ndarray:
-    d = np.empty_like(values)
-    d[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
+def _central_dx(values: np.ndarray, h: float,
+                out: np.ndarray | None = None) -> np.ndarray:
+    d = np.empty_like(values) if out is None else out
+    np.subtract(values[2:], values[:-2], out=d[1:-1])
+    d[1:-1] /= 2.0 * h
     d[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
     d[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
     return d

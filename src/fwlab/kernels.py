@@ -2,7 +2,8 @@
 
 K is the fundamental solution of 1 - d^2/dx^2, so K*g is computed by solving
 (I - D2) w = g instead of by quadrature: a Fourier multiplier on the torus,
-a symmetric tridiagonal solve on the line.  K'*g is the derivative of that
+a symmetric tridiagonal solve on the line (LAPACK ``dpbtrs`` on a banded
+Cholesky factor, in place).  K'*g is the derivative of that
 smooth field.  Direct quadrature against the closed-form kernel is kept only
 as a test oracle.
 """
@@ -12,7 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 
 from .grid import Domain, GridFn, _central_dx, _spectral_dx
 
@@ -46,11 +48,29 @@ class KernelOp:
 
     # raw ndarray fast paths, used inside solver loops -----------------------
 
-    def conv_K_values(self, values: np.ndarray) -> np.ndarray:
+    def conv_K_values(self, values: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+        """K*values, written into ``out`` and returned when it is given."""
         if self.domain.periodic:
             wh = np.fft.rfft(values) * self.multipliers
-            return np.fft.irfft(wh, self.n)
-        return cho_solve_banded((self._cho, False), values)
+            if out is None:
+                return np.fft.irfft(wh, self.n)
+            out[...] = np.fft.irfft(wh, self.n)
+            return out
+        # the routine cho_solve_banded calls, without its per-call finiteness
+        # checks: a non-finite right-hand side gives a non-finite w, which the
+        # solvers report as overflow
+        if out is None:
+            w = np.array(values, dtype=np.float64)
+        else:
+            w = out
+            np.copyto(w, values)
+        x, info = dpbtrs(self._cho, w, overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"dpbtrs: illegal value in argument {-info}")
+        if x is not w:  # a non-contiguous out is solved in a copy
+            w[...] = x
+        return w
 
     def conv_Kprime_values(self, values: np.ndarray) -> np.ndarray:
         if self.domain.periodic:

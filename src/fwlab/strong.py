@@ -63,7 +63,9 @@ def _dealias_mask(n: int) -> np.ndarray:
 
 
 def _make_rhs(op: KernelOp, lam: float, dealias: bool, advect: str):
-    """Build a raw-array closure computing -lam u u_x - K'*u."""
+    """Build a raw-array closure f(u, out) writing -lam u u_x - K'*u into
+    out and returning it.  On the line the closure computes in a workspace
+    allocated here once, so u and out must not be part of it."""
     n, h = op.n, op.h
 
     if op.domain.periodic:
@@ -72,7 +74,7 @@ def _make_rhs(op: KernelOp, lam: float, dealias: bool, advect: str):
         if n % 2 == 0:
             ik[-1] = 0.0  # unpaired Nyquist mode carries no derivative
 
-        def f(u):
+        def f(u, out):
             uh = np.fft.rfft(u)
             ux = np.fft.irfft(uh * ik, n)
             adv = u * ux
@@ -81,24 +83,42 @@ def _make_rhs(op: KernelOp, lam: float, dealias: bool, advect: str):
                 ah[~mask] = 0.0
                 adv = np.fft.irfft(ah, n)
             conv = np.fft.irfft(uh * op.multipliers * ik, n)
-            return -lam * adv - conv
+            return np.subtract(-lam * adv, conv, out=out)
         return f
+
+    w = np.empty(n)  # K*u
+    d = np.empty(n)  # a central difference
+    # the operations and their order are those of -lam u u_x - K'*u written
+    # as whole-array expressions, so the buffers change no bit of the result
+
+    def minus_kprime(u, out):
+        op.conv_K_values(u, out=w)
+        return np.subtract(out, _central_dx(w, h, out=d), out=out)
 
     if advect == "central":
-        def f(u):
-            return -lam * u * _central_dx(u, h) - op.conv_Kprime_values(u)
+        def f(u, out):
+            np.multiply(-lam, u, out=out)
+            out *= _central_dx(u, h, out=d)
+            return minus_kprime(u, out)
         return f
 
-    def f(u):
-        # upwind u_x for the advective term; zero ghost cells at the window
-        back = np.empty_like(u)
-        back[1:] = (u[1:] - u[:-1]) / h
-        back[0] = u[0] / h
-        fwd = np.empty_like(u)
-        fwd[:-1] = back[1:]
-        fwd[-1] = -u[-1] / h
-        adv = u * np.where(u > 0.0, back, fwd)
-        return -lam * adv - op.conv_Kprime_values(u)
+    # upwind u_x for the advective term; zero ghost cells at the window:
+    # e = [u0, u1 - u0, ..., -u_{n-1}] / h, backward differences e[:-1],
+    # forward differences e[1:]
+    e = np.empty(n + 1)
+    back, fwd = e[:-1], e[1:]
+    pos = np.empty(n, dtype=bool)
+
+    def f(u, out):
+        e[0] = u[0]
+        np.subtract(u[1:], u[:-1], out=e[1:-1])
+        e[-1] = -u[-1]
+        np.divide(e, h, out=e)
+        np.copyto(d, fwd)
+        np.copyto(d, back, where=np.greater(u, 0.0, out=pos))
+        np.multiply(u, d, out=out)
+        out *= -lam
+        return minus_kprime(u, out)
     return f
 
 
@@ -106,15 +126,27 @@ def rhs(u: GridFn, lam: float, op: KernelOp, dealias: bool = True,
         advect: str = "central") -> GridFn:
     """Semi-discrete right-hand side -lam u u_x - K'*u."""
     op._check(u)
-    return u.with_values(_make_rhs(op, lam, dealias, advect)(u.values))
+    return u.with_values(_make_rhs(op, lam, dealias, advect)(
+        u.values, np.empty(u.n)))
 
 
-def _rk4(f, u: np.ndarray, dt: float) -> np.ndarray:
-    k1 = f(u)
-    k2 = f(u + 0.5 * dt * k1)
-    k3 = f(u + 0.5 * dt * k2)
-    k4 = f(u + dt * k3)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(f, n: int):
+    """Return step(u, dt): one classical RK4 step of u' = f(u, out) on n
+    values, as a fresh array.  The stages live in buffers reused from step
+    to step and are combined as ((k1 + 2 k2) + 2 k3) + k4, the order of the
+    whole-array expression."""
+    k1, k2, k3, k4, v = np.empty((5, n))
+
+    def step(u, dt):
+        f(u, k1)
+        f(np.add(u, np.multiply(0.5 * dt, k1, out=v), out=v), k2)
+        f(np.add(u, np.multiply(0.5 * dt, k2, out=v), out=v), k3)
+        f(np.add(u, np.multiply(dt, k3, out=v), out=v), k4)
+        np.add(k1, np.multiply(2.0, k2, out=v), out=v)
+        np.add(v, np.multiply(2.0, k3, out=k2), out=v)
+        np.add(v, k4, out=v)
+        return u + np.multiply(dt / 6.0, v, out=v)
+    return step
 
 
 def step_rk4(u: GridFn, dt: float, lam: float, op: KernelOp,
@@ -125,7 +157,7 @@ def step_rk4(u: GridFn, dt: float, lam: float, op: KernelOp,
     op._check(u)
     # overflow here is detected and reported, not a numerical accident
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _rk4(_make_rhs(op, lam, dealias, advect), u.values, dt)
+        out = _rk4(_make_rhs(op, lam, dealias, advect), u.n)(u.values, dt)
     if not np.all(np.isfinite(out)):
         raise OverflowAbort(0.0)
     return u.with_values(out)
@@ -140,7 +172,8 @@ def run_strong(u0: GridFn, cfg: StrongConfig, op: KernelOp | None = None) -> Tra
         op = KernelOp(u0.domain, u0.n)
     else:
         op._check(u0)
-    f = _make_rhs(op, cfg.lambda_coeff, cfg.dealias, cfg.advect)
+    step = _rk4(_make_rhs(op, cfg.lambda_coeff, cfg.dealias, cfg.advect),
+                u0.n)
     rec = _Recorder(u0.domain, u0.n, cfg.snapshot_stride,
                     meta={"solver": "strong", "dt": cfg.dt, "T": cfg.T,
                           "lambda_coeff": cfg.lambda_coeff,
@@ -151,7 +184,7 @@ def run_strong(u0: GridFn, cfg: StrongConfig, op: KernelOp | None = None) -> Tra
     # rec holds t = 0 plus one record per step taken
     return march(u0.values, rec,
                  lambda t, u: cfg.dt if len(rec.times) <= nsteps else None,
-                 lambda u, dt: _rk4(f, u, dt),
+                 step,
                  stop=lambda r: r.cols["m1"][-1] < -cfg.stop_slope)
 
 

@@ -64,9 +64,10 @@ class _Recorder:
         h = self.h
         self.times.append(t)
         self.cols["mass"].append(h * values.sum())
-        self.cols["l1"].append(h * np.abs(values).sum())
+        a = np.abs(values)
+        self.cols["l1"].append(h * a.sum())
         self.cols["l2"].append(np.sqrt(h * (values * values).sum()))
-        self.cols["linf"].append(np.abs(values).max())
+        self.cols["linf"].append(a.max())
         m1, xi1, m2, xi2 = slope_extrema_values(
             values, h, self.domain.periodic, self.domain.a)
         self.cols["m1"].append(m1)
@@ -111,10 +112,10 @@ def march(u0: np.ndarray, rec: _Recorder, next_dt, step,
     """
     u = u0
     t = 0.0
-    rec.record(t, u)
     stop_reason = "completed"
     # overflow here is detected and reported, not a numerical accident
     with np.errstate(over="ignore", invalid="ignore"):
+        rec.record(t, u)
         while (dt := next_dt(t, u)) is not None:
             u_new = step(u, dt)
             if not np.all(np.isfinite(u_new)):

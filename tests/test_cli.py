@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
 import os
+import typing
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fwlab.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, ConfigError,
-                       main, parse_config_text)
+from fwlab import FVConfig, StrongConfig
+from fwlab.cli import (_KEYS, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE,
+                       ConfigError, main, parse_config_text)
 
 
 def run_cli(tmp_path, *args):
@@ -208,3 +215,59 @@ def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
     err = capsys.readouterr().err
     assert message in err
     assert ("config error" in err) == (code == EXIT_USAGE)
+
+
+def _main_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+# override keys: no '=' (it ends the key), no surrounding whitespace (load_config
+# strips it) and no leading '-' (argparse would read an option)
+_override_keys = st.text(st.characters(exclude_characters="=",
+                                       exclude_categories=("Cs",)),
+                         min_size=1, max_size=16).map(str.strip).filter(
+    lambda k: k and not k.startswith("-"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(key=_override_keys.filter(
+    lambda k: k not in _KEYS and not k.startswith("profile.")))
+def test_any_unknown_key_exits_2(tmp_path_factory, key):
+    code, err = _main_stderr(["simulate", "--preset", "dispersion_mode1",
+                              "--out", str(tmp_path_factory.mktemp("out")),
+                              f"{key}=1"])
+    assert code == EXIT_USAGE
+    assert f"unknown key {key!r}" in err
+
+
+def _numeric_fields(cls, preset):
+    hints = typing.get_type_hints(cls)
+    return [(preset, f.name) for f in fields(cls)
+            if {int, float} & {hints[f.name], *typing.get_args(hints[f.name])}]
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=25, deadline=None)
+@given(target=st.sampled_from(_numeric_fields(StrongConfig, "conservation_sine")
+                              + _numeric_fields(FVConfig, "peakon_transport")),
+       value=st.sampled_from(["yes", "true", "off", "abc", ""])
+       | st.text(max_size=12).filter(lambda v: not _is_number(v.strip())))
+def test_non_numeric_value_for_numeric_field_exits_2(tmp_path_factory, target,
+                                                     value):
+    preset, key = target
+    code, err = _main_stderr(["simulate", "--preset", preset,
+                              "--out", str(tmp_path_factory.mktemp("out")),
+                              f"{key}={value}"])
+    assert code == EXIT_USAGE
+    assert "config error" in err
+    assert f"{key}=" in err

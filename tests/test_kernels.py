@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded
 
 from fwlab import (GridFn, KernelOp, conv_K, conv_Kprime, derivative,
                    kernel_eval, line, norm, sample, torus)
@@ -123,6 +124,34 @@ def test_helmholtz_identity_line(rng):
     w = op.conv_K_values(g)
     resid = w - second_difference(w, op.h, periodic=False) - g
     assert np.abs(resid[1:-1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [2000, 4000, 8000, 20480])
+def test_line_solve_is_the_banded_cholesky_solve(rng, n):
+    # the line solve must round exactly as LAPACK dpbtrs on the banded
+    # Cholesky factor, which cho_solve_banded also calls; another solver
+    # (say a tridiagonal LDL^T) changes the outputs of the presets
+    op = KernelOp(line(-20, 20), n)
+    v = rng.normal(size=n)
+    assert np.array_equal(op.conv_K_values(v),
+                          cho_solve_banded((op._cho, False), v))
+
+
+@pytest.mark.parametrize("dom", [torus(), line(-10, 10)], ids=["torus", "line"])
+def test_conv_K_values_out(rng, dom):
+    n = 256
+    op = KernelOp(dom, n)
+    v = rng.normal(size=n)
+    v0 = v.copy()
+    out = np.empty(n)
+    assert op.conv_K_values(v, out=out) is out
+    assert np.array_equal(v, v0)
+    first = op.conv_K_values(v)
+    second = op.conv_K_values(v)
+    assert np.array_equal(out, first)
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, v)
+    assert np.array_equal(v, v0)
 
 
 def test_conv_K_symmetry(rng):

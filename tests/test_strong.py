@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded
 
 from fwlab import (GridFn, KernelOp, StrongConfig, conv_Kprime, line, norm,
                    rhs, run_strong, sample, scaling_transport, step_rk4,
                    torus)
 from fwlab.diagnostics import (convolution_bound_margin,
                                slope_inequality_fractions)
+from fwlab.strong import _make_rhs, _rk4
 
 
 def test_rhs_zero(torus_op_256):
@@ -126,6 +128,74 @@ def test_overflow_abort():
     assert traj.stop_reason == "overflow"
     assert traj.t_stop < 10.0
     assert np.all(np.isfinite(traj.snapshots[-1]))
+
+
+@pytest.mark.parametrize("advect", ["central", "upwind"])
+def test_overflow_abort_line(advect):
+    # a non-finite stage reaches the line kernel solve; the run must stop as
+    # overflow at the last finite state, not raise from the solver
+    u0 = sample("gaussian", line(-8, 8), 512, amplitude=1e160)
+    traj = run_strong(u0, StrongConfig(dt=0.01, T=1.0, stop_slope=math.inf,
+                                       advect=advect))
+    assert traj.stop_reason == "overflow"
+    assert traj.t_stop == 0.0
+    assert np.all(np.isfinite(traj.snapshots[-1]))
+
+
+def _central_dx_ref(v, h):
+    d = np.empty_like(v)
+    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    return d
+
+
+def _rhs_ref(u, lam, op, advect):
+    """-lam u u_x - K'*u on the line as whole-array expressions."""
+    h = op.h
+    conv = _central_dx_ref(cho_solve_banded((op._cho, False), u), h)
+    if advect == "central":
+        return -lam * u * _central_dx_ref(u, h) - conv
+    back = np.empty_like(u)
+    back[1:] = (u[1:] - u[:-1]) / h
+    back[0] = u[0] / h
+    fwd = np.empty_like(u)
+    fwd[:-1] = back[1:]
+    fwd[-1] = -u[-1] / h
+    return -lam * (u * np.where(u > 0.0, back, fwd)) - conv
+
+
+def _rk4_ref(f, u, dt):
+    k1 = f(u)
+    k2 = f(u + 0.5 * dt * k1)
+    k3 = f(u + 0.5 * dt * k2)
+    k4 = f(u + dt * k3)
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("advect", ["central", "upwind"])
+def test_buffered_line_rhs_and_rk4_are_bit_identical(advect):
+    # the workspace and stage buffers reorder no operation: the results equal
+    # the whole-array expressions bit for bit, also when one closure is
+    # reused for 20 chained steps on data that changes sign
+    dom, n, lam, dt = line(-8, 8), 512, 1.3, 0.01
+    op = KernelOp(dom, n)
+    x = dom.cell_centers(n)
+    u = GridFn(dom, 1.5 * np.sin(1.7 * x) * np.exp(-(x / 3.0) ** 2) + 0.2)
+    assert np.array_equal(rhs(u, lam, op, advect=advect).values,
+                          _rhs_ref(u.values, lam, op, advect))
+    assert np.array_equal(step_rk4(u, dt, lam, op, advect=advect).values,
+                          _rk4_ref(lambda v: _rhs_ref(v, lam, op, advect),
+                                   u.values, dt))
+    step = _rk4(_make_rhs(op, lam, True, advect), n)
+    v = w = u.values
+    for _ in range(20):
+        v_new = step(v, dt)
+        assert not np.shares_memory(v_new, v)
+        v = v_new
+        w = _rk4_ref(lambda z: _rhs_ref(z, lam, op, advect), w, dt)
+    assert np.array_equal(v, w)
+    assert (v > 0).any() and (v < 0).any()
 
 
 def test_scaling_transport_identity_and_doubling():
