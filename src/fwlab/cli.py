@@ -129,6 +129,8 @@ _KEYS = ({f.name for cls in (StrongConfig, FVConfig, Thresholds)
 
 def _coerce(key: str, value, typ):
     try:
+        if typ is bool and not isinstance(value, bool):
+            raise TypeError("a bool is true/yes/on or false/no/off")
         if isinstance(value, bool) and typ in (int, float):
             raise TypeError("yes/true/on parse as True, which is no number")
         return typ(value)

@@ -207,6 +207,11 @@ def test_exit_code_contract_on_check_failure(tmp_path):
      "unknown key 'dtt'"),
     ("simulate", "dispersion_mode1", ["lamda=2"], EXIT_USAGE,
      "unknown key 'lamda'"),
+    # a bool field takes only true/yes/on or false/no/off
+    ("simulate", "dispersion_mode1", ["dealias=abc"], EXIT_USAGE,
+     "dealias='abc'"),
+    ("simulate", "peakon_transport", ["source_on=nope"], EXIT_USAGE,
+     "source_on='nope'"),
 ])
 def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
                                  code, message):

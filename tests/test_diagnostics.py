@@ -5,10 +5,11 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from fwlab import (FVConfig, GridFn, KernelOp, TestFn, breaking_precheck,
-                   conservation_report, envelope_check, kruzhkov_residual,
-                   l1_stability_check, line, make_test_family, norm,
-                   oleinik_check, oleinik_coefficient, riccati_envelope,
-                   run_fv, sample, slope_extrema, torus, weak_residual)
+                   conservation_report, diagnostics, entropy_report,
+                   envelope_check, kruzhkov_residual, l1_stability_check,
+                   line, make_test_family, norm, oleinik_check,
+                   oleinik_coefficient, riccati_envelope, run_fv, sample,
+                   slope_extrema, torus, weak_residual)
 from fwlab.trajectory import synthetic_trajectory
 
 E = math.e
@@ -164,12 +165,6 @@ def test_testfn_shape_and_derivatives():
     assert np.all(tf.phi(x, 0.5) >= 0)
     assert tf.phi(np.array([2.5]), 0.5)[0] == 0.0
     assert tf.phi(np.array([0.0]), 0.9)[0] == 0.0
-    # finite-difference oracle for phi_x and phi_t
-    d = 1e-6
-    px = (tf.phi(x + d, 0.45) - tf.phi(x - d, 0.45)) / (2 * d)
-    assert np.abs(px - tf.phi_x(x, 0.45)).max() < 1e-5
-    pt = (tf.phi(x, 0.45 + d) - tf.phi(x, 0.45 - d)) / (2 * d)
-    assert np.abs(pt - tf.phi_t(x, 0.45)).max() < 1e-5
 
 
 def test_make_test_family_properties():
@@ -321,6 +316,136 @@ def test_residuals_match_direct_quadrature(dom, n, profile, params, lams):
     assert np.abs(mat - ref[1:]).max() <= 1e-13
     assert abs(weak_residual(traj, fam, op) - np.abs(ref[0]).max()) <= 1e-13
     assert np.abs(ref).max() > 1e-5  # the comparison is not between zeros
+
+
+def _two_pass_residuals(traj, lambdas, family, op):
+    """The two-pass formulation that the one-pass residuals replaced: the
+    weak form and the Kruzhkov entropies each contract every snapshot with
+    its own K'*u solve and fresh (L, n) temporaries.  Returns the weak
+    residual per bump, initial term included, and the Kruzhkov matrix."""
+    x = traj.domain.cell_centers(traj.n)
+    xi = traj.domain.a + np.arange(traj.n + 1) * traj.h
+    psi = diagnostics._psi
+    P = np.column_stack([psi(tf._zx(x)) for tf in family])
+    if traj.domain.periodic:
+        Gv = np.column_stack([psi(tf._zx(xi[:-1])) for tf in family])
+        G = np.roll(Gv, -1, axis=0) - Gv
+    else:
+        G = np.diff(np.column_stack([psi(tf._zx(xi)) for tf in family]),
+                    axis=0)
+    times = traj.snap_times
+    A = np.column_stack([psi(tf._zt(times)) for tf in family])[:, None, :]
+    h = traj.h
+    dt = np.diff(times)[:, None, None]
+    a0, a1 = A[:-1], A[1:]
+
+    def residuals(entropies):
+        E, Q, S = [], [], []
+        for u in traj.snapshots:
+            eta, q, deta = map(np.atleast_2d, entropies(u))
+            E.append(eta @ P)
+            Q.append(q @ G)
+            S.append((deta * op.conv_Kprime_values(u)) @ P)
+        E, Q, S = np.array(E), np.array(Q), np.array(S)
+        return (h * 0.5 * (E[:-1] + E[1:]) * (a1 - a0)
+                + dt * 0.5 * (Q[:-1] + Q[1:]) * 0.5 * (a0 + a1)
+                - 0.5 * dt * h * (S[:-1] * a0 + S[1:] * a1)).sum(axis=0)
+
+    lam = np.atleast_1d(np.asarray(lambdas, dtype=np.float64))[:, None]
+    w = residuals(lambda u: (u, 0.5 * u * u, 1.0))[0]
+    w += h * np.array([np.dot(traj.snapshots[0], tf.phi(x, times[0]))
+                       for tf in family])
+    mat = residuals(lambda u: (np.abs(u - lam),
+                               np.sign(u - lam) * 0.5 * (u * u - lam ** 2),
+                               np.sign(u - lam)))
+    return w, mat
+
+
+def _ac8_run(op):
+    # the AC-8 set-up: regularised Riemann step, n = 4000, T = 0.5, stride 2
+    dom = line(-20, 20)
+    u0 = sample("step", dom, 4000, left=1.0, right=-1.0, width=0.2)
+    return run_fv(u0, FVConfig(T=0.5, snapshot_stride=2), op)
+
+
+def _upjump_run():
+    # the upjump_adversarial set-up: 101 snapshots of a stationary up-jump
+    return synthetic_trajectory(line(-20, 20), 4000,
+                                [0.5 * k / 100 for k in range(101)],
+                                lambda x, t: np.where(x < 0, -1.0, 1.0))
+
+
+def _torus_run(op):
+    return run_fv(sample("sine", torus(), 256, amplitude=0.5),
+                  FVConfig(T=0.3, snapshot_stride=2), op)
+
+
+def _counting(op):
+    """Count op's conv_Kprime_values calls in op.solves."""
+    solve = op.conv_Kprime_values
+    op.solves = 0
+
+    def counted(values):
+        op.solves += 1
+        return solve(values)
+    op.conv_Kprime_values = counted
+    return op
+
+
+@pytest.mark.parametrize("case, solves", [("ac8", 58), ("upjump", 85)])
+def test_entropy_report_solves_each_needed_snapshot_once(case, solves):
+    # one K'*u per snapshot for both residuals, and none for the snapshots
+    # whose time factors and both neighbours' are zero for every bump
+    # (10 of 68 on AC-8, 16 of 101 on the up-jump); two passes made 136, 202
+    op = _counting(KernelOp(line(-20, 20), 4000))
+    traj = _ac8_run(op) if case == "ac8" else _upjump_run()
+    op.solves = 0
+    entropy_report(traj, np.linspace(-1.5, 1.5, 9), op=op)
+    assert op.solves == solves
+
+
+@pytest.mark.parametrize("case", ["ac8", "upjump", "torus", "gapped"])
+def test_one_pass_residuals_are_bit_identical_to_two_passes(case,
+                                                            line_op_4000):
+    lams = np.linspace(-1.5, 1.5, 9)
+    if case == "ac8":
+        op, traj = line_op_4000, _ac8_run(line_op_4000)
+    elif case == "upjump":
+        op, traj = line_op_4000, _upjump_run()
+    elif case == "torus":
+        # the default torus family has bumps straddling the seam
+        op = KernelOp(torus(), 256)
+        traj, lams = _torus_run(op), np.linspace(-0.6, 0.6, 5)
+    else:
+        # disjoint time supports: the needed snapshots fall into two runs
+        # separated by idle ones, and the last of the first run and the
+        # first of the second are never paired as an interval
+        dom = line(-20, 20)
+        op = _counting(KernelOp(dom, 800))
+        traj = run_fv(sample("step", dom, 800, left=1.0, right=-1.0,
+                             width=0.2), FVConfig(T=1.0), op)
+    if case == "gapped":
+        family = [TestFn(-4.0, 0.15, 3.0, 0.1), TestFn(4.0, 0.75, 3.0, 0.1)]
+        op.solves = 0
+    else:
+        family = make_test_family(traj.domain, float(traj.snap_times[-1]))
+    w, mat = diagnostics._residuals(traj, family, op, lams)
+    if case == "gapped":
+        live = np.pad([any(abs(tf._zt(t)) < 1.0 for tf in family)
+                       for t in traj.snap_times], 1)
+        needed = live[:-2] | live[1:-1] | live[2:]
+        assert op.solves == needed.sum()
+        assert np.flatnonzero(np.diff(np.flatnonzero(needed)) > 1).size == 1
+    ref_w, ref_mat = _two_pass_residuals(traj, lams, family, op)
+    assert np.array_equal(w, ref_w)
+    assert np.array_equal(mat, ref_mat)
+    assert np.abs(ref_mat).max() > 1e-5  # the comparison is not between zeros
+    rep = entropy_report(traj, lams, family, op)
+    assert rep.weak_residual_max == np.abs(ref_w).max()
+    assert rep.kruzhkov_min == ref_mat.min()
+    assert weak_residual(traj, family, op) == np.abs(ref_w).max()
+    _, mat = kruzhkov_residual(traj, lams, family, op, return_matrix=True)
+    assert np.array_equal(mat, ref_mat)
 
 
 # ---------------------------------------------------------------------------
