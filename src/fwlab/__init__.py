@@ -9,8 +9,7 @@ Kruzhkov entropy residuals, and traveling-wave identities.
 
 __version__ = "0.1.0"
 
-from .grid import (Domain, GridFn, ScalarSeries, derivative, line, norm,
-                   sample, torus)
+from .grid import Domain, GridFn, derivative, line, norm, sample, torus
 from .kernels import KernelOp, conv_K, conv_Kprime, kernel_eval
 from .trajectory import Trajectory
 from .strong import (OverflowAbort, StrongConfig, rhs, run_strong,
@@ -29,8 +28,7 @@ from .waves import (CuspParams, TravelingWave, b_formula, cusp_profile,
 
 __all__ = [
     "__version__",
-    "Domain", "GridFn", "ScalarSeries", "derivative", "line", "norm",
-    "sample", "torus",
+    "Domain", "GridFn", "derivative", "line", "norm", "sample", "torus",
     "KernelOp", "conv_K", "conv_Kprime", "kernel_eval",
     "Trajectory",
     "OverflowAbort", "StrongConfig", "rhs", "run_strong",

@@ -1,12 +1,13 @@
 """Command-line driver: reproducible experiments from flat key=value configs.
 
-Verbs: simulate, breaking, verify, wave, sweep.  Exit codes: 0 all checks
-pass, 1 a mathematical check failed or the solver aborted, 2 usage/config
-error.  Config keys that name a field of StrongConfig, FVConfig or
-Thresholds set it (see _config_from); a key no command reads is a config
-error.  FWLAB_THREADS caps sweep concurrency.
-Outputs are written once and atomically renamed into place, so identical
-config + seed gives byte-identical files.
+Verbs: simulate, breaking, verify, wave, sweep.  Each verb writes its outputs
+and returns its checks; main alone writes report.json and exits 0 if its
+overall_pass holds, else 1.  A command that raises writes no report.json: a
+usage/config error exits 2, a step rejected mid-run exits 1.  Config keys
+that name a field of StrongConfig, FVConfig or Thresholds set it (see
+_config_from); a key no command reads is a config error.  FWLAB_THREADS caps
+sweep concurrency.  Outputs are written once and atomically renamed into
+place, so identical config + seed gives byte-identical files.
 """
 
 from __future__ import annotations
@@ -260,9 +261,9 @@ def _emit_outputs(traj: Trajectory, out: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each writes its outputs under out and returns its checks
 
-def cmd_simulate(cfg: dict, out: str) -> int:
+def cmd_simulate(cfg: dict, out: str) -> list[dict]:
     domain = _domain_from(cfg)
     n = _n_from(cfg, 1024)
     u0 = _initial_from(cfg, domain, n)
@@ -285,11 +286,7 @@ def cmd_simulate(cfg: dict, out: str) -> int:
             / traj.t_stop if traj.t_stop > 0 else 0.0
         checks.append(_check("peakon_speed", abs(speed - 4.0 / 3.0) <= 0.02 * 4 / 3,
                              speed, "4/3 +- 2%"))
-    _write_json(os.path.join(out, "report.json"),
-                _report("simulate", cfg, checks))
-    if traj.stop_reason == "overflow":
-        return EXIT_CHECK_FAILED
-    return EXIT_OK if all(c["pass"] for c in checks) else EXIT_CHECK_FAILED
+    return checks
 
 
 def _crest(x: np.ndarray, u: np.ndarray) -> float:
@@ -302,7 +299,7 @@ def _crest(x: np.ndarray, u: np.ndarray) -> float:
     return float(x[i])
 
 
-def cmd_breaking(cfg: dict, out: str) -> int:
+def cmd_breaking(cfg: dict, out: str) -> list[dict]:
     domain = _domain_from(cfg)
     n = _n_from(cfg, 20480)
     u0 = _initial_from(cfg, domain, n)
@@ -316,7 +313,6 @@ def cmd_breaking(cfg: dict, out: str) -> int:
                "condition_met": report.condition_met, "M0": report.M0,
                "t_star": report.t_star, "t_observed": None}
     if report.condition_met and report.t_star is not None:
-        cfg = dict(cfg)
         cfg.setdefault("solver", "strong")
         cfg.setdefault("advect", "upwind" if not domain.periodic else "central")
         traj = _run_from(cfg, u0)
@@ -335,12 +331,10 @@ def cmd_breaking(cfg: dict, out: str) -> int:
         checks.append(_check("criterion_not_met", True, report.S,
                              "S < 1: no breaking guarantee; run skipped"))
     _write_json(os.path.join(out, "breaking.json"), payload)
-    _write_json(os.path.join(out, "report.json"),
-                _report("breaking", cfg, checks))
-    return EXIT_OK if all(c["pass"] for c in checks) else EXIT_CHECK_FAILED
+    return checks
 
 
-def cmd_verify(cfg: dict, out: str) -> int:
+def cmd_verify(cfg: dict, out: str) -> list[dict]:
     domain = _domain_from(cfg)
     n = _n_from(cfg, 4000)
     thr = _config_from(Thresholds, cfg)
@@ -363,9 +357,7 @@ def cmd_verify(cfg: dict, out: str) -> int:
         growth = max(tu.series["l1"] / (np.exp(tu.times) * tu.series["l1"][0]))
         checks.append(_check("l1_growth", growth <= thr.l1_ratio_tol,
                              float(growth), thr.l1_ratio_tol))
-        _write_json(os.path.join(out, "report.json"),
-                    _report("verify", cfg, checks))
-        return EXIT_OK if all(c["pass"] for c in checks) else EXIT_CHECK_FAILED
+        return checks
 
     if cfg.get("trajectory") == "upjump":
         # stationary non-entropic expansion shock (-1 -> +1), source off
@@ -401,12 +393,10 @@ def cmd_verify(cfg: dict, out: str) -> int:
         "oleinik_margin": rep.oleinik_margin,
         "passes": rep.passes,
     })
-    _write_json(os.path.join(out, "report.json"),
-                _report("verify", cfg, checks))
-    return EXIT_OK if all(c["pass"] for c in checks) else EXIT_CHECK_FAILED
+    return checks
 
 
-def cmd_wave(cfg: dict, out: str) -> int:
+def cmd_wave(cfg: dict, out: str) -> list[dict]:
     kind = cfg.get("kind")
     if kind not in ("peakon", "cusp"):
         raise ConfigError("wave kind must be 'peakon' or 'cusp'")
@@ -431,10 +421,7 @@ def cmd_wave(cfg: dict, out: str) -> int:
         try:
             wave = cusp_profile(c, n=n, window=window)
         except ValueError as exc:
-            _write_json(os.path.join(out, "report.json"),
-                        _report("wave", cfg,
-                                [_check("construction", False, str(exc), "")]))
-            return EXIT_CHECK_FAILED
+            return [_check("construction", False, str(exc), "")]
         lam1, mismatch = tw_defect(wave)
         jump = measured_cusp_jump(wave)
         checks.append(_check("defect_nonzero", abs(lam1) >= 0.5, lam1,
@@ -451,8 +438,7 @@ def cmd_wave(cfg: dict, out: str) -> int:
                   lambda tmp: write_csv(tmp, ("xi", "v"),
                                         (prof.x, prof.values)))
     _write_json(os.path.join(out, "defect.json"), payload)
-    _write_json(os.path.join(out, "report.json"), _report("wave", cfg, checks))
-    return EXIT_OK if all(c["pass"] for c in checks) else EXIT_CHECK_FAILED
+    return checks
 
 
 def _max_workers() -> int:
@@ -465,7 +451,7 @@ def _max_workers() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def cmd_sweep(cfg: dict, out: str) -> int:
+def cmd_sweep(cfg: dict, out: str) -> list[dict]:
     kind = cfg.get("kind", "viscosity")
     domain = _domain_from(cfg)
     checks = []
@@ -519,8 +505,7 @@ def cmd_sweep(cfg: dict, out: str) -> int:
                                                   "order"), columns))
     else:
         raise ConfigError(f"unknown sweep kind {kind!r}")
-    _write_json(os.path.join(out, "report.json"), _report("sweep", cfg, checks))
-    return EXIT_OK if all(c["pass"] for c in checks) else EXIT_CHECK_FAILED
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -552,13 +537,16 @@ def main(argv=None) -> int:
     }
     try:
         cfg = load_config(args.config, args.preset, args.overrides)
-        return dispatch[args.command](cfg, args.out)
+        checks = dispatch[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"fwlab: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"fwlab: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    report = _report(args.command, cfg, checks)
+    _write_json(os.path.join(args.out, "report.json"), report)
+    return EXIT_OK if report["overall_pass"] else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "Domain",
     "GridFn",
-    "ScalarSeries",
     "torus",
     "line",
     "sample",
@@ -110,12 +109,6 @@ class GridFn:
             return GridFn(self.domain, self.values + other.values)
         return GridFn(self.domain, self.values + other)
 
-    def __sub__(self, other):
-        if isinstance(other, GridFn):
-            self._check(other)
-            return GridFn(self.domain, self.values - other.values)
-        return GridFn(self.domain, self.values - other)
-
     def __mul__(self, alpha):
         if isinstance(alpha, GridFn):
             self._check(alpha)
@@ -124,31 +117,9 @@ class GridFn:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, alpha):
-        return GridFn(self.domain, self.values / alpha)
-
     def _check(self, other: "GridFn"):
         if not self.compatible(other):
             raise ValueError("incompatible grids: domain and n must match")
-
-
-@dataclass
-class ScalarSeries:
-    """Time-stamped scalar diagnostic, times strictly increasing."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=np.float64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.times.shape != self.values.shape:
-            raise ValueError("times and values must have equal length")
-        if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("times must be strictly increasing")
-
-    def __len__(self) -> int:
-        return self.times.size
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +221,6 @@ def norm(g: GridFn, which: str) -> float:
             return float(d.sum() + abs(v[0] - v[-1]))
         return float(d.sum())
     raise ValueError(f"unknown norm {which!r}; choices: L1, L2, Linf, TV")
-
-
-def integrate(g: GridFn) -> float:
-    """Midpoint quadrature of g over its domain."""
-    return float(g.h * g.values.sum())
 
 
 # ---------------------------------------------------------------------------

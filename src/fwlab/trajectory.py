@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (Domain, GridFn, ScalarSeries, slope_extrema_values,
-                   write_csv)
+from .grid import Domain, GridFn, slope_extrema_values, write_csv
 
 SERIES_NAMES = ("mass", "l1", "l2", "linf", "m1", "m2", "xi1", "xi2")
 
@@ -36,9 +35,6 @@ class Trajectory:
 
     def last(self) -> GridFn:
         return GridFn(self.domain, self.snapshots[-1])
-
-    def scalar_series(self, name: str) -> ScalarSeries:
-        return ScalarSeries(self.times, self.series[name])
 
     @property
     def h(self) -> float:

@@ -210,12 +210,14 @@ def tw_defect(w: TravelingWave, op: KernelOp | None = None,
     x = w.profile.x
     v = w.profile.values
     W = 0.5 * (v - w.c) ** 2
-    D = op.dx_values(W) + op.conv_Kprime_values(v)
+    dW = op.dx_values(W)
+    kv = op.conv_Kprime_values(v)
+    D = dW + kv
     Kp = np.asarray(kernel_eval("Kprime_line", x))
     lo, hi = fit_window
     m = (np.abs(x) > lo) & (np.abs(x) < hi)
     lam1 = float(np.sum(D[m] * Kp[m]) / np.sum(Kp[m] * Kp[m]))
     resid = np.abs(D[m] - lam1 * Kp[m]).max()
-    scale = (np.abs(op.dx_values(W)) + np.abs(op.conv_Kprime_values(v)))[m].max()
+    scale = (np.abs(dW) + np.abs(kv))[m].max()
     mismatch = float(resid / max(scale, 1e-300))
     return lam1, mismatch

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from fwlab import FVConfig, StrongConfig
 from fwlab.cli import (_KEYS, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE,
-                       ConfigError, main, parse_config_text)
+                       ConfigError, _config_from, main, parse_config_text)
 
 
 def run_cli(tmp_path, *args):
@@ -140,6 +140,19 @@ def test_wave_cusp_small_speed_exits_2(tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_wave_cusp_construction_failure_reports_one_check(tmp_path):
+    # a window too narrow for the far field: the cusp is never built
+    code, out = run_cli(tmp_path, "wave", "--preset", "wave_cusp",
+                        "a=-2", "b=2", "n=800")
+    assert code == EXIT_CHECK_FAILED
+    report = json.loads((out / "report.json").read_text())
+    assert [(c["check_name"], c["pass"]) for c in report["checks"]] == \
+        [("construction", False)]
+    assert not report["overall_pass"]
+    assert not (out / "profile.csv").exists()
+    assert not (out / "defect.json").exists()
+
+
 def test_wave_cusp(tmp_path):
     code, out = run_cli(tmp_path, "wave", "--preset", "wave_cusp")
     assert code == EXIT_OK
@@ -215,8 +228,10 @@ def test_exit_code_contract_on_check_failure(tmp_path):
 ])
 def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
                                  code, message):
-    got, _ = run_cli(tmp_path, verb, "--preset", preset, *overrides)
+    got, out = run_cli(tmp_path, verb, "--preset", preset, *overrides)
     assert got == code
+    # a command that raises writes no report
+    assert not list(out.rglob("report.json"))
     err = capsys.readouterr().err
     assert message in err
     assert ("config error" in err) == (code == EXIT_USAGE)
@@ -276,3 +291,41 @@ def test_non_numeric_value_for_numeric_field_exits_2(tmp_path_factory, target,
     assert code == EXIT_USAGE
     assert "config error" in err
     assert f"{key}=" in err
+
+
+def _finite(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+@st.composite
+def _strong_configs(draw):
+    dt = draw(_finite(min_value=1e-6, max_value=1.0))
+    return StrongConfig(
+        dt=dt, T=dt * draw(st.integers(1, 10 ** 6)),
+        n=draw(st.none() | st.integers(16, 10 ** 6)),
+        dealias=draw(st.booleans()),
+        lambda_coeff=draw(_finite(min_value=0.0)),
+        stop_slope=draw(_finite(min_value=0.0, exclude_min=True)),
+        advect=draw(st.sampled_from(["central", "upwind"])),
+        snapshot_stride=draw(st.integers(1, 10 ** 6)))
+
+
+_fv_configs = st.builds(
+    FVConfig,
+    T=_finite(min_value=0.0, exclude_min=True),
+    n=st.none() | st.integers(16, 10 ** 6),
+    cfl=_finite(min_value=0.0, max_value=1.0, exclude_min=True),
+    eps=_finite(min_value=0.0),
+    source_splitting=st.sampled_from(["strang", "lie"]),
+    dt=st.none() | _finite(min_value=0.0, exclude_min=True),
+    source_on=st.booleans(),
+    snapshot_stride=st.integers(1, 10 ** 6))
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=_strong_configs() | _fv_configs)
+def test_config_text_round_trip(config):
+    text = "".join(f"{f.name} = {getattr(config, f.name)}\n"
+                   for f in fields(config)
+                   if getattr(config, f.name) is not None)
+    assert _config_from(type(config), parse_config_text(text)) == config

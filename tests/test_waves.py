@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fwlab import (FVConfig, KernelOp, b_formula, cusp_profile,
-                   cusp_seed_slope, kruzhkov_residual, line,
+                   cusp_seed_slope, kernel_eval, kruzhkov_residual, line,
                    make_test_family, measured_cusp_jump, norm, peakon,
                    residual_scan, run_fv, sample, tw_defect,
                    tw_first_integral)
@@ -180,3 +180,35 @@ def test_peakon_translation_under_fv_first_order():
         errs.append((dom.length / n)
                     * np.abs(traj.snapshots[-1] - exact).sum())
     assert errs[1] < 0.75 * errs[0]
+
+
+def test_tw_defect_solves_each_term_once():
+    wave = peakon()
+    op = KernelOp(wave.profile.domain, wave.profile.n)
+    calls = {"dx_values": 0, "conv_Kprime_values": 0}
+
+    def counted(name):
+        method = getattr(op, name)
+
+        def wrapper(values):
+            calls[name] += 1
+            return method(values)
+        return wrapper
+
+    for name in calls:
+        setattr(op, name, counted(name))
+    lam1, mismatch = tw_defect(wave, op)
+    assert calls == {"dx_values": 1, "conv_Kprime_values": 1}
+
+    # the same fit with each term computed twice, once for D and once for
+    # the mismatch scale: reusing the arrays must not change a bit
+    x, v = wave.profile.x, wave.profile.values
+    W = 0.5 * (v - wave.c) ** 2
+    D = op.dx_values(W) + op.conv_Kprime_values(v)
+    Kp = np.asarray(kernel_eval("Kprime_line", x))
+    m = (np.abs(x) > 0.1) & (np.abs(x) < 6.0)
+    lam1_ref = float(np.sum(D[m] * Kp[m]) / np.sum(Kp[m] * Kp[m]))
+    resid = np.abs(D[m] - lam1_ref * Kp[m]).max()
+    scale = (np.abs(op.dx_values(W))
+             + np.abs(op.conv_Kprime_values(v)))[m].max()
+    assert (lam1, mismatch) == (lam1_ref, float(resid / max(scale, 1e-300)))
