@@ -3,11 +3,13 @@
 Verbs: simulate, breaking, verify, wave, sweep.  Each verb writes its outputs
 and returns its checks; main alone writes report.json and exits 0 if its
 overall_pass holds, else 1.  A command that raises writes no report.json: a
-usage/config error exits 2, a step rejected mid-run exits 1.  Config keys
-that name a field of StrongConfig, FVConfig or Thresholds set it (see
-_config_from); a key no command reads is a config error.  FWLAB_THREADS caps
-sweep concurrency.  Outputs are written once and atomically renamed into
-place, so identical config + seed gives byte-identical files.
+usage/config error exits 2, a step rejected mid-run exits 1.  Every config
+key is a field of Keys (read by the commands themselves), StrongConfig,
+FVConfig or Thresholds, or an alias (_ALIASES); load_config type-checks each
+for every verb, and Keys rejects an unknown choice and a non-nested n_list.
+FWLAB_THREADS caps sweep concurrency.  Outputs are written once and
+atomically renamed into place, so identical config + seed gives
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 import tempfile
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -107,33 +109,86 @@ def load_config(path: str | None, preset: str | None,
         cfg[key.strip()] = _parse_value(val)
     if not cfg:
         raise ConfigError("no configuration given (use --config or --preset)")
-    for key in cfg:
-        if key not in _KEYS and not key.startswith("profile."):
-            raise ConfigError(f"unknown key {key!r}")
+    for key, value in cfg.items():
+        if not key.startswith("profile."):
+            if key not in _KEYS:
+                raise ConfigError(f"unknown key {key!r}")
+            _coerce(key, value, _TYPES[_ALIASES.get(key, key)])  # type check
     return cfg
 
 
 # ---------------------------------------------------------------------------
 # config keys -> config dataclasses
 
+@dataclass(frozen=True)
+class Keys:
+    """The keys the commands read themselves.  A verb whose default differs
+    (n, a, b, solver, kind) passes it to _config_from."""
+
+    solver: str = "fv"
+    domain: str = "line"
+    a: float = -20.0
+    b: float = 20.0
+    profile: str | None = None
+    n: int = 1024
+    check: str = "entropy"
+    bump_amplitude: float = 0.01
+    bump_center: float = 0.0
+    bump_radius: float = 2.0
+    trajectory: str | None = None
+    T: float = 0.5  # end time of the synthetic up-jump
+    steps: int = 100
+    jump_at: float = 0.0
+    lambdas: list[float] | None = None
+    kind: str | None = None
+    c: float = 1.5
+    eps_list: list[float] = field(default_factory=lambda: [1e-2, 5e-3, 2.5e-3])
+    n_list: list[int] = field(default_factory=lambda: [2000, 4000, 8000])
+
+    def __post_init__(self):
+        for key, choices in (("solver", ("strong", "fv")),
+                             ("domain", ("line", "torus")),
+                             ("check", ("entropy", "stability")),
+                             ("trajectory", (None, "upjump"))):
+            if getattr(self, key) not in choices:
+                raise ValueError(f"{key}={getattr(self, key)!r}: expected one "
+                                 f"of {choices}")
+        if not self.a < self.b:
+            raise ValueError(f"a={self.a!r}, b={self.b!r}: expected a < b")
+        if self.steps < 1:
+            raise ValueError(f"steps={self.steps!r}: expected at least 1")
+        if not all(0 < m < n and n % m == 0
+                   for m, n in zip(self.n_list, self.n_list[1:])):
+            raise ValueError(f"n_list={self.n_list!r}: expected each entry a "
+                             f"larger multiple of the one before")
+
+
 # config keys that name a dataclass field by another name
 _ALIASES = {"lambda": "lambda_coeff", "splitting": "source_splitting"}
 
-# every key a config may hold, besides the profile.* parameters: the config
-# dataclass fields, their aliases and the keys the commands read themselves
-_KEYS = ({f.name for cls in (StrongConfig, FVConfig, Thresholds)
-          for f in fields(cls)} | set(_ALIASES)
-         | {"solver", "domain", "a", "b", "profile", "n", "check",
-            "bump_amplitude", "bump_center", "bump_radius", "trajectory",
-            "steps", "jump_at", "lambdas", "kind", "c", "eps_list", "n_list"})
+# every key a config may hold, besides the profile.* parameters, and its field
+# type; a name the four dataclasses share has one type, up to an optional None
+_TYPES = {name: typ for cls in (Keys, StrongConfig, FVConfig, Thresholds)
+          for name, typ in typing.get_type_hints(cls).items()}
+_KEYS = set(_TYPES) | set(_ALIASES)
 
 
 def _coerce(key: str, value, typ):
+    args = typing.get_args(typ)
+    if type(None) in args:  # an optional field (int | None): its other type
+        (typ,) = set(args) - {type(None)}
+    if typing.get_origin(typ) is list:  # one value or a non-empty list
+        items = value if isinstance(value, list) else [value]
+        if not items:
+            raise ConfigError(f"{key}=[]: expected at least one value")
+        return [_coerce(key, v, typing.get_args(typ)[0]) for v in items]
     try:
         if typ is bool and not isinstance(value, bool):
             raise TypeError("a bool is true/yes/on or false/no/off")
         if isinstance(value, bool) and typ in (int, float):
             raise TypeError("yes/true/on parse as True, which is no number")
+        if typ is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError("an int field takes no fraction")
         return typ(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}={value!r}: expected {typ.__name__}") from exc
@@ -151,10 +206,7 @@ def _config_from(cls, cfg: dict, **defaults):
     for key, value in cfg.items():
         name = _ALIASES.get(key, key)
         if name in hints:
-            # an optional field (int | None) coerces to its non-None type
-            typ = next((t for t in typing.get_args(hints[name])
-                        if t is not type(None)), hints[name])
-            kwargs[name] = _coerce(key, value, typ)
+            kwargs[name] = _coerce(key, value, hints[name])
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -164,17 +216,8 @@ def _config_from(cls, cfg: dict, **defaults):
 # ---------------------------------------------------------------------------
 # pieces shared by the commands
 
-def _n_from(cfg: dict, default: int) -> int:
-    return _coerce("n", cfg.get("n", default), int)
-
-
-def _domain_from(cfg: dict) -> Domain:
-    kind = cfg.get("domain", "line")
-    if kind == "torus":
-        return torus()
-    if kind == "line":
-        return line(cfg.get("a", -20.0), cfg.get("b", 20.0))
-    raise ConfigError(f"unknown domain {kind!r}")
+def _domain_from(keys: Keys) -> Domain:
+    return torus() if keys.domain == "torus" else line(keys.a, keys.b)
 
 
 def _initial_from(cfg: dict, domain: Domain, n: int) -> GridFn:
@@ -189,13 +232,11 @@ def _initial_from(cfg: dict, domain: Domain, n: int) -> GridFn:
         raise ConfigError(str(exc)) from exc
 
 
-def _run_from(cfg: dict, u0: GridFn, op: KernelOp | None = None) -> Trajectory:
-    solver = cfg.get("solver", "fv")
+def _run_from(solver: str, cfg: dict, u0: GridFn,
+              op: KernelOp | None = None) -> Trajectory:
     if solver == "strong":
         return run_strong(u0, _config_from(StrongConfig, cfg), op)
-    if solver == "fv":
-        return run_fv(u0, _config_from(FVConfig, cfg), op)
-    raise ConfigError(f"unknown solver {solver!r}")
+    return run_fv(u0, _config_from(FVConfig, cfg), op)
 
 
 def _atomic_write(path: str, writer) -> None:
@@ -264,10 +305,10 @@ def _emit_outputs(traj: Trajectory, out: str) -> None:
 # commands: each writes its outputs under out and returns its checks
 
 def cmd_simulate(cfg: dict, out: str) -> list[dict]:
-    domain = _domain_from(cfg)
-    n = _n_from(cfg, 1024)
-    u0 = _initial_from(cfg, domain, n)
-    traj = _run_from(cfg, u0)
+    keys = _config_from(Keys, cfg)
+    domain = _domain_from(keys)
+    u0 = _initial_from(cfg, domain, keys.n)
+    traj = _run_from(keys.solver, cfg, u0)
     _emit_outputs(traj, out)
     thr = _config_from(Thresholds, cfg)
     cons = conservation_report(traj)
@@ -276,11 +317,11 @@ def cmd_simulate(cfg: dict, out: str) -> list[dict]:
     if domain.periodic:
         checks.append(_check("mass_conservation", cons.mass_drift <= thr.mass_tol,
                              cons.mass_drift, thr.mass_tol))
-        if cfg.get("solver") == "strong":
+        if keys.solver == "strong":
             checks.append(_check("l2_conservation",
                                  cons.l2_drift_rel <= thr.l2_rel_tol,
                                  cons.l2_drift_rel, thr.l2_rel_tol))
-    if cfg.get("profile") == "peakon" and cfg.get("solver", "fv") == "fv":
+    if keys.profile == "peakon" and keys.solver == "fv":
         x = traj.domain.cell_centers(traj.n)
         speed = (_crest(x, traj.snapshots[-1]) - _crest(x, traj.snapshots[0])) \
             / traj.t_stop if traj.t_stop > 0 else 0.0
@@ -300,9 +341,9 @@ def _crest(x: np.ndarray, u: np.ndarray) -> float:
 
 
 def cmd_breaking(cfg: dict, out: str) -> list[dict]:
-    domain = _domain_from(cfg)
-    n = _n_from(cfg, 20480)
-    u0 = _initial_from(cfg, domain, n)
+    keys = _config_from(Keys, cfg, n=20480, solver="strong")
+    domain = _domain_from(keys)
+    u0 = _initial_from(cfg, domain, keys.n)
     report = breaking_precheck(u0)
     checks = [_check("precheck", True, {"S": report.S, "m1_0": report.m1_0,
                                         "m2_0": report.m2_0,
@@ -313,9 +354,9 @@ def cmd_breaking(cfg: dict, out: str) -> list[dict]:
                "condition_met": report.condition_met, "M0": report.M0,
                "t_star": report.t_star, "t_observed": None}
     if report.condition_met and report.t_star is not None:
-        cfg.setdefault("solver", "strong")
+        cfg.setdefault("solver", keys.solver)
         cfg.setdefault("advect", "upwind" if not domain.periodic else "central")
-        traj = _run_from(cfg, u0)
+        traj = _run_from(keys.solver, cfg, u0)
         attach_observation(report, traj)
         payload["t_observed"] = report.t_observed
         ok_obs = (report.t_observed is not None
@@ -335,22 +376,22 @@ def cmd_breaking(cfg: dict, out: str) -> list[dict]:
 
 
 def cmd_verify(cfg: dict, out: str) -> list[dict]:
-    domain = _domain_from(cfg)
-    n = _n_from(cfg, 4000)
+    keys = _config_from(Keys, cfg, n=4000)
+    domain = _domain_from(keys)
+    n = keys.n
     thr = _config_from(Thresholds, cfg)
     checks = []
-    if cfg.get("check") == "stability":
+    if keys.check == "stability":
         u0 = _initial_from(cfg, domain, n)
-        bump_cfg = {"profile": "bump",
-                    "profile.amplitude": float(cfg.get("bump_amplitude", 0.01)),
-                    "profile.center": float(cfg.get("bump_center", 0.0)),
-                    "profile.radius": float(cfg.get("bump_radius", 2.0))}
+        bump_cfg = {"profile": "bump", "profile.amplitude": keys.bump_amplitude,
+                    "profile.center": keys.bump_center,
+                    "profile.radius": keys.bump_radius}
         bump = _initial_from(bump_cfg, domain, n)
         v0 = GridFn(domain, u0.values + bump.values)
         fv = {"dt": 0.45 * u0.h / (2.0 + norm(u0, "Linf")), **cfg}
         op = KernelOp(domain, n)
-        tu = _run_from(fv, u0, op)
-        tv = _run_from(fv, v0, op)
+        tu = _run_from(keys.solver, fv, u0, op)
+        tv = _run_from(keys.solver, fv, v0, op)
         ratio = l1_stability_check(tu, tv)
         checks.append(_check("l1_stability_ratio", ratio <= thr.l1_ratio_tol,
                              ratio, thr.l1_ratio_tol))
@@ -359,22 +400,16 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
                              float(growth), thr.l1_ratio_tol))
         return checks
 
-    if cfg.get("trajectory") == "upjump":
+    if keys.trajectory == "upjump":
         # stationary non-entropic expansion shock (-1 -> +1), source off
-        T = _coerce("T", cfg.get("T", 0.5), float)
-        steps = _coerce("steps", cfg.get("steps", 100), int)
-        jump_at = cfg.get("jump_at", 0.0)
         traj = synthetic_trajectory(
-            domain, n, [T * k / steps for k in range(steps + 1)],
-            lambda x, t: np.where(x < jump_at, -1.0, 1.0),
+            domain, n, [keys.T * k / keys.steps for k in range(keys.steps + 1)],
+            lambda x, t: np.where(x < keys.jump_at, -1.0, 1.0),
             meta={"solver": "synthetic-upjump"})
     else:
         u0 = _initial_from(cfg, domain, n)
-        traj = _run_from(cfg, u0)
-    lambdas = cfg.get("lambdas")
-    if lambdas is not None and not isinstance(lambdas, list):
-        lambdas = [lambdas]
-    rep = entropy_report(traj, lambdas=lambdas, thresholds=thr)
+        traj = _run_from(keys.solver, cfg, u0)
+    rep = entropy_report(traj, lambdas=keys.lambdas, thresholds=thr)
     cons = conservation_report(traj)
     checks.append(_check("weak_residual", rep.passes["weak"],
                          rep.weak_residual_max, thr.weak_tol))
@@ -397,11 +432,10 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
 
 
 def cmd_wave(cfg: dict, out: str) -> list[dict]:
-    kind = cfg.get("kind")
+    keys = _config_from(Keys, cfg, n=8000, a=-30.0, b=30.0)
+    kind, n, window = keys.kind, keys.n, (keys.a, keys.b)
     if kind not in ("peakon", "cusp"):
         raise ConfigError("wave kind must be 'peakon' or 'cusp'")
-    n = _n_from(cfg, 8000)
-    window = (float(cfg.get("a", -30.0)), float(cfg.get("b", 30.0)))
     checks = []
     if kind == "peakon":
         wave = peakon(n=n, window=window)
@@ -415,7 +449,7 @@ def cmd_wave(cfg: dict, out: str) -> list[dict]:
         payload = {"kind": kind, "c": wave.c, "b": None, "lambda1": lam1,
                    "mismatch": mismatch, "first_integral_oscillation": osc}
     else:
-        c = float(cfg.get("c", 1.5))
+        c = keys.c
         if not c > 4.0 / 3.0 + 1e-6:
             raise ConfigError("cusp waves require c > 4/3")
         try:
@@ -452,16 +486,12 @@ def _max_workers() -> int:
 
 
 def cmd_sweep(cfg: dict, out: str) -> list[dict]:
-    kind = cfg.get("kind", "viscosity")
-    domain = _domain_from(cfg)
+    keys = _config_from(Keys, cfg, n=2000, kind="viscosity")
+    domain = _domain_from(keys)
     checks = []
-    if kind == "viscosity":
-        n = _n_from(cfg, 2000)
-        u0 = _initial_from(cfg, domain, n)
-        eps_list = cfg.get("eps_list", [1e-2, 5e-3, 2.5e-3])
-        if not isinstance(eps_list, list):
-            eps_list = [eps_list]
-        pairs = viscosity_sweep(u0, eps_list,
+    if keys.kind == "viscosity":
+        u0 = _initial_from(cfg, domain, keys.n)
+        pairs = viscosity_sweep(u0, keys.eps_list,
                                 _config_from(FVConfig, cfg, T=0.5))
         dists = [d for _, d in pairs]
         decreasing = all(b < a for a, b in zip(dists, dists[1:]))
@@ -473,11 +503,7 @@ def cmd_sweep(cfg: dict, out: str) -> list[dict]:
         _atomic_write(os.path.join(out, "sweep.csv"),
                       lambda tmp: write_csv(tmp, ("eps", "l1_distance"),
                                             ([e for e, _ in pairs], dists)))
-    elif kind == "resolution":
-        n_list = cfg.get("n_list", [2000, 4000, 8000])
-        if not isinstance(n_list, list):
-            n_list = [n_list]
-        n_list = [_coerce("n_list", v, int) for v in n_list]
+    elif keys.kind == "resolution":
         fcfg = _config_from(FVConfig, cfg, snapshot_stride=10 ** 9)
 
         def one(n):
@@ -485,9 +511,9 @@ def cmd_sweep(cfg: dict, out: str) -> list[dict]:
             return n, run_fv(u0, replace(fcfg, n=n))
 
         with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-            runs = dict(pool.map(one, n_list))
+            runs = dict(pool.map(one, keys.n_list))
         errs = []
-        for n_c, n_f in zip(n_list, n_list[1:]):
+        for n_c, n_f in zip(keys.n_list, keys.n_list[1:]):
             coarse, fine = runs[n_c], runs[n_f]
             ratio = n_f // n_c
             fv = np.asarray(fine.snapshots[-1]).reshape(-1, ratio).mean(axis=1)
@@ -504,7 +530,7 @@ def cmd_sweep(cfg: dict, out: str) -> list[dict]:
                       lambda tmp: write_csv(tmp, ("n", "dt_mean", "l1_err",
                                                   "order"), columns))
     else:
-        raise ConfigError(f"unknown sweep kind {kind!r}")
+        raise ConfigError(f"unknown sweep kind {keys.kind!r}")
     return checks
 
 

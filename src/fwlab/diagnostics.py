@@ -476,7 +476,6 @@ def entropy_report(traj: Trajectory, lambdas=None, family=None,
     linf = norm(u0, "Linf")
     if lambdas is None:
         lambdas = np.linspace(-1.5 * max(linf, 1e-6), 1.5 * max(linf, 1e-6), 9)
-    _validate_family(traj, family, need_zero_at_t0=False)
     _validate_family(traj, family, need_zero_at_t0=True)
     w, mat = _residuals(traj, family, op, lambdas)
     wr = float(np.abs(w).max(initial=0.0))

@@ -80,11 +80,14 @@ def _burgers_update(u: np.ndarray, dt: float, h: float, periodic: bool,
     return out
 
 
+def _dt_bound(u: np.ndarray, h: float, cfl: float, eps: float) -> float:
+    """The CFL step bound and, with viscosity, the explicit diffusion one."""
+    dt = cfl * h / max(np.abs(u).max(), _TINY)
+    return min(dt, 0.4 * h * h / eps) if eps > 0.0 else dt
+
+
 def _check_cfl(u: np.ndarray, dt: float, h: float, cfl: float, eps: float):
-    dt_adv = cfl * h / max(np.abs(u).max(), _TINY)
-    if dt > dt_adv * (1.0 + 1e-9):
-        raise ValueError("time step too large")
-    if eps > 0.0 and dt > 0.4 * h * h / eps * (1.0 + 1e-9):
+    if dt > _dt_bound(u, h, cfl, eps) * (1.0 + 1e-9):
         raise ValueError("time step too large")
 
 
@@ -143,10 +146,7 @@ def run_fv(u0: GridFn, cfg: FVConfig, op: KernelOp | None = None) -> Trajectory:
             dt = min(cfg.dt, cfg.T - t)
             _check_cfl(u, dt, h, cfg.cfl, cfg.eps)
         else:
-            dt = cfg.cfl * h / max(np.abs(u).max(), _TINY)
-            if cfg.eps > 0.0:
-                dt = min(dt, 0.4 * h * h / cfg.eps)
-            dt = min(dt, cfg.T - t)
+            dt = min(_dt_bound(u, h, cfg.cfl, cfg.eps), cfg.T - t)
         dts.append(dt)
         return dt
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .grid import GridFn, line
+from .grid import GridFn, line, sample
 from .kernels import KernelOp, kernel_eval
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "b_formula",
     "cusp_seed_slope",
     "peakon",
-    "peakon_profile_values",
     "residual_scan",
     "tw_first_integral",
     "cusp_profile",
@@ -77,16 +76,10 @@ class CuspParams:
 # ---------------------------------------------------------------------------
 # peakon
 
-def peakon_profile_values(x: np.ndarray, center: float = 0.0) -> np.ndarray:
-    return (4.0 / 3.0) * np.exp(-np.abs(x - center) / 2.0)
-
-
 def peakon(n: int = 8000, window: tuple = (-30.0, 30.0),
            scan: tuple = (1.0, 2.0, 401)) -> TravelingWave:
     """Build the peakon and determine its speed by a residual scan."""
-    dom = line(*window)
-    x = dom.cell_centers(n)
-    prof = GridFn(dom, peakon_profile_values(x))
+    prof = sample("peakon", line(*window), n)
     c_grid = np.linspace(scan[0], scan[1], int(scan[2]))
     c_best, _ = residual_scan(prof, c_grid)
     return TravelingWave(c=c_best, profile=prof, kind="peakon")

@@ -4,15 +4,17 @@ import json
 import os
 import typing
 from dataclasses import fields
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwlab import FVConfig, StrongConfig
+from fwlab import FVConfig, StrongConfig, Thresholds
 from fwlab.cli import (_KEYS, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE,
-                       ConfigError, _config_from, main, parse_config_text)
+                       ConfigError, Keys, _config_from, load_config, main,
+                       parse_config_text)
 
 
 def run_cli(tmp_path, *args):
@@ -225,6 +227,42 @@ def test_exit_code_contract_on_check_failure(tmp_path):
      "dealias='abc'"),
     ("simulate", "peakon_transport", ["source_on=nope"], EXIT_USAGE,
      "source_on='nope'"),
+    # every key a command reads itself goes through the same coercion
+    ("wave", "wave_cusp", ["c=abc"], EXIT_USAGE, "c='abc'"),
+    ("simulate", "peakon_transport", ["a=abc"], EXIT_USAGE, "a='abc'"),
+    ("wave", "wave_peakon", ["b=abc"], EXIT_USAGE, "b='abc'"),
+    ("verify", "l1_stability", ["bump_amplitude=abc"], EXIT_USAGE,
+     "bump_amplitude='abc'"),
+    ("verify", "riemann_entropy", ["lambdas=abc"], EXIT_USAGE,
+     "lambdas='abc'"),
+    ("sweep", "viscosity_sweep", ["eps_list=abc"], EXIT_USAGE,
+     "eps_list='abc'"),
+    ("wave", "wave_cusp", ["c=1,2"], EXIT_USAGE, "c=[1, 2]"),
+    ("verify", "upjump_adversarial", ["jump_at=abc"], EXIT_USAGE,
+     "jump_at='abc'"),
+    ("verify", "upjump_adversarial", ["steps=0"], EXIT_USAGE, "steps=0"),
+    ("verify", "upjump_adversarial", ["steps=-3"], EXIT_USAGE, "steps=-3"),
+    # resolution-sweep grids must nest: each n a larger multiple of the last
+    ("sweep", "convergence_peakon", ["n_list=3000,4000"], EXIT_USAGE,
+     "n_list=[3000, 4000]"),
+    ("sweep", "convergence_peakon", ["n_list=8000,4000"], EXIT_USAGE,
+     "n_list=[8000, 4000]"),
+    # a misspelt choice is rejected, not read as the default path
+    ("verify", "l1_stability", ["check=stabilty"], EXIT_USAGE,
+     "check='stabilty'"),
+    ("verify", "upjump_adversarial", ["trajectory=upjmp"], EXIT_USAGE,
+     "trajectory='upjmp'"),
+    # an int field takes an int or an integral float, never truncating
+    ("simulate", "peakon_transport", ["n=4000.7"], EXIT_USAGE, "n=4000.7"),
+    ("simulate", "peakon_transport", ["snapshot_stride=2.5"], EXIT_USAGE,
+     "snapshot_stride=2.5"),
+    ("simulate", "peakon_transport", ["solver=strnog"], EXIT_USAGE,
+     "solver='strnog'"),
+    ("simulate", "peakon_transport", ["domain=tor"], EXIT_USAGE,
+     "domain='tor'"),
+    ("simulate", "peakon_transport", ["a=5", "b=-5"], EXIT_USAGE,
+     "a=5.0, b=-5.0"),
+    ("verify", "riemann_entropy", ["lambdas=,"], EXIT_USAGE, "lambdas=[]"),
 ])
 def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
                                  code, message):
@@ -279,7 +317,10 @@ def _is_number(text):
 
 @settings(max_examples=25, deadline=None)
 @given(target=st.sampled_from(_numeric_fields(StrongConfig, "conservation_sine")
-                              + _numeric_fields(FVConfig, "peakon_transport")),
+                              + _numeric_fields(FVConfig, "peakon_transport")
+                              # simulate reads no steps, c, n_list, ...: a
+                              # known key is type-checked all the same
+                              + _numeric_fields(Keys, "peakon_transport")),
        value=st.sampled_from(["yes", "true", "off", "abc", ""])
        | st.text(max_size=12).filter(lambda v: not _is_number(v.strip())))
 def test_non_numeric_value_for_numeric_field_exits_2(tmp_path_factory, target,
@@ -329,3 +370,18 @@ def test_config_text_round_trip(config):
                    for f in fields(config)
                    if getattr(config, f.name) is not None)
     assert _config_from(type(config), parse_config_text(text)) == config
+
+
+_PRESETS = sorted(p.name[:-4] for p in
+                  (resources.files("fwlab") / "presets").iterdir()
+                  if p.name.endswith(".cfg"))
+
+
+@pytest.mark.parametrize("preset", _PRESETS)
+def test_shipped_preset_builds_its_configs(preset):
+    # every shipped preset, as shipped, is a valid config: nothing is run
+    cfg = load_config(None, preset, [])
+    keys = _config_from(Keys, cfg)
+    _config_from(Thresholds, cfg)
+    solver_config = StrongConfig if keys.solver == "strong" else FVConfig
+    assert isinstance(_config_from(solver_config, cfg), solver_config)

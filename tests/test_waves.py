@@ -9,7 +9,8 @@ from fwlab import (FVConfig, KernelOp, b_formula, cusp_profile,
                    residual_scan, run_fv, sample, tw_defect,
                    tw_first_integral)
 from fwlab.trajectory import synthetic_trajectory
-from fwlab.waves import TravelingWave, peakon_profile_values
+from fwlab.grid import PROFILES
+from fwlab.waves import TravelingWave
 
 
 def test_peakon_profile_values():
@@ -161,7 +162,7 @@ def test_transported_peakon_is_entropy_admissible():
     c = 4.0 / 3.0
     traj = synthetic_trajectory(
         dom, n, np.linspace(0, 1, 201),
-        lambda x, t: peakon_profile_values(x - c * t))
+        lambda x, t: PROFILES["peakon"](x, center=c * t))
     fam = make_test_family(dom, 1.0)
     lams = np.linspace(-2.0, 2.0, 9)
     kmin = kruzhkov_residual(traj, lams, fam)
@@ -176,7 +177,7 @@ def test_peakon_translation_under_fv_first_order():
         u0 = sample("peakon", dom, n)
         traj = run_fv(u0, FVConfig(T=0.5, snapshot_stride=10 ** 9))
         x = dom.cell_centers(n)
-        exact = peakon_profile_values(x - (4.0 / 3.0) * traj.t_stop)
+        exact = PROFILES["peakon"](x, center=(4.0 / 3.0) * traj.t_stop)
         errs.append((dom.length / n)
                     * np.abs(traj.snapshots[-1] - exact).sum())
     assert errs[1] < 0.75 * errs[0]
