@@ -6,7 +6,8 @@ overall_pass holds, else 1.  A command that raises writes no report.json: a
 usage/config error exits 2, a step rejected mid-run exits 1.  Every config
 key is a field of Keys (read by the commands themselves), StrongConfig,
 FVConfig or Thresholds, or an alias (_ALIASES); load_config type-checks each
-for every verb, and Keys rejects an unknown choice and a non-nested n_list.
+for every verb, and Keys rejects an unknown choice, a non-nested n_list, a
+T <= 0 and an eps_list that is not positive and strictly descending.
 FWLAB_THREADS caps sweep concurrency.  Outputs are written once and
 atomically renamed into place, so identical config + seed gives
 byte-identical files.
@@ -157,6 +158,12 @@ class Keys:
             raise ValueError(f"a={self.a!r}, b={self.b!r}: expected a < b")
         if self.steps < 1:
             raise ValueError(f"steps={self.steps!r}: expected at least 1")
+        if not self.T > 0:
+            raise ValueError(f"T={self.T!r}: expected T > 0")
+        eps = self.eps_list
+        if not (min(eps) > 0 and all(b < a for a, b in zip(eps, eps[1:]))):
+            raise ValueError(f"eps_list={eps!r}: expected positive "
+                             f"and strictly descending values")
         if not all(0 < m < n and n % m == 0
                    for m, n in zip(self.n_list, self.n_list[1:])):
             raise ValueError(f"n_list={self.n_list!r}: expected each entry a "

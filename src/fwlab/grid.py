@@ -272,8 +272,11 @@ def slope_extrema_values(values: np.ndarray, h: float, periodic: bool,
     index.  Locations are interface positions (the wrap interface of the
     torus reports x = a)."""
     if periodic:
-        d = (np.roll(values, -1) - values) / h
         n = values.size
+        d = np.empty(n)  # forward differences, the last across the wrap
+        np.subtract(values[1:], values[:-1], out=d[:-1])
+        d[-1] = values[0] - values[-1]
+        d /= h
         i1 = int(np.argmin(d))
         i2 = int(np.argmax(d))
 

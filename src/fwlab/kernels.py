@@ -53,10 +53,7 @@ class KernelOp:
         """K*values, written into ``out`` and returned when it is given."""
         if self.domain.periodic:
             wh = np.fft.rfft(values) * self.multipliers
-            if out is None:
-                return np.fft.irfft(wh, self.n)
-            out[...] = np.fft.irfft(wh, self.n)
-            return out
+            return np.fft.irfft(wh, self.n, out=out)
         # the routine cho_solve_banded calls, without its per-call finiteness
         # checks: a non-finite right-hand side gives a non-finite w, which the
         # solvers report as overflow

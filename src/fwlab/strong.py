@@ -57,39 +57,42 @@ class StrongConfig:
             raise ValueError("advect must be 'central' or 'upwind'")
 
 
-def _dealias_mask(n: int) -> np.ndarray:
-    k = np.fft.rfftfreq(n, d=1.0 / n)
-    return k <= n // 3
-
-
 def _make_rhs(op: KernelOp, lam: float, dealias: bool, advect: str):
     """Build a raw-array closure f(u, out) writing -lam u u_x - K'*u into
-    out and returning it.  On the line the closure computes in a workspace
-    allocated here once, so u and out must not be part of it."""
+    out and returning it.  The closure computes in a workspace allocated
+    here once, so u and out must not be part of it.  The operations and
+    their order are those of -lam u u_x - K'*u written as whole-array
+    expressions, so the buffers change no bit of the result."""
     n, h = op.n, op.h
 
     if op.domain.periodic:
-        mask = _dealias_mask(n) if dealias else None
         ik = op._ik.copy()
         if n % 2 == 0:
             ik[-1] = 0.0  # unpaired Nyquist mode carries no derivative
+        uh, ah = np.empty((2, n // 2 + 1), dtype=complex)
+        spec = np.empty((2, n // 2 + 1), dtype=complex)
+        ux_h, conv_h = spec
+        phys = np.empty((2, n))  # the inverse transforms of spec's rows
+        ux, conv = phys
+        adv = np.empty(n)
 
         def f(u, out):
-            uh = np.fft.rfft(u)
-            ux = np.fft.irfft(uh * ik, n)
-            adv = u * ux
-            if mask is not None:
-                ah = np.fft.rfft(adv)
-                ah[~mask] = 0.0
-                adv = np.fft.irfft(ah, n)
-            conv = np.fft.irfft(uh * op.multipliers * ik, n)
-            return np.subtract(-lam * adv, conv, out=out)
+            np.fft.rfft(u, out=uh)
+            np.multiply(uh, ik, out=ux_h)
+            np.multiply(uh, op.multipliers, out=conv_h)
+            np.multiply(conv_h, ik, out=conv_h)
+            np.fft.irfft(spec, n, out=phys)  # one call for both rows
+            np.multiply(u, ux, out=adv)
+            if dealias:  # 2/3 rule: keep the modes k <= n // 3
+                np.fft.rfft(adv, out=ah)
+                ah[n // 3 + 1:] = 0.0
+                np.fft.irfft(ah, n, out=adv)
+            np.multiply(-lam, adv, out=adv)
+            return np.subtract(adv, conv, out=out)
         return f
 
     w = np.empty(n)  # K*u
     d = np.empty(n)  # a central difference
-    # the operations and their order are those of -lam u u_x - K'*u written
-    # as whole-array expressions, so the buffers change no bit of the result
 
     def minus_kprime(u, out):
         op.conv_K_values(u, out=w)

@@ -263,6 +263,13 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     ("simulate", "peakon_transport", ["a=5", "b=-5"], EXIT_USAGE,
      "a=5.0, b=-5.0"),
     ("verify", "riemann_entropy", ["lambdas=,"], EXIT_USAGE, "lambdas=[]"),
+    # the viscosity sweep needs positive, strictly descending eps values
+    ("sweep", "viscosity_sweep", ["eps_list=1e-3,1e-2"], EXIT_USAGE,
+     "eps_list=[0.001, 0.01]"),
+    ("sweep", "viscosity_sweep", ["eps_list=-1"], EXIT_USAGE,
+     "eps_list=[-1.0]"),
+    ("verify", "upjump_adversarial", ["T=0"], EXIT_USAGE, "T=0.0"),
+    ("verify", "upjump_adversarial", ["T=-1"], EXIT_USAGE, "T=-1.0"),
 ])
 def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
                                  code, message):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwlab import GridFn, derivative, line, norm, sample, torus
-from fwlab.grid import read_snapshot_csv, write_csv, write_snapshot_csv
+from fwlab.grid import (read_snapshot_csv, slope_extrema_values, write_csv,
+                        write_snapshot_csv)
 
 
 def test_sample_zero_is_zero():
@@ -155,3 +156,31 @@ def test_write_csv_formats_ints_floats_and_nan(tmp_path):
     assert path.read_text() == ("n,err,order\n"
                                 "2000,0.10000000000000001,nan\n"
                                 "4000,0.33333333333333331,1\n")
+
+
+def _periodic_slope_ref(values, h, a):
+    d = (np.roll(values, -1) - values) / h
+    i1, i2 = int(np.argmin(d)), int(np.argmax(d))
+
+    def loc(i):
+        return a if i == values.size - 1 else a + (i + 1) * h
+    return float(d[i1]), loc(i1), float(d[i2]), loc(i2)
+
+
+def test_periodic_slope_extrema_match_roll_reference(rng):
+    n = 64
+    h = 1.0 / n
+    x = torus().cell_centers(n)
+    ramp = x.copy()  # the one drop is across the wrap interface
+    cases = [rng.normal(size=n), np.full(n, 0.7), ramp, -ramp,
+             np.sin(2 * np.pi * x) + 0.1]
+    for values in cases:
+        got = slope_extrema_values(values, h, True, 0.0)
+        assert got == _periodic_slope_ref(values, h, 0.0)
+    # ties pick the smallest index; a wrap extremum reports x = a
+    assert slope_extrema_values(np.full(n, 0.7), h, True, 0.0) == (
+        0.0, h, 0.0, h)
+    m1, xi1, _, _ = slope_extrema_values(ramp, h, True, 0.0)
+    assert (m1, xi1) == ((x[0] - x[-1]) / h, 0.0)
+    _, _, m2, xi2 = slope_extrema_values(-ramp, h, True, 0.0)
+    assert (m2, xi2) == ((x[-1] - x[0]) / h, 0.0)
