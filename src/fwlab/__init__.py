@@ -22,9 +22,9 @@ from .diagnostics import (BreakingReport, ConservationReport, EntropyReport,
                           l1_stability_check, make_test_family,
                           oleinik_check, oleinik_coefficient,
                           riccati_envelope, slope_extrema, weak_residual)
-from .waves import (CuspParams, TravelingWave, b_formula, cusp_profile,
-                    cusp_seed_slope, measured_cusp_jump, peakon,
-                    residual_scan, tw_defect, tw_first_integral)
+from .waves import (TravelingWave, b_formula, cusp_profile, cusp_seed_slope,
+                    measured_cusp_jump, peakon, residual_scan, tw_defect,
+                    tw_first_integral)
 
 __all__ = [
     "__version__",
@@ -41,7 +41,7 @@ __all__ = [
     "kruzhkov_residual", "l1_stability_check", "make_test_family",
     "oleinik_check", "oleinik_coefficient", "riccati_envelope",
     "slope_extrema", "weak_residual",
-    "CuspParams", "TravelingWave", "b_formula", "cusp_profile",
+    "TravelingWave", "b_formula", "cusp_profile",
     "cusp_seed_slope", "measured_cusp_jump", "peakon", "residual_scan",
     "tw_defect", "tw_first_integral",
 ]

@@ -6,7 +6,8 @@ overall_pass holds, else 1.  A command that raises writes no report.json: a
 usage/config error exits 2, a step rejected mid-run exits 1.  Every config
 key is a field of Keys (read by the commands themselves), StrongConfig,
 FVConfig or Thresholds, or an alias (_ALIASES); load_config type-checks each
-for every verb, and Keys rejects an unknown choice, a non-nested n_list, a
+for every verb, and Keys rejects an unknown choice, an n or n_list entry
+below 4, a non-nested n_list, a zero bump_amplitude or bump_radius, a
 T <= 0 and an eps_list that is not positive and strictly descending.
 FWLAB_THREADS caps sweep concurrency.  Outputs are written once and
 atomically renamed into place, so identical config + seed gives
@@ -156,6 +157,12 @@ class Keys:
                                  f"of {choices}")
         if not self.a < self.b:
             raise ValueError(f"a={self.a!r}, b={self.b!r}: expected a < b")
+        if self.n < 4:
+            raise ValueError(f"n={self.n!r}: expected at least 4")
+        for key in ("bump_amplitude", "bump_radius"):
+            if getattr(self, key) == 0:
+                raise ValueError(f"{key}={getattr(self, key)!r}: expected a "
+                                 f"nonzero value")
         if self.steps < 1:
             raise ValueError(f"steps={self.steps!r}: expected at least 1")
         if not self.T > 0:
@@ -164,10 +171,12 @@ class Keys:
         if not (min(eps) > 0 and all(b < a for a, b in zip(eps, eps[1:]))):
             raise ValueError(f"eps_list={eps!r}: expected positive "
                              f"and strictly descending values")
-        if not all(0 < m < n and n % m == 0
-                   for m, n in zip(self.n_list, self.n_list[1:])):
-            raise ValueError(f"n_list={self.n_list!r}: expected each entry a "
-                             f"larger multiple of the one before")
+        if not (min(self.n_list) >= 4
+                and all(m < n and n % m == 0
+                        for m, n in zip(self.n_list, self.n_list[1:]))):
+            raise ValueError(f"n_list={self.n_list!r}: expected entries of at "
+                             f"least 4, each a larger multiple of the one "
+                             f"before")
 
 
 # config keys that name a dataclass field by another name
@@ -260,23 +269,10 @@ def _atomic_write(path: str, writer) -> None:
         raise
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _write_json(path: str, payload: dict) -> None:
     def w(tmp):
         with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True,
-                      default=_json_default)
+            json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     _atomic_write(path, w)
 

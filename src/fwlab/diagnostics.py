@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Domain, GridFn, norm, slope_extrema_values
+from .grid import Domain, GridFn, _psi, norm, slope_extrema_values
 from .kernels import KernelOp
 from .trajectory import Trajectory
 
@@ -80,7 +80,6 @@ class BreakingReport:
     M0: float                   # m1_0 + 1/2
     t_star: float | None        # 1/|M0| upper bound on the blow-up time
     t_observed: float | None = None
-    stop_slope: float | None = None
 
 
 def breaking_precheck(u0: GridFn) -> BreakingReport:
@@ -93,16 +92,15 @@ def breaking_precheck(u0: GridFn) -> BreakingReport:
                           M0=M0, t_star=t_star)
 
 
-def attach_observation(report: BreakingReport, traj: Trajectory,
-                       stop_slope: float | None = None) -> BreakingReport:
-    """Fill t_observed = first time the recorded min slope drops below -G."""
-    G = stop_slope if stop_slope is not None else traj.meta.get("stop_slope")
+def attach_observation(report: BreakingReport,
+                       traj: Trajectory) -> BreakingReport:
+    """Fill t_observed = first time the recorded min slope drops below -G,
+    G the stop_slope of the strong run."""
+    G = traj.meta.get("stop_slope")
     if G is None:
-        raise ValueError("stop_slope not given and absent from trajectory meta")
-    m1 = traj.series["m1"]
-    below = np.nonzero(m1 < -G)[0]
+        raise ValueError("stop_slope absent from trajectory meta")
+    below = np.nonzero(traj.series["m1"] < -G)[0]
     report.t_observed = float(traj.times[below[0]]) if below.size else None
-    report.stop_slope = float(G)
     return report
 
 
@@ -165,21 +163,19 @@ def oleinik_coefficient(t: float, u0_l1: float) -> float:
     return 1.0 / t + 2.0 + 2.0 * t * (1.0 + 2.0 * math.exp(t) * u0_l1)
 
 
-def oleinik_check(u_t: GridFn, t: float, u0_l1: float,
-                  max_stride_pairs: int = 16) -> float:
-    """Minimum of C(t)(y - x) - (u(y) - u(x)) over adjacent pairs and a
-    dyadic sample of distant pairs.  Nonnegative means the bound holds."""
+def oleinik_check(u_t: GridFn, t: float, u0_l1: float) -> float:
+    """Minimum of C(t)(y - x) - (u(y) - u(x)) over the pairs at the 16
+    dyadic strides 1, 2, ..., 2^15 cells.  Nonnegative means the bound
+    holds."""
     C = oleinik_coefficient(t, u0_l1)
     v = u_t.values
     h = u_t.h
     margin = math.inf
     s = 1
-    count = 0
-    while s < v.size and count < max_stride_pairs:
+    while s < v.size and s < 2 ** 16:
         du = v[s:] - v[:-s]
         margin = min(margin, float((C * s * h - du).min()))
         s *= 2
-        count += 1
     return margin
 
 
@@ -242,19 +238,8 @@ class KruzhkovPair:
     def eta(self, z):
         return self.terms(z)[0][()]
 
-    def deta(self, z):
-        """eta'(z) = sgn(z - lam)."""
-        return self.terms(z)[2][()]
-
     def flux(self, z):
         return self.terms(z)[1][()]
-
-
-def _psi(z: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(z)
-    m = np.abs(z) < 1.0
-    out[m] = np.exp(-1.0 / (1.0 - z[m] ** 2))
-    return out
 
 
 @dataclass(frozen=True)
@@ -282,17 +267,16 @@ class TestFn:
         return _psi(self._zx(x)) * _psi(np.asarray([self._zt(t)]))[0]
 
 
-def make_test_family(domain: Domain, t_end: float, count: int = 12,
-                     t_start: float = 0.0) -> list:
+def make_test_family(domain: Domain, t_end: float, count: int = 12) -> list:
     """Tile the space-time window with `count` bumps at two spatial scales.
 
-    Supports lie strictly inside (t_start, t_end), so the family is valid for
+    Supports lie strictly inside (0, t_end), so the family is valid for
     both the weak form and the initial-value-free entropy form.
     """
     L = domain.length
     periodic = domain.periodic
-    dt_half = 0.42 * (t_end - t_start)
-    t0 = 0.5 * (t_start + t_end)
+    dt_half = 0.42 * t_end
+    t0 = 0.5 * t_end
     n_small = (count + 1) // 2
     n_big = count - n_small
     fam = []
@@ -432,7 +416,6 @@ class ConservationReport:
     mass_drift: float
     l2_drift: float
     l2_drift_rel: float
-    l2sq_drift_rel: float
 
 
 def conservation_report(traj: Trajectory) -> ConservationReport:
@@ -442,8 +425,7 @@ def conservation_report(traj: Trajectory) -> ConservationReport:
     l2_drift = float(np.abs(l2 - l2[0]).max())
     l2_0 = float(l2[0])
     rel = l2_drift / l2_0 if l2_0 > 0 else 0.0
-    relsq = float(np.abs(l2 ** 2 - l2_0 ** 2).max()) / l2_0 ** 2 if l2_0 > 0 else 0.0
-    return ConservationReport(mass_drift, l2_drift, rel, relsq)
+    return ConservationReport(mass_drift, l2_drift, rel)
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +438,6 @@ class EntropyReport:
     oleinik_margin: float
     oleinik_scale: float
     passes: dict = field(default_factory=dict)
-
-    @property
-    def overall_pass(self) -> bool:
-        return all(self.passes.values())
 
 
 def entropy_report(traj: Trajectory, lambdas=None, family=None,
@@ -503,16 +481,13 @@ def entropy_report(traj: Trajectory, lambdas=None, family=None,
 # ---------------------------------------------------------------------------
 # differential-inequality checks along a strong run
 
-def slope_inequality_fractions(traj: Trajectory, tol_coeff: float = 0.05,
-                               resolved_slope: float | None = None):
+def slope_inequality_fractions(traj: Trajectory):
     """Fraction of recorded times where the one-sided slope bounds
-    m_j' <= -m_j^2 + (m2 - m1)/2 + tol hold (centered differences in t).
+    m_j' <= -m_j^2 + (m2 - m1)/2 + tol hold (centered differences in t),
+    tol = 0.05 (1 + m_j^2).
 
-    Only times where |m1| stays below `resolved_slope` count; the default is
-    half a grid slope, 0.5/h.
+    Only times where |m1| stays below half a grid slope, 0.5/h, count.
     """
-    if resolved_slope is None:
-        resolved_slope = 0.5 / traj.h
     t = traj.times
     if t.size < 3:
         raise ValueError("trajectory too short for derivative estimates")
@@ -522,9 +497,9 @@ def slope_inequality_fractions(traj: Trajectory, tol_coeff: float = 0.05,
         m = traj.series[name]
         dm = (m[2:] - m[:-2]) / (t[2:] - t[:-2])
         mid = m[1:-1]
-        bound = -mid ** 2 + gap[1:-1] + tol_coeff * (1.0 + mid ** 2)
+        bound = -mid ** 2 + gap[1:-1] + 0.05 * (1.0 + mid ** 2)
         ok = dm <= bound
-        resolved = np.abs(traj.series["m1"][1:-1]) <= resolved_slope
+        resolved = np.abs(traj.series["m1"][1:-1]) <= 0.5 / traj.h
         if not resolved.any():
             out.append(1.0)
             continue
@@ -532,9 +507,10 @@ def slope_inequality_fractions(traj: Trajectory, tol_coeff: float = 0.05,
     return tuple(out)
 
 
-def convolution_bound_margin(traj: Trajectory, op: KernelOp | None = None,
-                             tol_coeff: float = 0.05) -> float:
-    """Worst margin of (K*u_xx)(xi_j) >= (m1 - m2)/2 - tol over snapshots.
+def convolution_bound_margin(traj: Trajectory,
+                             op: KernelOp | None = None) -> float:
+    """Worst margin of (K*u_xx)(xi_j) >= (m1 - m2)/2 - tol over snapshots,
+    tol = 0.05 (1 + m2 - m1).
 
     K*u_xx is evaluated through the kernel identity K*u'' = K*u - u, which
     is exact for the discrete operator.
@@ -549,7 +525,7 @@ def convolution_bound_margin(traj: Trajectory, op: KernelOp | None = None,
         m2 = traj.series["m2"][i]
         conv = op.conv_K_values(u) - u
         lower = 0.5 * (m1 - m2)
-        tol = tol_coeff * (1.0 + m2 - m1)
+        tol = 0.05 * (1.0 + m2 - m1)
         for name in ("xi1", "xi2"):
             xi = traj.series[name][i]
             j = int(np.argmin(np.abs(x - xi)))

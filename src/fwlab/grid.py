@@ -159,12 +159,16 @@ def _profile_step(x, left=1.0, right=-1.0, center=0.0, width=0.0):
     return np.where(x < center, float(left), float(right))
 
 
-def _profile_bump(x, amplitude=1.0, center=0.0, radius=1.0):
-    z = (x - center) / radius
-    out = np.zeros_like(x)
+def _psi(z: np.ndarray) -> np.ndarray:
+    """The smooth bump exp(-1/(1 - z^2)) on |z| < 1, exactly zero off it."""
+    out = np.zeros_like(z)
     m = np.abs(z) < 1.0
-    out[m] = amplitude * np.exp(-1.0 / (1.0 - z[m] ** 2))
+    out[m] = np.exp(-1.0 / (1.0 - z[m] ** 2))
     return out
+
+
+def _profile_bump(x, amplitude=1.0, center=0.0, radius=1.0):
+    return amplitude * _psi((x - center) / radius)
 
 
 def _profile_kernel(x):
@@ -226,14 +230,18 @@ def norm(g: GridFn, which: str) -> float:
 # ---------------------------------------------------------------------------
 # differentiation
 
+def _spectral_ik(n: int) -> np.ndarray:
+    """The rfft multiplier 2 pi i k of d/dx on the torus; the unpaired
+    Nyquist mode of an even n carries no derivative and gets 0."""
+    ik = 2j * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
+    if n % 2 == 0:
+        ik[-1] = 0.0
+    return ik
+
+
 def _spectral_dx(values: np.ndarray) -> np.ndarray:
     n = values.size
-    vh = np.fft.rfft(values)
-    k = np.fft.rfftfreq(n, d=1.0 / n)
-    vh *= 2j * np.pi * k
-    if n % 2 == 0:
-        vh[-1] = 0.0  # derivative of the unpaired Nyquist mode
-    return np.fft.irfft(vh, n)
+    return np.fft.irfft(np.fft.rfft(values) * _spectral_ik(n), n)
 
 
 def _central_dx(values: np.ndarray, h: float,

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs
 
-from .grid import Domain, GridFn, _central_dx, _spectral_dx
+from .grid import Domain, GridFn, _central_dx, _spectral_dx, _spectral_ik
 
 __all__ = ["KernelOp", "conv_K", "conv_Kprime", "kernel_eval"]
 
@@ -39,7 +39,7 @@ class KernelOp:
         if domain.periodic:
             k = np.fft.rfftfreq(n, d=1.0 / n)
             self.multipliers = 1.0 / (1.0 + (2.0 * np.pi * k) ** 2)
-            self._ik = 2j * np.pi * k
+            self._ik = _spectral_ik(n)
         else:
             band = np.zeros((2, n))
             band[0, 1:] = -1.0 / self.h ** 2
@@ -72,8 +72,6 @@ class KernelOp:
     def conv_Kprime_values(self, values: np.ndarray) -> np.ndarray:
         if self.domain.periodic:
             wh = np.fft.rfft(values) * self.multipliers * self._ik
-            if self.n % 2 == 0:
-                wh[-1] = 0.0
             return np.fft.irfft(wh, self.n)
         return _central_dx(self.conv_K_values(values), self.h)
 

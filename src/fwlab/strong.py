@@ -25,10 +25,6 @@ __all__ = ["StrongConfig", "OverflowAbort", "rhs", "step_rk4", "run_strong",
 class OverflowAbort(RuntimeError):
     """Raised when a step produces non-finite values (numerical blow-up)."""
 
-    def __init__(self, t_last: float):
-        super().__init__(f"numerical overflow; last valid time t={t_last:.6g}")
-        self.t_last = t_last
-
 
 @dataclass(frozen=True)
 class StrongConfig:
@@ -66,9 +62,7 @@ def _make_rhs(op: KernelOp, lam: float, dealias: bool, advect: str):
     n, h = op.n, op.h
 
     if op.domain.periodic:
-        ik = op._ik.copy()
-        if n % 2 == 0:
-            ik[-1] = 0.0  # unpaired Nyquist mode carries no derivative
+        ik = op._ik
         uh, ah = np.empty((2, n // 2 + 1), dtype=complex)
         spec = np.empty((2, n // 2 + 1), dtype=complex)
         ux_h, conv_h = spec
@@ -162,7 +156,7 @@ def step_rk4(u: GridFn, dt: float, lam: float, op: KernelOp,
     with np.errstate(over="ignore", invalid="ignore"):
         out = _rk4(_make_rhs(op, lam, dealias, advect), u.n)(u.values, dt)
     if not np.all(np.isfinite(out)):
-        raise OverflowAbort(0.0)
+        raise OverflowAbort("numerical overflow: the step is not finite")
     return u.with_values(out)
 
 

@@ -20,7 +20,6 @@ from .kernels import KernelOp, kernel_eval
 
 __all__ = [
     "TravelingWave",
-    "CuspParams",
     "b_formula",
     "cusp_seed_slope",
     "peakon",
@@ -56,21 +55,6 @@ def cusp_seed_slope(c: float) -> float:
     if c <= 4.0 / 3.0:
         raise ValueError("cusp waves require c > 4/3")
     return math.sqrt(c ** 3 * (3.0 * c - 4.0) / 12.0)
-
-
-@dataclass(frozen=True)
-class CuspParams:
-    c: float
-    b: float            # the reference formula constant
-    E: float            # first-integral constant c^2/2
-    seed_slope: float   # w'(0+), connection-consistent
-    jump: float         # jump of w' across 0, = 2 seed_slope
-
-    @classmethod
-    def for_speed(cls, c: float) -> "CuspParams":
-        sigma = cusp_seed_slope(c)
-        return cls(c=c, b=b_formula(c), E=c * c / 2.0,
-                   seed_slope=sigma, jump=2.0 * sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -114,17 +98,18 @@ def tw_first_integral(w: TravelingWave, op: KernelOp | None = None) -> GridFn:
 # ---------------------------------------------------------------------------
 # cusp construction
 
-def _integrate_cusp_half(c: float, xi_max: float, seed_eps: float = 1e-8):
-    """Integrate w'' = w + c - sqrt(2w) - E outward from the cusp.
+def _integrate_cusp_half(c: float, xi_max: float):
+    """Integrate w'' = w + c - sqrt(2w) - E, E = c^2/2 the first-integral
+    constant, outward from the cusp, seeded at xi = 1e-8.
 
     Returns (dense solution, switch point, v at switch, tail decay rate).
     The far state (c^2/2, 0) is a saddle, so the orbit is followed until v
     drops below a small tolerance and is continued by its exponential tail.
     """
-    params = CuspParams.for_speed(c)
-    E = params.E
-    sigma = params.seed_slope
+    E = c * c / 2.0
+    sigma = cusp_seed_slope(c)  # w'(0+), connection-consistent
     curv0 = c - E  # w''(0+)
+    seed_eps = 1e-8
 
     def rhs(xi, y):
         w, wp = y
@@ -174,15 +159,16 @@ def cusp_profile(c: float, n: int = 8000,
     return TravelingWave(c=c, profile=GridFn(dom, v), kind="cusp")
 
 
-def measured_cusp_jump(w: TravelingWave, fit_radius: float = 0.05) -> float:
-    """Jump of d/dxi [(v-c)^2/2] across 0 from one-sided linear fits."""
+def measured_cusp_jump(w: TravelingWave) -> float:
+    """Jump of d/dxi [(v-c)^2/2] across 0 from one-sided linear fits on
+    0 < |xi| < 0.05."""
     x = w.profile.x
     h = w.profile.h
     W = 0.5 * (w.profile.values - w.c) ** 2
-    right = (x > 0.5 * h) & (x < fit_radius)
-    left = (x < -0.5 * h) & (x > -fit_radius)
+    right = (x > 0.5 * h) & (x < 0.05)
+    left = (x < -0.5 * h) & (x > -0.05)
     if right.sum() < 4 or left.sum() < 4:
-        raise ValueError("fit_radius too small for the grid")
+        raise ValueError("the fit radius 0.05 holds too few cells")
     slope_r = np.polyfit(x[right], W[right], 1)[0]
     slope_l = np.polyfit(x[left], W[left], 1)[0]
     return float(slope_r - slope_l)
@@ -191,9 +177,9 @@ def measured_cusp_jump(w: TravelingWave, fit_radius: float = 0.05) -> float:
 # ---------------------------------------------------------------------------
 # distributional defect fit
 
-def tw_defect(w: TravelingWave, op: KernelOp | None = None,
-              fit_window: tuple = (0.1, 6.0)):
-    """Least-squares lambda1 in ((v-c)^2/2)' + K'*v = lambda1 K' away from 0.
+def tw_defect(w: TravelingWave, op: KernelOp | None = None):
+    """Least-squares lambda1 in ((v-c)^2/2)' + K'*v = lambda1 K' on
+    0.1 < |xi| < 6.
 
     Returns (lambda1, relative sup mismatch).  A weak traveling wave gives
     lambda1 ~ 0; the cusp gives a lambda1 bounded away from zero.
@@ -207,8 +193,7 @@ def tw_defect(w: TravelingWave, op: KernelOp | None = None,
     kv = op.conv_Kprime_values(v)
     D = dW + kv
     Kp = np.asarray(kernel_eval("Kprime_line", x))
-    lo, hi = fit_window
-    m = (np.abs(x) > lo) & (np.abs(x) < hi)
+    m = (np.abs(x) > 0.1) & (np.abs(x) < 6.0)
     lam1 = float(np.sum(D[m] * Kp[m]) / np.sum(Kp[m] * Kp[m]))
     resid = np.abs(D[m] - lam1 * Kp[m]).max()
     scale = (np.abs(dW) + np.abs(kv))[m].max()

@@ -270,6 +270,17 @@ def test_exit_code_contract_on_check_failure(tmp_path):
      "eps_list=[-1.0]"),
     ("verify", "upjump_adversarial", ["T=0"], EXIT_USAGE, "T=0.0"),
     ("verify", "upjump_adversarial", ["T=-1"], EXIT_USAGE, "T=-1.0"),
+    # every verb refuses a grid below 4 cells before it starts
+    ("wave", "wave_peakon", ["n=2"], EXIT_USAGE, "n=2"),
+    ("wave", "wave_cusp", ["n=2"], EXIT_USAGE, "n=2"),
+    ("verify", "upjump_adversarial", ["n=0"], EXIT_USAGE, "n=0"),
+    ("sweep", "convergence_peakon", ["n_list=2,4"], EXIT_USAGE,
+     "n_list=[2, 4]"),
+    # a zero bump leaves v0 = u0: the stability ratio has nothing to measure
+    ("verify", "l1_stability", ["bump_amplitude=0"], EXIT_USAGE,
+     "bump_amplitude=0.0"),
+    ("verify", "l1_stability", ["bump_radius=0"], EXIT_USAGE,
+     "bump_radius=0.0"),
 ])
 def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
                                  code, message):

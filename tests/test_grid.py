@@ -37,6 +37,18 @@ def test_sample_errors():
         sample("zero", torus(), 2)
 
 
+def test_sample_bump_matches_masked_expression():
+    dom = line(-3, 3)
+    x = dom.cell_centers(600)
+    z = (x - 0.4) / 1.7
+    ref = np.zeros_like(x)
+    m = np.abs(z) < 1.0
+    ref[m] = 0.01 * np.exp(-1.0 / (1.0 - z[m] ** 2))
+    g = sample("bump", dom, 600, amplitude=0.01, center=0.4, radius=1.7)
+    assert np.array_equal(g.values, ref)
+    assert m.any() and not m.all()
+
+
 def test_norm_zero():
     z = sample("zero", torus(), 16)
     for which in ("L1", "L2", "Linf", "TV"):

@@ -213,3 +213,23 @@ def test_kernel_op_mismatch():
     gl = sample("zero", line(-1, 1), 64)
     with pytest.raises(ValueError, match="different domain or n"):
         conv_Kprime(op, gl)
+
+
+@pytest.mark.parametrize("n", [128, 255, 256])
+def test_spectral_multiplier_matches_explicit_nyquist_zeroing(rng, n):
+    # one multiplier 2 pi i k with the unpaired Nyquist mode set to 0 gives
+    # bit for bit what multiplying and then zeroing that mode gave
+    op = KernelOp(torus(), n)
+    u = rng.normal(size=n)
+    k = np.fft.rfftfreq(n, d=1.0 / n)
+    du_h = np.fft.rfft(u) * (2j * np.pi * k)
+    kpu_h = np.fft.rfft(u) * op.multipliers * (2j * np.pi * k)
+    if n % 2 == 0:
+        du_h[-1] = kpu_h[-1] = 0.0
+        assert op._ik[-1] == 0
+    else:
+        assert op._ik[-1] != 0
+    du, kpu = np.fft.irfft(du_h, n), np.fft.irfft(kpu_h, n)
+    assert np.array_equal(derivative(GridFn(torus(), u)).values, du)
+    assert np.array_equal(op.dx_values(u), du)
+    assert np.array_equal(op.conv_Kprime_values(u), kpu)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded
 
-from fwlab import (GridFn, KernelOp, StrongConfig, conv_Kprime, line, norm,
-                   rhs, run_strong, sample, scaling_transport, step_rk4,
-                   torus)
+from fwlab import (GridFn, KernelOp, OverflowAbort, StrongConfig,
+                   conv_Kprime, line, norm, rhs, run_strong, sample,
+                   scaling_transport, step_rk4, torus)
 from fwlab.diagnostics import (convolution_bound_margin,
                                slope_inequality_fractions)
 from fwlab.strong import _make_rhs, _rk4
@@ -140,6 +140,12 @@ def test_overflow_abort_line(advect):
     assert traj.stop_reason == "overflow"
     assert traj.t_stop == 0.0
     assert np.all(np.isfinite(traj.snapshots[-1]))
+
+
+def test_step_rk4_raises_overflow_abort():
+    u = sample("gaussian", line(-8, 8), 512, amplitude=1e160)
+    with pytest.raises(OverflowAbort, match="numerical overflow"):
+        step_rk4(u, 0.01, 1.0, KernelOp(u.domain, u.n))
 
 
 def _central_dx_ref(v, h):
