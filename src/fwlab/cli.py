@@ -24,7 +24,7 @@ import sys
 import tempfile
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -39,8 +39,8 @@ from .kernels import KernelOp
 from .shock import FVConfig, run_fv, viscosity_sweep
 from .strong import StrongConfig, run_strong
 from .trajectory import Trajectory, synthetic_trajectory, write_series_csv
-from .waves import (b_formula, cusp_profile, measured_cusp_jump, peakon,
-                    tw_defect, tw_first_integral)
+from .waves import (b_formula, cusp_fit_masks, cusp_profile,
+                    measured_cusp_jump, peakon, tw_defect, tw_first_integral)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -295,6 +295,13 @@ def _check(name: str, ok: bool, value, threshold, **details) -> dict:
     return entry
 
 
+def _short_runs(*trajs: Trajectory) -> list[dict]:
+    """A failing ``completed`` check for each run that stopped before T."""
+    return [_check("completed", False, t.stop_reason, t.config.T,
+                   t_stop=t.t_stop)
+            for t in trajs if t.stop_reason != "completed"]
+
+
 def _emit_outputs(traj: Trajectory, out: str) -> None:
     write_series = lambda tmp: write_series_csv(traj, tmp)
     _atomic_write(os.path.join(out, "series.csv"), write_series)
@@ -345,6 +352,9 @@ def _crest(x: np.ndarray, u: np.ndarray) -> float:
 
 def cmd_breaking(cfg: dict, out: str) -> list[dict]:
     keys = _config_from(Keys, cfg, n=20480, solver="strong")
+    if keys.solver != "strong":
+        raise ConfigError(f"solver={keys.solver!r}: the blow-up time is read "
+                          f"from a strong run's stop_slope")
     domain = _domain_from(keys)
     u0 = _initial_from(cfg, domain, keys.n)
     report = breaking_precheck(u0)
@@ -401,14 +411,13 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
         growth = max(tu.series["l1"] / (np.exp(tu.times) * tu.series["l1"][0]))
         checks.append(_check("l1_growth", growth <= thr.l1_ratio_tol,
                              float(growth), thr.l1_ratio_tol))
-        return checks
+        return checks + _short_runs(tu, tv)
 
     if keys.trajectory == "upjump":
         # stationary non-entropic expansion shock (-1 -> +1), source off
         traj = synthetic_trajectory(
             domain, n, [keys.T * k / keys.steps for k in range(keys.steps + 1)],
-            lambda x, t: np.where(x < keys.jump_at, -1.0, 1.0),
-            meta={"solver": "synthetic-upjump"})
+            lambda x, t: np.where(x < keys.jump_at, -1.0, 1.0))
     else:
         u0 = _initial_from(cfg, domain, n)
         traj = _run_from(keys.solver, cfg, u0)
@@ -431,7 +440,7 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
         "oleinik_margin": rep.oleinik_margin,
         "passes": rep.passes,
     })
-    return checks
+    return checks + _short_runs(traj)
 
 
 def cmd_wave(cfg: dict, out: str) -> list[dict]:
@@ -455,6 +464,10 @@ def cmd_wave(cfg: dict, out: str) -> list[dict]:
         c = keys.c
         if not c > 4.0 / 3.0 + 1e-6:
             raise ConfigError("cusp waves require c > 4/3")
+        try:
+            cusp_fit_masks(line(*window), n)
+        except ValueError as exc:
+            raise ConfigError(f"n={n}: {exc}") from exc
         try:
             wave = cusp_profile(c, n=n, window=window)
         except ValueError as exc:
@@ -511,7 +524,7 @@ def cmd_sweep(cfg: dict, out: str) -> list[dict]:
 
         def one(n):
             u0 = _initial_from(cfg, domain, n)
-            return n, run_fv(u0, replace(fcfg, n=n))
+            return n, run_fv(u0, fcfg)
 
         with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
             runs = dict(pool.map(one, keys.n_list))
@@ -520,7 +533,7 @@ def cmd_sweep(cfg: dict, out: str) -> list[dict]:
             coarse, fine = runs[n_c], runs[n_f]
             ratio = n_f // n_c
             fv = np.asarray(fine.snapshots[-1]).reshape(-1, ratio).mean(axis=1)
-            errs.append((n_c, fine.meta.get("dt_mean", 0.0),
+            errs.append((n_c, float(np.mean(fine.dts)),
                          float(coarse.h * np.abs(coarse.snapshots[-1] - fv).sum())))
         orders = [math.log2(e0 / e1) for (_, _, e0), (_, _, e1)
                   in zip(errs, errs[1:])]

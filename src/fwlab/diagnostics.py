@@ -4,9 +4,12 @@ Covers the wave-breaking precheck (slope asymmetry criterion and the blow-up
 bound t* = 1/|m1(0) + 1/2|), Riccati comparison envelopes for the maximum
 slope, the one-sided Oleinik estimate, L1 stability between runs, weak-form
 and Kruzhkov entropy residuals over a family of smooth space-time bumps, and
-conservation drift.  All tolerances live in ``Thresholds`` so the tolerance
-policy is auditable in one place.  ``slope_extrema_values`` is defined in
-``grid`` (the run recorder needs it) and re-exported here.
+conservation drift.  The tolerances of these checks live in ``Thresholds``,
+each a config key; the bands of the wave and sweep checks (peakon speed
+2 %, speed scan 0.01, first integral 2e-3, |lambda1| 0.5, fit mismatch
+0.05, jump 5 %, viscosity ratios [1.5, 2.5], order [0.7, 1.2]) are
+constants in the ``cli`` commands that apply them.  ``slope_extrema_values``
+is defined in ``grid`` (the run recorder needs it) and re-exported here.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 
 from .grid import Domain, GridFn, _psi, norm, slope_extrema_values
 from .kernels import KernelOp
+from .strong import StrongConfig
 from .trajectory import Trajectory
 
 __all__ = [
@@ -48,7 +52,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Default tolerances for every check, kept in one auditable block."""
+    """Default tolerances of the conservation, breaking, stability and
+    entropy checks, kept in one auditable block."""
 
     mass_tol: float = 1e-12
     l2_rel_tol: float = 1e-8
@@ -96,10 +101,10 @@ def attach_observation(report: BreakingReport,
                        traj: Trajectory) -> BreakingReport:
     """Fill t_observed = first time the recorded min slope drops below -G,
     G the stop_slope of the strong run."""
-    G = traj.meta.get("stop_slope")
-    if G is None:
-        raise ValueError("stop_slope absent from trajectory meta")
-    below = np.nonzero(traj.series["m1"] < -G)[0]
+    if not isinstance(traj.config, StrongConfig):
+        raise ValueError("t_observed needs a strong run: an FV or synthetic "
+                         "trajectory has no stop_slope")
+    below = np.nonzero(traj.series["m1"] < -traj.config.stop_slope)[0]
     report.t_observed = float(traj.times[below[0]]) if below.size else None
     return report
 

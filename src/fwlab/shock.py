@@ -28,7 +28,6 @@ _TINY = 1e-12
 @dataclass(frozen=True)
 class FVConfig:
     T: float = 1.0
-    n: int | None = None
     cfl: float = 0.45
     eps: float = 0.0
     source_splitting: str = "strang"  # "strang" | "lie"
@@ -125,19 +124,13 @@ def run_fv(u0: GridFn, cfg: FVConfig, op: KernelOp | None = None) -> Trajectory:
     With cfg.dt set the step is fixed instead (and validated against the CFL
     bound every step).  Slope extrema are recorded from one-sided differences.
     """
-    if cfg.n is not None and cfg.n != u0.n:
-        raise ValueError(f"config n={cfg.n} does not match u0.n={u0.n}")
     if op is None:
         op = KernelOp(u0.domain, u0.n)
     else:
         op._check(u0)
     periodic = u0.domain.periodic
     h = u0.h
-    rec = _Recorder(u0.domain, u0.n, cfg.snapshot_stride,
-                    meta={"solver": "fv", "cfl": cfg.cfl, "eps": cfg.eps,
-                          "T": cfg.T, "splitting": cfg.source_splitting,
-                          "fixed_dt": cfg.dt, "source_on": cfg.source_on})
-    dts = []
+    rec = _Recorder(u0.domain, u0.n, cfg.snapshot_stride)
 
     def next_dt(t, u):
         if t >= cfg.T - 1e-13:
@@ -147,14 +140,11 @@ def run_fv(u0: GridFn, cfg: FVConfig, op: KernelOp | None = None) -> Trajectory:
             _check_cfl(u, dt, h, cfg.cfl, cfg.eps)
         else:
             dt = min(_dt_bound(u, h, cfg.cfl, cfg.eps), cfg.T - t)
-        dts.append(dt)
         return dt
 
     traj = march(u0.values, rec, next_dt,
                  lambda u, dt: _step_values(u, dt, h, periodic, op, cfg))
-    taken = dts[:traj.times.size - 1]  # an overflowing step is not taken
-    traj.meta["dt_mean"] = float(np.mean(taken)) if taken else 0.0
-    return traj
+    return replace(traj, config=cfg)
 
 
 def viscosity_sweep(u0: GridFn, eps_list, cfg: FVConfig,
@@ -171,10 +161,10 @@ def viscosity_sweep(u0: GridFn, eps_list, cfg: FVConfig,
     if op is None:
         op = KernelOp(u0.domain, u0.n)
     cfg = replace(cfg, snapshot_stride=10 ** 9)
-    base = run_fv(u0, replace(cfg, eps=0.0), op).last()
+    base = run_fv(u0, replace(cfg, eps=0.0), op).snapshot(-1)
     out = []
     h = u0.h
     for eps in eps_list:
-        ue = run_fv(u0, replace(cfg, eps=eps), op).last()
+        ue = run_fv(u0, replace(cfg, eps=eps), op).snapshot(-1)
         out.append((eps, float(h * np.abs(ue.values - base.values).sum())))
     return out

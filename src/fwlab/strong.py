@@ -10,7 +10,7 @@ RK4 steps through ``trajectory.march``, so T must be a multiple of dt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,6 @@ class OverflowAbort(RuntimeError):
 class StrongConfig:
     dt: float = 1e-3
     T: float = 1.0  # an integer multiple of dt: the run takes T/dt steps
-    n: int | None = None
     dealias: bool = True
     lambda_coeff: float = 1.0
     stop_slope: float = 1e3
@@ -43,8 +42,6 @@ class StrongConfig:
         if abs(round(self.T / self.dt) * self.dt - self.T) > 1e-9 * self.T:
             raise ValueError(f"T={self.T!r} is not an integer multiple of "
                              f"dt={self.dt!r}")
-        if self.n is not None and self.n < 16:
-            raise ValueError("n must be at least 16")
         if not self.stop_slope > 0:
             raise ValueError("stop_slope must be positive")
         if self.lambda_coeff < 0:
@@ -163,39 +160,32 @@ def step_rk4(u: GridFn, dt: float, lam: float, op: KernelOp,
 def run_strong(u0: GridFn, cfg: StrongConfig, op: KernelOp | None = None) -> Trajectory:
     """Integrate to T, or stop early when min slope < -stop_slope or on
     numerical overflow (stop_reason records which)."""
-    if cfg.n is not None and cfg.n != u0.n:
-        raise ValueError(f"config n={cfg.n} does not match u0.n={u0.n}")
     if op is None:
         op = KernelOp(u0.domain, u0.n)
     else:
         op._check(u0)
     step = _rk4(_make_rhs(op, cfg.lambda_coeff, cfg.dealias, cfg.advect),
                 u0.n)
-    rec = _Recorder(u0.domain, u0.n, cfg.snapshot_stride,
-                    meta={"solver": "strong", "dt": cfg.dt, "T": cfg.T,
-                          "lambda_coeff": cfg.lambda_coeff,
-                          "dealias": cfg.dealias, "advect": cfg.advect,
-                          "stop_slope": cfg.stop_slope})
+    rec = _Recorder(u0.domain, u0.n, cfg.snapshot_stride)
     nsteps = int(round(cfg.T / cfg.dt))
     # a fixed step count, not t < T: accumulated t drifts from k * dt, and
     # rec holds t = 0 plus one record per step taken
-    return march(u0.values, rec,
+    traj = march(u0.values, rec,
                  lambda t, u: cfg.dt if len(rec.times) <= nsteps else None,
                  step,
                  stop=lambda r: r.cols["m1"][-1] < -cfg.stop_slope)
+    return replace(traj, config=cfg)
 
 
 def scaling_transport(traj: Trajectory, lam: float) -> Trajectory:
-    """Map a run of u_t + u u_x + K'*u = 0 to v = u/lam, which solves
-    v_t + lam v v_x + K'*v = 0 (lam > 0); pointwise division throughout."""
+    """Map a strong run of u_t + l u u_x + K'*u = 0 to v = u/lam, which
+    solves v_t + (l lam) v v_x + K'*v = 0 (lam > 0); pointwise division
+    throughout."""
     if not lam > 0:
         raise ValueError("lam must be positive")
     series = {name: (vals.copy() if name in ("xi1", "xi2") else vals / lam)
               for name, vals in traj.series.items()}
-    snaps = [s / lam for s in traj.snapshots]
-    meta = dict(traj.meta)
-    meta["lambda_coeff"] = lam * meta.get("lambda_coeff", 1.0)
-    meta["scaled_by"] = lam
-    return Trajectory(traj.domain, traj.n, traj.times.copy(), series,
-                      traj.snap_times.copy(), snaps, traj.stop_reason,
-                      traj.t_stop, meta)
+    cfg = replace(traj.config, lambda_coeff=lam * traj.config.lambda_coeff)
+    return replace(traj, times=traj.times.copy(), dts=traj.dts.copy(),
+                   series=series, snap_times=traj.snap_times.copy(),
+                   snapshots=[s / lam for s in traj.snapshots], config=cfg)

@@ -3,7 +3,7 @@ and finite-volume solvers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,25 +16,28 @@ SERIES_NAMES = ("mass", "l1", "l2", "linf", "m1", "m2", "xi1", "xi2")
 class Trajectory:
     """Snapshots (subsampled at a stride) plus per-step scalar series.
 
+    ``dts[k]`` is the step from ``times[k]`` to ``times[k + 1]``;
     ``stop_reason`` is one of ``"completed"``, ``"slope_threshold"``,
-    ``"overflow"``; ``t_stop`` is the last valid time.
+    ``"overflow"``; ``t_stop`` is the last valid time; ``config`` is the
+    run's StrongConfig or FVConfig, None for a synthetic trajectory.
     """
 
     domain: Domain
     n: int
     times: np.ndarray
+    dts: np.ndarray
     series: dict
     snap_times: np.ndarray
     snapshots: list
     stop_reason: str = "completed"
-    t_stop: float = 0.0
-    meta: dict = field(default_factory=dict)
+    config: object = None
 
     def snapshot(self, i: int) -> GridFn:
         return GridFn(self.domain, self.snapshots[i])
 
-    def last(self) -> GridFn:
-        return GridFn(self.domain, self.snapshots[-1])
+    @property
+    def t_stop(self) -> float:
+        return float(self.times[-1])
 
     @property
     def h(self) -> float:
@@ -44,17 +47,15 @@ class Trajectory:
 class _Recorder:
     """Accumulates the per-step series and strided snapshots during a run."""
 
-    def __init__(self, domain: Domain, n: int, stride: int, meta: dict):
+    def __init__(self, domain: Domain, n: int, stride: int):
         self.domain = domain
         self.n = n
         self.h = domain.length / n
         self.stride = max(int(stride), 1)
-        self.meta = dict(meta)
         self.times = []
         self.cols = {name: [] for name in SERIES_NAMES}
         self.snap_times = []
         self.snapshots = []
-        self._step = 0
 
     def record(self, t: float, values: np.ndarray) -> None:
         h = self.h
@@ -70,10 +71,9 @@ class _Recorder:
         self.cols["m2"].append(m2)
         self.cols["xi1"].append(xi1)
         self.cols["xi2"].append(xi2)
-        if self._step % self.stride == 0:
+        if (len(self.times) - 1) % self.stride == 0:
             self.snap_times.append(t)
             self.snapshots.append(values.copy())
-        self._step += 1
 
     def force_snapshot(self, t: float, values: np.ndarray) -> None:
         if self.snap_times and self.snap_times[-1] == t:
@@ -81,18 +81,17 @@ class _Recorder:
         self.snap_times.append(t)
         self.snapshots.append(values.copy())
 
-    def build(self, stop_reason: str, t_stop: float) -> Trajectory:
+    def build(self, stop_reason: str, dts) -> Trajectory:
         series = {k: np.asarray(v) for k, v in self.cols.items()}
         return Trajectory(
             domain=self.domain,
             n=self.n,
             times=np.asarray(self.times),
+            dts=np.asarray(dts, dtype=np.float64),
             series=series,
             snap_times=np.asarray(self.snap_times),
             snapshots=self.snapshots,
             stop_reason=stop_reason,
-            t_stop=t_stop,
-            meta=self.meta,
         )
 
 
@@ -101,13 +100,14 @@ def march(u0: np.ndarray, rec: _Recorder, next_dt, step,
     """Record u0 at t = 0, then advance u <- step(u, dt) while
     dt = next_dt(t, u) is not None, recording after every step.
 
-    A step with non-finite output ends the run as ``"overflow"`` (t_stop is
-    the last finite time, whose state is kept); ``stop(rec)`` holding after a
-    record ends it as ``"slope_threshold"``.  The end state is always
-    snapshotted.
+    A step with non-finite output is not taken and ends the run as
+    ``"overflow"`` (the last finite state is kept); ``stop(rec)`` holding
+    after a record ends it as ``"slope_threshold"``.  The end state is
+    always snapshotted, and the dt of every step taken is kept.
     """
     u = u0
     t = 0.0
+    dts = []  # one per step taken
     stop_reason = "completed"
     # overflow here is detected and reported, not a numerical accident
     with np.errstate(over="ignore", invalid="ignore"):
@@ -119,28 +119,29 @@ def march(u0: np.ndarray, rec: _Recorder, next_dt, step,
                 break
             u = u_new
             t += dt
+            dts.append(dt)
             rec.record(t, u)
             if stop is not None and stop(rec):
                 stop_reason = "slope_threshold"
                 break
     rec.force_snapshot(t, u)
-    return rec.build(stop_reason, t)
+    return rec.build(stop_reason, dts)
 
 
-def synthetic_trajectory(domain: Domain, n: int, times, field_fn,
-                         meta: dict | None = None) -> Trajectory:
+def synthetic_trajectory(domain: Domain, n: int, times,
+                         field_fn) -> Trajectory:
     """Trajectory built from an analytic field (x, t) -> values.
 
     Snapshots are recorded at every listed time; used for closed-form
     references (transported profiles, stationary jumps) in tests and checks.
     """
     x = domain.cell_centers(n)
-    rec = _Recorder(domain, n, 1, meta or {"solver": "synthetic"})
+    rec = _Recorder(domain, n, 1)
     times = np.asarray(times, dtype=np.float64)
     for t in times:
         rec.record(float(t),
                    np.asarray(field_fn(x, float(t)), dtype=np.float64))
-    return rec.build("completed", float(times[-1]))
+    return rec.build("completed", np.diff(times))
 
 
 def write_series_csv(traj: Trajectory, path) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .grid import GridFn, line, sample
+from .grid import Domain, GridFn, line, sample
 from .kernels import KernelOp, kernel_eval
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "residual_scan",
     "tw_first_integral",
     "cusp_profile",
+    "cusp_fit_masks",
     "measured_cusp_jump",
     "tw_defect",
 ]
@@ -35,7 +36,6 @@ __all__ = [
 class TravelingWave:
     c: float
     profile: GridFn
-    kind: str  # "peakon" | "cusp" | "custom"
 
 
 def b_formula(c: float) -> float:
@@ -66,7 +66,7 @@ def peakon(n: int = 8000, window: tuple = (-30.0, 30.0),
     prof = sample("peakon", line(*window), n)
     c_grid = np.linspace(scan[0], scan[1], int(scan[2]))
     c_best, _ = residual_scan(prof, c_grid)
-    return TravelingWave(c=c_best, profile=prof, kind="peakon")
+    return TravelingWave(c=c_best, profile=prof)
 
 
 def residual_scan(profile: GridFn, c_values, op: KernelOp | None = None):
@@ -156,19 +156,30 @@ def cusp_profile(c: float, n: int = 8000,
     Wi = sol.sol(np.clip(r[inner], sol.t[0], xi_s))[0]
     v[inner] = c - np.sqrt(np.maximum(2.0 * Wi, 0.0))
     v[~inner] = v_s * np.exp(-kappa * (r[~inner] - xi_s))
-    return TravelingWave(c=c, profile=GridFn(dom, v), kind="cusp")
+    return TravelingWave(c=c, profile=GridFn(dom, v))
+
+
+def cusp_fit_masks(domain: Domain, n: int):
+    """The cells of measured_cusp_jump's right and left fits on the n-cell
+    grid of domain: 0 < |xi| < 0.05, a cell centred on 0 excluded.  Raises
+    ValueError when a side holds fewer than the 4 cells a fit needs."""
+    x = domain.cell_centers(n)
+    h = domain.length / n
+    right = (x > 0.5 * h) & (x < 0.05)
+    left = (x < -0.5 * h) & (x > -0.05)
+    cells = int(min(right.sum(), left.sum()))
+    if cells < 4:
+        raise ValueError(f"the fit radius 0.05 holds {cells} cells on one "
+                         f"side of the cusp, fewer than 4")
+    return right, left
 
 
 def measured_cusp_jump(w: TravelingWave) -> float:
     """Jump of d/dxi [(v-c)^2/2] across 0 from one-sided linear fits on
     0 < |xi| < 0.05."""
     x = w.profile.x
-    h = w.profile.h
     W = 0.5 * (w.profile.values - w.c) ** 2
-    right = (x > 0.5 * h) & (x < 0.05)
-    left = (x < -0.5 * h) & (x > -0.05)
-    if right.sum() < 4 or left.sum() < 4:
-        raise ValueError("the fit radius 0.05 holds too few cells")
+    right, left = cusp_fit_masks(w.profile.domain, w.profile.n)
     slope_r = np.polyfit(x[right], W[right], 1)[0]
     slope_l = np.polyfit(x[left], W[left], 1)[0]
     return float(slope_r - slope_l)

@@ -73,7 +73,7 @@ def test_ac2_conservation():
     1.26 to 47.7.  AC-2b' shows the budget is met before breaking.
     """
     u0 = sample("sine", torus(), 256, amplitude=0.2, offset=0.5)
-    traj = run_strong(u0, StrongConfig(dt=1e-3, T=1.0, n=256))
+    traj = run_strong(u0, StrongConfig(dt=1e-3, T=1.0))
     mass = traj.series["mass"]
     l2 = traj.series["l2"]
     mass_drift = np.abs(mass - mass[0]).max()
@@ -85,7 +85,7 @@ def test_ac2_conservation():
                    "(wave breaking near t~0.8 makes this unattainable: "
                    "no convergent scheme conserves L2 past breaking)")
     # the same budget is met over the smooth lifespan
-    traj_s = run_strong(u0, StrongConfig(dt=1e-3, T=0.7, n=256))
+    traj_s = run_strong(u0, StrongConfig(dt=1e-3, T=0.7))
     l2s = traj_s.series["l2"]
     rel_s = np.abs(l2s - l2s[0]).max() / l2s[0]
     report("AC-2b'", rel_s <= 1e-8,
@@ -115,7 +115,7 @@ def test_ac4_peakon_transport():
     runs = {}
     for n in (2000, 4000, 8000):
         u0 = sample("peakon", dom, n)
-        runs[n] = run_fv(u0, FVConfig(T=1.0, n=n, snapshot_stride=10 ** 9))
+        runs[n] = run_fv(u0, FVConfig(T=1.0, snapshot_stride=10 ** 9))
     traj = runs[4000]
     x = dom.cell_centers(4000)
     h = dom.length / 4000
@@ -238,7 +238,7 @@ def test_ac8_entropy_admissibility():
 def test_ac9_vanishing_viscosity():
     dom = line(-20, 20)
     u0 = sample("gaussian", dom, 2000)
-    pairs = viscosity_sweep(u0, [1e-2, 5e-3, 2.5e-3], FVConfig(T=0.5, n=2000))
+    pairs = viscosity_sweep(u0, [1e-2, 5e-3, 2.5e-3], FVConfig(T=0.5))
     dists = [d for _, d in pairs]
     ok_dec = report("AC-9a", dists[0] > dists[1] > dists[2] > 0,
                     f"L1 distances strictly decreasing: "

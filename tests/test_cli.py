@@ -127,6 +127,19 @@ def test_verify_upjump_detects_inadmissible(tmp_path):
     assert "kruzhkov_residual" in failed
 
 
+def test_verify_reports_a_run_that_stops_short(tmp_path):
+    # the strong run passes stop_slope = 20 at t ~ 0.39, before T = 0.5
+    code, out = run_cli(tmp_path, "verify", "--preset", "riemann_entropy",
+                        "solver=strong", "dt=1e-3", "n=800", "stop_slope=20")
+    assert code == EXIT_CHECK_FAILED
+    report = json.loads((out / "report.json").read_text())
+    (check,) = [c for c in report["checks"] if c["check_name"] == "completed"]
+    assert check["pass"] is False
+    assert check["value"] == "slope_threshold"
+    assert check["threshold"] == 0.5
+    assert check["details"]["t_stop"] < 0.5
+
+
 def test_wave_peakon(tmp_path):
     code, out = run_cli(tmp_path, "wave", "--preset", "wave_peakon", "n=4000")
     assert code == EXIT_OK
@@ -281,6 +294,12 @@ def test_exit_code_contract_on_check_failure(tmp_path):
      "bump_amplitude=0.0"),
     ("verify", "l1_stability", ["bump_radius=0"], EXIT_USAGE,
      "bump_radius=0.0"),
+    # the blow-up time is read from the strong run's stop_slope
+    ("breaking", "breaking_gaussian", ["solver=fv", "n=800"], EXIT_USAGE,
+     "solver='fv'"),
+    # the cusp jump fit needs 4 cells on each side within 0.05 of the cusp
+    ("wave", "wave_cusp", ["n=400"], EXIT_USAGE, "n=400"),
+    ("wave", "wave_cusp", ["n=4000"], EXIT_USAGE, "n=4000"),
 ])
 def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
                                  code, message):
@@ -361,7 +380,6 @@ def _strong_configs(draw):
     dt = draw(_finite(min_value=1e-6, max_value=1.0))
     return StrongConfig(
         dt=dt, T=dt * draw(st.integers(1, 10 ** 6)),
-        n=draw(st.none() | st.integers(16, 10 ** 6)),
         dealias=draw(st.booleans()),
         lambda_coeff=draw(_finite(min_value=0.0)),
         stop_slope=draw(_finite(min_value=0.0, exclude_min=True)),
@@ -372,7 +390,6 @@ def _strong_configs(draw):
 _fv_configs = st.builds(
     FVConfig,
     T=_finite(min_value=0.0, exclude_min=True),
-    n=st.none() | st.integers(16, 10 ** 6),
     cfl=_finite(min_value=0.0, max_value=1.0, exclude_min=True),
     eps=_finite(min_value=0.0),
     source_splitting=st.sampled_from(["strang", "lie"]),

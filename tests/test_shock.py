@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwlab import (FVConfig, GridFn, KernelOp, fv_step, godunov_flux, line,
-                   norm, run_fv, sample, torus, viscosity_sweep)
+from fwlab import (FVConfig, GridFn, KernelOp, Thresholds, fv_step,
+                   godunov_flux, line, norm, run_fv, sample, torus,
+                   viscosity_sweep)
 
 
 def brute_force_godunov(ul, ur, npts=20001):
@@ -55,6 +56,20 @@ def test_fv_step_cfl_guard():
     cfg_eps = FVConfig(T=1.0, eps=1.0)
     with pytest.raises(ValueError, match="time step too large"):
         fv_step(u, 0.9 * 0.45 * u.h / 2.0, op, cfg_eps)
+
+
+def test_lie_splitting_conserves_mass_and_is_first_order_off_strang():
+    u0 = sample("sine", torus(), 256, amplitude=0.2, offset=0.5)
+    dists = []
+    for dt in (1.6e-3, 8e-4):
+        lie = run_fv(u0, FVConfig(T=0.4, dt=dt, source_splitting="lie"))
+        strang = run_fv(u0, FVConfig(T=0.4, dt=dt))
+        mass = lie.series["mass"]
+        assert np.abs(mass - mass[0]).max() <= Thresholds.mass_tol
+        dists.append(u0.h * np.abs(lie.snapshots[-1]
+                                   - strang.snapshots[-1]).sum())
+    # Lie is first order in dt, Strang second: their distance halves
+    assert 1.8 <= dists[0] / dists[1] <= 2.2
 
 
 def test_burgers_shock_speed():

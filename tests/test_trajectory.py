@@ -6,7 +6,7 @@ from fwlab.trajectory import _Recorder, march
 
 
 def recorder(stride=1):
-    return _Recorder(torus(), 8, stride, meta={"solver": "toy"})
+    return _Recorder(torus(), 8, stride)
 
 
 def steps_of(dt, count, rec):
@@ -20,8 +20,9 @@ def test_march_completes_after_exactly_n_steps():
                  lambda u, dt: u + dt)
     assert traj.stop_reason == "completed"
     assert traj.times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert traj.dts.tolist() == [0.25] * 4
     assert traj.t_stop == 1.0
-    assert np.all(traj.last().values == 1.0)
+    assert np.all(traj.snapshot(-1).values == 1.0)
 
 
 def test_march_overflow_keeps_the_last_finite_state():
@@ -31,6 +32,7 @@ def test_march_overflow_keeps_the_last_finite_state():
     assert traj.stop_reason == "overflow"
     assert traj.t_stop == 0.5  # the second step overflows
     assert traj.times.tolist() == [0.0, 0.5]
+    assert traj.dts.tolist() == [0.5]  # the overflowing step is not taken
     assert traj.snap_times.tolist() == [0.0, 0.5]
     assert all(np.all(np.isfinite(s)) for s in traj.snapshots)
     assert np.array_equal(traj.snapshots[-1], u0 * 1e200)
@@ -43,6 +45,7 @@ def test_march_stops_when_stop_holds():
     assert traj.stop_reason == "slope_threshold"
     assert traj.t_stop == 0.5
     assert traj.times.tolist() == [0.0, 0.25, 0.5]
+    assert traj.dts.tolist() == [0.25, 0.25]
 
 
 @pytest.mark.parametrize("count, snap_times", [

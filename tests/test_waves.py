@@ -43,7 +43,7 @@ def test_first_integral_constant_profile():
     # v = c0 on the torus: field is (c0-c)^2/2 + c0 exactly, oscillation 0
     from fwlab import torus
     prof = sample("constant", torus(), 64, value=0.8)
-    wave = TravelingWave(c=1.2, profile=prof, kind="custom")
+    wave = TravelingWave(c=1.2, profile=prof)
     fi = tw_first_integral(wave)
     expected = 0.5 * (0.8 - 1.2) ** 2 + 0.8
     assert np.abs(fi.values - expected).max() < 1e-12
@@ -133,7 +133,7 @@ def test_peakon_defect_is_zero():
     lam1, mismatch = tw_defect(wave)
     assert abs(lam1) <= 0.5
     # at the exact speed the defect collapses to quadrature noise
-    exact = TravelingWave(c=4.0 / 3.0, profile=wave.profile, kind="peakon")
+    exact = TravelingWave(c=4.0 / 3.0, profile=wave.profile)
     lam1e, mismatch_e = tw_defect(exact)
     assert abs(lam1e) < 1e-4
     assert mismatch_e < 1e-3
