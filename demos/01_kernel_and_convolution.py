@@ -2,8 +2,10 @@
 
 K is the fundamental solution of 1 - d^2/dx^2, so K*g is obtained by an
 inverse-Helmholtz solve: a Fourier multiplier on the torus, a tridiagonal
-solve on the line.  This script checks the identity, a closed-form value,
-and the operator bounds used by the stability theory.
+solve on the line.  conv_K builds that operator from the grid of its
+input; the KernelOp methods act on raw arrays.  This script checks the
+identity, a closed-form value, and the operator bounds used by the
+stability theory.
 """
 
 import numpy as np
@@ -14,15 +16,14 @@ from fwlab.grid import second_difference
 # --- the identity (I - D2)(K*g) = g holds by construction on the line
 dom = line(-20, 20)
 n = 2000
-op = KernelOp(dom, n)
 g = sample("gaussian", dom, n, amplitude=1.0, width=1.5)
-w = conv_K(op, g)
-resid = w.values - second_difference(w.values, op.h, False) - g.values
+w = conv_K(g)
+resid = w.values - second_difference(w.values, g.h, False) - g.values
 print("line Helmholtz identity, interior residual:",
       np.abs(resid[1:-1]).max())
 
 # --- (K*K)(0) = int K^2 = 1/4
-kk = conv_K(op, sample("kernel", dom, n))
+kk = conv_K(sample("kernel", dom, n))
 print("(K*K)(0) =", kk.values[n // 2 - 1], " (analytic value 0.25)")
 
 # --- the periodic kernel: K(0) = (1+e)/(2(e-1)), unit mass over a period

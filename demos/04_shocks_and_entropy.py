@@ -10,20 +10,19 @@ order in eps.
 
 import numpy as np
 
-from fwlab import (FVConfig, GridFn, KernelOp, entropy_report,
-                   l1_stability_check, line, make_test_family, norm, run_fv,
-                   sample, viscosity_sweep)
+from fwlab import (FVConfig, GridFn, entropy_report, l1_stability_check,
+                   line, make_test_family, norm, run_fv, sample,
+                   viscosity_sweep)
 from fwlab.diagnostics import kruzhkov_residual
 from fwlab.trajectory import synthetic_trajectory
 
 dom = line(-20, 20)
 n = 4000
-op = KernelOp(dom, n)
 
 # --- shock-forming run and its entropy report
 u0 = sample("step", dom, n, left=1.0, right=-1.0, width=0.2)
-traj = run_fv(u0, FVConfig(T=0.5, snapshot_stride=2), op)
-rep = entropy_report(traj, lambdas=np.linspace(-1.5, 1.5, 9), op=op,
+traj = run_fv(u0, FVConfig(T=0.5, snapshot_stride=2))
+rep = entropy_report(traj, lambdas=np.linspace(-1.5, 1.5, 9),
                      oleinik_times=(0.25, 0.5))
 print("weak residual max:", rep.weak_residual_max)
 print("Kruzhkov residual min:", rep.kruzhkov_min)
@@ -34,15 +33,15 @@ adv = synthetic_trajectory(dom, n, np.linspace(0, 0.5, 101),
                            lambda x, t: np.where(x < 0, -1.0, 1.0))
 fam = make_test_family(dom, 0.5)
 print("up-jump Kruzhkov residual:",
-      kruzhkov_residual(adv, np.linspace(-1.5, 1.5, 9), fam, op))
+      kruzhkov_residual(adv, np.linspace(-1.5, 1.5, 9), fam))
 
 # --- L1 stability between nearby runs: |u - v|_1 <= e^t |u0 - v0|_1
 pk = sample("peakon", dom, n)
 bump = sample("bump", dom, n, amplitude=0.01, radius=2.0)
 dt = 0.45 * pk.h / (1 + norm(pk, "Linf"))
 cfg = FVConfig(T=1.0, dt=dt, snapshot_stride=8)
-ratio = l1_stability_check(run_fv(pk, cfg, op),
-                           run_fv(GridFn(dom, pk.values + bump.values), cfg, op))
+ratio = l1_stability_check(run_fv(pk, cfg),
+                           run_fv(GridFn(dom, pk.values + bump.values), cfg))
 print("L1 stability ratio (<= 1 + scheme slack):", ratio)
 
 # --- vanishing viscosity: distances to the eps = 0 run scale like eps

@@ -314,9 +314,15 @@ def _validate_family(traj: Trajectory, family, need_zero_at_t0: bool):
                              "recorded time")
         if need_zero_at_t0 and tf.t0 - tf.s <= 0.0:
             raise ValueError("entropy-form test functions need t0 - s > 0")
+        # off |t - t0| < s the time factor is exactly zero, and a bump zero at
+        # every snapshot gives integrals of exactly 0 whatever the solution
+        if not (np.abs(tf._zt(traj.snap_times)) < 1.0).any():
+            raise ValueError(f"test function at t0={tf.t0} is zero at every "
+                             f"snapshot: no snapshot time lies inside "
+                             f"|t - t0| < s={tf.s}")
 
 
-def _residuals(traj: Trajectory, family, op: KernelOp, lambdas=()):
+def _residuals(traj: Trajectory, family, lambdas=()):
     """Weak-form and Kruzhkov entropy-form integrals against J bumps, in one
     pass over the snapshots.
 
@@ -341,6 +347,7 @@ def _residuals(traj: Trajectory, family, op: KernelOp, lambdas=()):
     stack rows stay zero.
     """
     n, J = traj.n, len(family)
+    op = KernelOp(traj.domain, n)
     x = traj.domain.cell_centers(n)
     xi = traj.domain.a + np.arange(n + 1) * traj.h
     P = np.column_stack([_psi(tf._zx(x)) for tf in family])
@@ -388,26 +395,21 @@ def _residuals(traj: Trajectory, family, op: KernelOp, lambdas=()):
     return w, pairings(E, Q, S)
 
 
-def weak_residual(traj: Trajectory, family, op: KernelOp | None = None) -> float:
+def weak_residual(traj: Trajectory, family) -> float:
     """max |R(phi)| of the weak form: R = integral of u phi_t + (u^2/2) phi_x
     - (K'*u) phi, plus the initial term."""
     _validate_family(traj, family, need_zero_at_t0=False)
-    if op is None:
-        op = KernelOp(traj.domain, traj.n)
-    w, _ = _residuals(traj, family, op)
+    w, _ = _residuals(traj, family)
     return float(np.abs(w).max(initial=0.0))
 
 
 def kruzhkov_residual(traj: Trajectory, lambdas, family,
-                      op: KernelOp | None = None,
                       return_matrix: bool = False):
     """min over (lambda, phi) of the entropy-form integral; admissible runs
     keep it above -tol, an inadmissible up-jump drives it strongly negative.
     The matrix has one row per lambda and one column per bump."""
     _validate_family(traj, family, need_zero_at_t0=True)
-    if op is None:
-        op = KernelOp(traj.domain, traj.n)
-    _, mat = _residuals(traj, family, op, lambdas)
+    _, mat = _residuals(traj, family, lambdas)
     if return_matrix:
         return float(mat.min()), mat
     return float(mat.min())
@@ -446,12 +448,9 @@ class EntropyReport:
 
 
 def entropy_report(traj: Trajectory, lambdas=None, family=None,
-                   op: KernelOp | None = None,
                    oleinik_times=(0.25, 0.5, 1.0),
                    thresholds: Thresholds = Thresholds()) -> EntropyReport:
     """Weak + Kruzhkov + Oleinik checks on one trajectory."""
-    if op is None:
-        op = KernelOp(traj.domain, traj.n)
     t_end = float(traj.snap_times[-1])
     if family is None:
         family = make_test_family(traj.domain, t_end)
@@ -460,7 +459,7 @@ def entropy_report(traj: Trajectory, lambdas=None, family=None,
     if lambdas is None:
         lambdas = np.linspace(-1.5 * max(linf, 1e-6), 1.5 * max(linf, 1e-6), 9)
     _validate_family(traj, family, need_zero_at_t0=True)
-    w, mat = _residuals(traj, family, op, lambdas)
+    w, mat = _residuals(traj, family, lambdas)
     wr = float(np.abs(w).max(initial=0.0))
     kr = float(mat.min())
     u0_l1 = norm(u0, "L1")
@@ -512,16 +511,14 @@ def slope_inequality_fractions(traj: Trajectory):
     return tuple(out)
 
 
-def convolution_bound_margin(traj: Trajectory,
-                             op: KernelOp | None = None) -> float:
+def convolution_bound_margin(traj: Trajectory) -> float:
     """Worst margin of (K*u_xx)(xi_j) >= (m1 - m2)/2 - tol over snapshots,
     tol = 0.05 (1 + m2 - m1).
 
     K*u_xx is evaluated through the kernel identity K*u'' = K*u - u, which
     is exact for the discrete operator.
     """
-    if op is None:
-        op = KernelOp(traj.domain, traj.n)
+    op = KernelOp(traj.domain, traj.n)
     x = traj.domain.cell_centers(traj.n)
     worst = math.inf
     for tk, u in zip(traj.snap_times, traj.snapshots):

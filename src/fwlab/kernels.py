@@ -4,8 +4,9 @@ K is the fundamental solution of 1 - d^2/dx^2, so K*g is computed by solving
 (I - D2) w = g instead of by quadrature: a Fourier multiplier on the torus,
 a symmetric tridiagonal solve on the line (LAPACK ``dpbtrs`` on a banded
 Cholesky factor, in place).  K'*g is the derivative of that
-smooth field.  Direct quadrature against the closed-form kernel is kept only
-as a test oracle.
+smooth field.  The operator is fixed by the grid, so each function builds
+its ``KernelOp`` from the domain and n of its own input.  Direct quadrature
+against the closed-form kernel is kept only as a test oracle.
 """
 
 from __future__ import annotations
@@ -80,21 +81,15 @@ class KernelOp:
             return _spectral_dx(values)
         return _central_dx(values, self.h)
 
-    def _check(self, g: GridFn):
-        if g.domain != self.domain or g.n != self.n:
-            raise ValueError("KernelOp was built for a different domain or n")
 
-
-def conv_K(op: KernelOp, g: GridFn) -> GridFn:
+def conv_K(g: GridFn) -> GridFn:
     """w = K*g, i.e. the solution of (I - D2) w = g."""
-    op._check(g)
-    return g.with_values(op.conv_K_values(g.values))
+    return g.with_values(KernelOp(g.domain, g.n).conv_K_values(g.values))
 
 
-def conv_Kprime(op: KernelOp, g: GridFn) -> GridFn:
+def conv_Kprime(g: GridFn) -> GridFn:
     """K'*g = d/dx (K*g); continuous even for merely bounded g."""
-    op._check(g)
-    return g.with_values(op.conv_Kprime_values(g.values))
+    return g.with_values(KernelOp(g.domain, g.n).conv_Kprime_values(g.values))
 
 
 # ---------------------------------------------------------------------------

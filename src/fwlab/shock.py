@@ -90,11 +90,10 @@ def _check_cfl(u: np.ndarray, dt: float, h: float, cfl: float, eps: float):
         raise ValueError("time step too large")
 
 
-def fv_step(u: GridFn, dt: float, op: KernelOp, cfg: FVConfig) -> GridFn:
+def fv_step(u: GridFn, dt: float, cfg: FVConfig) -> GridFn:
     """One flux-splitting step (CFL-checked)."""
-    op._check(u)
     _check_cfl(u.values, dt, u.h, cfg.cfl, cfg.eps)
-    out = _step_values(u.values, dt, u.h, u.domain.periodic, op, cfg)
+    out = _step_values(u.values, dt, KernelOp(u.domain, u.n), cfg)
     if not np.all(np.isfinite(out)):
         raise ValueError("numerical overflow in fv_step")
     return u.with_values(out)
@@ -106,29 +105,26 @@ def _source_update(u: np.ndarray, tau: float, op: KernelOp) -> np.ndarray:
     return u - tau * op.conv_Kprime_values(mid)
 
 
-def _step_values(u: np.ndarray, dt: float, h: float, periodic: bool,
-                 op: KernelOp, cfg: FVConfig) -> np.ndarray:
+def _step_values(u: np.ndarray, dt: float, op: KernelOp,
+                 cfg: FVConfig) -> np.ndarray:
+    periodic = op.domain.periodic
     if not cfg.source_on:
-        return _burgers_update(u, dt, h, periodic, cfg.eps)
+        return _burgers_update(u, dt, op.h, periodic, cfg.eps)
     if cfg.source_splitting == "lie":
-        u = _burgers_update(u, dt, h, periodic, cfg.eps)
+        u = _burgers_update(u, dt, op.h, periodic, cfg.eps)
         return _source_update(u, dt, op)
     u = _source_update(u, 0.5 * dt, op)
-    u = _burgers_update(u, dt, h, periodic, cfg.eps)
+    u = _burgers_update(u, dt, op.h, periodic, cfg.eps)
     return _source_update(u, 0.5 * dt, op)
 
 
-def run_fv(u0: GridFn, cfg: FVConfig, op: KernelOp | None = None) -> Trajectory:
+def run_fv(u0: GridFn, cfg: FVConfig) -> Trajectory:
     """March to T with dt adapted from the CFL condition each step.
 
     With cfg.dt set the step is fixed instead (and validated against the CFL
     bound every step).  Slope extrema are recorded from one-sided differences.
     """
-    if op is None:
-        op = KernelOp(u0.domain, u0.n)
-    else:
-        op._check(u0)
-    periodic = u0.domain.periodic
+    op = KernelOp(u0.domain, u0.n)
     h = u0.h
     rec = _Recorder(u0.domain, u0.n, cfg.snapshot_stride)
 
@@ -143,12 +139,11 @@ def run_fv(u0: GridFn, cfg: FVConfig, op: KernelOp | None = None) -> Trajectory:
         return dt
 
     traj = march(u0.values, rec, next_dt,
-                 lambda u, dt: _step_values(u, dt, h, periodic, op, cfg))
+                 lambda u, dt: _step_values(u, dt, op, cfg))
     return replace(traj, config=cfg)
 
 
-def viscosity_sweep(u0: GridFn, eps_list, cfg: FVConfig,
-                    op: KernelOp | None = None):
+def viscosity_sweep(u0: GridFn, eps_list, cfg: FVConfig):
     """L1 distances at time T between eps-viscous runs and the eps=0 run.
 
     eps_list must be positive and descending; returns [(eps, distance), ...].
@@ -158,13 +153,11 @@ def viscosity_sweep(u0: GridFn, eps_list, cfg: FVConfig,
         raise ValueError("eps values must be positive")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps values must be strictly descending")
-    if op is None:
-        op = KernelOp(u0.domain, u0.n)
     cfg = replace(cfg, snapshot_stride=10 ** 9)
-    base = run_fv(u0, replace(cfg, eps=0.0), op).snapshot(-1)
+    base = run_fv(u0, replace(cfg, eps=0.0)).snapshot(-1)
     out = []
     h = u0.h
     for eps in eps_list:
-        ue = run_fv(u0, replace(cfg, eps=eps), op).snapshot(-1)
+        ue = run_fv(u0, replace(cfg, eps=eps)).snapshot(-1)
         out.append((eps, float(h * np.abs(ue.values - base.values).sum())))
     return out

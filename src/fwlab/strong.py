@@ -116,12 +116,11 @@ def _make_rhs(op: KernelOp, lam: float, dealias: bool, advect: str):
     return f
 
 
-def rhs(u: GridFn, lam: float, op: KernelOp, dealias: bool = True,
+def rhs(u: GridFn, lam: float, dealias: bool = True,
         advect: str = "central") -> GridFn:
     """Semi-discrete right-hand side -lam u u_x - K'*u."""
-    op._check(u)
-    return u.with_values(_make_rhs(op, lam, dealias, advect)(
-        u.values, np.empty(u.n)))
+    f = _make_rhs(KernelOp(u.domain, u.n), lam, dealias, advect)
+    return u.with_values(f(u.values, np.empty(u.n)))
 
 
 def _rk4(f, n: int):
@@ -143,29 +142,25 @@ def _rk4(f, n: int):
     return step
 
 
-def step_rk4(u: GridFn, dt: float, lam: float, op: KernelOp,
-             dealias: bool = True, advect: str = "central") -> GridFn:
+def step_rk4(u: GridFn, dt: float, lam: float, dealias: bool = True,
+             advect: str = "central") -> GridFn:
     """One classical RK4 step; raises OverflowAbort on non-finite output."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    op._check(u)
+    f = _make_rhs(KernelOp(u.domain, u.n), lam, dealias, advect)
     # overflow here is detected and reported, not a numerical accident
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _rk4(_make_rhs(op, lam, dealias, advect), u.n)(u.values, dt)
+        out = _rk4(f, u.n)(u.values, dt)
     if not np.all(np.isfinite(out)):
         raise OverflowAbort("numerical overflow: the step is not finite")
     return u.with_values(out)
 
 
-def run_strong(u0: GridFn, cfg: StrongConfig, op: KernelOp | None = None) -> Trajectory:
+def run_strong(u0: GridFn, cfg: StrongConfig) -> Trajectory:
     """Integrate to T, or stop early when min slope < -stop_slope or on
     numerical overflow (stop_reason records which)."""
-    if op is None:
-        op = KernelOp(u0.domain, u0.n)
-    else:
-        op._check(u0)
-    step = _rk4(_make_rhs(op, cfg.lambda_coeff, cfg.dealias, cfg.advect),
-                u0.n)
+    step = _rk4(_make_rhs(KernelOp(u0.domain, u0.n), cfg.lambda_coeff,
+                          cfg.dealias, cfg.advect), u0.n)
     rec = _Recorder(u0.domain, u0.n, cfg.snapshot_stride)
     nsteps = int(round(cfg.T / cfg.dt))
     # a fixed step count, not t < T: accumulated t drifts from k * dt, and

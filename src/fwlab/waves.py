@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .grid import Domain, GridFn, line, sample
-from .kernels import KernelOp, kernel_eval
+from .kernels import KernelOp, conv_K, kernel_eval
 
 __all__ = [
     "TravelingWave",
@@ -27,6 +27,7 @@ __all__ = [
     "tw_first_integral",
     "cusp_profile",
     "cusp_fit_masks",
+    "defect_fit_mask",
     "measured_cusp_jump",
     "tw_defect",
 ]
@@ -69,15 +70,13 @@ def peakon(n: int = 8000, window: tuple = (-30.0, 30.0),
     return TravelingWave(c=c_best, profile=prof)
 
 
-def residual_scan(profile: GridFn, c_values, op: KernelOp | None = None):
+def residual_scan(profile: GridFn, c_values):
     """Oscillation (max - min) of the first integral for each trial speed.
 
     Returns (c at the minimum, oscillation array).  K*v is independent of c,
     so the scan costs one convolution.
     """
-    if op is None:
-        op = KernelOp(profile.domain, profile.n)
-    Kv = op.conv_K_values(profile.values)
+    Kv = conv_K(profile).values
     v = profile.values
     c_values = np.asarray(c_values, dtype=np.float64)
     osc = np.empty_like(c_values)
@@ -87,11 +86,9 @@ def residual_scan(profile: GridFn, c_values, op: KernelOp | None = None):
     return float(c_values[np.argmin(osc)]), osc
 
 
-def tw_first_integral(w: TravelingWave, op: KernelOp | None = None) -> GridFn:
+def tw_first_integral(w: TravelingWave) -> GridFn:
     """(v - c)^2/2 + K*v; constant iff v is a weak traveling wave of speed c."""
-    if op is None:
-        op = KernelOp(w.profile.domain, w.profile.n)
-    Kv = op.conv_K_values(w.profile.values)
+    Kv = conv_K(w.profile).values
     return w.profile.with_values(0.5 * (w.profile.values - w.c) ** 2 + Kv)
 
 
@@ -174,6 +171,16 @@ def cusp_fit_masks(domain: Domain, n: int):
     return right, left
 
 
+def defect_fit_mask(domain: Domain, n: int) -> np.ndarray:
+    """The cells of tw_defect's fit on the n-cell grid of domain:
+    0.1 < |xi| < 6.  Raises ValueError when the band holds no cell."""
+    r = np.abs(domain.cell_centers(n))
+    m = (r > 0.1) & (r < 6.0)
+    if not m.any():
+        raise ValueError("the defect-fit band 0.1 < |xi| < 6 holds no cell")
+    return m
+
+
 def measured_cusp_jump(w: TravelingWave) -> float:
     """Jump of d/dxi [(v-c)^2/2] across 0 from one-sided linear fits on
     0 < |xi| < 0.05."""
@@ -188,15 +195,14 @@ def measured_cusp_jump(w: TravelingWave) -> float:
 # ---------------------------------------------------------------------------
 # distributional defect fit
 
-def tw_defect(w: TravelingWave, op: KernelOp | None = None):
+def tw_defect(w: TravelingWave):
     """Least-squares lambda1 in ((v-c)^2/2)' + K'*v = lambda1 K' on
     0.1 < |xi| < 6.
 
     Returns (lambda1, relative sup mismatch).  A weak traveling wave gives
     lambda1 ~ 0; the cusp gives a lambda1 bounded away from zero.
     """
-    if op is None:
-        op = KernelOp(w.profile.domain, w.profile.n)
+    op = KernelOp(w.profile.domain, w.profile.n)
     x = w.profile.x
     v = w.profile.values
     W = 0.5 * (v - w.c) ** 2
@@ -204,7 +210,7 @@ def tw_defect(w: TravelingWave, op: KernelOp | None = None):
     kv = op.conv_Kprime_values(v)
     D = dW + kv
     Kp = np.asarray(kernel_eval("Kprime_line", x))
-    m = (np.abs(x) > 0.1) & (np.abs(x) < 6.0)
+    m = defect_fit_mask(w.profile.domain, w.profile.n)
     lam1 = float(np.sum(D[m] * Kp[m]) / np.sum(Kp[m] * Kp[m]))
     resid = np.abs(D[m] - lam1 * Kp[m]).max()
     scale = (np.abs(dW) + np.abs(kv))[m].max()

@@ -1,18 +1,6 @@
 import numpy as np
 import pytest
 
-from fwlab import KernelOp, line, torus
-
-
-@pytest.fixture(scope="session")
-def torus_op_256():
-    return KernelOp(torus(), 256)
-
-
-@pytest.fixture(scope="session")
-def line_op_4000():
-    return KernelOp(line(-20, 20), 4000)
-
 
 @pytest.fixture(scope="session")
 def rng():

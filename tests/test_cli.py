@@ -140,6 +140,17 @@ def test_verify_reports_a_run_that_stops_short(tmp_path):
     assert check["details"]["t_stop"] < 0.5
 
 
+def test_verify_strong_stability_keeps_its_own_dt(tmp_path):
+    # the fixed CFL step shared by the two FV runs is not forced on strong
+    # runs, whose T need only be a multiple of StrongConfig's dt
+    code, out = run_cli(tmp_path, "verify", "--preset", "l1_stability",
+                        "solver=strong", "n=400", "T=0.25")
+    assert code == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert [c["check_name"] for c in report["checks"]] == [
+        "l1_stability_ratio", "l1_growth"]
+
+
 def test_wave_peakon(tmp_path):
     code, out = run_cli(tmp_path, "wave", "--preset", "wave_peakon", "n=4000")
     assert code == EXIT_OK
@@ -300,6 +311,15 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     # the cusp jump fit needs 4 cells on each side within 0.05 of the cusp
     ("wave", "wave_cusp", ["n=400"], EXIT_USAGE, "n=400"),
     ("wave", "wave_cusp", ["n=4000"], EXIT_USAGE, "n=4000"),
+    # a bump that no snapshot time lies inside would pass vacuously
+    ("verify", "upjump_adversarial", ["n=400", "steps=1"], EXIT_CHECK_FAILED,
+     "t0=0.25"),
+    ("verify", "riemann_entropy", ["n=400", "snapshot_stride=50"],
+     EXIT_CHECK_FAILED, "t0=0.25"),
+    # the defect fit needs a cell in 0.1 < |xi| < 6
+    ("wave", "wave_peakon", ["n=4"], EXIT_USAGE, "n=4, a=-30.0, b=30.0"),
+    ("wave", "wave_peakon", ["a=10", "b=20"], EXIT_USAGE,
+     "n=8000, a=10.0, b=20.0"),
 ])
 def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
                                  code, message):

@@ -211,22 +211,21 @@ def test_kruzhkov_zero_trajectory():
     assert abs(kruzhkov_residual(traj, [0.0, -1.0, 2.0], fam)) < 1e-14
 
 
-def test_kruzhkov_reduction_identity(line_op_4000):
+def test_kruzhkov_reduction_identity():
     # for |lambda| above the range, E(lambda) = -+ weak residual exactly
     dom = line(-20, 20)
     u0 = sample("peakon", dom, 4000)
-    traj = run_fv(u0, FVConfig(T=0.6, snapshot_stride=4), line_op_4000)
+    traj = run_fv(u0, FVConfig(T=0.6, snapshot_stride=4))
     fam = make_test_family(dom, 0.6, count=4)
     r = 1.5 * float(np.abs(traj.snapshots[0]).max())
-    _, mat = kruzhkov_residual(traj, [r, -r], fam, line_op_4000,
-                               return_matrix=True)
+    _, mat = kruzhkov_residual(traj, [r, -r], fam, return_matrix=True)
     # E(r) + E(-r) = 0 to roundoff, and each equals -+ the weak form
     assert np.abs(mat[0] + mat[1]).max() < 1e-10
-    wr = weak_residual(traj, fam, line_op_4000)
+    wr = weak_residual(traj, fam)
     assert abs(np.abs(mat).max() - wr) < 1e-12
 
 
-def test_kruzhkov_stationary_burgers_shock_is_clean():
+def test_kruzhkov_stationary_burgers_shock_is_clean(monkeypatch):
     # the discrete steady entropy shock (+1 -> -1, source off) makes every
     # quadrature term exact: residuals must be nonnegative to roundoff
     dom = line(-20, 20)
@@ -236,11 +235,9 @@ def test_kruzhkov_stationary_burgers_shock_is_clean():
     fam = make_test_family(dom, 1.0)
     lams = np.linspace(-1.5, 1.5, 9)
     # drop the source term by zeroing the convolution: emulate pure Burgers
-    class NoSourceOp(KernelOp):
-        def conv_Kprime_values(self, values):
-            return np.zeros_like(values)
-    op = NoSourceOp(dom, n)
-    kmin = kruzhkov_residual(traj, lams, fam, op)
+    monkeypatch.setattr(KernelOp, "conv_Kprime_values",
+                        lambda self, values: np.zeros_like(values))
+    kmin = kruzhkov_residual(traj, lams, fam)
     assert kmin >= -1e-12
 
 
@@ -255,18 +252,18 @@ def test_kruzhkov_flags_stationary_upjump():
     assert kmin <= -1e-3
 
 
-def test_kruzhkov_admissible_run_floor(line_op_4000):
+def test_kruzhkov_admissible_run_floor():
     # honest floor for the flux-splitting Riemann run: first order in h
     dom = line(-20, 20)
     u0 = sample("step", dom, 4000, left=1.0, right=-1.0, width=0.2)
-    traj = run_fv(u0, FVConfig(T=0.5, snapshot_stride=2), line_op_4000)
+    traj = run_fv(u0, FVConfig(T=0.5, snapshot_stride=2))
     fam = make_test_family(dom, 0.5)
     lams = np.linspace(-1.5, 1.5, 9)
-    kmin = kruzhkov_residual(traj, lams, fam, line_op_4000)
+    kmin = kruzhkov_residual(traj, lams, fam)
     assert kmin > -2e-4
 
 
-def _reference_residuals(traj, lambdas, family, op):
+def _reference_residuals(traj, lambdas, family):
     """Direct per-interval quadrature, phi evaluated cell by cell with
     TestFn.phi at every snapshot.  Row 0 is the weak form with its initial
     term, the other rows the Kruzhkov entropies |u - lam|."""
@@ -274,6 +271,7 @@ def _reference_residuals(traj, lambdas, family, op):
                        traj.snapshots)
     x = dom.cell_centers(n)
     xi = dom.a + np.arange(n + 1) * h
+    op = KernelOp(dom, n)
     conv = [op.conv_Kprime_values(v) for v in u]
     forms = [(lambda z: z, lambda z: 0.5 * z * z, lambda z: 1.0)]
     forms += [(lambda z, lam=lam: np.abs(z - lam),
@@ -307,18 +305,17 @@ def _reference_residuals(traj, lambdas, family, op):
     (torus(), 256, "sine", {"amplitude": 0.5}, np.linspace(-0.6, 0.6, 5)),
 ], ids=["line", "torus"])
 def test_residuals_match_direct_quadrature(dom, n, profile, params, lams):
-    op = KernelOp(dom, n)
     traj = run_fv(sample(profile, dom, n, **params),
-                  FVConfig(T=0.3, snapshot_stride=2), op)
+                  FVConfig(T=0.3, snapshot_stride=2))
     fam = make_test_family(dom, float(traj.snap_times[-1]))
-    ref = _reference_residuals(traj, lams, fam, op)
-    _, mat = kruzhkov_residual(traj, lams, fam, op, return_matrix=True)
+    ref = _reference_residuals(traj, lams, fam)
+    _, mat = kruzhkov_residual(traj, lams, fam, return_matrix=True)
     assert np.abs(mat - ref[1:]).max() <= 1e-13
-    assert abs(weak_residual(traj, fam, op) - np.abs(ref[0]).max()) <= 1e-13
+    assert abs(weak_residual(traj, fam) - np.abs(ref[0]).max()) <= 1e-13
     assert np.abs(ref).max() > 1e-5  # the comparison is not between zeros
 
 
-def _two_pass_residuals(traj, lambdas, family, op):
+def _two_pass_residuals(traj, lambdas, family):
     """The two-pass formulation that the one-pass residuals replaced: the
     weak form and the Kruzhkov entropies each contract every snapshot with
     its own K'*u solve and fresh (L, n) temporaries.  Returns the weak
@@ -338,6 +335,7 @@ def _two_pass_residuals(traj, lambdas, family, op):
     h = traj.h
     dt = np.diff(times)[:, None, None]
     a0, a1 = A[:-1], A[1:]
+    op = KernelOp(traj.domain, traj.n)
 
     def residuals(entropies):
         E, Q, S = [], [], []
@@ -361,11 +359,11 @@ def _two_pass_residuals(traj, lambdas, family, op):
     return w, mat
 
 
-def _ac8_run(op):
+def _ac8_run():
     # the AC-8 set-up: regularised Riemann step, n = 4000, T = 0.5, stride 2
     dom = line(-20, 20)
     u0 = sample("step", dom, 4000, left=1.0, right=-1.0, width=0.2)
-    return run_fv(u0, FVConfig(T=0.5, snapshot_stride=2), op)
+    return run_fv(u0, FVConfig(T=0.5, snapshot_stride=2))
 
 
 def _upjump_run():
@@ -375,76 +373,75 @@ def _upjump_run():
                                 lambda x, t: np.where(x < 0, -1.0, 1.0))
 
 
-def _torus_run(op):
+def _torus_run():
     return run_fv(sample("sine", torus(), 256, amplitude=0.5),
-                  FVConfig(T=0.3, snapshot_stride=2), op)
+                  FVConfig(T=0.3, snapshot_stride=2))
 
 
-def _counting(op):
-    """Count op's conv_Kprime_values calls in op.solves."""
-    solve = op.conv_Kprime_values
-    op.solves = 0
+def _counting(monkeypatch):
+    """From now on, count the conv_Kprime_values calls of every KernelOp in
+    the returned dict's "solves"."""
+    count = {"solves": 0}
+    solve = KernelOp.conv_Kprime_values
 
-    def counted(values):
-        op.solves += 1
-        return solve(values)
-    op.conv_Kprime_values = counted
-    return op
+    def counted(self, values):
+        count["solves"] += 1
+        return solve(self, values)
+    monkeypatch.setattr(KernelOp, "conv_Kprime_values", counted)
+    return count
 
 
 @pytest.mark.parametrize("case, solves", [("ac8", 58), ("upjump", 85)])
-def test_entropy_report_solves_each_needed_snapshot_once(case, solves):
+def test_entropy_report_solves_each_needed_snapshot_once(case, solves,
+                                                         monkeypatch):
     # one K'*u per snapshot for both residuals, and none for the snapshots
     # whose time factors and both neighbours' are zero for every bump
     # (10 of 68 on AC-8, 16 of 101 on the up-jump); two passes made 136, 202
-    op = _counting(KernelOp(line(-20, 20), 4000))
-    traj = _ac8_run(op) if case == "ac8" else _upjump_run()
-    op.solves = 0
-    entropy_report(traj, np.linspace(-1.5, 1.5, 9), op=op)
-    assert op.solves == solves
+    traj = _ac8_run() if case == "ac8" else _upjump_run()
+    count = _counting(monkeypatch)
+    entropy_report(traj, np.linspace(-1.5, 1.5, 9))
+    assert count["solves"] == solves
 
 
 @pytest.mark.parametrize("case", ["ac8", "upjump", "torus", "gapped"])
 def test_one_pass_residuals_are_bit_identical_to_two_passes(case,
-                                                            line_op_4000):
+                                                            monkeypatch):
     lams = np.linspace(-1.5, 1.5, 9)
     if case == "ac8":
-        op, traj = line_op_4000, _ac8_run(line_op_4000)
+        traj = _ac8_run()
     elif case == "upjump":
-        op, traj = line_op_4000, _upjump_run()
+        traj = _upjump_run()
     elif case == "torus":
         # the default torus family has bumps straddling the seam
-        op = KernelOp(torus(), 256)
-        traj, lams = _torus_run(op), np.linspace(-0.6, 0.6, 5)
+        traj, lams = _torus_run(), np.linspace(-0.6, 0.6, 5)
     else:
         # disjoint time supports: the needed snapshots fall into two runs
         # separated by idle ones, and the last of the first run and the
         # first of the second are never paired as an interval
         dom = line(-20, 20)
-        op = _counting(KernelOp(dom, 800))
         traj = run_fv(sample("step", dom, 800, left=1.0, right=-1.0,
-                             width=0.2), FVConfig(T=1.0), op)
+                             width=0.2), FVConfig(T=1.0))
     if case == "gapped":
         family = [TestFn(-4.0, 0.15, 3.0, 0.1), TestFn(4.0, 0.75, 3.0, 0.1)]
-        op.solves = 0
+        count = _counting(monkeypatch)
     else:
         family = make_test_family(traj.domain, float(traj.snap_times[-1]))
-    w, mat = diagnostics._residuals(traj, family, op, lams)
+    w, mat = diagnostics._residuals(traj, family, lams)
     if case == "gapped":
         live = np.pad([any(abs(tf._zt(t)) < 1.0 for tf in family)
                        for t in traj.snap_times], 1)
         needed = live[:-2] | live[1:-1] | live[2:]
-        assert op.solves == needed.sum()
+        assert count["solves"] == needed.sum()
         assert np.flatnonzero(np.diff(np.flatnonzero(needed)) > 1).size == 1
-    ref_w, ref_mat = _two_pass_residuals(traj, lams, family, op)
+    ref_w, ref_mat = _two_pass_residuals(traj, lams, family)
     assert np.array_equal(w, ref_w)
     assert np.array_equal(mat, ref_mat)
     assert np.abs(ref_mat).max() > 1e-5  # the comparison is not between zeros
-    rep = entropy_report(traj, lams, family, op)
+    rep = entropy_report(traj, lams, family)
     assert rep.weak_residual_max == np.abs(ref_w).max()
     assert rep.kruzhkov_min == ref_mat.min()
-    assert weak_residual(traj, family, op) == np.abs(ref_w).max()
-    _, mat = kruzhkov_residual(traj, lams, family, op, return_matrix=True)
+    assert weak_residual(traj, family) == np.abs(ref_w).max()
+    _, mat = kruzhkov_residual(traj, lams, family, return_matrix=True)
     assert np.array_equal(mat, ref_mat)
 
 
@@ -456,12 +453,12 @@ def test_conservation_report_zero():
     assert rep.mass_drift == 0.0 and rep.l2_drift == 0.0
 
 
-def test_envelope_check_on_fv_run(line_op_4000):
+def test_envelope_check_on_fv_run():
     # smooth decaying data breaking into a shock: the up-slope stays under
     # the Riccati envelope while the down-slope collapses
     dom = line(-20, 20)
     u0 = sample("gaussian_derivative", dom, 4000, beta=2.0)
-    traj = run_fv(u0, FVConfig(T=1.0), line_op_4000)
+    traj = run_fv(u0, FVConfig(T=1.0))
     ok, worst, _ = envelope_check(traj)
     assert ok, f"worst excess {worst}"
     assert traj.series["m1"].min() < -50.0  # the shock did form

@@ -43,14 +43,14 @@ def test_kernel_integrals():
     assert np.allclose(kernel_eval("K_line", x), kernel_eval("K_line", -x))
 
 
-def test_conv_K_zero(torus_op_256):
+def test_conv_K_zero():
     z = sample("zero", torus(), 256)
-    assert np.all(conv_K(torus_op_256, z).values == 0.0)
+    assert np.all(conv_K(z).values == 0.0)
 
 
-def test_conv_K_constant_torus(torus_op_256):
+def test_conv_K_constant_torus():
     one = sample("constant", torus(), 256, value=1.0)
-    w = conv_K(torus_op_256, one)
+    w = conv_K(one)
     assert np.abs(w.values - 1.0).max() < 1e-12
 
 
@@ -58,9 +58,8 @@ def test_conv_K_self_at_zero():
     # (K*K)(0) = int K^2 = 1/4; oracle: direct quadrature of the convolution
     dom = line(-30, 30)
     n = 6000
-    op = KernelOp(dom, n)
     g = sample("kernel", dom, n)
-    w = conv_K(op, g)
+    w = conv_K(g)
     i0 = np.argmin(np.abs(g.x))
     oracle = direct_convolution(lambda y: kernel_eval("K_line", y),
                                 g).max()  # peak of K*K sits at 0
@@ -72,25 +71,23 @@ def test_conv_K_self_at_zero():
 def test_conv_K_matches_direct_quadrature(rng):
     dom = line(-20, 20)
     n = 2000
-    op = KernelOp(dom, n)
     g = sample("gaussian", dom, n, amplitude=1.3, width=1.5)
-    w = conv_K(op, g).values
+    w = conv_K(g).values
     oracle = direct_convolution(lambda y: kernel_eval("K_line", y), g)
     assert np.abs(w - oracle).max() < 5e-5
 
 
-def test_conv_Kprime_constant_torus(torus_op_256):
+def test_conv_Kprime_constant_torus():
     c = sample("constant", torus(), 256, value=2.5)
-    assert np.abs(conv_Kprime(torus_op_256, c).values).max() < 1e-12
+    assert np.abs(conv_Kprime(c).values).max() < 1e-12
 
 
 def test_conv_Kprime_of_kernel():
     # K'*K is odd; at x=1 it equals d/dx[(1+|x|)e^{-|x|}/4] = -e^{-1}/4
     dom = line(-30, 30)
     n = 6000
-    op = KernelOp(dom, n)
     g = sample("kernel", dom, n)
-    w = conv_Kprime(op, g).values
+    w = conv_Kprime(g).values
     # odd function: x = 0 is a cell interface, so interpolate across it
     assert abs(0.5 * (w[n // 2 - 1] + w[n // 2])) < 1e-8
     i1 = np.argmin(np.abs(g.x - 1.0))
@@ -203,16 +200,6 @@ def test_derivative_of_conv_Kprime_bound(rng):
             u = rng.normal(size=n)
             du = op.dx_values(op.conv_Kprime_values(u))
             assert np.abs(du).max() <= 2.04 * np.abs(u).max()
-
-
-def test_kernel_op_mismatch():
-    op = KernelOp(torus(), 64)
-    g = sample("zero", torus(), 128)
-    with pytest.raises(ValueError, match="different domain or n"):
-        conv_K(op, g)
-    gl = sample("zero", line(-1, 1), 64)
-    with pytest.raises(ValueError, match="different domain or n"):
-        conv_Kprime(op, gl)
 
 
 @pytest.mark.parametrize("n", [128, 255, 256])

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwlab import (FVConfig, GridFn, KernelOp, Thresholds, fv_step,
-                   godunov_flux, line, norm, run_fv, sample, torus,
-                   viscosity_sweep)
+from fwlab import (FVConfig, GridFn, Thresholds, fv_step, godunov_flux,
+                   line, norm, run_fv, sample, torus, viscosity_sweep)
 
 
 def brute_force_godunov(ul, ur, npts=20001):
@@ -36,26 +35,24 @@ def test_godunov_flux_matches_brute_force(ul, ur):
 
 def test_fv_step_zero_and_constant():
     dom = torus()
-    op = KernelOp(dom, 64)
     cfg = FVConfig(T=1.0)
     z = sample("zero", dom, 64)
-    assert np.all(fv_step(z, 1e-3, op, cfg).values == 0.0)
+    assert np.all(fv_step(z, 1e-3, cfg).values == 0.0)
     c = sample("constant", dom, 64, value=0.8)
-    out = fv_step(c, 1e-3, op, cfg)
+    out = fv_step(c, 1e-3, cfg)
     assert np.abs(out.values - 0.8).max() < 1e-14
 
 
 def test_fv_step_cfl_guard():
     dom = line(-5, 5)
-    op = KernelOp(dom, 100)
     u = sample("constant", dom, 100, value=2.0)
     cfg = FVConfig(T=1.0, cfl=0.45)
     with pytest.raises(ValueError, match="time step too large"):
-        fv_step(u, 1.0, op, cfg)
+        fv_step(u, 1.0, cfg)
     # viscous stability bound dt <= 0.4 h^2 / eps
     cfg_eps = FVConfig(T=1.0, eps=1.0)
     with pytest.raises(ValueError, match="time step too large"):
-        fv_step(u, 0.9 * 0.45 * u.h / 2.0, op, cfg_eps)
+        fv_step(u, 0.9 * 0.45 * u.h / 2.0, cfg_eps)
 
 
 def test_lie_splitting_conserves_mass_and_is_first_order_off_strang():
@@ -76,10 +73,9 @@ def test_burgers_shock_speed():
     # Riemann 2 -> 0 with the source off: Rankine-Hugoniot speed (2+0)/2 = 1
     dom = line(-20, 20)
     n = 2000
-    op = KernelOp(dom, n)
     u0 = sample("step", dom, n, left=2.0, right=0.0, center=-5.0)
     cfg = FVConfig(T=6.0, source_on=False, snapshot_stride=10 ** 9)
-    traj = run_fv(u0, cfg, op)
+    traj = run_fv(u0, cfg)
     final = traj.snapshots[-1]
     x = dom.cell_centers(n)
     # search from the right so the window-edge rarefaction is ignored
@@ -100,10 +96,10 @@ def test_mass_conservation_torus():
     assert np.abs(mass - mass[0]).max() < 1e-12
 
 
-def test_peakon_transport_crest_speed(line_op_4000):
+def test_peakon_transport_crest_speed():
     dom = line(-20, 20)
     u0 = sample("peakon", dom, 4000)
-    traj = run_fv(u0, FVConfig(T=1.0, snapshot_stride=10 ** 9), line_op_4000)
+    traj = run_fv(u0, FVConfig(T=1.0, snapshot_stride=10 ** 9))
     x = dom.cell_centers(4000)
 
     def crest(u):
@@ -115,32 +111,32 @@ def test_peakon_transport_crest_speed(line_op_4000):
     assert abs(speed - 4.0 / 3.0) < 0.02 * 4.0 / 3.0
 
 
-def test_l1_growth_bound(line_op_4000):
+def test_l1_growth_bound():
     # corollary of L1 stability: |u(t)|_1 <= e^t |u0|_1
     dom = line(-20, 20)
     u0 = sample("peakon", dom, 4000)
-    traj = run_fv(u0, FVConfig(T=1.0), line_op_4000)
+    traj = run_fv(u0, FVConfig(T=1.0))
     l1 = traj.series["l1"]
     bound = 1.05 * np.exp(traj.times) * l1[0]
     assert np.all(l1 <= bound)
 
 
-def test_sup_norm_surrogate(line_op_4000):
+def test_sup_norm_surrogate():
     dom = line(-20, 20)
     u0 = sample("step", dom, 4000, left=1.0, right=-1.0, width=0.2)
     linf0 = norm(u0, "Linf")
     l2_0 = norm(u0, "L2")
-    traj = run_fv(u0, FVConfig(T=0.5), line_op_4000)
+    traj = run_fv(u0, FVConfig(T=0.5))
     for t, linf in zip(traj.times, traj.series["linf"]):
         assert linf <= linf0 + t * l2_0 + 0.02
 
 
-def test_l2_decays_after_shock(line_op_4000):
+def test_l2_decays_after_shock():
     # entropy dissipation: for integrable shock-forming data the L2 series
     # never increases and drops strictly once the shock is up
     dom = line(-20, 20)
     u0 = sample("gaussian_derivative", dom, 4000, beta=2.0)
-    traj = run_fv(u0, FVConfig(T=1.5), line_op_4000)
+    traj = run_fv(u0, FVConfig(T=1.5))
     l2 = traj.series["l2"]
     assert np.all(np.diff(l2) <= 1e-12)
     assert l2[-1] < 0.75 * l2[0]

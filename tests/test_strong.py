@@ -12,15 +12,15 @@ from fwlab.diagnostics import (convolution_bound_margin,
 from fwlab.strong import _make_rhs, _rk4
 
 
-def test_rhs_zero(torus_op_256):
+def test_rhs_zero():
     z = sample("zero", torus(), 256)
-    assert np.abs(rhs(z, 1.0, torus_op_256).values).max() == 0.0
+    assert np.abs(rhs(z, 1.0).values).max() == 0.0
 
 
-def test_rhs_constant_is_steady(torus_op_256):
+def test_rhs_constant_is_steady():
     c = sample("constant", torus(), 256, value=0.7)
-    assert np.abs(rhs(c, 1.0, torus_op_256).values).max() < 1e-13
-    stepped = step_rk4(c, 1e-2, 1.0, torus_op_256)
+    assert np.abs(rhs(c, 1.0).values).max() < 1e-13
+    stepped = step_rk4(c, 1e-2, 1.0)
     assert np.abs(stepped.values - 0.7).max() < 1e-13
 
 
@@ -29,10 +29,9 @@ def test_linear_mode_phase_speed():
     # oracle: phase drift of the k=1 Fourier coefficient over one unit of time
     n = 128
     dom = torus()
-    op = KernelOp(dom, n)
     u = sample("sine", dom, n, amplitude=0.01, offset=0.0)
     cfg = StrongConfig(dt=1e-3, T=1.0, lambda_coeff=0.0)
-    traj = run_strong(u, cfg, op)
+    traj = run_strong(u, cfg)
     c0 = np.fft.rfft(traj.snapshots[0])[1]
     c1 = np.fft.rfft(traj.snapshots[-1])[1]
     dphase = np.angle(c1 / c0)
@@ -40,25 +39,24 @@ def test_linear_mode_phase_speed():
     assert abs(speed - 1.0 / (1.0 + 4.0 * math.pi ** 2)) < 1e-6
 
 
-def test_step_rk4_zero_and_errors(torus_op_256):
+def test_step_rk4_zero_and_errors():
     z = sample("zero", torus(), 256)
-    assert np.all(step_rk4(z, 0.1, 1.0, torus_op_256).values == 0.0)
+    assert np.all(step_rk4(z, 0.1, 1.0).values == 0.0)
     with pytest.raises(ValueError):
-        step_rk4(z, -0.1, 1.0, torus_op_256)
+        step_rk4(z, -0.1, 1.0)
 
 
 def test_step_rk4_order():
     # Richardson oracle: global error at fixed T drops ~16x when dt halves
     # (per-step defect against two half-steps is O(dt^5))
     n = 64
-    op = KernelOp(torus(), n)
     u = sample("sine", torus(), n, amplitude=0.2, offset=0.5)
     T = 0.1
 
     def advance(dt):
         v = u
         for _ in range(int(round(T / dt))):
-            v = step_rk4(v, dt, 1.0, op)
+            v = step_rk4(v, dt, 1.0)
         return v.values
 
     ref = advance(T / 256)
@@ -67,8 +65,8 @@ def test_step_rk4_order():
     assert 16 * 0.8 < e1 / e2 < 16 * 1.2
 
     def local_defect(dt):
-        one = step_rk4(u, dt, 1.0, op).values
-        half = step_rk4(step_rk4(u, dt / 2, 1.0, op), dt / 2, 1.0, op).values
+        one = step_rk4(u, dt, 1.0).values
+        half = step_rk4(step_rk4(u, dt / 2, 1.0), dt / 2, 1.0).values
         return np.abs(one - half).max()
 
     # per-step defect against two half-steps is O(dt^5): ratio ~ 32
@@ -97,15 +95,14 @@ def test_sup_norm_bounds_along_run():
     # |u(t)|_inf <= |u0|_inf + t |u0|_2 and |K'*u|_inf <= |u0|_2 (2% slack)
     dom = line(-12, 12)
     n = 2048
-    op = KernelOp(dom, n)
     u0 = sample("gaussian_derivative", dom, n, beta=2.0)
     l2_0 = norm(u0, "L2")
     linf_0 = norm(u0, "Linf")
-    traj = run_strong(u0, StrongConfig(dt=5e-4, T=0.4, snapshot_stride=40), op)
+    traj = run_strong(u0, StrongConfig(dt=5e-4, T=0.4, snapshot_stride=40))
     for t, linf in zip(traj.times, traj.series["linf"]):
         assert linf <= 1.02 * (linf_0 + t * l2_0)
     for snap in traj.snapshots:
-        conv = conv_Kprime(op, GridFn(dom, snap))
+        conv = conv_Kprime(GridFn(dom, snap))
         assert norm(conv, "Linf") <= 1.02 * l2_0
 
 
@@ -145,7 +142,7 @@ def test_overflow_abort_line(advect):
 def test_step_rk4_raises_overflow_abort():
     u = sample("gaussian", line(-8, 8), 512, amplitude=1e160)
     with pytest.raises(OverflowAbort, match="numerical overflow"):
-        step_rk4(u, 0.01, 1.0, KernelOp(u.domain, u.n))
+        step_rk4(u, 0.01, 1.0)
 
 
 def _central_dx_ref(v, h):
@@ -188,9 +185,9 @@ def test_buffered_line_rhs_and_rk4_are_bit_identical(advect):
     op = KernelOp(dom, n)
     x = dom.cell_centers(n)
     u = GridFn(dom, 1.5 * np.sin(1.7 * x) * np.exp(-(x / 3.0) ** 2) + 0.2)
-    assert np.array_equal(rhs(u, lam, op, advect=advect).values,
+    assert np.array_equal(rhs(u, lam, advect=advect).values,
                           _rhs_ref(u.values, lam, op, advect))
-    assert np.array_equal(step_rk4(u, dt, lam, op, advect=advect).values,
+    assert np.array_equal(step_rk4(u, dt, lam, advect=advect).values,
                           _rk4_ref(lambda v: _rhs_ref(v, lam, op, advect),
                                    u.values, dt))
     step = _rk4(_make_rhs(op, lam, True, advect), n)
@@ -236,9 +233,9 @@ def test_buffered_torus_rhs_and_rk4_are_bit_identical(n, dealias, lam):
     def ref(v):
         return _torus_rhs_ref(v, lam, op, dealias)
 
-    assert np.array_equal(rhs(u, lam, op, dealias=dealias).values,
+    assert np.array_equal(rhs(u, lam, dealias=dealias).values,
                           ref(u.values))
-    assert np.array_equal(step_rk4(u, dt, lam, op, dealias=dealias).values,
+    assert np.array_equal(step_rk4(u, dt, lam, dealias=dealias).values,
                           _rk4_ref(ref, u.values, dt))
     step = _rk4(_make_rhs(op, lam, dealias, "central"), n)
     v = w = u.values
@@ -265,12 +262,11 @@ def test_scaling_transport_identity_and_doubling():
 def test_scaling_transport_commutes_with_dynamics():
     # transported lam=1 run equals the lam=2 run from halved data
     n = 64
-    op = KernelOp(torus(), n)
     u0 = sample("sine", torus(), n, amplitude=0.2, offset=0.5)
     cfg1 = StrongConfig(dt=1e-3, T=0.5, lambda_coeff=1.0)
     cfg2 = StrongConfig(dt=1e-3, T=0.5, lambda_coeff=2.0)
-    t1 = scaling_transport(run_strong(u0, cfg1, op), 2.0)
-    t2 = run_strong(0.5 * u0, cfg2, op)
+    t1 = scaling_transport(run_strong(u0, cfg1), 2.0)
+    t2 = run_strong(0.5 * u0, cfg2)
     diff = np.abs(t1.snapshots[-1] - t2.snapshots[-1]).max()
     assert diff < 1e-8
 
