@@ -6,9 +6,10 @@ overall_pass holds, else 1.  A command that raises writes no report.json: a
 usage/config error exits 2, a step rejected mid-run exits 1.  Every config
 key is a field of Keys (read by the commands themselves), StrongConfig,
 FVConfig or Thresholds, or an alias (_ALIASES); load_config type-checks each
-for every verb, and Keys rejects an unknown choice, an n or n_list entry
-below 4, a non-nested n_list, a zero bump_amplitude or bump_radius, a
-T <= 0 and an eps_list that is not positive and strictly descending.
+for every verb and refuses a non-finite float (list items included), and
+Keys rejects an unknown choice, an n or n_list entry below 4, a non-nested
+n_list, a zero bump_amplitude or bump_radius, a T <= 0 and an eps_list that
+is not positive and strictly descending.
 FWLAB_THREADS caps sweep concurrency.  Outputs are written once and
 atomically renamed into place, so identical config + seed gives
 byte-identical files.
@@ -204,9 +205,12 @@ def _coerce(key: str, value, typ):
             raise TypeError("yes/true/on parse as True, which is no number")
         if typ is int and isinstance(value, float) and not value.is_integer():
             raise ValueError("an int field takes no fraction")
-        return typ(value)
+        out = typ(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}={value!r}: expected {typ.__name__}") from exc
+    if typ is float and not math.isfinite(out):
+        raise ConfigError(f"{key}={value!r}: expected a finite float")
+    return out
 
 
 def _config_from(cls, cfg: dict, **defaults):

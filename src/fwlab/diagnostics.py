@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Domain, GridFn, _psi, norm, slope_extrema_values
+from .grid import (Domain, GridFn, _interface_diff, _psi, norm,
+                   slope_extrema_values)
 from .kernels import KernelOp
 from .strong import StrongConfig
 from .trajectory import Trajectory
@@ -349,15 +350,11 @@ def _residuals(traj: Trajectory, family, lambdas=()):
     n, J = traj.n, len(family)
     op = KernelOp(traj.domain, n)
     x = traj.domain.cell_centers(n)
-    xi = traj.domain.a + np.arange(n + 1) * traj.h
+    periodic = traj.domain.periodic
+    xi = traj.domain.a + np.arange(n + (not periodic)) * traj.h
     P = np.column_stack([_psi(tf._zx(x)) for tf in family])
-    if traj.domain.periodic:
-        # interface values with the periodic wrap at the seam
-        Gv = np.column_stack([_psi(tf._zx(xi[:-1])) for tf in family])
-        G = np.roll(Gv, -1, axis=0) - Gv
-    else:
-        G = np.diff(np.column_stack([_psi(tf._zx(xi)) for tf in family]),
-                    axis=0)
+    G = _interface_diff(np.column_stack([_psi(tf._zx(xi)) for tf in family]),
+                        periodic)
     times = traj.snap_times
     A = np.column_stack([_psi(tf._zt(times)) for tf in family])
     live = np.pad(A.any(axis=1), 1)

@@ -4,7 +4,9 @@ slope extrema and CSV output.
 Everything downstream operates on cell-centered samples: a ``GridFn`` holds
 ``n`` values at ``x_i = a + (i + 1/2) h``.  The torus has period 1 by
 convention; line domains are truncation windows on which fields are treated
-as zero outside ``[a, b]``.
+as zero outside ``[a, b]``.  What lies past the last cell is written once:
+``_pad`` (wrapped ghost cells on the torus, zero ones on the line) and
+``_interface_diff`` (n differences on the torus, n - 1 on the line).
 """
 
 from __future__ import annotations
@@ -220,11 +222,31 @@ def norm(g: GridFn, which: str) -> float:
     if which == "Linf":
         return float(np.abs(v).max())
     if which == "TV":
-        d = np.abs(np.diff(v))
-        if g.domain.periodic:
-            return float(d.sum() + abs(v[0] - v[-1]))
-        return float(d.sum())
+        return float(np.abs(_interface_diff(v, g.domain.periodic)).sum())
     raise ValueError(f"unknown norm {which!r}; choices: L1, L2, Linf, TV")
+
+
+# ---------------------------------------------------------------------------
+# the boundary rule: ghost cells and interface differences
+
+def _pad(values: np.ndarray, periodic: bool) -> np.ndarray:
+    """values with one ghost cell at each end of the first axis: the wrapped
+    neighbour on the torus, zero (the far field) on the line."""
+    e = np.empty((values.shape[0] + 2,) + values.shape[1:])
+    e[1:-1] = values
+    e[0], e[-1] = (values[-1], values[0]) if periodic else (0.0, 0.0)
+    return e
+
+
+def _interface_diff(values: np.ndarray, periodic: bool) -> np.ndarray:
+    """values[i + 1] - values[i] along the first axis: n differences on the
+    torus, the last across the seam, n - 1 on the line."""
+    n = values.shape[0]
+    d = np.empty((n if periodic else n - 1,) + values.shape[1:])
+    np.subtract(values[1:], values[:-1], out=d[:n - 1])
+    if periodic:
+        d[-1] = values[0] - values[-1]
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +259,6 @@ def _spectral_ik(n: int) -> np.ndarray:
     if n % 2 == 0:
         ik[-1] = 0.0
     return ik
-
-
-def _spectral_dx(values: np.ndarray) -> np.ndarray:
-    n = values.size
-    return np.fft.irfft(np.fft.rfft(values) * _spectral_ik(n), n)
 
 
 def _central_dx(values: np.ndarray, h: float,
@@ -257,21 +274,16 @@ def _central_dx(values: np.ndarray, h: float,
 def derivative(g: GridFn) -> GridFn:
     """Discrete d/dx: Fourier multiplier on the torus, second-order central
     differences (one-sided at the ends) on the line."""
+    v, n = g.values, g.n
     if g.domain.periodic:
-        return g.with_values(_spectral_dx(g.values))
-    return g.with_values(_central_dx(g.values, g.h))
+        return g.with_values(np.fft.irfft(np.fft.rfft(v) * _spectral_ik(n), n))
+    return g.with_values(_central_dx(v, g.h))
 
 
 def second_difference(values: np.ndarray, h: float, periodic: bool) -> np.ndarray:
-    """Three-point second derivative; zero ghost cells on the line."""
-    out = np.empty_like(values)
-    if periodic:
-        out[:] = np.roll(values, -1) - 2.0 * values + np.roll(values, 1)
-    else:
-        out[1:-1] = values[2:] - 2.0 * values[1:-1] + values[:-2]
-        out[0] = values[1] - 2.0 * values[0]
-        out[-1] = values[-2] - 2.0 * values[-1]
-    return out / (h * h)
+    """Three-point second derivative over the ghost cells of ``_pad``."""
+    e = _pad(values, periodic)
+    return (e[2:] - 2.0 * e[1:-1] + e[:-2]) / (h * h)
 
 
 def slope_extrema_values(values: np.ndarray, h: float, periodic: bool,
@@ -279,24 +291,13 @@ def slope_extrema_values(values: np.ndarray, h: float, periodic: bool,
     """(m1, xi1, m2, xi2) from forward differences; ties pick the smallest
     index.  Locations are interface positions (the wrap interface of the
     torus reports x = a)."""
-    if periodic:
-        n = values.size
-        d = np.empty(n)  # forward differences, the last across the wrap
-        np.subtract(values[1:], values[:-1], out=d[:-1])
-        d[-1] = values[0] - values[-1]
-        d /= h
-        i1 = int(np.argmin(d))
-        i2 = int(np.argmax(d))
-
-        def loc(i):
-            x = a + (i + 1) * h
-            return a if i == n - 1 else x  # wrap interface
-        return float(d[i1]), loc(i1), float(d[i2]), loc(i2)
-    d = np.diff(values) / h
+    d = _interface_diff(values, periodic)
+    d /= h
     i1 = int(np.argmin(d))
     i2 = int(np.argmax(d))
-    return (float(d[i1]), a + (i1 + 1) * h,
-            float(d[i2]), a + (i2 + 1) * h)
+    n = values.size  # the torus's wrap interface n lies at a
+    return (float(d[i1]), a + ((i1 + 1) % n) * h,
+            float(d[i2]), a + ((i2 + 1) % n) * h)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs
 
-from .grid import Domain, GridFn, _central_dx, _spectral_dx, _spectral_ik
+from .grid import Domain, GridFn, _central_dx, _spectral_ik
 
 __all__ = ["KernelOp", "conv_K", "conv_Kprime", "kernel_eval"]
 
@@ -75,11 +75,6 @@ class KernelOp:
             wh = np.fft.rfft(values) * self.multipliers * self._ik
             return np.fft.irfft(wh, self.n)
         return _central_dx(self.conv_K_values(values), self.h)
-
-    def dx_values(self, values: np.ndarray) -> np.ndarray:
-        if self.domain.periodic:
-            return _spectral_dx(values)
-        return _central_dx(values, self.h)
 
 
 def conv_K(g: GridFn) -> GridFn:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import GridFn, second_difference
+from .grid import GridFn, _pad, second_difference
 from .kernels import KernelOp
 from .trajectory import Trajectory, _Recorder, march
 
@@ -46,6 +46,9 @@ class FVConfig:
             raise ValueError("source_splitting must be 'strang' or 'lie'")
         if self.dt is not None and not self.dt > 0:
             raise ValueError("fixed dt must be positive")
+        if self.snapshot_stride < 1:
+            raise ValueError(f"snapshot_stride={self.snapshot_stride!r}: "
+                             f"expected at least 1")
 
 
 def godunov_flux(ul, ur):
@@ -64,16 +67,9 @@ def godunov_flux(ul, ur):
 
 def _burgers_update(u: np.ndarray, dt: float, h: float, periodic: bool,
                     eps: float) -> np.ndarray:
-    if periodic:
-        ul = u
-        ur = np.roll(u, -1)
-        flux_right = godunov_flux(ul, ur)        # F_{i+1/2}
-        flux_left = np.roll(flux_right, 1)       # F_{i-1/2}
-    else:
-        ue = np.concatenate(([0.0], u, [0.0]))   # zero far field
-        flux = godunov_flux(ue[:-1], ue[1:])
-        flux_left, flux_right = flux[:-1], flux[1:]
-    out = u - (dt / h) * (flux_right - flux_left)
+    ue = _pad(u, periodic)
+    flux = godunov_flux(ue[:-1], ue[1:])  # F_{i-1/2}, i = 0 .. n
+    out = u - (dt / h) * (flux[1:] - flux[:-1])
     if eps > 0.0:
         out = out + dt * eps * second_difference(u, h, periodic)
     return out

@@ -48,6 +48,9 @@ class StrongConfig:
             raise ValueError("lambda_coeff must be nonnegative")
         if self.advect not in ("central", "upwind"):
             raise ValueError("advect must be 'central' or 'upwind'")
+        if self.snapshot_stride < 1:
+            raise ValueError(f"snapshot_stride={self.snapshot_stride!r}: "
+                             f"expected at least 1")
 
 
 def _make_rhs(op: KernelOp, lam: float, dealias: bool, advect: str):
@@ -96,7 +99,8 @@ def _make_rhs(op: KernelOp, lam: float, dealias: bool, advect: str):
             return minus_kprime(u, out)
         return f
 
-    # upwind u_x for the advective term; zero ghost cells at the window:
+    # upwind u_x for the advective term; zero ghost cells at the window
+    # (grid._pad's line rule, kept in a preallocated e for speed):
     # e = [u0, u1 - u0, ..., -u_{n-1}] / h, backward differences e[:-1],
     # forward differences e[1:]
     e = np.empty(n + 1)

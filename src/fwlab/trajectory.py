@@ -51,7 +51,7 @@ class _Recorder:
         self.domain = domain
         self.n = n
         self.h = domain.length / n
-        self.stride = max(int(stride), 1)
+        self.stride = stride
         self.times = []
         self.cols = {name: [] for name in SERIES_NAMES}
         self.snap_times = []

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .grid import Domain, GridFn, line, sample
-from .kernels import KernelOp, conv_K, kernel_eval
+from .grid import Domain, GridFn, derivative, line, sample
+from .kernels import conv_K, conv_Kprime, kernel_eval
 
 __all__ = [
     "TravelingWave",
@@ -202,12 +202,11 @@ def tw_defect(w: TravelingWave):
     Returns (lambda1, relative sup mismatch).  A weak traveling wave gives
     lambda1 ~ 0; the cusp gives a lambda1 bounded away from zero.
     """
-    op = KernelOp(w.profile.domain, w.profile.n)
     x = w.profile.x
     v = w.profile.values
     W = 0.5 * (v - w.c) ** 2
-    dW = op.dx_values(W)
-    kv = op.conv_Kprime_values(v)
+    dW = derivative(w.profile.with_values(W)).values
+    kv = conv_Kprime(w.profile).values
     D = dW + kv
     Kp = np.asarray(kernel_eval("Kprime_line", x))
     m = defect_fit_mask(w.profile.domain, w.profile.n)

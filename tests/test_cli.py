@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwlab import FVConfig, StrongConfig, Thresholds
-from fwlab.cli import (_KEYS, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE,
-                       ConfigError, Keys, _config_from, load_config, main,
-                       parse_config_text)
+from fwlab.cli import (_ALIASES, _KEYS, _TYPES, EXIT_CHECK_FAILED, EXIT_OK,
+                       EXIT_USAGE, ConfigError, Keys, _config_from,
+                       load_config, main, parse_config_text)
 
 
 def run_cli(tmp_path, *args):
@@ -320,6 +320,18 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     ("wave", "wave_peakon", ["n=4"], EXIT_USAGE, "n=4, a=-30.0, b=30.0"),
     ("wave", "wave_peakon", ["a=10", "b=20"], EXIT_USAGE,
      "n=8000, a=10.0, b=20.0"),
+    # a non-finite float ran zero steps, overflowed or ran inviscid
+    ("simulate", "conservation_sine", ["dt=inf"], EXIT_USAGE, "dt=inf"),
+    ("simulate", "conservation_sine", ["T=inf"], EXIT_USAGE, "T=inf"),
+    ("simulate", "peakon_transport", ["eps=nan"], EXIT_USAGE, "eps=nan"),
+    ("verify", "upjump_adversarial", ["T=inf"], EXIT_USAGE, "T=inf"),
+    ("verify", "riemann_entropy", ["lambdas=0,nan"], EXIT_USAGE,
+     "lambdas=nan"),
+    # a stride below 1 ran as stride 1
+    ("simulate", "peakon_transport", ["snapshot_stride=0"], EXIT_USAGE,
+     "snapshot_stride=0"),
+    ("simulate", "conservation_sine", ["snapshot_stride=-3"], EXIT_USAGE,
+     "snapshot_stride=-3"),
 ])
 def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
                                  code, message):
@@ -389,6 +401,28 @@ def test_non_numeric_value_for_numeric_field_exits_2(tmp_path_factory, target,
     assert code == EXIT_USAGE
     assert "config error" in err
     assert f"{key}=" in err
+
+
+def _takes_floats(typ):
+    return typ is float or any(map(_takes_floats, typing.get_args(typ)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(key=st.sampled_from(sorted(
+           k for k in _KEYS if _takes_floats(_TYPES[_ALIASES.get(k, k)]))),
+       value=st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity",
+                              "-INF"]),
+       listed=st.booleans())
+def test_non_finite_float_exits_2(tmp_path_factory, key, value, listed):
+    # nan and +-inf are refused for every float key, list items included
+    typ = _TYPES[_ALIASES.get(key, key)]
+    if listed and list in map(typing.get_origin, (typ, *typing.get_args(typ))):
+        value = f"0.5,{value}"
+    code, err = _main_stderr(["simulate", "--preset", "dispersion_mode1",
+                              "--out", str(tmp_path_factory.mktemp("out")),
+                              f"{key}={value}"])
+    assert code == EXIT_USAGE
+    assert f"config error: {key}=" in err
 
 
 def _finite(**bounds):

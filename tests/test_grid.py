@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwlab import GridFn, derivative, line, norm, sample, torus
-from fwlab.grid import (read_snapshot_csv, slope_extrema_values, write_csv,
+from fwlab.grid import (_interface_diff, _pad, read_snapshot_csv,
+                        second_difference, slope_extrema_values, write_csv,
                         write_snapshot_csv)
 
 
@@ -196,3 +197,31 @@ def test_periodic_slope_extrema_match_roll_reference(rng):
     assert (m1, xi1) == ((x[0] - x[-1]) / h, 0.0)
     _, _, m2, xi2 = slope_extrema_values(-ramp, h, True, 0.0)
     assert (m2, xi2) == ((x[-1] - x[0]) / h, 0.0)
+
+
+def _second_difference_ref(values, h, periodic):
+    out = np.empty_like(values)
+    if periodic:
+        out[:] = (np.roll(values, -1, axis=0) - 2.0 * values
+                  + np.roll(values, 1, axis=0))
+    else:
+        out[1:-1] = values[2:] - 2.0 * values[1:-1] + values[:-2]
+        out[0] = values[1] - 2.0 * values[0]
+        out[-1] = values[-2] - 2.0 * values[-1]
+    return out / (h * h)
+
+
+@pytest.mark.parametrize("shape", [(37,), (37, 5)])
+@pytest.mark.parametrize("periodic", [True, False])
+def test_boundary_rule_matches_roll_and_concatenate(rng, periodic, shape):
+    # the ghost cells and interface differences give bit for bit what the
+    # roll (torus) and concatenate/diff (line) expressions gave
+    v = rng.normal(size=shape)
+    ghost = (v[-1:], v[:1]) if periodic else (np.zeros_like(v[:1]),) * 2
+    assert np.array_equal(_pad(v, periodic),
+                          np.concatenate((ghost[0], v, ghost[1])))
+    diff = (np.roll(v, -1, axis=0) - v if periodic
+            else np.diff(v, axis=0))
+    assert np.array_equal(_interface_diff(v, periodic), diff)
+    assert np.array_equal(second_difference(v, 0.1, periodic),
+                          _second_difference_ref(v, 0.1, periodic))

@@ -198,7 +198,7 @@ def test_derivative_of_conv_Kprime_bound(rng):
         op = KernelOp(dom, n)
         for _ in range(10):
             u = rng.normal(size=n)
-            du = op.dx_values(op.conv_Kprime_values(u))
+            du = derivative(GridFn(dom, op.conv_Kprime_values(u))).values
             assert np.abs(du).max() <= 2.04 * np.abs(u).max()
 
 
@@ -218,5 +218,4 @@ def test_spectral_multiplier_matches_explicit_nyquist_zeroing(rng, n):
         assert op._ik[-1] != 0
     du, kpu = np.fft.irfft(du_h, n), np.fft.irfft(kpu_h, n)
     assert np.array_equal(derivative(GridFn(torus(), u)).values, du)
-    assert np.array_equal(op.dx_values(u), du)
     assert np.array_equal(op.conv_Kprime_values(u), kpu)

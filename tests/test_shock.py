@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from fwlab import (FVConfig, GridFn, Thresholds, fv_step, godunov_flux,
                    line, norm, run_fv, sample, torus, viscosity_sweep)
+from fwlab.grid import second_difference
+from fwlab.shock import _burgers_update
 
 
 def brute_force_godunov(ul, ur, npts=20001):
@@ -89,11 +91,33 @@ def test_run_fv_zero():
     assert all(np.all(s == 0.0) for s in traj.snapshots)
 
 
-def test_mass_conservation_torus():
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+def test_mass_conservation_torus(eps):
+    # eps > 0 runs the periodic second difference
     u0 = sample("sine", torus(), 256, amplitude=0.3, offset=0.4)
-    traj = run_fv(u0, FVConfig(T=1.0))
+    traj = run_fv(u0, FVConfig(T=1.0, eps=eps))
     mass = traj.series["mass"]
     assert np.abs(mass - mass[0]).max() < 1e-12
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+@pytest.mark.parametrize("periodic", [True, False])
+def test_burgers_update_matches_roll_reference(rng, periodic, eps):
+    # fluxes over the ghost-padded array give bit for bit what the rolled
+    # (torus) and zero-concatenated (line) fluxes gave
+    u = rng.normal(size=64)
+    dt, h = 1e-3, 1.0 / 64
+    if periodic:
+        flux_right = godunov_flux(u, np.roll(u, -1))
+        flux_left = np.roll(flux_right, 1)
+    else:
+        flux = godunov_flux(np.concatenate(([0.0], u)),
+                            np.concatenate((u, [0.0])))
+        flux_left, flux_right = flux[:-1], flux[1:]
+    ref = u - (dt / h) * (flux_right - flux_left)
+    if eps > 0.0:
+        ref = ref + dt * eps * second_difference(u, h, periodic)
+    assert np.array_equal(_burgers_update(u, dt, h, periodic, eps), ref)
 
 
 def test_peakon_transport_crest_speed():

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from fwlab import (FVConfig, KernelOp, b_formula, cusp_profile,
-                   cusp_seed_slope, kernel_eval, kruzhkov_residual, line,
-                   make_test_family, measured_cusp_jump, norm, peakon,
-                   residual_scan, run_fv, sample, tw_defect,
-                   tw_first_integral)
+                   cusp_seed_slope, derivative, kernel_eval,
+                   kruzhkov_residual, line, make_test_family,
+                   measured_cusp_jump, norm, peakon, residual_scan, run_fv,
+                   sample, tw_defect, tw_first_integral, waves)
 from fwlab.trajectory import synthetic_trajectory
 from fwlab.grid import PROFILES
 from fwlab.waves import TravelingWave
@@ -143,9 +143,8 @@ def test_cusp_derivative_matches_defect_away_from_origin():
     # d/dxi of the first integral equals lambda1 K' off the cusp
     from fwlab import kernel_eval
     wave = cusp_profile(1.5)
-    op = KernelOp(wave.profile.domain, wave.profile.n)
     fi = tw_first_integral(wave)
-    D = op.dx_values(fi.values)
+    D = derivative(fi).values
     x = wave.profile.x
     lam1, _ = tw_defect(wave)
     Kp = np.asarray(kernel_eval("Kprime_line", x))
@@ -185,31 +184,33 @@ def test_peakon_translation_under_fv_first_order():
 
 def test_tw_defect_solves_each_term_once(monkeypatch):
     wave = peakon()
-    calls = {"dx_values": 0, "conv_Kprime_values": 0}
+    calls = {"derivative": 0, "conv_Kprime_values": 0}
+    dx, kprime = waves.derivative, KernelOp.conv_Kprime_values
 
-    def counted(name):
-        method = getattr(KernelOp, name)
+    def counted_dx(g):
+        calls["derivative"] += 1
+        return dx(g)
 
-        def wrapper(self, values):
-            calls[name] += 1
-            return method(self, values)
-        return wrapper
+    def counted_kprime(self, values):
+        calls["conv_Kprime_values"] += 1
+        return kprime(self, values)
 
-    for name in calls:
-        monkeypatch.setattr(KernelOp, name, counted(name))
+    monkeypatch.setattr(waves, "derivative", counted_dx)
+    monkeypatch.setattr(KernelOp, "conv_Kprime_values", counted_kprime)
     lam1, mismatch = tw_defect(wave)
-    assert calls == {"dx_values": 1, "conv_Kprime_values": 1}
+    assert calls == {"derivative": 1, "conv_Kprime_values": 1}
 
     # the same fit with each term computed twice, once for D and once for
     # the mismatch scale: reusing the arrays must not change a bit
     op = KernelOp(wave.profile.domain, wave.profile.n)
     x, v = wave.profile.x, wave.profile.values
     W = 0.5 * (v - wave.c) ** 2
-    D = op.dx_values(W) + op.conv_Kprime_values(v)
+    dW = derivative(wave.profile.with_values(W)).values
+    D = dW + op.conv_Kprime_values(v)
     Kp = np.asarray(kernel_eval("Kprime_line", x))
     m = (np.abs(x) > 0.1) & (np.abs(x) < 6.0)
     lam1_ref = float(np.sum(D[m] * Kp[m]) / np.sum(Kp[m] * Kp[m]))
     resid = np.abs(D[m] - lam1_ref * Kp[m]).max()
-    scale = (np.abs(op.dx_values(W))
+    scale = (np.abs(derivative(wave.profile.with_values(W)).values)
              + np.abs(op.conv_Kprime_values(v)))[m].max()
     assert (lam1, mismatch) == (lam1_ref, float(resid / max(scale, 1e-300)))
