@@ -12,9 +12,8 @@ __version__ = "0.1.0"
 from .grid import Domain, GridFn, derivative, line, norm, sample, torus
 from .kernels import KernelOp, conv_K, conv_Kprime, kernel_eval
 from .trajectory import Trajectory
-from .strong import (OverflowAbort, StrongConfig, rhs, run_strong,
-                     scaling_transport, step_rk4)
-from .shock import FVConfig, fv_step, godunov_flux, run_fv, viscosity_sweep
+from .strong import StrongConfig, run_strong, scaling_transport
+from .shock import FVConfig, godunov_flux, run_fv, viscosity_sweep
 from .diagnostics import (BreakingReport, ConservationReport, EntropyReport,
                           KruzhkovPair, TestFn, Thresholds, attach_observation,
                           breaking_precheck, conservation_report,
@@ -31,9 +30,8 @@ __all__ = [
     "Domain", "GridFn", "derivative", "line", "norm", "sample", "torus",
     "KernelOp", "conv_K", "conv_Kprime", "kernel_eval",
     "Trajectory",
-    "OverflowAbort", "StrongConfig", "rhs", "run_strong",
-    "scaling_transport", "step_rk4",
-    "FVConfig", "fv_step", "godunov_flux", "run_fv", "viscosity_sweep",
+    "StrongConfig", "run_strong", "scaling_transport",
+    "FVConfig", "godunov_flux", "run_fv", "viscosity_sweep",
     "BreakingReport", "ConservationReport", "EntropyReport",
     "KruzhkovPair", "TestFn",
     "Thresholds", "attach_observation", "breaking_precheck",

@@ -3,13 +3,15 @@
 Verbs: simulate, breaking, verify, wave, sweep.  Each verb writes its outputs
 and returns its checks; main alone writes report.json and exits 0 if its
 overall_pass holds, else 1.  A command that raises writes no report.json: a
-usage/config error exits 2, a step rejected mid-run exits 1.  Every config
+usage/config error exits 2; a step rejected mid-run, a check with nothing to
+check and a non-finite value bound for a JSON file exit 1.  Every config
 key is a field of Keys (read by the commands themselves), StrongConfig,
 FVConfig or Thresholds, or an alias (_ALIASES); load_config type-checks each
 for every verb and refuses a non-finite float (list items included), and
 Keys rejects an unknown choice, an n or n_list entry below 4, a non-nested
-n_list, a zero bump_amplitude or bump_radius, a T <= 0 and an eps_list that
-is not positive and strictly descending.
+n_list or one of fewer than 3 entries, a zero bump_amplitude or bump_radius,
+a T <= 0 and an eps_list of fewer than 2 entries or not positive and
+strictly descending.
 FWLAB_THREADS caps sweep concurrency.  Outputs are written once and
 atomically renamed into place, so identical config + seed gives
 byte-identical files.
@@ -167,16 +169,19 @@ class Keys:
             raise ValueError(f"steps={self.steps!r}: expected at least 1")
         if not self.T > 0:
             raise ValueError(f"T={self.T!r}: expected T > 0")
+        # a sweep checks the ratios of neighbouring distances and the orders
+        # of neighbouring errors: fewer entries leave a check with no value
         eps = self.eps_list
-        if not (min(eps) > 0 and all(b < a for a, b in zip(eps, eps[1:]))):
-            raise ValueError(f"eps_list={eps!r}: expected positive "
+        if not (len(eps) >= 2 and min(eps) > 0
+                and all(b < a for a, b in zip(eps, eps[1:]))):
+            raise ValueError(f"eps_list={eps!r}: expected at least 2 positive "
                              f"and strictly descending values")
-        if not (min(self.n_list) >= 4
+        if not (len(self.n_list) >= 3 and min(self.n_list) >= 4
                 and all(m < n and n % m == 0
                         for m, n in zip(self.n_list, self.n_list[1:]))):
-            raise ValueError(f"n_list={self.n_list!r}: expected entries of at "
-                             f"least 4, each a larger multiple of the one "
-                             f"before")
+            raise ValueError(f"n_list={self.n_list!r}: expected at least 3 "
+                             f"entries of at least 4, each a larger multiple "
+                             f"of the one before")
 
 
 # config keys that name a dataclass field by another name
@@ -274,7 +279,7 @@ def _atomic_write(path: str, writer) -> None:
 def _write_json(path: str, payload: dict) -> None:
     def w(tmp):
         with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     _atomic_write(path, w)
 
@@ -398,6 +403,9 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
     checks = []
     if keys.check == "stability":
         u0 = _initial_from(cfg, domain, n)
+        if norm(u0, "L1") == 0.0:  # l1_growth divides by it
+            raise ConfigError(f"profile={keys.profile!r}: the stability check "
+                              f"needs initial data with a nonzero L1 norm")
         bump_cfg = {"profile": "bump", "profile.amplitude": keys.bump_amplitude,
                     "profile.center": keys.bump_center,
                     "profile.radius": keys.bump_radius}
@@ -544,8 +552,8 @@ def cmd_sweep(cfg: dict, out: str) -> list[dict]:
         orders = [math.log2(e0 / e1) for (_, _, e0), (_, _, e1)
                   in zip(errs, errs[1:])]
         ok = all(0.7 <= o <= 1.2 for o in orders)
-        checks.append(_check("l1_self_convergence_order", ok or not orders,
-                             orders, "[0.7, 1.2]"))
+        checks.append(_check("l1_self_convergence_order", ok, orders,
+                             "[0.7, 1.2]"))
         columns = [[e[i] for e in errs] for i in range(3)]
         columns.append([math.nan] + orders)
         _atomic_write(os.path.join(out, "convergence.csv"),
@@ -586,14 +594,14 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.preset, args.overrides)
         checks = dispatch[args.command](cfg, args.out)
+        report = _report(args.command, cfg, checks)
+        _write_json(os.path.join(args.out, "report.json"), report)
     except ConfigError as exc:
         print(f"fwlab: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"fwlab: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    report = _report(args.command, cfg, checks)
-    _write_json(os.path.join(args.out, "report.json"), report)
     return EXIT_OK if report["overall_pass"] else EXIT_CHECK_FAILED
 
 

@@ -214,7 +214,7 @@ class KruzhkovPair:
     """Entropy |z - lam| with flux sgn(z - lam)(z^2 - lam^2)/2.
 
     The flux is the unique (up to constants) Q with Q'(z) = eta'(z) z.
-    ``lam`` may be an array, e.g. a column of lambdas, and every method then
+    ``lam`` may be an array, e.g. a column of lambdas, and ``terms`` then
     broadcasts it against z.
     """
 
@@ -238,14 +238,6 @@ class KruzhkovPair:
         np.subtract(z * z, self.lam ** 2, out=work)
         np.multiply(q, work, out=q)
         return eta, q, sgn
-
-    # [()] turns the 0-d result of a scalar z and lam into a scalar
-
-    def eta(self, z):
-        return self.terms(z)[0][()]
-
-    def flux(self, z):
-        return self.terms(z)[1][()]
 
 
 @dataclass(frozen=True)
@@ -456,21 +448,23 @@ def entropy_report(traj: Trajectory, lambdas=None, family=None,
     if lambdas is None:
         lambdas = np.linspace(-1.5 * max(linf, 1e-6), 1.5 * max(linf, 1e-6), 9)
     _validate_family(traj, family, need_zero_at_t0=True)
+    # the snapshot nearest each Oleinik time up to t_end; at t = 0 the bound
+    # says nothing, and with no snapshot left the check would pass vacuously
+    nearest = (int(np.argmin(np.abs(traj.snap_times - t)))
+               for t in oleinik_times if t <= t_end + 1e-12)
+    checked = [(i, float(traj.snap_times[i])) for i in nearest
+               if traj.snap_times[i] > 0]
+    if not checked:
+        raise ValueError(f"oleinik_times={tuple(oleinik_times)!r}, "
+                         f"t_end={t_end!r}: no snapshot in (0, t_end] is the "
+                         f"nearest to one of these times")
     w, mat = _residuals(traj, family, lambdas)
     wr = float(np.abs(w).max(initial=0.0))
     kr = float(mat.min())
     u0_l1 = norm(u0, "L1")
-    margin = math.inf
-    scale = 1.0
-    for t in oleinik_times:
-        if t > t_end + 1e-12:
-            continue
-        i = int(np.argmin(np.abs(traj.snap_times - t)))
-        ti = float(traj.snap_times[i])
-        if ti <= 0:
-            continue
-        margin = min(margin, oleinik_check(traj.snapshot(i), ti, u0_l1))
-        scale = max(scale, oleinik_coefficient(ti, u0_l1))
+    margin = min(oleinik_check(traj.snapshot(i), ti, u0_l1)
+                 for i, ti in checked)
+    scale = max([1.0] + [oleinik_coefficient(ti, u0_l1) for _, ti in checked])
     passes = {
         "weak": wr <= thresholds.weak_tol,
         "kruzhkov": kr >= -thresholds.kruzhkov_tol,

@@ -29,7 +29,6 @@ __all__ = [
     "slope_extrema_values",
     "write_csv",
     "write_snapshot_csv",
-    "read_snapshot_csv",
 ]
 
 
@@ -99,29 +98,13 @@ class GridFn:
     def x(self) -> np.ndarray:
         return self.domain.cell_centers(self.n)
 
-    def compatible(self, other: "GridFn") -> bool:
-        return self.domain == other.domain and self.n == other.n
-
     def with_values(self, values: np.ndarray) -> "GridFn":
         return GridFn(self.domain, values)
 
-    def __add__(self, other):
-        if isinstance(other, GridFn):
-            self._check(other)
-            return GridFn(self.domain, self.values + other.values)
-        return GridFn(self.domain, self.values + other)
-
-    def __mul__(self, alpha):
-        if isinstance(alpha, GridFn):
-            self._check(alpha)
-            return GridFn(self.domain, self.values * alpha.values)
+    def __mul__(self, alpha: float) -> "GridFn":
         return GridFn(self.domain, self.values * alpha)
 
     __rmul__ = __mul__
-
-    def _check(self, other: "GridFn"):
-        if not self.compatible(other):
-            raise ValueError("incompatible grids: domain and n must match")
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +298,3 @@ def write_csv(path, header, columns) -> None:
 def write_snapshot_csv(g: GridFn, path) -> None:
     """Snapshot CSV with header x,u."""
     write_csv(path, ("x", "u"), (g.x, g.values))
-
-
-def read_snapshot_csv(path, domain: Domain) -> GridFn:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    return GridFn(domain, data[:, 1])

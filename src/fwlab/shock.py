@@ -20,7 +20,7 @@ from .grid import GridFn, _pad, second_difference
 from .kernels import KernelOp
 from .trajectory import Trajectory, _Recorder, march
 
-__all__ = ["FVConfig", "godunov_flux", "fv_step", "run_fv", "viscosity_sweep"]
+__all__ = ["FVConfig", "godunov_flux", "run_fv", "viscosity_sweep"]
 
 _TINY = 1e-12
 
@@ -81,20 +81,6 @@ def _dt_bound(u: np.ndarray, h: float, cfl: float, eps: float) -> float:
     return min(dt, 0.4 * h * h / eps) if eps > 0.0 else dt
 
 
-def _check_cfl(u: np.ndarray, dt: float, h: float, cfl: float, eps: float):
-    if dt > _dt_bound(u, h, cfl, eps) * (1.0 + 1e-9):
-        raise ValueError("time step too large")
-
-
-def fv_step(u: GridFn, dt: float, cfg: FVConfig) -> GridFn:
-    """One flux-splitting step (CFL-checked)."""
-    _check_cfl(u.values, dt, u.h, cfg.cfl, cfg.eps)
-    out = _step_values(u.values, dt, KernelOp(u.domain, u.n), cfg)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("numerical overflow in fv_step")
-    return u.with_values(out)
-
-
 def _source_update(u: np.ndarray, tau: float, op: KernelOp) -> np.ndarray:
     # explicit midpoint for u' = -K'*u
     mid = u - 0.5 * tau * op.conv_Kprime_values(u)
@@ -127,11 +113,12 @@ def run_fv(u0: GridFn, cfg: FVConfig) -> Trajectory:
     def next_dt(t, u):
         if t >= cfg.T - 1e-13:
             return None
-        if cfg.dt is not None:
-            dt = min(cfg.dt, cfg.T - t)
-            _check_cfl(u, dt, h, cfg.cfl, cfg.eps)
-        else:
-            dt = min(_dt_bound(u, h, cfg.cfl, cfg.eps), cfg.T - t)
+        bound = _dt_bound(u, h, cfg.cfl, cfg.eps)
+        if cfg.dt is None:
+            return min(bound, cfg.T - t)
+        dt = min(cfg.dt, cfg.T - t)
+        if dt > bound * (1.0 + 1e-9):
+            raise ValueError("time step too large")
         return dt
 
     traj = march(u0.values, rec, next_dt,

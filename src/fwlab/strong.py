@@ -18,12 +18,7 @@ from .grid import GridFn, _central_dx
 from .kernels import KernelOp
 from .trajectory import Trajectory, _Recorder, march
 
-__all__ = ["StrongConfig", "OverflowAbort", "rhs", "step_rk4", "run_strong",
-           "scaling_transport"]
-
-
-class OverflowAbort(RuntimeError):
-    """Raised when a step produces non-finite values (numerical blow-up)."""
+__all__ = ["StrongConfig", "run_strong", "scaling_transport"]
 
 
 @dataclass(frozen=True)
@@ -120,13 +115,6 @@ def _make_rhs(op: KernelOp, lam: float, dealias: bool, advect: str):
     return f
 
 
-def rhs(u: GridFn, lam: float, dealias: bool = True,
-        advect: str = "central") -> GridFn:
-    """Semi-discrete right-hand side -lam u u_x - K'*u."""
-    f = _make_rhs(KernelOp(u.domain, u.n), lam, dealias, advect)
-    return u.with_values(f(u.values, np.empty(u.n)))
-
-
 def _rk4(f, n: int):
     """Return step(u, dt): one classical RK4 step of u' = f(u, out) on n
     values, as a fresh array.  The stages live in buffers reused from step
@@ -144,20 +132,6 @@ def _rk4(f, n: int):
         np.add(v, k4, out=v)
         return u + np.multiply(dt / 6.0, v, out=v)
     return step
-
-
-def step_rk4(u: GridFn, dt: float, lam: float, dealias: bool = True,
-             advect: str = "central") -> GridFn:
-    """One classical RK4 step; raises OverflowAbort on non-finite output."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    f = _make_rhs(KernelOp(u.domain, u.n), lam, dealias, advect)
-    # overflow here is detected and reported, not a numerical accident
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _rk4(f, u.n)(u.values, dt)
-    if not np.all(np.isfinite(out)):
-        raise OverflowAbort("numerical overflow: the step is not finite")
-    return u.with_values(out)
 
 
 def run_strong(u0: GridFn, cfg: StrongConfig) -> Trajectory:

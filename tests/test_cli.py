@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import typing
 from dataclasses import fields
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwlab import FVConfig, StrongConfig, Thresholds
+from fwlab import FVConfig, StrongConfig, Thresholds, cli
 from fwlab.cli import (_ALIASES, _KEYS, _TYPES, EXIT_CHECK_FAILED, EXIT_OK,
                        EXIT_USAGE, ConfigError, Keys, _config_from,
                        load_config, main, parse_config_text)
@@ -332,6 +333,17 @@ def test_exit_code_contract_on_check_failure(tmp_path):
      "snapshot_stride=0"),
     ("simulate", "conservation_sine", ["snapshot_stride=-3"], EXIT_USAGE,
      "snapshot_stride=-3"),
+    # too short a sweep list left a check judging an empty list of values
+    ("sweep", "convergence_peakon", ["n_list=2000,4000"], EXIT_USAGE,
+     "n_list=[2000, 4000]"),
+    ("sweep", "viscosity_sweep", ["eps_list=1e-2"], EXIT_USAGE,
+     "eps_list=[0.01]"),
+    # no Oleinik time in (0, T] left the margin at Infinity, passing
+    ("verify", "riemann_entropy", ["T=0.2", "n=1000"], EXIT_CHECK_FAILED,
+     "oleinik_times=(0.25, 0.5, 1.0)"),
+    # l1_growth divides by the L1 norm of u0: zero data gave NaN
+    ("verify", "l1_stability", ["profile=zero", "n=400"], EXIT_USAGE,
+     "profile='zero'"),
 ])
 def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
                                  code, message):
@@ -342,6 +354,17 @@ def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
     err = capsys.readouterr().err
     assert message in err
     assert ("config error" in err) == (code == EXIT_USAGE)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_report_value_exits_1_without_report(tmp_path, monkeypatch,
+                                                        bad):
+    # json.dump would write NaN or Infinity, which is not JSON
+    monkeypatch.setattr(cli, "cmd_wave",
+                        lambda cfg, out: [cli._check("x", True, bad, 0.0)])
+    code, out = run_cli(tmp_path, "wave", "--preset", "wave_peakon")
+    assert code == EXIT_CHECK_FAILED
+    assert not list(out.rglob("*"))
 
 
 def _main_stderr(argv):

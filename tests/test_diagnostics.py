@@ -473,9 +473,9 @@ def test_kruzhkov_pair_flux_identity():
         ds = (z - pair.lam) / N
         mids = pair.lam + (np.arange(N) + 0.5) * ds
         q_oracle = np.sum(np.sign(mids - pair.lam) * mids) * ds
-        assert pair.flux(z) == pytest.approx(q_oracle, abs=1e-8)
+        assert float(pair.terms(z)[1]) == pytest.approx(q_oracle, abs=1e-8)
     # eta is convex with a single kink at lam
     z = np.linspace(-3, 3, 1001)
-    eta = pair.eta(z)
+    eta = pair.terms(z)[0]
     assert np.all(eta >= 0)
     assert np.all(np.diff(eta, 2) >= -1e-12)

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwlab import GridFn, derivative, line, norm, sample, torus
-from fwlab.grid import (_interface_diff, _pad, read_snapshot_csv,
-                        second_difference, slope_extrema_values, write_csv,
-                        write_snapshot_csv)
+from fwlab.grid import (_interface_diff, _pad, second_difference,
+                        slope_extrema_values, write_csv, write_snapshot_csv)
 
 
 def test_sample_zero_is_zero():
@@ -92,7 +91,8 @@ def test_norm_triangle_inequality(rng):
         f = GridFn(line(-5, 5), rng.normal(size=64))
         g = GridFn(line(-5, 5), rng.normal(size=64))
         for which in ("L1", "L2", "Linf"):
-            assert norm(f + g, which) <= norm(f, which) + norm(g, which) + 1e-12
+            fg = f.with_values(f.values + g.values)
+            assert norm(fg, which) <= norm(f, which) + norm(g, which) + 1e-12
 
 
 def test_derivative_constant():
@@ -139,10 +139,6 @@ def test_quadrature_second_order():
 def test_gridfn_validation():
     with pytest.raises(ValueError):
         GridFn(torus(), np.array([1.0, np.inf, 0.0, 0.0]))
-    f = GridFn(torus(), np.zeros(8))
-    g = GridFn(torus(), np.zeros(16))
-    with pytest.raises(ValueError, match="incompatible"):
-        _ = f + g
 
 
 def test_gridfn_immutable():
@@ -155,8 +151,8 @@ def test_snapshot_csv_roundtrip(tmp_path):
     g = sample("gaussian", line(-5, 5), 64, amplitude=0.7)
     path = tmp_path / "snap.csv"
     write_snapshot_csv(g, path)
-    back = read_snapshot_csv(path, g.domain)
-    assert np.allclose(back.values, g.values, rtol=0, atol=0)
+    back = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(back, np.column_stack([g.x, g.values]))
     header = path.read_text().splitlines()[0]
     assert header == "x,u"
 

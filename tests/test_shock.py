@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwlab import (FVConfig, GridFn, Thresholds, fv_step, godunov_flux,
-                   line, norm, run_fv, sample, torus, viscosity_sweep)
+from fwlab import (FVConfig, Thresholds, godunov_flux, line, norm, run_fv,
+                   sample, torus, viscosity_sweep)
 from fwlab.grid import second_difference
 from fwlab.shock import _burgers_update
 
@@ -36,25 +36,27 @@ def test_godunov_flux_matches_brute_force(ul, ur):
 
 
 def test_fv_step_zero_and_constant():
+    # one fixed-dt step of run_fv
     dom = torus()
-    cfg = FVConfig(T=1.0)
+    cfg = FVConfig(T=1e-3, dt=1e-3)
     z = sample("zero", dom, 64)
-    assert np.all(fv_step(z, 1e-3, cfg).values == 0.0)
+    assert np.all(run_fv(z, cfg).snapshots[-1] == 0.0)
     c = sample("constant", dom, 64, value=0.8)
-    out = fv_step(c, 1e-3, cfg)
-    assert np.abs(out.values - 0.8).max() < 1e-14
+    out = run_fv(c, cfg)
+    assert out.times.tolist() == [0.0, 1e-3]
+    assert np.abs(out.snapshots[-1] - 0.8).max() < 1e-14
 
 
 def test_fv_step_cfl_guard():
     dom = line(-5, 5)
     u = sample("constant", dom, 100, value=2.0)
-    cfg = FVConfig(T=1.0, cfl=0.45)
+    cfg = FVConfig(T=1.0, cfl=0.45, dt=1.0)
     with pytest.raises(ValueError, match="time step too large"):
-        fv_step(u, 1.0, cfg)
+        run_fv(u, cfg)
     # viscous stability bound dt <= 0.4 h^2 / eps
-    cfg_eps = FVConfig(T=1.0, eps=1.0)
+    cfg_eps = FVConfig(T=1.0, eps=1.0, dt=0.9 * 0.45 * u.h / 2.0)
     with pytest.raises(ValueError, match="time step too large"):
-        fv_step(u, 0.9 * 0.45 * u.h / 2.0, cfg_eps)
+        run_fv(u, cfg_eps)
 
 
 def test_lie_splitting_conserves_mass_and_is_first_order_off_strang():

@@ -4,24 +4,36 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded
 
-from fwlab import (GridFn, KernelOp, OverflowAbort, StrongConfig,
-                   conv_Kprime, line, norm, rhs, run_strong, sample,
-                   scaling_transport, step_rk4, torus)
+from fwlab import (GridFn, KernelOp, StrongConfig, conv_Kprime, line, norm,
+                   run_strong, sample, scaling_transport, torus)
 from fwlab.diagnostics import (convolution_bound_margin,
                                slope_inequality_fractions)
 from fwlab.strong import _make_rhs, _rk4
 
 
+def _rhs(u, lam, dealias=True, advect="central"):
+    """The semi-discrete right-hand side -lam u u_x - K'*u of u."""
+    f = _make_rhs(KernelOp(u.domain, u.n), lam, dealias, advect)
+    return f(u.values, np.empty(u.n))
+
+
+def _one_step(u, dt, lam, dealias=True, advect="central"):
+    """The state after one RK4 step of run_strong."""
+    cfg = StrongConfig(dt=dt, T=dt, lambda_coeff=lam, dealias=dealias,
+                       advect=advect)
+    return run_strong(u, cfg).snapshots[-1]
+
+
 def test_rhs_zero():
     z = sample("zero", torus(), 256)
-    assert np.abs(rhs(z, 1.0).values).max() == 0.0
+    assert np.abs(_rhs(z, 1.0)).max() == 0.0
 
 
 def test_rhs_constant_is_steady():
     c = sample("constant", torus(), 256, value=0.7)
-    assert np.abs(rhs(c, 1.0).values).max() < 1e-13
-    stepped = step_rk4(c, 1e-2, 1.0)
-    assert np.abs(stepped.values - 0.7).max() < 1e-13
+    assert np.abs(_rhs(c, 1.0)).max() < 1e-13
+    stepped = _one_step(c, 1e-2, 1.0)
+    assert np.abs(stepped - 0.7).max() < 1e-13
 
 
 def test_linear_mode_phase_speed():
@@ -39,13 +51,6 @@ def test_linear_mode_phase_speed():
     assert abs(speed - 1.0 / (1.0 + 4.0 * math.pi ** 2)) < 1e-6
 
 
-def test_step_rk4_zero_and_errors():
-    z = sample("zero", torus(), 256)
-    assert np.all(step_rk4(z, 0.1, 1.0).values == 0.0)
-    with pytest.raises(ValueError):
-        step_rk4(z, -0.1, 1.0)
-
-
 def test_step_rk4_order():
     # Richardson oracle: global error at fixed T drops ~16x when dt halves
     # (per-step defect against two half-steps is O(dt^5))
@@ -54,10 +59,7 @@ def test_step_rk4_order():
     T = 0.1
 
     def advance(dt):
-        v = u
-        for _ in range(int(round(T / dt))):
-            v = step_rk4(v, dt, 1.0)
-        return v.values
+        return run_strong(u, StrongConfig(dt=dt, T=T)).snapshots[-1]
 
     ref = advance(T / 256)
     e1 = np.abs(advance(T / 8) - ref).max()
@@ -65,8 +67,8 @@ def test_step_rk4_order():
     assert 16 * 0.8 < e1 / e2 < 16 * 1.2
 
     def local_defect(dt):
-        one = step_rk4(u, dt, 1.0).values
-        half = step_rk4(step_rk4(u, dt / 2, 1.0), dt / 2, 1.0).values
+        one = run_strong(u, StrongConfig(dt=dt, T=dt)).snapshots[-1]
+        half = run_strong(u, StrongConfig(dt=dt / 2, T=dt)).snapshots[-1]
         return np.abs(one - half).max()
 
     # per-step defect against two half-steps is O(dt^5): ratio ~ 32
@@ -139,12 +141,6 @@ def test_overflow_abort_line(advect):
     assert np.all(np.isfinite(traj.snapshots[-1]))
 
 
-def test_step_rk4_raises_overflow_abort():
-    u = sample("gaussian", line(-8, 8), 512, amplitude=1e160)
-    with pytest.raises(OverflowAbort, match="numerical overflow"):
-        step_rk4(u, 0.01, 1.0)
-
-
 def _central_dx_ref(v, h):
     d = np.empty_like(v)
     d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
@@ -185,9 +181,9 @@ def test_buffered_line_rhs_and_rk4_are_bit_identical(advect):
     op = KernelOp(dom, n)
     x = dom.cell_centers(n)
     u = GridFn(dom, 1.5 * np.sin(1.7 * x) * np.exp(-(x / 3.0) ** 2) + 0.2)
-    assert np.array_equal(rhs(u, lam, advect=advect).values,
+    assert np.array_equal(_rhs(u, lam, advect=advect),
                           _rhs_ref(u.values, lam, op, advect))
-    assert np.array_equal(step_rk4(u, dt, lam, advect=advect).values,
+    assert np.array_equal(_one_step(u, dt, lam, advect=advect),
                           _rk4_ref(lambda v: _rhs_ref(v, lam, op, advect),
                                    u.values, dt))
     step = _rk4(_make_rhs(op, lam, True, advect), n)
@@ -233,9 +229,8 @@ def test_buffered_torus_rhs_and_rk4_are_bit_identical(n, dealias, lam):
     def ref(v):
         return _torus_rhs_ref(v, lam, op, dealias)
 
-    assert np.array_equal(rhs(u, lam, dealias=dealias).values,
-                          ref(u.values))
-    assert np.array_equal(step_rk4(u, dt, lam, dealias=dealias).values,
+    assert np.array_equal(_rhs(u, lam, dealias=dealias), ref(u.values))
+    assert np.array_equal(_one_step(u, dt, lam, dealias=dealias),
                           _rk4_ref(ref, u.values, dt))
     step = _rk4(_make_rhs(op, lam, dealias, "central"), n)
     v = w = u.values
