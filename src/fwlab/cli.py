@@ -11,7 +11,10 @@ for every verb and refuses a non-finite float (list items included), and
 Keys rejects an unknown choice, an n or n_list entry below 4, a non-nested
 n_list or one of fewer than 3 entries, a zero bump_amplitude or bump_radius,
 a T <= 0 and an eps_list of fewer than 2 entries or not positive and
-strictly descending.
+strictly descending.  Every verb builds its solver config (the one the
+solver key names; FVConfig for sweep) before any work, so a bad solver key
+exits 2 also where no run follows.  simulate, breaking and sweep keep only
+the first and last snapshot of a run, which is all they read.
 FWLAB_THREADS caps sweep concurrency.  Outputs are written once and
 atomically renamed into place, so identical config + seed gives
 byte-identical files.
@@ -27,20 +30,21 @@ import sys
 import tempfile
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
 
 from . import __version__
-from .diagnostics import (Thresholds, attach_observation, breaking_precheck,
-                          conservation_report, entropy_report, envelope_check,
-                          l1_stability_check)
+from .diagnostics import (L1StabilityRatio, Thresholds, attach_observation,
+                          breaking_precheck, conservation_report,
+                          entropy_report, envelope_check, oleinik_reach)
 from .grid import (Domain, GridFn, line, norm, sample, torus, write_csv,
                    write_snapshot_csv)
 from .shock import FVConfig, run_fv, viscosity_sweep
 from .strong import StrongConfig, run_strong
-from .trajectory import Trajectory, synthetic_trajectory, write_series_csv
+from .trajectory import (Trajectory, ends_only, synthetic_trajectory,
+                         write_series_csv)
 from .waves import (b_formula, cusp_fit_masks, cusp_profile, defect_fit_mask,
                     measured_cusp_jump, peakon, tw_defect, tw_first_integral)
 
@@ -256,10 +260,17 @@ def _initial_from(cfg: dict, domain: Domain, n: int) -> GridFn:
         raise ConfigError(str(exc)) from exc
 
 
-def _run_from(solver: str, cfg: dict, u0: GridFn) -> Trajectory:
-    if solver == "strong":
-        return run_strong(u0, _config_from(StrongConfig, cfg))
-    return run_fv(u0, _config_from(FVConfig, cfg))
+def _solver_config(solver: str, cfg: dict, **defaults):
+    """The StrongConfig or FVConfig of cfg.  Every verb builds the one its
+    solver key names before any work, so a bad solver key exits 2 even
+    where no run follows."""
+    cls = StrongConfig if solver == "strong" else FVConfig
+    return _config_from(cls, cfg, **defaults)
+
+
+def _run_from(scfg, u0: GridFn, sink=None) -> Trajectory:
+    run = run_strong if isinstance(scfg, StrongConfig) else run_fv
+    return run(u0, scfg, sink)
 
 
 def _atomic_write(path: str, writer) -> None:
@@ -323,9 +334,10 @@ def _emit_outputs(traj: Trajectory, out: str) -> None:
 
 def cmd_simulate(cfg: dict, out: str) -> list[dict]:
     keys = _config_from(Keys, cfg)
+    scfg = ends_only(_solver_config(keys.solver, cfg))  # reads the ends only
     domain = _domain_from(keys)
     u0 = _initial_from(cfg, domain, keys.n)
-    traj = _run_from(keys.solver, cfg, u0)
+    traj = _run_from(scfg, u0)
     _emit_outputs(traj, out)
     thr = _config_from(Thresholds, cfg)
     cons = conservation_report(traj)
@@ -363,6 +375,9 @@ def cmd_breaking(cfg: dict, out: str) -> list[dict]:
         raise ConfigError(f"solver={keys.solver!r}: the blow-up time is read "
                           f"from a strong run's stop_slope")
     domain = _domain_from(keys)
+    advect = "upwind" if not domain.periodic else "central"
+    # reads the ends and the series only
+    scfg = ends_only(_solver_config(keys.solver, cfg, advect=advect))
     u0 = _initial_from(cfg, domain, keys.n)
     report = breaking_precheck(u0)
     checks = [_check("precheck", True, {"S": report.S, "m1_0": report.m1_0,
@@ -374,9 +389,9 @@ def cmd_breaking(cfg: dict, out: str) -> list[dict]:
                "condition_met": report.condition_met, "M0": report.M0,
                "t_star": report.t_star, "t_observed": None}
     if report.condition_met and report.t_star is not None:
-        cfg.setdefault("solver", keys.solver)
-        cfg.setdefault("advect", "upwind" if not domain.periodic else "central")
-        traj = _run_from(keys.solver, cfg, u0)
+        cfg.setdefault("solver", keys.solver)  # report.json names both
+        cfg.setdefault("advect", advect)
+        traj = _run_from(scfg, u0)
         attach_observation(report, traj)
         payload["t_observed"] = report.t_observed
         ok_obs = (report.t_observed is not None
@@ -397,6 +412,7 @@ def cmd_breaking(cfg: dict, out: str) -> list[dict]:
 
 def cmd_verify(cfg: dict, out: str) -> list[dict]:
     keys = _config_from(Keys, cfg, n=4000)
+    scfg = _solver_config(keys.solver, cfg)
     domain = _domain_from(keys)
     n = keys.n
     thr = _config_from(Thresholds, cfg)
@@ -411,11 +427,14 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
                     "profile.radius": keys.bump_radius}
         bump = _initial_from(bump_cfg, domain, n)
         v0 = GridFn(domain, u0.values + bump.values)
-        if keys.solver == "fv":  # one fixed dt, so the runs share snap times
-            cfg = {"dt": 0.45 * u0.h / (2.0 + norm(u0, "Linf")), **cfg}
-        tu = _run_from(keys.solver, cfg, u0)
-        tv = _run_from(keys.solver, cfg, v0)
-        ratio = l1_stability_check(tu, tv)
+        if keys.solver == "fv" and scfg.dt is None:
+            # one fixed dt, so the runs share snap times
+            scfg = replace(scfg, dt=0.45 * u0.h / (2.0 + norm(u0, "Linf")))
+        tu = _run_from(scfg, u0)
+        # v's snapshots are compared as they are recorded, not stored
+        stream = L1StabilityRatio(tu)
+        tv = _run_from(scfg, v0, sink=stream)
+        ratio = stream.value()
         checks.append(_check("l1_stability_ratio", ratio <= thr.l1_ratio_tol,
                              ratio, thr.l1_ratio_tol))
         growth = max(tu.series["l1"] / (np.exp(tu.times) * tu.series["l1"][0]))
@@ -423,6 +442,8 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
                              float(growth), thr.l1_ratio_tol))
         return checks + _short_runs(tu, tv)
 
+    # a run ending before every Oleinik time is refused before it starts
+    oleinik_reach(keys.T if keys.trajectory == "upjump" else scfg.T)
     if keys.trajectory == "upjump":
         # stationary non-entropic expansion shock (-1 -> +1), source off
         traj = synthetic_trajectory(
@@ -430,7 +451,7 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
             lambda x, t: np.where(x < keys.jump_at, -1.0, 1.0))
     else:
         u0 = _initial_from(cfg, domain, n)
-        traj = _run_from(keys.solver, cfg, u0)
+        traj = _run_from(scfg, u0)
     rep = entropy_report(traj, lambdas=keys.lambdas, thresholds=thr)
     cons = conservation_report(traj)
     checks.append(_check("weak_residual", rep.passes["weak"],
@@ -458,6 +479,7 @@ def cmd_wave(cfg: dict, out: str) -> list[dict]:
     kind, n, window = keys.kind, keys.n, (keys.a, keys.b)
     if kind not in ("peakon", "cusp"):
         raise ConfigError("wave kind must be 'peakon' or 'cusp'")
+    _solver_config(keys.solver, cfg)  # no run, but its keys are checked
     try:
         defect_fit_mask(line(*window), n)
     except ValueError as exc:
@@ -534,7 +556,7 @@ def cmd_sweep(cfg: dict, out: str) -> list[dict]:
                       lambda tmp: write_csv(tmp, ("eps", "l1_distance"),
                                             ([e for e, _ in pairs], dists)))
     elif keys.kind == "resolution":
-        fcfg = _config_from(FVConfig, cfg, snapshot_stride=10 ** 9)
+        fcfg = ends_only(_config_from(FVConfig, cfg))  # reads the ends only
 
         def one(n):
             u0 = _initial_from(cfg, domain, n)

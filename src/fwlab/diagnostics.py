@@ -37,6 +37,8 @@ __all__ = [
     "oleinik_coefficient",
     "oleinik_check",
     "l1_stability_check",
+    "L1StabilityRatio",
+    "oleinik_reach",
     "TestFn",
     "KruzhkovPair",
     "make_test_family",
@@ -188,6 +190,39 @@ def oleinik_check(u_t: GridFn, t: float, u0_l1: float) -> float:
 # ---------------------------------------------------------------------------
 # L1 stability between two runs
 
+class L1StabilityRatio:
+    """max over snapshot times of |u(t)-v(t)|_1 / (e^t |u0-v0|_1), with u a
+    stored run and v streamed: called as a run's snapshot sink (see
+    ``trajectory._Recorder``), ``(t, v)`` for each snapshot of v in order,
+    it compares v with u's snapshot at the same time, so only u's
+    snapshots are held.  ``value()`` is the ratio once all are matched."""
+
+    def __init__(self, traj_u: Trajectory):
+        self._u = traj_u
+        self._k = 0  # the next snapshot of u to match
+        self._d0 = None
+        self._ratio = 0.0
+
+    def __call__(self, t: float, v: np.ndarray) -> None:
+        u, k = self._u, self._k
+        if k >= u.snap_times.size or not abs(t - u.snap_times[k]) <= 1e-11:
+            raise ValueError("mismatched trajectories: snapshot times differ")
+        d = u.h * np.abs(u.snapshots[k] - v).sum()
+        if k == 0:
+            if d == 0.0:
+                raise ValueError("u0 and v0 coincide; stability ratio "
+                                 "undefined")
+            self._d0 = d
+        self._ratio = max(self._ratio,
+                          d / (math.exp(u.snap_times[k]) * self._d0))
+        self._k += 1
+
+    def value(self) -> float:
+        if self._k != self._u.snap_times.size:
+            raise ValueError("mismatched trajectories: snapshot times differ")
+        return float(self._ratio)
+
+
 def l1_stability_check(traj_u: Trajectory, traj_v: Trajectory) -> float:
     """max over shared snapshot times of |u(t)-v(t)|_1 / (e^t |u0-v0|_1)."""
     if traj_u.domain != traj_v.domain or traj_u.n != traj_v.n:
@@ -195,15 +230,10 @@ def l1_stability_check(traj_u: Trajectory, traj_v: Trajectory) -> float:
     tu, tv = traj_u.snap_times, traj_v.snap_times
     if tu.size != tv.size or not np.allclose(tu, tv, rtol=0, atol=1e-11):
         raise ValueError("mismatched trajectories: snapshot times differ")
-    h = traj_u.h
-    d0 = h * np.abs(traj_u.snapshots[0] - traj_v.snapshots[0]).sum()
-    if d0 == 0.0:
-        raise ValueError("u0 and v0 coincide; stability ratio undefined")
-    ratio = 0.0
-    for t, su, sv in zip(tu, traj_u.snapshots, traj_v.snapshots):
-        d = h * np.abs(su - sv).sum()
-        ratio = max(ratio, d / (math.exp(t) * d0))
-    return float(ratio)
+    ratio = L1StabilityRatio(traj_u)
+    for t, v in zip(tv, traj_v.snapshots):
+        ratio(t, v)
+    return ratio.value()
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +466,22 @@ class EntropyReport:
     passes: dict = field(default_factory=dict)
 
 
+OLEINIK_TIMES = (0.25, 0.5, 1.0)
+
+
+def oleinik_reach(t_end: float, oleinik_times=OLEINIK_TIMES) -> list:
+    """The Oleinik times up to t_end.  With none the Oleinik check would
+    pass vacuously, so that raises ValueError; given T, this refuses a run
+    before it starts."""
+    reached = [t for t in oleinik_times if t <= t_end + 1e-12]
+    if not reached:
+        raise ValueError(f"oleinik_times={tuple(oleinik_times)!r}, "
+                         f"t_end={t_end!r}: no Oleinik time up to t_end")
+    return reached
+
+
 def entropy_report(traj: Trajectory, lambdas=None, family=None,
-                   oleinik_times=(0.25, 0.5, 1.0),
+                   oleinik_times=OLEINIK_TIMES,
                    thresholds: Thresholds = Thresholds()) -> EntropyReport:
     """Weak + Kruzhkov + Oleinik checks on one trajectory."""
     t_end = float(traj.snap_times[-1])
@@ -451,7 +495,7 @@ def entropy_report(traj: Trajectory, lambdas=None, family=None,
     # the snapshot nearest each Oleinik time up to t_end; at t = 0 the bound
     # says nothing, and with no snapshot left the check would pass vacuously
     nearest = (int(np.argmin(np.abs(traj.snap_times - t)))
-               for t in oleinik_times if t <= t_end + 1e-12)
+               for t in oleinik_reach(t_end, oleinik_times))
     checked = [(i, float(traj.snap_times[i])) for i in nearest
                if traj.snap_times[i] > 0]
     if not checked:

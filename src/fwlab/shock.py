@@ -18,7 +18,7 @@ import numpy as np
 
 from .grid import GridFn, _pad, second_difference
 from .kernels import KernelOp
-from .trajectory import Trajectory, _Recorder, march
+from .trajectory import Trajectory, _Recorder, ends_only, march
 
 __all__ = ["FVConfig", "godunov_flux", "run_fv", "viscosity_sweep"]
 
@@ -100,15 +100,17 @@ def _step_values(u: np.ndarray, dt: float, op: KernelOp,
     return _source_update(u, 0.5 * dt, op)
 
 
-def run_fv(u0: GridFn, cfg: FVConfig) -> Trajectory:
+def run_fv(u0: GridFn, cfg: FVConfig, sink=None) -> Trajectory:
     """March to T with dt adapted from the CFL condition each step.
 
     With cfg.dt set the step is fixed instead (and validated against the CFL
     bound every step).  Slope extrema are recorded from one-sided differences.
+    A sink receives the snapshots in place of the trajectory (see
+    ``_Recorder``).
     """
     op = KernelOp(u0.domain, u0.n)
     h = u0.h
-    rec = _Recorder(u0.domain, u0.n, cfg.snapshot_stride)
+    rec = _Recorder(u0.domain, u0.n, cfg.snapshot_stride, sink)
 
     def next_dt(t, u):
         if t >= cfg.T - 1e-13:
@@ -136,7 +138,7 @@ def viscosity_sweep(u0: GridFn, eps_list, cfg: FVConfig):
         raise ValueError("eps values must be positive")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps values must be strictly descending")
-    cfg = replace(cfg, snapshot_stride=10 ** 9)
+    cfg = ends_only(cfg)
     base = run_fv(u0, replace(cfg, eps=0.0)).snapshot(-1)
     out = []
     h = u0.h

@@ -134,12 +134,13 @@ def _rk4(f, n: int):
     return step
 
 
-def run_strong(u0: GridFn, cfg: StrongConfig) -> Trajectory:
+def run_strong(u0: GridFn, cfg: StrongConfig, sink=None) -> Trajectory:
     """Integrate to T, or stop early when min slope < -stop_slope or on
-    numerical overflow (stop_reason records which)."""
+    numerical overflow (stop_reason records which).  A sink receives the
+    snapshots in place of the trajectory (see ``_Recorder``)."""
     step = _rk4(_make_rhs(KernelOp(u0.domain, u0.n), cfg.lambda_coeff,
                           cfg.dealias, cfg.advect), u0.n)
-    rec = _Recorder(u0.domain, u0.n, cfg.snapshot_stride)
+    rec = _Recorder(u0.domain, u0.n, cfg.snapshot_stride, sink)
     nsteps = int(round(cfg.T / cfg.dt))
     # a fixed step count, not t < T: accumulated t drifts from k * dt, and
     # rec holds t = 0 plus one record per step taken

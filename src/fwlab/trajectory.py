@@ -3,7 +3,7 @@ and finite-volume solvers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -12,14 +12,22 @@ from .grid import Domain, GridFn, slope_extrema_values, write_csv
 SERIES_NAMES = ("mass", "l1", "l2", "linf", "m1", "m2", "xi1", "xi2")
 
 
+def ends_only(cfg):
+    """cfg (a StrongConfig or FVConfig) with a snapshot stride no run
+    reaches, so that only the initial and the end state are kept."""
+    return replace(cfg, snapshot_stride=10 ** 9)
+
+
 @dataclass
 class Trajectory:
     """Snapshots (subsampled at a stride) plus per-step scalar series.
 
-    ``dts[k]`` is the step from ``times[k]`` to ``times[k + 1]``;
-    ``stop_reason`` is one of ``"completed"``, ``"slope_threshold"``,
-    ``"overflow"``; ``t_stop`` is the last valid time; ``config`` is the
-    run's StrongConfig or FVConfig, None for a synthetic trajectory.
+    ``snapshots`` is empty when the run streamed them to a sink (see
+    ``_Recorder``); ``snap_times`` is kept either way.  ``dts[k]`` is the
+    step from ``times[k]`` to ``times[k + 1]``; ``stop_reason`` is one of
+    ``"completed"``, ``"slope_threshold"``, ``"overflow"``; ``t_stop`` is
+    the last valid time; ``config`` is the run's StrongConfig or FVConfig,
+    None for a synthetic trajectory.
     """
 
     domain: Domain
@@ -45,17 +53,30 @@ class Trajectory:
 
 
 class _Recorder:
-    """Accumulates the per-step series and strided snapshots during a run."""
+    """Accumulates the per-step series and strided snapshots during a run.
 
-    def __init__(self, domain: Domain, n: int, stride: int):
+    With a sink, each snapshot the recorder would keep is passed to
+    ``sink(t, values)`` in place of a stored copy; ``values`` is the run's
+    state, so a sink that keeps it must copy it.
+    """
+
+    def __init__(self, domain: Domain, n: int, stride: int, sink=None):
         self.domain = domain
         self.n = n
         self.h = domain.length / n
         self.stride = stride
+        self.sink = sink
         self.times = []
         self.cols = {name: [] for name in SERIES_NAMES}
         self.snap_times = []
         self.snapshots = []
+
+    def _keep(self, t: float, values: np.ndarray) -> None:
+        self.snap_times.append(t)
+        if self.sink is None:
+            self.snapshots.append(values.copy())
+        else:
+            self.sink(t, values)
 
     def record(self, t: float, values: np.ndarray) -> None:
         h = self.h
@@ -72,14 +93,12 @@ class _Recorder:
         self.cols["xi1"].append(xi1)
         self.cols["xi2"].append(xi2)
         if (len(self.times) - 1) % self.stride == 0:
-            self.snap_times.append(t)
-            self.snapshots.append(values.copy())
+            self._keep(t, values)
 
     def force_snapshot(self, t: float, values: np.ndarray) -> None:
         if self.snap_times and self.snap_times[-1] == t:
             return
-        self.snap_times.append(t)
-        self.snapshots.append(values.copy())
+        self._keep(t, values)
 
     def build(self, stop_reason: str, dts) -> Trajectory:
         series = {k: np.asarray(v) for k, v in self.cols.items()}

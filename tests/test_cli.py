@@ -152,6 +152,52 @@ def test_verify_strong_stability_keeps_its_own_dt(tmp_path):
         "l1_stability_ratio", "l1_growth"]
 
 
+def test_fv_run_takes_a_dt_no_strong_run_could(tmp_path):
+    # only the solver key's config is built: T = 1 is no multiple of dt
+    code, _ = run_cli(tmp_path, "simulate", "--preset", "peakon_transport",
+                      "dt=0.003", "n=400")
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("verb, preset, overrides", [
+    ("simulate", "peakon_transport", ["n=400", "T=0.2"]),
+    ("simulate", "conservation_sine", ["n=64", "T=0.1"]),
+    ("breaking", "breaking_gaussian", ["n=4096", "dt=1e-3", "stop_slope=300"]),
+])
+def test_simulate_and_breaking_keep_only_the_ends(tmp_path, monkeypatch, verb,
+                                                  preset, overrides):
+    runs = []
+    for name in ("run_strong", "run_fv"):
+        def run(*args, real=getattr(cli, name), **kwargs):
+            runs.append(real(*args, **kwargs))
+            return runs[-1]
+        monkeypatch.setattr(cli, name, run)
+    code, _ = run_cli(tmp_path, verb, "--preset", preset, *overrides)
+    assert code == EXIT_OK
+    (traj,) = runs
+    assert traj.times.size > 3
+    assert len(traj.snapshots) == 2
+    assert traj.snap_times.tolist() == [0.0, traj.t_stop]
+
+
+@pytest.mark.parametrize("overrides, solver", [
+    (["T=0.2"], "run_fv"),
+    (["T=0.2", "solver=strong", "dt=1e-3"], "run_strong"),
+    (["T=0.2", "trajectory=upjump"], "synthetic_trajectory"),
+])
+def test_verify_refuses_before_the_run(tmp_path, capsys, monkeypatch,
+                                       overrides, solver):
+    # T below every Oleinik time is known from the config alone
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run was started")
+    monkeypatch.setattr(cli, solver, no_run)
+    code, out = run_cli(tmp_path, "verify", "--preset", "riemann_entropy",
+                        *overrides)
+    assert code == EXIT_CHECK_FAILED
+    assert not list(out.rglob("report.json"))
+    assert "oleinik_times=(0.25, 0.5, 1.0)" in capsys.readouterr().err
+
+
 def test_wave_peakon(tmp_path):
     code, out = run_cli(tmp_path, "wave", "--preset", "wave_peakon", "n=4000")
     assert code == EXIT_OK
@@ -344,6 +390,14 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     # l1_growth divides by the L1 norm of u0: zero data gave NaN
     ("verify", "l1_stability", ["profile=zero", "n=400"], EXIT_USAGE,
      "profile='zero'"),
+    # the solver keys are range-checked also where no run follows
+    ("wave", "wave_peakon", ["n=2000", "snapshot_stride=0"], EXIT_USAGE,
+     "snapshot_stride=0"),
+    ("wave", "wave_peakon", ["n=2000", "cfl=5"], EXIT_USAGE, "cfl"),
+    ("wave", "wave_peakon", ["n=2000", "dt=-1"], EXIT_USAGE, "dt"),
+    ("breaking", "breaking_gaussian",
+     ["profile.beta=0.1", "n=512", "T=0.5", "dt=0.3"], EXIT_USAGE,
+     "T=0.5 is not an integer multiple of dt=0.3"),
 ])
 def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
                                  code, message):

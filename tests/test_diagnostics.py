@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fwlab import (FVConfig, GridFn, KernelOp, TestFn, breaking_precheck,
                    line, make_test_family, norm, oleinik_check,
                    oleinik_coefficient, riccati_envelope, run_fv, sample,
                    slope_extrema, torus, weak_residual)
+from fwlab.diagnostics import L1StabilityRatio
 from fwlab.trajectory import synthetic_trajectory
 
 E = math.e
@@ -142,18 +144,46 @@ def test_oleinik_detects_steep_upjump():
 # ---------------------------------------------------------------------------
 # L1 stability
 
-def test_l1_stability_guards_and_t0():
+def _stability_setup():
+    """Peakon data u0, v0 = u0 + a 0.01 bump, one fixed-dt FV config."""
     dom = line(-20, 20)
     u0 = sample("peakon", dom, 1000)
+    bump = sample("bump", dom, 1000, amplitude=0.01, radius=2.0)
     cfg = FVConfig(T=0.2, dt=0.45 * u0.h / 2.0, snapshot_stride=2)
+    return u0, GridFn(dom, u0.values + bump.values), cfg
+
+
+def test_l1_stability_guards_and_t0():
+    u0, v0, cfg = _stability_setup()
     t1 = run_fv(u0, cfg)
     with pytest.raises(ValueError, match="coincide"):
         l1_stability_check(t1, t1)
-    bump = sample("bump", dom, 1000, amplitude=0.01, radius=2.0)
-    t2 = run_fv(GridFn(dom, u0.values + bump.values), cfg)
+    with pytest.raises(ValueError, match="snapshot times differ"):
+        l1_stability_check(t1, run_fv(v0, replace(cfg, snapshot_stride=3)))
+    t2 = run_fv(v0, cfg)
     ratio = l1_stability_check(t1, t2)
     assert ratio >= 1.0 - 1e-12  # the t = 0 term contributes exactly 1
     assert ratio <= 1.05
+
+
+def test_streamed_l1_stability_equals_the_stored_check():
+    u0, v0, cfg = _stability_setup()
+    t1 = run_fv(u0, cfg)
+    stream = L1StabilityRatio(t1)
+    t2 = run_fv(v0, cfg, sink=stream)
+    assert t2.snapshots == []
+    assert t2.snap_times.size == t1.snap_times.size
+    assert stream.value() == l1_stability_check(t1, run_fv(v0, cfg))
+    # u0 = v0 is refused at t = 0, before the first step
+    with pytest.raises(ValueError, match="coincide"):
+        run_fv(u0, cfg, sink=L1StabilityRatio(t1))
+    # a snapshot at a time t1 has not, or fewer snapshots than t1
+    with pytest.raises(ValueError, match="snapshot times differ"):
+        run_fv(v0, replace(cfg, snapshot_stride=3), sink=L1StabilityRatio(t1))
+    short = L1StabilityRatio(t1)
+    run_fv(v0, replace(cfg, T=10 * cfg.dt), sink=short)
+    with pytest.raises(ValueError, match="snapshot times differ"):
+        short.value()
 
 
 # ---------------------------------------------------------------------------

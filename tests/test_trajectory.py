@@ -58,3 +58,15 @@ def test_march_final_snapshot_is_not_duplicated(count, snap_times):
                  lambda u, dt: u + dt)
     assert traj.snap_times.tolist() == snap_times
     assert len(traj.snapshots) == len(snap_times)
+
+
+def test_march_streams_kept_snapshots_to_a_sink():
+    # t = 0, every stride-th record and the forced end, in order
+    received = []
+    rec = _Recorder(torus(), 8, 2,
+                    sink=lambda t, u: received.append((t, u[0])))
+    traj = march(np.zeros(8), rec, steps_of(0.25, 5, rec),
+                 lambda u, dt: u + dt)
+    assert received == [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (1.25, 1.25)]
+    assert traj.snap_times.tolist() == [0.0, 0.5, 1.0, 1.25]
+    assert traj.snapshots == []
