@@ -13,11 +13,11 @@ n_list or one of fewer than 3 entries, a zero bump_amplitude or bump_radius,
 a T <= 0 and an eps_list of fewer than 2 entries or not positive and
 strictly descending.  Every verb builds its solver config (the one the
 solver key names; FVConfig for sweep) before any work, so a bad solver key
-exits 2 also where no run follows.  simulate, breaking and sweep keep only
-the first and last snapshot of a run, which is all they read.
-FWLAB_THREADS caps sweep concurrency.  Outputs are written once and
-atomically renamed into place, so identical config + seed gives
-byte-identical files.
+exits 2 also where no run follows; breaking refuses solver=fv and sweep
+refuses solver=strong.  simulate, breaking and sweep keep only the first and
+last snapshot of a run, which is all they read.  A sweep runs its grids one
+after another.  Outputs are written once and atomically renamed into place,
+so identical config + seed gives byte-identical files.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ import os
 import sys
 import tempfile
 import typing
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -385,15 +384,11 @@ def cmd_breaking(cfg: dict, out: str) -> list[dict]:
                                         "t_star": report.t_star},
                      "S >= 1 triggers the breaking run")]
     thr = _config_from(Thresholds, cfg)
-    payload = {"m1_0": report.m1_0, "m2_0": report.m2_0, "S": report.S,
-               "condition_met": report.condition_met, "M0": report.M0,
-               "t_star": report.t_star, "t_observed": None}
     if report.condition_met and report.t_star is not None:
         cfg.setdefault("solver", keys.solver)  # report.json names both
         cfg.setdefault("advect", advect)
         traj = _run_from(scfg, u0)
         attach_observation(report, traj)
-        payload["t_observed"] = report.t_observed
         ok_obs = (report.t_observed is not None
                   and report.t_observed <= thr.tobs_factor * report.t_star)
         checks.append(_check("blowup_bound", ok_obs, report.t_observed,
@@ -406,7 +401,7 @@ def cmd_breaking(cfg: dict, out: str) -> list[dict]:
     else:
         checks.append(_check("criterion_not_met", True, report.S,
                              "S < 1: no breaking guarantee; run skipped"))
-    _write_json(os.path.join(out, "breaking.json"), payload)
+    _write_json(os.path.join(out, "breaking.json"), asdict(report))
     return checks
 
 
@@ -422,10 +417,8 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
         if norm(u0, "L1") == 0.0:  # l1_growth divides by it
             raise ConfigError(f"profile={keys.profile!r}: the stability check "
                               f"needs initial data with a nonzero L1 norm")
-        bump_cfg = {"profile": "bump", "profile.amplitude": keys.bump_amplitude,
-                    "profile.center": keys.bump_center,
-                    "profile.radius": keys.bump_radius}
-        bump = _initial_from(bump_cfg, domain, n)
+        bump = sample("bump", domain, n, amplitude=keys.bump_amplitude,
+                      center=keys.bump_center, radius=keys.bump_radius)
         v0 = GridFn(domain, u0.values + bump.values)
         if keys.solver == "fv" and scfg.dt is None:
             # one fixed dt, so the runs share snap times
@@ -528,17 +521,16 @@ def cmd_wave(cfg: dict, out: str) -> list[dict]:
 
 
 def _max_workers() -> int:
-    env = os.environ.get("FWLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError("FWLAB_THREADS must be an integer")
-    return min(4, os.cpu_count() or 1)
+    """The threads a sweep runs its grids on: one.  perfbench/worker.py
+    records this as provenance."""
+    return 1
 
 
 def cmd_sweep(cfg: dict, out: str) -> list[dict]:
     keys = _config_from(Keys, cfg, n=2000, kind="viscosity")
+    if keys.solver != "fv":
+        raise ConfigError(f"solver={keys.solver!r}: every sweep runs the FV "
+                          f"solver")
     domain = _domain_from(keys)
     checks = []
     if keys.kind == "viscosity":
@@ -557,19 +549,13 @@ def cmd_sweep(cfg: dict, out: str) -> list[dict]:
                                             ([e for e, _ in pairs], dists)))
     elif keys.kind == "resolution":
         fcfg = ends_only(_config_from(FVConfig, cfg))  # reads the ends only
-
-        def one(n):
-            u0 = _initial_from(cfg, domain, n)
-            return n, run_fv(u0, fcfg)
-
-        with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-            runs = dict(pool.map(one, keys.n_list))
+        runs = [run_fv(_initial_from(cfg, domain, n), fcfg)
+                for n in keys.n_list]
         errs = []
-        for n_c, n_f in zip(keys.n_list, keys.n_list[1:]):
-            coarse, fine = runs[n_c], runs[n_f]
-            ratio = n_f // n_c
+        for coarse, fine in zip(runs, runs[1:]):
+            ratio = fine.n // coarse.n
             fv = np.asarray(fine.snapshots[-1]).reshape(-1, ratio).mean(axis=1)
-            errs.append((n_c, float(np.mean(fine.dts)),
+            errs.append((coarse.n, float(np.mean(fine.dts)),
                          float(coarse.h * np.abs(coarse.snapshots[-1] - fv).sum())))
         orders = [math.log2(e0 / e1) for (_, _, e0), (_, _, e1)
                   in zip(errs, errs[1:])]

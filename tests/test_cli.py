@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwlab import FVConfig, StrongConfig, Thresholds, cli
+from fwlab import (FVConfig, StrongConfig, Thresholds, cli, line, run_fv,
+                   sample)
 from fwlab.cli import (_ALIASES, _KEYS, _TYPES, EXIT_CHECK_FAILED, EXIT_OK,
                        EXIT_USAGE, ConfigError, Keys, _config_from,
                        load_config, main, parse_config_text)
@@ -235,8 +236,7 @@ def test_wave_cusp(tmp_path):
     assert defect["slope_jump"] == pytest.approx(-defect["lambda1"], rel=0.05)
 
 
-def test_sweep_viscosity(tmp_path, monkeypatch):
-    monkeypatch.setenv("FWLAB_THREADS", "2")
+def test_sweep_viscosity(tmp_path):
     code, out = run_cli(tmp_path, "sweep", "--preset", "viscosity_sweep",
                         "n=800", "T=0.25")
     assert code == EXIT_OK
@@ -253,6 +253,17 @@ def test_sweep_resolution(tmp_path):
     rows = (out / "convergence.csv").read_text().splitlines()
     assert rows[0] == "n,dt_mean,l1_err,order"
     assert len(rows) == 3
+    # each row is the n, 2n pair of direct runs; 17 digits round-trip exactly
+    dom = line(-20, 20)
+    runs = [run_fv(sample("peakon", dom, n), FVConfig(T=0.5))
+            for n in (500, 1000, 2000)]
+    for row, coarse, fine in zip(rows[1:], runs, runs[1:]):
+        n, dt_mean, l1_err, _ = row.split(",")
+        fv = fine.snapshots[-1].reshape(-1, 2).mean(axis=1)
+        assert int(n) == coarse.n
+        assert float(dt_mean) == float(np.mean(fine.dts))
+        assert float(l1_err) == float(
+            coarse.h * np.abs(coarse.snapshots[-1] - fv).sum())
 
 
 def test_exit_code_contract_on_check_failure(tmp_path):
@@ -398,6 +409,9 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     ("breaking", "breaking_gaussian",
      ["profile.beta=0.1", "n=512", "T=0.5", "dt=0.3"], EXIT_USAGE,
      "T=0.5 is not an integer multiple of dt=0.3"),
+    # every sweep runs the FV solver: a strong one was ignored but reported
+    ("sweep", "convergence_peakon", ["solver=strong"], EXIT_USAGE,
+     "solver='strong'"),
 ])
 def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
                                  code, message):

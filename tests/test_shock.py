@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwlab import (FVConfig, Thresholds, godunov_flux, line, norm, run_fv,
-                   sample, torus, viscosity_sweep)
+from fwlab import (FVConfig, StrongConfig, Thresholds, godunov_flux, line,
+                   norm, run_fv, run_strong, sample, torus, viscosity_sweep)
 from fwlab.grid import second_difference
 from fwlab.shock import _burgers_update
 
@@ -218,3 +218,26 @@ def test_config_validation():
         FVConfig(T=1.0, eps=-1.0)
     with pytest.raises(ValueError):
         FVConfig(T=1.0, source_splitting="trotter")
+
+
+@pytest.mark.parametrize("domain, profile, T, ns", [
+    # 7.31e-2, 3.92e-2, 2.06e-2: ratios 1.87, 1.91
+    (line(-20, 20), "gaussian", 1.0, (500, 1000, 2000)),
+    # 1.01e-3, 5.08e-4: ratio 1.99; at n = 2000, dt = 1e-3 is past RK4's reach
+    (torus(), "sine", 0.5, (500, 1000)),
+])
+def test_weak_and_strong_solutions_agree_at_first_order(domain, profile, T,
+                                                        ns):
+    # before breaking the FV run converges to the strong one: halving h
+    # halves the L1 distance between them at T
+    dists = []
+    for n in ns:
+        u0 = sample(profile, domain, n)
+        strong = run_strong(u0, StrongConfig(T=T, dt=1e-3,
+                                             snapshot_stride=10 ** 9))
+        fv = run_fv(u0, FVConfig(T=T, snapshot_stride=10 ** 9))
+        assert strong.stop_reason == fv.stop_reason == "completed"
+        gap = fv.snapshots[-1] - strong.snapshots[-1]
+        dists.append(u0.h * np.abs(gap).sum())
+    for coarse, fine in zip(dists, dists[1:]):
+        assert 1.7 <= coarse / fine <= 2.3
