@@ -5,19 +5,21 @@ and returns its checks; main alone writes report.json and exits 0 if its
 overall_pass holds, else 1.  A command that raises writes no report.json: a
 usage/config error exits 2; a step rejected mid-run, a check with nothing to
 check and a non-finite value bound for a JSON file exit 1.  Every config
-key is a field of Keys (read by the commands themselves), StrongConfig,
-FVConfig or Thresholds, or an alias (_ALIASES); load_config type-checks each
-for every verb and refuses a non-finite float (list items included), and
-Keys rejects an unknown choice, an n or n_list entry below 4, a non-nested
-n_list or one of fewer than 3 entries, a zero bump_amplitude or bump_radius,
-a T <= 0 and an eps_list of fewer than 2 entries or not positive and
-strictly descending.  Every verb builds its solver config (the one the
-solver key names; FVConfig for sweep) before any work, so a bad solver key
-exits 2 also where no run follows; breaking refuses solver=fv and sweep
-refuses solver=strong.  simulate, breaking and sweep keep only the first and
-last snapshot of a run, which is all they read.  A sweep runs its grids one
-after another.  Outputs are written once and atomically renamed into place,
-so identical config + seed gives byte-identical files.
+key sets one field in a run, of Keys (read by the commands themselves) or
+of the solver config (StrongConfig or FVConfig), or is an alias
+(_ALIASES); the check bounds are the fixed Thresholds.  load_config
+type-checks every key for every verb and refuses a non-finite float (list
+items included), and Keys rejects an unknown choice, an n or n_list entry
+below 4, a non-nested n_list or one of fewer than 3 entries, a zero
+bump_amplitude or bump_radius and an eps_list of fewer than 2 entries or
+not positive and strictly descending.  Every verb builds its solver config
+(the one the solver key names; FVConfig for sweep) before any work, so a
+bad solver key exits 2 also where no run follows; breaking refuses
+solver=fv, sweep solver=strong, and verify trajectory=upjump (T from the
+solver config) a jump_at with a state off the grid.  simulate, breaking and
+sweep keep only the first and last snapshot of a run, which is all they
+read.  A sweep runs its grids one after another.  Outputs are written once
+and atomically renamed, so identical config + seed gives identical bytes.
 """
 
 from __future__ import annotations
@@ -143,7 +145,6 @@ class Keys:
     bump_center: float = 0.0
     bump_radius: float = 2.0
     trajectory: str | None = None
-    T: float = 0.5  # end time of the synthetic up-jump
     steps: int = 100
     jump_at: float = 0.0
     lambdas: list[float] | None = None
@@ -170,8 +171,6 @@ class Keys:
                                  f"nonzero value")
         if self.steps < 1:
             raise ValueError(f"steps={self.steps!r}: expected at least 1")
-        if not self.T > 0:
-            raise ValueError(f"T={self.T!r}: expected T > 0")
         # a sweep checks the ratios of neighbouring distances and the orders
         # of neighbouring errors: fewer entries leave a check with no value
         eps = self.eps_list
@@ -191,8 +190,8 @@ class Keys:
 _ALIASES = {"lambda": "lambda_coeff", "splitting": "source_splitting"}
 
 # every key a config may hold, besides the profile.* parameters, and its field
-# type; a name the four dataclasses share has one type, up to an optional None
-_TYPES = {name: typ for cls in (Keys, StrongConfig, FVConfig, Thresholds)
+# type; a name both solver configs have has one type, up to an optional None
+_TYPES = {name: typ for cls in (Keys, StrongConfig, FVConfig)
           for name, typ in typing.get_type_hints(cls).items()}
 _KEYS = set(_TYPES) | set(_ALIASES)
 
@@ -338,17 +337,17 @@ def cmd_simulate(cfg: dict, out: str) -> list[dict]:
     u0 = _initial_from(cfg, domain, keys.n)
     traj = _run_from(scfg, u0)
     _emit_outputs(traj, out)
-    thr = _config_from(Thresholds, cfg)
     cons = conservation_report(traj)
     checks = [_check("completed", traj.stop_reason != "overflow",
                      traj.stop_reason, "no overflow")]
     if domain.periodic:
-        checks.append(_check("mass_conservation", cons.mass_drift <= thr.mass_tol,
-                             cons.mass_drift, thr.mass_tol))
+        checks.append(_check("mass_conservation",
+                             cons.mass_drift <= Thresholds.mass_tol,
+                             cons.mass_drift, Thresholds.mass_tol))
         if keys.solver == "strong":
             checks.append(_check("l2_conservation",
-                                 cons.l2_drift_rel <= thr.l2_rel_tol,
-                                 cons.l2_drift_rel, thr.l2_rel_tol))
+                                 cons.l2_drift_rel <= Thresholds.l2_rel_tol,
+                                 cons.l2_drift_rel, Thresholds.l2_rel_tol))
     if keys.profile == "peakon" and keys.solver == "fv":
         x = traj.domain.cell_centers(traj.n)
         speed = (_crest(x, traj.snapshots[-1]) - _crest(x, traj.snapshots[0])) \
@@ -383,18 +382,17 @@ def cmd_breaking(cfg: dict, out: str) -> list[dict]:
                                         "m2_0": report.m2_0,
                                         "t_star": report.t_star},
                      "S >= 1 triggers the breaking run")]
-    thr = _config_from(Thresholds, cfg)
     if report.condition_met and report.t_star is not None:
         cfg.setdefault("solver", keys.solver)  # report.json names both
         cfg.setdefault("advect", advect)
         traj = _run_from(scfg, u0)
         attach_observation(report, traj)
-        ok_obs = (report.t_observed is not None
-                  and report.t_observed <= thr.tobs_factor * report.t_star)
+        bound = Thresholds.tobs_factor * report.t_star
+        ok_obs = report.t_observed is not None and report.t_observed <= bound
         checks.append(_check("blowup_bound", ok_obs, report.t_observed,
-                             f"<= {thr.tobs_factor} * t_star = "
-                             f"{thr.tobs_factor * report.t_star:.4f}"))
-        env_ok, worst, _ = envelope_check(traj, thr)
+                             f"<= {Thresholds.tobs_factor} * t_star = "
+                             f"{bound:.4f}"))
+        env_ok, worst, _ = envelope_check(traj)
         checks.append(_check("slope_envelope", env_ok, worst,
                              "m2 <= riccati envelope + slack"))
         _emit_outputs(traj, out)
@@ -410,7 +408,6 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
     scfg = _solver_config(keys.solver, cfg)
     domain = _domain_from(keys)
     n = keys.n
-    thr = _config_from(Thresholds, cfg)
     checks = []
     if keys.check == "stability":
         u0 = _initial_from(cfg, domain, n)
@@ -428,36 +425,39 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
         stream = L1StabilityRatio(tu)
         tv = _run_from(scfg, v0, sink=stream)
         ratio = stream.value()
-        checks.append(_check("l1_stability_ratio", ratio <= thr.l1_ratio_tol,
-                             ratio, thr.l1_ratio_tol))
+        tol = Thresholds.l1_ratio_tol
+        checks.append(_check("l1_stability_ratio", ratio <= tol, ratio, tol))
         growth = max(tu.series["l1"] / (np.exp(tu.times) * tu.series["l1"][0]))
-        checks.append(_check("l1_growth", growth <= thr.l1_ratio_tol,
-                             float(growth), thr.l1_ratio_tol))
+        checks.append(_check("l1_growth", growth <= tol, float(growth), tol))
         return checks + _short_runs(tu, tv)
 
     # a run ending before every Oleinik time is refused before it starts
-    oleinik_reach(keys.T if keys.trajectory == "upjump" else scfg.T)
+    oleinik_reach(scfg.T)
     if keys.trajectory == "upjump":
+        x = domain.cell_centers(n)
+        if not x[0] < keys.jump_at <= x[-1]:  # else one state is off the grid
+            raise ConfigError(f"jump_at={keys.jump_at!r}: expected {x[0]:g} "
+                              f"< jump_at <= {x[-1]:g}, the cell centres")
         # stationary non-entropic expansion shock (-1 -> +1), source off
         traj = synthetic_trajectory(
-            domain, n, [keys.T * k / keys.steps for k in range(keys.steps + 1)],
+            domain, n, scfg.T * np.arange(keys.steps + 1) / keys.steps,
             lambda x, t: np.where(x < keys.jump_at, -1.0, 1.0))
     else:
         u0 = _initial_from(cfg, domain, n)
         traj = _run_from(scfg, u0)
-    rep = entropy_report(traj, lambdas=keys.lambdas, thresholds=thr)
+    rep = entropy_report(traj, lambdas=keys.lambdas)
     cons = conservation_report(traj)
     checks.append(_check("weak_residual", rep.passes["weak"],
-                         rep.weak_residual_max, thr.weak_tol))
+                         rep.weak_residual_max, Thresholds.weak_tol))
     checks.append(_check("kruzhkov_residual", rep.passes["kruzhkov"],
-                         rep.kruzhkov_min, -thr.kruzhkov_tol))
+                         rep.kruzhkov_min, -Thresholds.kruzhkov_tol))
     checks.append(_check("oleinik_margin", rep.passes["oleinik"],
                          rep.oleinik_margin,
-                         -thr.oleinik_rel_tol * rep.oleinik_scale))
+                         -Thresholds.oleinik_rel_tol * rep.oleinik_scale))
     if domain.periodic:
         checks.append(_check("mass_conservation",
-                             cons.mass_drift <= thr.mass_tol,
-                             cons.mass_drift, thr.mass_tol))
+                             cons.mass_drift <= Thresholds.mass_tol,
+                             cons.mass_drift, Thresholds.mass_tol))
     _write_json(os.path.join(out, "entropy.json"), {
         "weak_residual_max": rep.weak_residual_max,
         "kruzhkov_min": rep.kruzhkov_min,
@@ -555,7 +555,7 @@ def cmd_sweep(cfg: dict, out: str) -> list[dict]:
         for coarse, fine in zip(runs, runs[1:]):
             ratio = fine.n // coarse.n
             fv = np.asarray(fine.snapshots[-1]).reshape(-1, ratio).mean(axis=1)
-            errs.append((coarse.n, float(np.mean(fine.dts)),
+            errs.append((coarse.n, float(np.mean(coarse.dts)),
                          float(coarse.h * np.abs(coarse.snapshots[-1] - fv).sum())))
         orders = [math.log2(e0 / e1) for (_, _, e0), (_, _, e1)
                   in zip(errs, errs[1:])]

@@ -4,8 +4,8 @@ Covers the wave-breaking precheck (slope asymmetry criterion and the blow-up
 bound t* = 1/|m1(0) + 1/2|), Riccati comparison envelopes for the maximum
 slope, the one-sided Oleinik estimate, L1 stability between runs, weak-form
 and Kruzhkov entropy residuals over a family of smooth space-time bumps, and
-conservation drift.  The tolerances of these checks live in ``Thresholds``,
-each a config key; the bands of the wave and sweep checks (peakon speed
+conservation drift.  The bounds of these checks are the fixed ``Thresholds``,
+set by no config key; the bands of the wave and sweep checks (peakon speed
 2 %, speed scan 0.01, first integral 2e-3, |lambda1| 0.5, fit mismatch
 0.05, jump 5 %, viscosity ratios [1.5, 2.5], order [0.7, 1.2]) are
 constants in the ``cli`` commands that apply them.  ``slope_extrema_values``
@@ -53,19 +53,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Thresholds:
-    """Default tolerances of the conservation, breaking, stability and
+    """The fixed bounds of the conservation, breaking, stability and
     entropy checks, kept in one auditable block."""
 
-    mass_tol: float = 1e-12
-    l2_rel_tol: float = 1e-8
-    weak_tol: float = 5e-3
-    kruzhkov_tol: float = 1e-6
-    oleinik_rel_tol: float = 1e-8
-    l1_ratio_tol: float = 1.05
-    tobs_factor: float = 1.05
-    envelope_slack: float = 0.05
+    mass_tol = 1e-12
+    l2_rel_tol = 1e-8
+    weak_tol = 5e-3
+    kruzhkov_tol = 1e-6
+    oleinik_rel_tol = 1e-8
+    l1_ratio_tol = 1.05
+    tobs_factor = 1.05
+    envelope_slack = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +144,7 @@ def riccati_envelope(M0: float, c: float, t):
     return out
 
 
-def envelope_check(traj: Trajectory, thresholds: Thresholds = Thresholds()):
+def envelope_check(traj: Trajectory):
     """Check m2(t) <= envelope + slack at all recorded times.
 
     Uses M0 = m2(0) and c = sqrt(2 max linf) per the comparison argument.
@@ -155,7 +154,7 @@ def envelope_check(traj: Trajectory, thresholds: Thresholds = Thresholds()):
     linf_max = float(traj.series["linf"].max())
     c = math.sqrt(2.0 * linf_max)
     env = riccati_envelope(float(m2[0]), c, traj.times)
-    slack = thresholds.envelope_slack * (1.0 + abs(float(m2[0])))
+    slack = Thresholds.envelope_slack * (1.0 + abs(float(m2[0])))
     excess = m2 - (env + slack)
     worst = float(excess.max())
     return worst <= 0.0, worst, env
@@ -481,8 +480,7 @@ def oleinik_reach(t_end: float, oleinik_times=OLEINIK_TIMES) -> list:
 
 
 def entropy_report(traj: Trajectory, lambdas=None, family=None,
-                   oleinik_times=OLEINIK_TIMES,
-                   thresholds: Thresholds = Thresholds()) -> EntropyReport:
+                   oleinik_times=OLEINIK_TIMES) -> EntropyReport:
     """Weak + Kruzhkov + Oleinik checks on one trajectory."""
     t_end = float(traj.snap_times[-1])
     if family is None:
@@ -510,9 +508,9 @@ def entropy_report(traj: Trajectory, lambdas=None, family=None,
                  for i, ti in checked)
     scale = max([1.0] + [oleinik_coefficient(ti, u0_l1) for _, ti in checked])
     passes = {
-        "weak": wr <= thresholds.weak_tol,
-        "kruzhkov": kr >= -thresholds.kruzhkov_tol,
-        "oleinik": margin >= -thresholds.oleinik_rel_tol * scale,
+        "weak": wr <= Thresholds.weak_tol,
+        "kruzhkov": kr >= -Thresholds.kruzhkov_tol,
+        "oleinik": margin >= -Thresholds.oleinik_rel_tol * scale,
     }
     return EntropyReport(wr, kr, margin, scale, passes)
 

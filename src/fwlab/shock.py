@@ -37,7 +37,7 @@ class FVConfig:
 
     def __post_init__(self):
         if not self.T > 0:
-            raise ValueError("T must be positive")
+            raise ValueError(f"T={self.T!r}: expected T > 0")
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError("cfl must lie in (0, 1]")
         if self.eps < 0.0:

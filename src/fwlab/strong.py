@@ -32,8 +32,10 @@ class StrongConfig:
     snapshot_stride: int = 10
 
     def __post_init__(self):
-        if not (self.dt > 0 and self.T > 0):
-            raise ValueError("dt and T must be positive")
+        if not self.dt > 0:
+            raise ValueError(f"dt={self.dt!r}: expected dt > 0")
+        if not self.T > 0:
+            raise ValueError(f"T={self.T!r}: expected T > 0")
         if abs(round(self.T / self.dt) * self.dt - self.T) > 1e-9 * self.T:
             raise ValueError(f"T={self.T!r} is not an integer multiple of "
                              f"dt={self.dt!r}")

@@ -3,9 +3,11 @@ import io
 import json
 import math
 import os
+import re
 import typing
 from dataclasses import fields
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +126,17 @@ def test_verify_upjump_detects_inadmissible(tmp_path):
     assert code == EXIT_CHECK_FAILED
     entropy = json.loads((out / "entropy.json").read_text())
     assert entropy["kruzhkov_min"] <= -1e-3
+    report = json.loads((out / "report.json").read_text())
+    failed = {c["check_name"] for c in report["checks"] if not c["pass"]}
+    assert "kruzhkov_residual" in failed
+
+
+def test_verify_upjump_on_the_torus(tmp_path):
+    # with jump_at inside the torus grid both states are on it, and the
+    # up-jump fails as it does on the line
+    code, out = run_cli(tmp_path, "verify", "--preset", "upjump_adversarial",
+                        "n=1000", "domain=torus", "jump_at=0.5")
+    assert code == EXIT_CHECK_FAILED
     report = json.loads((out / "report.json").read_text())
     failed = {c["check_name"] for c in report["checks"] if not c["pass"]}
     assert "kruzhkov_residual" in failed
@@ -261,7 +274,7 @@ def test_sweep_resolution(tmp_path):
         n, dt_mean, l1_err, _ = row.split(",")
         fv = fine.snapshots[-1].reshape(-1, 2).mean(axis=1)
         assert int(n) == coarse.n
-        assert float(dt_mean) == float(np.mean(fine.dts))
+        assert float(dt_mean) == float(np.mean(coarse.dts))
         assert float(l1_err) == float(
             coarse.h * np.abs(coarse.snapshots[-1] - fv).sum())
 
@@ -290,8 +303,8 @@ def test_exit_code_contract_on_check_failure(tmp_path):
      "splitting"),
     ("breaking", "breaking_gaussian", ["n=abc"], EXIT_USAGE, "n='abc'"),
     ("verify", "l1_stability", ["n=abc"], EXIT_USAGE, "n='abc'"),
-    ("verify", "riemann_entropy", ["kruzhkov_tol=tight"], EXIT_USAGE,
-     "kruzhkov_tol='tight'"),
+    ("verify", "upjump_adversarial", ["jump_at=25"], EXIT_USAGE,
+     "jump_at=25.0"),
     ("wave", "wave_peakon", ["n=abc"], EXIT_USAGE, "n='abc'"),
     ("sweep", "viscosity_sweep", ["n=abc"], EXIT_USAGE, "n='abc'"),
     ("sweep", "convergence_peakon", ["n_list=500,abc"], EXIT_USAGE,
@@ -412,6 +425,9 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     # every sweep runs the FV solver: a strong one was ignored but reported
     ("sweep", "convergence_peakon", ["solver=strong"], EXIT_USAGE,
      "solver='strong'"),
+    # with jump_at = 0 on the torus every cell holds +1: a field with no jump
+    ("verify", "upjump_adversarial", ["domain=torus"], EXIT_USAGE,
+     "jump_at=0.0"),
 ])
 def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
                                  code, message):
@@ -459,6 +475,42 @@ def test_any_unknown_key_exits_2(tmp_path_factory, key):
                               f"{key}=1"])
     assert code == EXIT_USAGE
     assert f"unknown key {key!r}" in err
+
+
+@pytest.mark.parametrize("name", sorted(k for k in vars(Thresholds)
+                                         if not k.startswith("_")))
+def test_check_bound_is_no_config_key(tmp_path, capsys, name):
+    # the check bounds are fixed: a tolerance key would loosen a check
+    code, out = run_cli(tmp_path, "verify", "--preset", "riemann_entropy",
+                        f"{name}=1e-4")
+    assert code == EXIT_USAGE
+    assert not list(out.rglob("report.json"))
+    assert f"unknown key {name!r}" in capsys.readouterr().err
+
+
+def test_each_key_sets_one_field_per_run():
+    # a run builds Keys and one solver config, so a key that named fields of
+    # both would feed two dataclasses; _TYPES keeps one type per name
+    keys = set(typing.get_type_hints(Keys))
+    strong = typing.get_type_hints(StrongConfig)
+    fv = typing.get_type_hints(FVConfig)
+    assert not keys & (set(strong) | set(fv))
+
+    def base(typ):  # the type of an optional field (int | None) is int
+        args = set(typing.get_args(typ))
+        return args - {type(None)} if type(None) in args else {typ}
+    for name in set(strong) & set(fv):
+        assert base(strong[name]) == base(fv[name]), name
+
+
+def test_readme_key_table_names_the_keys():
+    # the first column of the README's table of Keys fields, backticked names
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    header = "| key | type | default | read by |"
+    rows = text.split(header, 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    names = [name for row in rows
+             for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert sorted(names) == sorted(f.name for f in fields(Keys))
 
 
 def _numeric_fields(cls, preset):
@@ -562,6 +614,5 @@ def test_shipped_preset_builds_its_configs(preset):
     # every shipped preset, as shipped, is a valid config: nothing is run
     cfg = load_config(None, preset, [])
     keys = _config_from(Keys, cfg)
-    _config_from(Thresholds, cfg)
     solver_config = StrongConfig if keys.solver == "strong" else FVConfig
     assert isinstance(_config_from(solver_config, cfg), solver_config)
