@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import typing
 from dataclasses import fields
 from importlib import resources
@@ -24,6 +26,17 @@ from fwlab.cli import (_ALIASES, _KEYS, _TYPES, EXIT_CHECK_FAILED, EXIT_OK,
 def run_cli(tmp_path, *args):
     out = tmp_path / "out"
     return main([*args, "--out", str(out)]), out
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # every command imports fwlab.cli; scipy.integrate would add about 23 MB
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, fwlab.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_parse_config_text():

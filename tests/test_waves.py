@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from fwlab import (FVConfig, KernelOp, b_formula, cusp_profile,
                    cusp_seed_slope, derivative, kernel_eval,
@@ -105,6 +106,62 @@ def test_cusp_profile_rejects_small_speed():
         cusp_profile(1.2)
     with pytest.raises(ValueError):
         cusp_profile(4.0 / 3.0)
+
+
+def _solve_ivp_reference(fun, t0, y0, t_bound):
+    """The call the cusp construction made before it had its own stepper."""
+    return solve_ivp(fun, (t0, t_bound), y0, method="RK45", rtol=1e-12,
+                     atol=1e-16, max_step=0.05, dense_output=True)
+
+
+@pytest.mark.parametrize("xi_max", [31.0, 61.0])
+@pytest.mark.parametrize("c", [4.0 / 3.0 + 2e-6, 1.5, 3.0])
+def test_dopri45_is_bit_identical_to_solve_ivp(c, xi_max):
+    E, sigma, eps = c * c / 2.0, cusp_seed_slope(c), 1e-8
+
+    def rhs(xi, y):  # the cusp orbit, seeded as _integrate_cusp_half seeds it
+        w, wp = y
+        return np.array((wp, w + c - math.sqrt(max(2.0 * w, 0.0)) - E))
+
+    y0 = (sigma * eps + 0.5 * (c - E) * eps ** 2, sigma + (c - E) * eps)
+    ref = _solve_ivp_reference(rhs, eps, y0, xi_max)
+    orbit = waves._dopri45(rhs, eps, y0, xi_max)
+    assert ref.status == 0
+    assert np.array_equal(orbit.t, ref.t)
+    grid = np.linspace(eps, ref.t[-1], 20001)
+    assert np.array_equal(orbit(grid), ref.sol(grid))
+    # unsorted queries with repeats and exact node values, as cusp_profile
+    # asks for |x| on a symmetric grid
+    queries = np.concatenate([np.abs(line(-30.0, 30.0).cell_centers(8000)),
+                              ref.t[::5], ref.t[1:40]])
+    np.random.default_rng(7).shuffle(queries)
+    assert np.array_equal(orbit(queries), ref.sol(queries))
+
+
+def test_dopri45_matches_solve_ivp_through_rejected_steps():
+    def forced(t, y):  # the jump at t = 0.5 makes steps fail and shrink
+        return np.array([1.0 if t < 0.5 else 50.0, -y[0]])
+
+    ref = _solve_ivp_reference(forced, 0.0, [1.0, 0.0], 2.0)
+    orbit = waves._dopri45(forced, 0.0, [1.0, 0.0], 2.0)
+    assert np.array_equal(orbit.t, ref.t)
+    grid = np.linspace(0.0, 2.0, 4001)
+    assert np.array_equal(orbit(grid), ref.sol(grid))
+
+
+def test_dopri45_failure_stops_where_solve_ivp_does(monkeypatch):
+    def blow_up(t, y):  # y = 1/(1 - t): the step size collapses near t = 1
+        return y * y
+
+    ref = _solve_ivp_reference(blow_up, 0.0, [1.0], 2.0)
+    assert ref.status == -1 and 0.999 < ref.t[-1] < 1.0
+    orbit = waves._dopri45(blow_up, 0.0, [1.0], 2.0)
+    assert np.array_equal(orbit.t, ref.t)
+    real = waves._dopri45
+    monkeypatch.setattr(waves, "_dopri45", lambda fun, t0, y0, t_bound:
+                        real(blow_up, 0.0, [1.0], t_bound))
+    with pytest.raises(ValueError, match="integrator error"):
+        waves._integrate_cusp_half(1.5, 31.0)
 
 
 def test_cusp_first_integral_not_constant():
