@@ -221,11 +221,14 @@ def _pad(values: np.ndarray, periodic: bool) -> np.ndarray:
     return e
 
 
-def _interface_diff(values: np.ndarray, periodic: bool) -> np.ndarray:
+def _interface_diff(values: np.ndarray, periodic: bool,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """values[i + 1] - values[i] along the first axis: n differences on the
-    torus, the last across the seam, n - 1 on the line."""
+    torus, the last across the seam, n - 1 on the line.  With ``out``, they
+    are written into its leading rows, and that view is returned."""
     n = values.shape[0]
-    d = np.empty((n if periodic else n - 1,) + values.shape[1:])
+    m = n if periodic else n - 1
+    d = np.empty((m,) + values.shape[1:]) if out is None else out[:m]
     np.subtract(values[1:], values[:-1], out=d[:n - 1])
     if periodic:
         d[-1] = values[0] - values[-1]
@@ -270,11 +273,11 @@ def second_difference(values: np.ndarray, h: float, periodic: bool) -> np.ndarra
 
 
 def slope_extrema_values(values: np.ndarray, h: float, periodic: bool,
-                         a: float):
+                         a: float, out: np.ndarray | None = None):
     """(m1, xi1, m2, xi2) from forward differences; ties pick the smallest
     index.  Locations are interface positions (the wrap interface of the
-    torus reports x = a)."""
-    d = _interface_diff(values, periodic)
+    torus reports x = a).  ``out``, n long, takes the differences."""
+    d = _interface_diff(values, periodic, out)
     d /= h
     i1 = int(np.argmin(d))
     i2 = int(np.argmax(d))

@@ -2,20 +2,22 @@
 
 K is the fundamental solution of 1 - d^2/dx^2, so K*g is computed by solving
 (I - D2) w = g instead of by quadrature: a Fourier multiplier on the torus,
-a symmetric tridiagonal solve on the line (LAPACK ``dpbtrs`` on a banded
-Cholesky factor, in place).  K'*g is the derivative of that
-smooth field.  The operator is fixed by the grid, so each function builds
-its ``KernelOp`` from the domain and n of its own input.  Direct quadrature
-against the closed-form kernel is kept only as a test oracle.
+a symmetric tridiagonal solve on the line.  The line solve is LAPACK's banded
+Cholesky factor ``dpbtrf`` and solve ``dpbtrs``, called through ``ctypes``
+from the LAPACK that numpy itself links, so the program loads no second BLAS
+and no scipy.  K'*g is the derivative of that smooth field.  The operator is
+fixed by the grid, so each function builds its ``KernelOp`` from the domain
+and n of its own input.  Direct quadrature against the closed-form kernel is
+kept only as a test oracle.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpbtrs
+from numpy.linalg import _umath_linalg
 
 from .grid import Domain, GridFn, _central_dx, _spectral_ik
 
@@ -23,12 +25,67 @@ __all__ = ["KernelOp", "conv_K", "conv_Kprime", "kernel_eval"]
 
 _E = math.e
 
+# (dpbtrf, dpbtrs, Fortran INTEGER) for each LAPACK numpy may link: the
+# ILP64 OpenBLAS of numpy >= 2 wheels, then an LP64 system LAPACK
+_LAPACK_SYMBOLS = (
+    ("scipy_dpbtrf_64_", "scipy_dpbtrs_64_", ctypes.c_int64),
+    ("dpbtrf_", "dpbtrs_", ctypes.c_int32),
+)
+
+
+def _bind_lapack():
+    """dpbtrf, dpbtrs and their INTEGER type from numpy's own LAPACK.
+
+    dlsym on the handle of numpy's linalg extension also searches the
+    libraries it links, so no library is named or loaded a second time.
+    The functions take no argtypes, which would convert every argument on
+    every call: callers pass ready ctypes objects, the hidden length of the
+    UPLO string last.
+    """
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for trf_name, trs_name, integer in _LAPACK_SYMBOLS:
+        try:
+            trf, trs = getattr(lib, trf_name), getattr(lib, trs_name)
+        except AttributeError:
+            continue
+        trf.restype = trs.restype = None
+        return trf, trs, integer
+    raise ImportError("numpy's LAPACK exports none of "
+                      + ", ".join(t for t, _, _ in _LAPACK_SYMBOLS))
+
+
+_UPLO, _UPLO_LEN = ctypes.c_char_p(b"U"), ctypes.c_size_t(1)
+_dpbtrf, _dpbtrs, _lapack_int = _bind_lapack()
+
+
+def _cholesky_banded(band: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of a symmetric positive definite band matrix.
+
+    ``band`` holds the superdiagonals over the diagonal in LAPACK's upper
+    band storage, as ``scipy.linalg.cholesky_banded`` takes it; the factor
+    comes back in the same storage, Fortran-ordered.
+    """
+    ab = np.array(band, dtype=np.float64, order="F")
+    kd, n = ab.shape[0] - 1, ab.shape[1]
+    info = _lapack_int()
+    _dpbtrf(_UPLO, ctypes.byref(_lapack_int(n)),
+            ctypes.byref(_lapack_int(kd)), ctypes.c_void_p(ab.ctypes.data),
+            ctypes.byref(_lapack_int(kd + 1)), ctypes.byref(info), _UPLO_LEN)
+    if info.value < 0:
+        raise ValueError(f"dpbtrf: illegal value in argument {-info.value}")
+    if info.value > 0:
+        raise ValueError(f"dpbtrf: leading minor {info.value} is not "
+                         "positive definite")
+    return ab
+
 
 class KernelOp:
     """Precomputed inverse-Helmholtz operator for one (domain, n) pair.
 
     Torus: multipliers 1/(1 + (2 pi k)^2) over rfft modes.
     Line: Cholesky factor of the tridiagonal (I - D2) with zero ghost cells.
+    A line operator solves in one buffer of its own, so two threads must not
+    share one.
     """
 
     def __init__(self, domain: Domain, n: int):
@@ -45,7 +102,43 @@ class KernelOp:
             band = np.zeros((2, n))
             band[0, 1:] = -1.0 / self.h ** 2
             band[1, :] = 1.0 + 2.0 / self.h ** 2
-            self._cho = cholesky_banded(band)
+            self._cho = _cholesky_banded(band)
+            # LAPACK writes the right-hand side in place, so it is only ever
+            # given a float64, C-contiguous, writeable array of n: a caller's
+            # out of that kind, else the operator's own buffer.  The dpbtrs
+            # arguments are built once per array solved in, and rebuilt only
+            # when it changes, since a pointer to an array costs more per
+            # solve than a copy into and out of the operator's buffer
+            self._rhs = np.empty(n)
+            self._info = _lapack_int()
+            n_ref = ctypes.byref(_lapack_int(n))
+            one = ctypes.byref(_lapack_int(1))
+            self._dpbtrs_head = (_UPLO, n_ref, one, one,
+                                 ctypes.c_void_p(self._cho.ctypes.data),
+                                 ctypes.byref(_lapack_int(2)))
+            self._dpbtrs_tail = (n_ref, ctypes.byref(self._info), _UPLO_LEN)
+            self._solving_in = (None, ())  # (array, its dpbtrs arguments)
+
+    def _solve(self, values: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """The line solve of ``values``, written into and returned as ``rhs``,
+        the operator's buffer or a float64, C-contiguous, writeable array of
+        n."""
+        # the routine cho_solve_banded calls, without its per-call finiteness
+        # checks: a non-finite right-hand side gives a non-finite w, which the
+        # solvers report as overflow
+        if np.shape(values) != (self.n,):
+            raise ValueError(f"the line solve takes values of shape "
+                             f"({self.n},)")
+        if rhs is not self._solving_in[0]:
+            self._solving_in = (rhs, (*self._dpbtrs_head,
+                                      ctypes.c_void_p(rhs.ctypes.data),
+                                      *self._dpbtrs_tail))
+        np.copyto(rhs, values)
+        _dpbtrs(*self._solving_in[1])
+        if self._info.value < 0:
+            raise ValueError(f"dpbtrs: illegal value in argument "
+                             f"{-self._info.value}")
+        return rhs
 
     # raw ndarray fast paths, used inside solver loops -----------------------
 
@@ -55,26 +148,20 @@ class KernelOp:
         if self.domain.periodic:
             wh = np.fft.rfft(values) * self.multipliers
             return np.fft.irfft(wh, self.n, out=out)
-        # the routine cho_solve_banded calls, without its per-call finiteness
-        # checks: a non-finite right-hand side gives a non-finite w, which the
-        # solvers report as overflow
         if out is None:
-            w = np.array(values, dtype=np.float64)
-        else:
-            w = out
-            np.copyto(w, values)
-        x, info = dpbtrs(self._cho, w, overwrite_b=1)
-        if info != 0:
-            raise ValueError(f"dpbtrs: illegal value in argument {-info}")
-        if x is not w:  # a non-contiguous out is solved in a copy
-            w[...] = x
-        return w
+            return self._solve(values, self._rhs).copy()
+        if out.shape != (self.n,):
+            raise ValueError(f"out must have shape ({self.n},)")
+        if out.dtype == np.float64 and out.flags.carray:
+            return self._solve(values, out)
+        np.copyto(out, self._solve(values, self._rhs))
+        return out
 
     def conv_Kprime_values(self, values: np.ndarray) -> np.ndarray:
         if self.domain.periodic:
             wh = np.fft.rfft(values) * self.multipliers * self._ik
             return np.fft.irfft(wh, self.n)
-        return _central_dx(self.conv_K_values(values), self.h)
+        return _central_dx(self._solve(values, self._rhs), self.h)
 
 
 def conv_K(g: GridFn) -> GridFn:

@@ -70,6 +70,8 @@ class _Recorder:
         self.cols = {name: [] for name in SERIES_NAMES}
         self.snap_times = []
         self.snapshots = []
+        # scratch for |values|, values**2 and the slope differences in turn
+        self._work = np.empty(n)
 
     def _keep(self, t: float, values: np.ndarray) -> None:
         self.snap_times.append(t)
@@ -80,14 +82,16 @@ class _Recorder:
 
     def record(self, t: float, values: np.ndarray) -> None:
         h = self.h
+        work = self._work
         self.times.append(t)
         self.cols["mass"].append(h * values.sum())
-        a = np.abs(values)
+        a = np.abs(values, out=work)
         self.cols["l1"].append(h * a.sum())
-        self.cols["l2"].append(np.sqrt(h * (values * values).sum()))
         self.cols["linf"].append(a.max())
+        sq = np.multiply(values, values, out=work)
+        self.cols["l2"].append(np.sqrt(h * sq.sum()))
         m1, xi1, m2, xi2 = slope_extrema_values(
-            values, h, self.domain.periodic, self.domain.a)
+            values, h, self.domain.periodic, self.domain.a, out=work)
         self.cols["m1"].append(m1)
         self.cols["m2"].append(m2)
         self.cols["xi1"].append(xi1)

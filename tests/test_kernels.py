@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from fwlab import (GridFn, KernelOp, conv_K, conv_Kprime, derivative,
                    kernel_eval, line, norm, sample, torus)
 from fwlab.grid import second_difference
+from fwlab.kernels import _cholesky_banded
 
 E = math.e
 
@@ -132,6 +133,114 @@ def test_line_solve_is_the_banded_cholesky_solve(rng, n):
     v = rng.normal(size=n)
     assert np.array_equal(op.conv_K_values(v),
                           cho_solve_banded((op._cho, False), v))
+
+
+@pytest.mark.parametrize("n", [256, 2000, 4000, 8000, 20480])
+def test_line_factor_is_scipys_banded_cholesky_factor(n):
+    # dpbtrf from numpy's LAPACK gives the factor scipy's gives, bit for bit
+    op = KernelOp(line(-20, 20), n)
+    band = np.zeros((2, n))
+    band[0, 1:] = -1.0 / op.h ** 2
+    band[1, :] = 1.0 + 2.0 / op.h ** 2
+    assert np.array_equal(op._cho, cholesky_banded(band))
+
+
+def test_banded_cholesky_refuses_what_dpbtrf_refuses():
+    # a band that is not positive definite (info > 0) and an illegal
+    # argument (kd = -1, info < 0) both raise instead of returning a factor
+    indefinite = np.array([[0.0, 2.0, 2.0, 2.0], [1.0, 1.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match="not positive definite"):
+        _cholesky_banded(indefinite)
+    with pytest.raises(ValueError, match="illegal value in argument 3"):
+        _cholesky_banded(np.zeros((0, 4)))
+
+
+def _unaligned(n):
+    buf = np.zeros(8 * n + 1, dtype=np.uint8)
+    return buf[1:].view(np.float64)
+
+
+@pytest.mark.parametrize("make_out", [
+    lambda n: np.zeros(2 * n)[::2],
+    lambda n: np.zeros(n, dtype=np.float32),
+    lambda n: np.zeros(n, dtype=">f8"),
+    _unaligned,
+], ids=["strided", "float32", "big-endian", "unaligned"])
+def test_line_out_not_c_float64_is_solved_in_a_copy(rng, make_out):
+    # LAPACK only ever writes the operator's own float64 buffer of n values;
+    # any out gets that solve written back, cast to its dtype
+    n = 256
+    op = KernelOp(line(-10, 10), n)
+    v = rng.normal(size=n)
+    out = make_out(n)
+    assert op.conv_K_values(v, out=out) is out
+    expect = cho_solve_banded((op._cho, False), v)
+    assert np.array_equal(out, expect.astype(out.dtype))
+
+
+def test_line_solve_follows_the_out_it_is_given(rng):
+    # the solve's arguments are rebuilt whenever the array solved in
+    # changes, and an out that became read-only is refused, not written
+    n = 256
+    op = KernelOp(line(-10, 10), n)
+    v1, v2 = rng.normal(size=(2, n))
+    a, b = np.empty(n), np.empty(n)
+    for _ in range(2):
+        assert op.conv_K_values(v1, out=a) is a
+        assert op.conv_K_values(v2, out=b) is b
+        assert op.conv_K_values(v2) is not b
+    assert np.array_equal(a, cho_solve_banded((op._cho, False), v1))
+    assert np.array_equal(b, cho_solve_banded((op._cho, False), v2))
+    b_before = b.copy()
+    b.flags.writeable = False
+    with pytest.raises(ValueError):
+        op.conv_K_values(v1, out=b)
+    assert np.array_equal(b, b_before)
+
+
+def test_line_strided_out_leaves_its_gaps_alone(rng):
+    n = 256
+    op = KernelOp(line(-10, 10), n)
+    buf = np.full(2 * n, 7.0)
+    op.conv_K_values(rng.normal(size=n), out=buf[::2])
+    assert np.all(buf[1::2] == 7.0)
+
+
+@pytest.mark.parametrize("values_len, out_len", [(255, None), (257, None),
+                                                 (255, 256), (256, 255),
+                                                 (1, 256), (256, 512)])
+def test_line_solve_refuses_a_wrong_length(values_len, out_len):
+    n = 256
+    op = KernelOp(line(-10, 10), n)
+    out = None if out_len is None else np.full(out_len, 7.0)
+    with pytest.raises(ValueError, match="shape"):
+        op.conv_K_values(np.ones(values_len), out=out)
+    with pytest.raises(ValueError, match="shape"):
+        op.conv_K_values(np.ones((n, 1)))
+    if out is not None:
+        assert np.all(out == 7.0)  # refused before anything was written
+
+
+def test_line_solve_reports_an_illegal_dpbtrs_argument():
+    op = KernelOp(line(-10, 10), 16)
+    op._dpbtrs_head[1]._obj.value = -1  # N < 0: dpbtrs returns info = -2
+    with pytest.raises(ValueError, match="illegal value in argument 2"):
+        op.conv_K_values(np.ones(16))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_line_solve_of_a_non_finite_rhs_is_non_finite(rng, bad):
+    # no finiteness check per call: the non-finite value spreads through
+    # the solve, and the solvers report the run as overflow
+    n = 512
+    op = KernelOp(line(-10, 10), n)
+    v = rng.normal(size=n)
+    v[100] = bad
+    w = op.conv_K_values(v)
+    out = np.empty(n)
+    op.conv_K_values(v, out=out)
+    assert not np.all(np.isfinite(w))
+    assert np.array_equal(w, out, equal_nan=True)
 
 
 @pytest.mark.parametrize("dom", [torus(), line(-10, 10)], ids=["torus", "line"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fwlab import torus
+from fwlab import line, torus
 from fwlab.trajectory import _Recorder, march
 
 
@@ -70,3 +70,26 @@ def test_march_streams_kept_snapshots_to_a_sink():
     assert received == [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (1.25, 1.25)]
     assert traj.snap_times.tolist() == [0.0, 0.5, 1.0, 1.25]
     assert traj.snapshots == []
+
+
+@pytest.mark.parametrize("dom", [torus(), line(-20, 20)], ids=["torus", "line"])
+def test_record_series_are_those_of_fresh_temporaries(rng, dom):
+    # the recorder reuses one scratch buffer; every series keeps the bits
+    # of the same reductions on freshly allocated arrays
+    n = 1000
+    h = dom.length / n
+    rec = _Recorder(dom, n, 1)
+    states = [rng.normal(size=n) * s for s in (1.0, 1e-3, 1e5)]
+    for k, u in enumerate(states):
+        rec.record(0.1 * k, u)
+    for k, u in enumerate(states):
+        a = np.abs(u)
+        d = np.diff(np.append(u, u[0]) if dom.periodic else u) / h
+        expect = {"mass": h * u.sum(), "l1": h * a.sum(),
+                  "l2": np.sqrt(h * (u * u).sum()), "linf": a.max(),
+                  "m1": d.min(), "m2": d.max(),
+                  "xi1": dom.a + ((int(np.argmin(d)) + 1) % n) * h,
+                  "xi2": dom.a + ((int(np.argmax(d)) + 1) % n) * h}
+        for name, value in expect.items():
+            assert rec.cols[name][k] == value, name
+    assert np.array_equal(rec.snapshots[1], states[1])
