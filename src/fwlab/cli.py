@@ -419,7 +419,8 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
         v0 = GridFn(domain, u0.values + bump.values)
         if keys.solver == "fv" and scfg.dt is None:
             # one fixed dt, so the runs share snap times
-            scfg = replace(scfg, dt=0.45 * u0.h / (2.0 + norm(u0, "Linf")))
+            scfg = replace(scfg, dt=scfg.cfl * u0.h
+                           / (2.0 + norm(u0, "Linf")))
         tu = _run_from(scfg, u0)
         # v's snapshots are compared as they are recorded, not stored
         stream = L1StabilityRatio(tu)

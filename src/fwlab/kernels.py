@@ -19,7 +19,7 @@ import math
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .grid import Domain, GridFn, _central_dx, _spectral_ik
+from .grid import Domain, GridFn, _central_dx, _profile_kernel, _spectral_ik
 
 __all__ = ["KernelOp", "conv_K", "conv_Kprime", "kernel_eval"]
 
@@ -104,64 +104,50 @@ class KernelOp:
             band[1, :] = 1.0 + 2.0 / self.h ** 2
             self._cho = _cholesky_banded(band)
             # LAPACK writes the right-hand side in place, so it is only ever
-            # given a float64, C-contiguous, writeable array of n: a caller's
-            # out of that kind, else the operator's own buffer.  The dpbtrs
-            # arguments are built once per array solved in, and rebuilt only
-            # when it changes, since a pointer to an array costs more per
-            # solve than a copy into and out of the operator's buffer
+            # given the operator's own buffer.  Its dpbtrs arguments, pointers
+            # included, are built here once: a pointer made per solve costs
+            # more than the copy into that buffer
             self._rhs = np.empty(n)
             self._info = _lapack_int()
             n_ref = ctypes.byref(_lapack_int(n))
             one = ctypes.byref(_lapack_int(1))
-            self._dpbtrs_head = (_UPLO, n_ref, one, one,
+            self._dpbtrs_args = (_UPLO, n_ref, one, one,
                                  ctypes.c_void_p(self._cho.ctypes.data),
-                                 ctypes.byref(_lapack_int(2)))
-            self._dpbtrs_tail = (n_ref, ctypes.byref(self._info), _UPLO_LEN)
-            self._solving_in = (None, ())  # (array, its dpbtrs arguments)
+                                 ctypes.byref(_lapack_int(2)),
+                                 ctypes.c_void_p(self._rhs.ctypes.data),
+                                 n_ref, ctypes.byref(self._info), _UPLO_LEN)
 
-    def _solve(self, values: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """The line solve of ``values``, written into and returned as ``rhs``,
-        the operator's buffer or a float64, C-contiguous, writeable array of
-        n."""
+    def _solve(self, values: np.ndarray) -> np.ndarray:
+        """The line solve of ``values``, in and as the operator's buffer."""
         # the routine cho_solve_banded calls, without its per-call finiteness
         # checks: a non-finite right-hand side gives a non-finite w, which the
         # solvers report as overflow
         if np.shape(values) != (self.n,):
             raise ValueError(f"the line solve takes values of shape "
                              f"({self.n},)")
-        if rhs is not self._solving_in[0]:
-            self._solving_in = (rhs, (*self._dpbtrs_head,
-                                      ctypes.c_void_p(rhs.ctypes.data),
-                                      *self._dpbtrs_tail))
-        np.copyto(rhs, values)
-        _dpbtrs(*self._solving_in[1])
+        np.copyto(self._rhs, values)
+        _dpbtrs(*self._dpbtrs_args)
         if self._info.value < 0:
             raise ValueError(f"dpbtrs: illegal value in argument "
                              f"{-self._info.value}")
-        return rhs
+        return self._rhs
 
     # raw ndarray fast paths, used inside solver loops -----------------------
 
-    def conv_K_values(self, values: np.ndarray,
-                      out: np.ndarray | None = None) -> np.ndarray:
-        """K*values, written into ``out`` and returned when it is given."""
+    def conv_K_values(self, values: np.ndarray) -> np.ndarray:
+        """K*values, as a fresh array."""
         if self.domain.periodic:
             wh = np.fft.rfft(values) * self.multipliers
-            return np.fft.irfft(wh, self.n, out=out)
-        if out is None:
-            return self._solve(values, self._rhs).copy()
-        if out.shape != (self.n,):
-            raise ValueError(f"out must have shape ({self.n},)")
-        if out.dtype == np.float64 and out.flags.carray:
-            return self._solve(values, out)
-        np.copyto(out, self._solve(values, self._rhs))
-        return out
+            return np.fft.irfft(wh, self.n)
+        return self._solve(values).copy()
 
-    def conv_Kprime_values(self, values: np.ndarray) -> np.ndarray:
+    def conv_Kprime_values(self, values: np.ndarray,
+                           out: np.ndarray | None = None) -> np.ndarray:
+        """K'*values, written into ``out`` and returned when it is given."""
         if self.domain.periodic:
             wh = np.fft.rfft(values) * self.multipliers * self._ik
-            return np.fft.irfft(wh, self.n)
-        return _central_dx(self._solve(values, self._rhs), self.h)
+            return np.fft.irfft(wh, self.n, out=out)
+        return _central_dx(self._solve(values), self.h, out=out)
 
 
 def conv_K(g: GridFn) -> GridFn:
@@ -186,7 +172,7 @@ def kernel_eval(which: str, x) -> np.ndarray | float:
     """
     x = np.asarray(x, dtype=np.float64)
     if which == "K_line":
-        out = np.exp(-np.abs(x)) / 2.0
+        out = _profile_kernel(x)
     elif which == "Kprime_line":
         out = -np.sign(x) * np.exp(-np.abs(x)) / 2.0
     elif which == "K_torus":

@@ -82,12 +82,10 @@ def _make_rhs(op: KernelOp, lam: float, dealias: bool, advect: str):
             return np.subtract(adv, conv, out=out)
         return f
 
-    w = np.empty(n)  # K*u
     d = np.empty(n)  # a central difference
 
     def minus_kprime(u, out):
-        op.conv_K_values(u, out=w)
-        return np.subtract(out, _central_dx(w, h, out=d), out=out)
+        return np.subtract(out, op.conv_Kprime_values(u, out=d), out=out)
 
     if advect == "central":
         def f(u, out):

@@ -63,11 +63,13 @@ def cusp_seed_slope(c: float) -> float:
 # ---------------------------------------------------------------------------
 # peakon
 
-def peakon(n: int = 8000, window: tuple = (-30.0, 30.0),
-           scan: tuple = (1.0, 2.0, 401)) -> TravelingWave:
+_PEAKON_SCAN = (1.0, 2.0, 401)  # the scanned speeds: first, last, count
+
+
+def peakon(n: int = 8000, window: tuple = (-30.0, 30.0)) -> TravelingWave:
     """Build the peakon and determine its speed by a residual scan."""
     prof = sample("peakon", line(*window), n)
-    c_grid = np.linspace(scan[0], scan[1], int(scan[2]))
+    c_grid = np.linspace(*_PEAKON_SCAN)
     c_best, _ = residual_scan(prof, c_grid)
     return TravelingWave(c=c_best, profile=prof)
 

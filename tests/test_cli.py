@@ -197,6 +197,16 @@ def test_verify_strong_stability_keeps_its_own_dt(tmp_path):
         "l1_stability_ratio", "l1_growth"]
 
 
+def test_verify_fv_stability_steps_at_its_cfl(tmp_path):
+    # the fixed step shared by the two FV runs is cfl h / (2 + max|u0|), so
+    # a smaller cfl gives a smaller step, not "time step too large"
+    code, out = run_cli(tmp_path, "verify", "--preset", "l1_stability",
+                        "cfl=0.1", "n=1000")
+    assert code == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert all(c["pass"] for c in report["checks"])
+
+
 def test_fv_run_takes_a_dt_no_strong_run_could(tmp_path):
     # only the solver key's config is built: T = 1 is no multiple of dt
     code, _ = run_cli(tmp_path, "simulate", "--preset", "peakon_transport",

@@ -197,6 +197,23 @@ def test_buffered_line_rhs_and_rk4_are_bit_identical(advect):
     assert (v > 0).any() and (v < 0).any()
 
 
+@pytest.mark.parametrize("advect", ["central", "upwind"])
+def test_line_rk4_step_takes_four_kernel_solves(monkeypatch, advect):
+    # one banded solve per RHS evaluation, four per RK4 step: the count the
+    # traced breaking benchmark pins (2,572 steps, 10,288 solves)
+    solve, calls = KernelOp._solve, []
+
+    def counting(op, values):
+        calls.append(op.n)
+        return solve(op, values)
+
+    monkeypatch.setattr(KernelOp, "_solve", counting)
+    u0 = sample("gaussian", line(-10, 10), 256)
+    traj = run_strong(u0, StrongConfig(dt=0.01, T=0.1, advect=advect))
+    assert traj.times.size - 1 == 10
+    assert len(calls) == 40
+
+
 def _torus_rhs_ref(u, lam, op, dealias):
     """-lam u u_x - K'*u on the torus as whole-array expressions."""
     n = op.n

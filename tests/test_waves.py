@@ -27,7 +27,7 @@ def test_peakon_profile_values():
 
 
 def test_peakon_speed_scan():
-    wave = peakon(scan=(1.0, 2.0, 401))
+    wave = peakon()
     assert abs(wave.c - 4.0 / 3.0) <= 0.01
 
 
