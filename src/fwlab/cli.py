@@ -4,22 +4,22 @@ Verbs: simulate, breaking, verify, wave, sweep.  Each verb writes its outputs
 and returns its checks; main alone writes report.json and exits 0 if its
 overall_pass holds, else 1.  A command that raises writes no report.json: a
 usage/config error exits 2; a step rejected mid-run, a check with nothing to
-check and a non-finite value bound for a JSON file exit 1.  Every config
-key sets one field in a run, of Keys (read by the commands themselves) or
-of the solver config (StrongConfig or FVConfig), or is an alias
-(_ALIASES); the check bounds are the fixed Thresholds.  load_config
-type-checks every key for every verb and refuses a non-finite float (list
-items included), and Keys rejects an unknown choice, an n or n_list entry
-below 4, a non-nested n_list or one of fewer than 3 entries, a zero
-bump_amplitude or bump_radius and an eps_list of fewer than 2 entries or
-not positive and strictly descending.  Every verb builds its solver config
-(the one the solver key names; FVConfig for sweep) before any work, so a
-bad solver key exits 2 also where no run follows; breaking refuses
-solver=fv, sweep solver=strong, and verify trajectory=upjump (T from the
-solver config) a jump_at with a state off the grid.  simulate, breaking and
-sweep keep only the first and last snapshot of a run, which is all they
-read.  A sweep runs its grids one after another.  Outputs are written once
-and atomically renamed, so identical config + seed gives identical bytes.
+check and a non-finite value bound for a JSON file exit 1.  Each field of Keys
+(read by the commands themselves) and of the solver configs (StrongConfig,
+FVConfig) is set by exactly one key: its name, or for lambda_coeff and
+source_splitting only the alias lambda or splitting (_ALIASES); the check
+bounds are the fixed Thresholds.  load_config type-checks every key for every
+verb and refuses a non-finite float (list items included), and Keys rejects an
+unknown choice, an n or n_list entry below 4, a non-nested n_list or one of
+fewer than 3 entries, a zero bump_amplitude or bump_radius and an eps_list of
+fewer than 2 entries or not positive and strictly descending.  Every verb
+builds its solver config (the one the solver key names; FVConfig for sweep)
+before any work, so a bad solver key exits 2 also where no run follows;
+breaking refuses solver=fv, sweep solver=strong, and verify a trajectory with
+check=stability and, for trajectory=upjump (T from the solver config), a
+jump_at with a state off the grid.  simulate, breaking and sweep keep only the
+first and last snapshot of a run, which is all they read.  Outputs are written
+once and atomically renamed, so identical config + seed gives identical bytes.
 """
 
 from __future__ import annotations
@@ -189,11 +189,11 @@ class Keys:
 # config keys that name a dataclass field by another name
 _ALIASES = {"lambda": "lambda_coeff", "splitting": "source_splitting"}
 
-# every key a config may hold, besides the profile.* parameters, and its field
-# type; a name both solver configs have has one type, up to an optional None
+# every field a key sets and its type, one type per name up to an optional None
 _TYPES = {name: typ for cls in (Keys, StrongConfig, FVConfig)
           for name, typ in typing.get_type_hints(cls).items()}
-_KEYS = set(_TYPES) | set(_ALIASES)
+# every key besides profile.*: one per field, an aliased one only by its alias
+_KEYS = set(_TYPES) - set(_ALIASES.values()) | set(_ALIASES)
 
 
 def _coerce(key: str, value, typ):
@@ -259,9 +259,7 @@ def _initial_from(cfg: dict, domain: Domain, n: int) -> GridFn:
 
 
 def _solver_config(solver: str, cfg: dict, **defaults):
-    """The StrongConfig or FVConfig of cfg.  Every verb builds the one its
-    solver key names before any work, so a bad solver key exits 2 even
-    where no run follows."""
+    """The StrongConfig or FVConfig of cfg, as its solver key names."""
     cls = StrongConfig if solver == "strong" else FVConfig
     return _config_from(cls, cfg, **defaults)
 
@@ -311,6 +309,11 @@ def _check(name: str, ok: bool, value, threshold, **details) -> dict:
     return entry
 
 
+def _mass_check(cons) -> dict:
+    return _check("mass_conservation", cons.mass_drift <= Thresholds.mass_tol,
+                  cons.mass_drift, Thresholds.mass_tol)
+
+
 def _short_runs(*trajs: Trajectory) -> list[dict]:
     """A failing ``completed`` check for each run that stopped before T."""
     return [_check("completed", False, t.stop_reason, t.config.T,
@@ -341,9 +344,7 @@ def cmd_simulate(cfg: dict, out: str) -> list[dict]:
     checks = [_check("completed", traj.stop_reason != "overflow",
                      traj.stop_reason, "no overflow")]
     if domain.periodic:
-        checks.append(_check("mass_conservation",
-                             cons.mass_drift <= Thresholds.mass_tol,
-                             cons.mass_drift, Thresholds.mass_tol))
+        checks.append(_mass_check(cons))
         if keys.solver == "strong":
             checks.append(_check("l2_conservation",
                                  cons.l2_drift_rel <= Thresholds.l2_rel_tol,
@@ -410,6 +411,10 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
     n = keys.n
     checks = []
     if keys.check == "stability":
+        if keys.trajectory is not None:
+            raise ConfigError(f"check='stability', trajectory="
+                              f"{keys.trajectory!r}: a trajectory is checked "
+                              f"only by check='entropy'")
         u0 = _initial_from(cfg, domain, n)
         if norm(u0, "L1") == 0.0:  # l1_growth divides by it
             raise ConfigError(f"profile={keys.profile!r}: the stability check "
@@ -447,7 +452,6 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
         u0 = _initial_from(cfg, domain, n)
         traj = _run_from(scfg, u0)
     rep = entropy_report(traj, lambdas=keys.lambdas)
-    cons = conservation_report(traj)
     checks.append(_check("weak_residual", rep.passes["weak"],
                          rep.weak_residual_max, Thresholds.weak_tol))
     checks.append(_check("kruzhkov_residual", rep.passes["kruzhkov"],
@@ -456,9 +460,7 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
                          rep.oleinik_margin,
                          -Thresholds.oleinik_rel_tol * rep.oleinik_scale))
     if domain.periodic:
-        checks.append(_check("mass_conservation",
-                             cons.mass_drift <= Thresholds.mass_tol,
-                             cons.mass_drift, Thresholds.mass_tol))
+        checks.append(_mass_check(conservation_report(traj)))
     _write_json(os.path.join(out, "entropy.json"), {
         "weak_residual_max": rep.weak_residual_max,
         "kruzhkov_min": rep.kruzhkov_min,
@@ -522,8 +524,7 @@ def cmd_wave(cfg: dict, out: str) -> list[dict]:
 
 
 def _max_workers() -> int:
-    """The threads a sweep runs its grids on: one.  perfbench/worker.py
-    records this as provenance."""
+    """The threads a sweep runs its grids on: one (benchmark provenance)."""
     return 1
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .grid import GridFn, _pad, second_difference
 from .kernels import KernelOp
-from .trajectory import Trajectory, _Recorder, ends_only, march
+from .trajectory import Trajectory, _Recorder, check_span, ends_only, march
 
 __all__ = ["FVConfig", "godunov_flux", "run_fv", "viscosity_sweep"]
 
@@ -36,8 +36,7 @@ class FVConfig:
     snapshot_stride: int = 4
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError(f"T={self.T!r}: expected T > 0")
+        check_span(self)
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError("cfl must lie in (0, 1]")
         if self.eps < 0.0:
@@ -46,9 +45,6 @@ class FVConfig:
             raise ValueError("source_splitting must be 'strang' or 'lie'")
         if self.dt is not None and not self.dt > 0:
             raise ValueError("fixed dt must be positive")
-        if self.snapshot_stride < 1:
-            raise ValueError(f"snapshot_stride={self.snapshot_stride!r}: "
-                             f"expected at least 1")
 
 
 def godunov_flux(ul, ur):
@@ -76,9 +72,11 @@ def _burgers_update(u: np.ndarray, dt: float, h: float, periodic: bool,
 
 
 def _dt_bound(u: np.ndarray, h: float, cfl: float, eps: float) -> float:
-    """The CFL step bound and, with viscosity, the explicit diffusion one."""
-    dt = cfl * h / max(np.abs(u).max(), _TINY)
-    return min(dt, 0.4 * h * h / eps) if eps > 0.0 else dt
+    """The CFL bound and, with viscosity, the monotone limit nu + 2 mu <= 1
+    (nu = dt max|u| / h, mu = dt eps / h^2) of upwind flux plus diffusion."""
+    umax = np.abs(u).max()
+    dt = cfl * h / max(umax, _TINY)
+    return min(dt, h / (umax + 2.0 * eps / h)) if eps > 0.0 else dt
 
 
 def _source_update(u: np.ndarray, tau: float, op: KernelOp) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import GridFn, _central_dx
 from .kernels import KernelOp
-from .trajectory import Trajectory, _Recorder, march
+from .trajectory import Trajectory, _Recorder, check_span, march
 
 __all__ = ["StrongConfig", "run_strong", "scaling_transport"]
 
@@ -34,8 +34,7 @@ class StrongConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError(f"dt={self.dt!r}: expected dt > 0")
-        if not self.T > 0:
-            raise ValueError(f"T={self.T!r}: expected T > 0")
+        check_span(self)
         if abs(round(self.T / self.dt) * self.dt - self.T) > 1e-9 * self.T:
             raise ValueError(f"T={self.T!r} is not an integer multiple of "
                              f"dt={self.dt!r}")
@@ -45,9 +44,6 @@ class StrongConfig:
             raise ValueError("lambda_coeff must be nonnegative")
         if self.advect not in ("central", "upwind"):
             raise ValueError("advect must be 'central' or 'upwind'")
-        if self.snapshot_stride < 1:
-            raise ValueError(f"snapshot_stride={self.snapshot_stride!r}: "
-                             f"expected at least 1")
 
 
 def _make_rhs(op: KernelOp, lam: float, dealias: bool, advect: str):

@@ -12,6 +12,15 @@ from .grid import Domain, GridFn, slope_extrema_values, write_csv
 SERIES_NAMES = ("mass", "l1", "l2", "linf", "m1", "m2", "xi1", "xi2")
 
 
+def check_span(cfg) -> None:
+    """Refuse a StrongConfig or FVConfig with T <= 0 or a stride below 1."""
+    if not cfg.T > 0:
+        raise ValueError(f"T={cfg.T!r}: expected T > 0")
+    if cfg.snapshot_stride < 1:
+        raise ValueError(f"snapshot_stride={cfg.snapshot_stride!r}: "
+                         f"expected at least 1")
+
+
 def ends_only(cfg):
     """cfg (a StrongConfig or FVConfig) with a snapshot stride no run
     reaches, so that only the initial and the end state are kept."""

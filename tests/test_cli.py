@@ -469,6 +469,9 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     # with jump_at = 0 on the torus every cell holds +1: a field with no jump
     ("verify", "upjump_adversarial", ["domain=torus"], EXIT_USAGE,
      "jump_at=0.0"),
+    # the stability check runs the profile: a trajectory would be ignored
+    ("verify", "l1_stability", ["n=400", "trajectory=upjump"], EXIT_USAGE,
+     "check='stability', trajectory='upjump'"),
 ])
 def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
                                  code, message):
@@ -544,6 +547,26 @@ def test_each_key_sets_one_field_per_run():
         assert base(strong[name]) == base(fv[name]), name
 
 
+def test_each_field_has_one_key(tmp_path_factory):
+    # an aliased field is set by its alias only: with two spellings of one
+    # field, the later one silently won
+    key_of = {name: alias for alias, name in _ALIASES.items()}
+    names = [name for cls in (Keys, StrongConfig, FVConfig)
+             for name in typing.get_type_hints(cls)]
+    assert _KEYS == {key_of.get(name, name) for name in names}
+    assert len(_KEYS) == len(set(names))
+    for preset, key in (("dispersion_mode1", "lambda_coeff=2.0"),
+                        ("peakon_transport", "source_splitting=lie")):
+        code, err = _main_stderr(["simulate", "--preset", preset, "--out",
+                                  str(tmp_path_factory.mktemp("out")), key])
+        assert code == EXIT_USAGE
+        assert f"unknown key {key.split('=')[0]!r}" in err
+    cfg = load_config(None, "dispersion_mode1", ["lambda=2.0"])
+    assert _config_from(StrongConfig, cfg).lambda_coeff == 2.0
+    cfg = load_config(None, "peakon_transport", ["splitting=lie"])
+    assert _config_from(FVConfig, cfg).source_splitting == "lie"
+
+
 def test_readme_key_table_names_the_keys():
     # the first column of the README's table of Keys fields, backticked names
     text = (Path(__file__).parents[1] / "README.md").read_text()
@@ -555,8 +578,10 @@ def test_readme_key_table_names_the_keys():
 
 
 def _numeric_fields(cls, preset):
+    # (preset, key) of each int or float field, an aliased one by its alias
     hints = typing.get_type_hints(cls)
-    return [(preset, f.name) for f in fields(cls)
+    key_of = {name: alias for alias, name in _ALIASES.items()}
+    return [(preset, key_of.get(f.name, f.name)) for f in fields(cls)
             if {int, float} & {hints[f.name], *typing.get_args(hints[f.name])}]
 
 

@@ -480,7 +480,7 @@ def test_one_pass_residuals_are_bit_identical_to_two_passes(case,
 
 def test_conservation_report_zero():
     rep = conservation_report(_zero_traj())
-    assert rep.mass_drift == 0.0 and rep.l2_drift == 0.0
+    assert rep.mass_drift == 0.0 and rep.l2_drift_rel == 0.0
 
 
 def test_envelope_check_on_fv_run():

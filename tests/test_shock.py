@@ -1,14 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwlab import (FVConfig, StrongConfig, Thresholds, godunov_flux, line,
-                   norm, run_fv, run_strong, sample, torus, viscosity_sweep)
+from fwlab import (FVConfig, KernelOp, StrongConfig, Thresholds, godunov_flux,
+                   line, norm, run_fv, run_strong, sample, torus,
+                   viscosity_sweep)
 from fwlab.grid import second_difference
-from fwlab.shock import _burgers_update
+from fwlab.shock import _burgers_update, _dt_bound, _step_values
 
 
 def brute_force_godunov(ul, ur, npts=20001):
@@ -53,10 +55,64 @@ def test_fv_step_cfl_guard():
     cfg = FVConfig(T=1.0, cfl=0.45, dt=1.0)
     with pytest.raises(ValueError, match="time step too large"):
         run_fv(u, cfg)
-    # viscous stability bound dt <= 0.4 h^2 / eps
+    # viscous monotone bound dt <= h / (max|u| + 2 eps / h)
     cfg_eps = FVConfig(T=1.0, eps=1.0, dt=0.9 * 0.45 * u.h / 2.0)
     with pytest.raises(ValueError, match="time step too large"):
         run_fv(u, cfg_eps)
+
+
+def _tv(u, periodic):
+    # total variation, across the seam on the torus and counting the zero
+    # ghost cells on the line
+    e = np.append(u, u[0]) if periodic else np.concatenate(([0.0], u, [0.0]))
+    return np.abs(np.diff(e)).sum()
+
+
+@pytest.mark.parametrize("splitting", ["strang", "lie"])
+@pytest.mark.parametrize("domain, n", [(line(-10, 10), 256), (torus(), 400)],
+                         ids=["line", "torus"])
+def test_fv_step_is_an_l1_contraction_but_for_the_source(domain, n,
+                                                         splitting):
+    # a monotone Burgers sub-step is an L1 contraction (Crandall and Majda
+    # 1980), and each source sub-step u - tau D (u - tau D u / 2) has L1
+    # norm at most e^{|D|_1 tau}, D the discrete K'* with column-sum norm
+    # |D|_1: one step S obeys |S(u) - S(v)|_1 <= e^{|D|_1 dt} |u - v|_1
+    op = KernelOp(domain, n)
+    h, periodic = op.h, domain.periodic
+    norm_d = np.abs(np.column_stack([op.conv_Kprime_values(e)
+                                     for e in np.eye(n)])).sum(axis=0).max()
+    rng = np.random.default_rng(1980)
+    for k in range(200):
+        if k == 0:  # a constant state with one cell moved: the sawtooth case
+            u = np.ones(n)
+            v = u.copy()
+            v[n // 2] += 1e-3
+            eps = 0.4 * h / 0.45  # where the old 0.4 h^2 / eps met the CFL
+        else:
+            u = (rng.uniform(-1, 1)
+                 + rng.choice([0.0, 0.1, 1.0]) * rng.standard_normal(n))
+            v = u.copy()
+            cells = rng.choice(n, rng.integers(1, n + 1), replace=False)
+            v[cells] += rng.normal(scale=10.0 ** rng.uniform(-3, 0),
+                                   size=cells.size)
+            eps = rng.uniform(0, 3) * h * max(np.abs(u).max(), np.abs(v).max())
+        cfg = FVConfig(eps=eps, source_splitting=splitting)
+        dt = min(_dt_bound(u, h, cfg.cfl, eps), _dt_bound(v, h, cfg.cfl, eps))
+        d0 = np.abs(u - v).sum()
+        d1 = np.abs(_step_values(u, dt, op, cfg)
+                    - _step_values(v, dt, op, cfg)).sum()
+        assert d1 <= math.exp(norm_d * dt) * d0 * (1 + 1e-12), (k, d1 / d0)
+        # the Burgers sub-step alone: a contraction, the max principle (the
+        # zero far field included on the line) and no new variation
+        burgers = replace(cfg, source_on=False)
+        su = _step_values(u, dt, op, burgers)
+        sv = _step_values(v, dt, op, burgers)
+        assert np.abs(su - sv).sum() <= d0 * (1 + 1e-12), k
+        lo, hi = u.min(), u.max()
+        if not periodic:
+            lo, hi = min(lo, 0.0), max(hi, 0.0)
+        assert lo - 1e-12 <= su.min() and su.max() <= hi + 1e-12, k
+        assert _tv(su, periodic) <= _tv(u, periodic) * (1 + 1e-12), k
 
 
 def test_lie_splitting_conserves_mass_and_is_first_order_off_strang():

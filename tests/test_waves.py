@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from fwlab import (FVConfig, KernelOp, b_formula, cusp_profile,
-                   cusp_seed_slope, derivative, kernel_eval,
+                   cusp_seed_slope, derivative, diagnostics, kernel_eval,
                    kruzhkov_residual, line, make_test_family,
                    measured_cusp_jump, norm, peakon, residual_scan, run_fv,
                    sample, tw_defect, tw_first_integral, waves)
@@ -223,6 +223,43 @@ def test_transported_peakon_is_entropy_admissible():
     lams = np.linspace(-2.0, 2.0, 9)
     kmin = kruzhkov_residual(traj, lams, fam)
     assert kmin >= -1e-4
+
+
+def test_traveling_waves_as_weak_solutions_in_space_time():
+    # in space-time, the transported peakon is a weak solution; the
+    # transported cusp leaves the residual A <K'(x - ct), phi> per bump,
+    # with A = 2 w'(0+) = sqrt(c^3 (3c - 4) / 3), the jump of ((v - c)^2/2)'
+    # at the cusp (Fornberg and Whitham 1978)
+    dom = line(-30, 30)
+    n = 8000
+    times = np.linspace(0.0, 4.0, 401)
+    fam = make_test_family(dom, 4.0, 12)
+    x = dom.cell_centers(n)
+
+    def residuals(profile, c, x0):
+        traj = synthetic_trajectory(dom, n, times,
+                                    lambda x, t: profile(x - x0 - c * t))
+        return diagnostics._residuals(traj, fam)[0]
+
+    peak = residuals(PROFILES["peakon"], 4.0 / 3.0, -2.0)
+    assert np.abs(peak).max() < 1e-5
+    # at a speed other than its own the peakon is no traveling wave
+    assert np.abs(residuals(PROFILES["peakon"], 1.5, -2.0)).max() > 1e-3
+
+    c = 1.5
+    cusp = cusp_profile(c, n=n).profile
+    resid = residuals(lambda xi: np.interp(xi, cusp.x, cusp.values), c, -3.0)
+    # <K'(x - ct), phi> by the trapezoid rule over the snapshot times
+    weights = np.full(times.size, times[1] - times[0])
+    weights[[0, -1]] /= 2.0
+    pairing = sum(w * dom.length / n
+                  * np.array([np.dot(kernel_eval("Kprime_line",
+                                                 x + 3.0 - c * t),
+                                     tf.phi(x, t)) for tf in fam])
+                  for w, t in zip(weights, times))
+    amplitude = np.dot(resid, pairing) / np.dot(pairing, pairing)
+    assert amplitude == pytest.approx(math.sqrt(c ** 3 * (3 * c - 4) / 3),
+                                      rel=0.01)
 
 
 def test_peakon_translation_under_fv_first_order():
