@@ -15,11 +15,13 @@ fewer than 3 entries, a zero bump_amplitude or bump_radius and an eps_list of
 fewer than 2 entries or not positive and strictly descending.  Every verb
 builds its solver config (the one the solver key names; FVConfig for sweep)
 before any work, so a bad solver key exits 2 also where no run follows;
-breaking refuses solver=fv, sweep solver=strong, and verify a trajectory with
-check=stability and, for trajectory=upjump (T from the solver config), a
-jump_at with a state off the grid.  simulate, breaking and sweep keep only the
-first and last snapshot of a run, which is all they read.  Outputs are written
-once and atomically renamed, so identical config + seed gives identical bytes.
+breaking refuses solver=fv, sweep solver=strong, and verify a key that only
+another of its modes reads (_VERIFY_MODE_KEYS) and, for trajectory=upjump (T
+from the solver config), a jump_at with a state off the grid.  verify's
+stability check steps both FV runs at the solver's own bound, _dt_bound, at
+the speed 2 + max|u0|.  simulate, breaking and sweep keep only the first and
+last snapshot of a run, which is all they read.  Outputs are written once and
+atomically renamed, so identical config + seed gives identical bytes.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .diagnostics import (L1StabilityRatio, Thresholds, attach_observation,
                           entropy_report, envelope_check, oleinik_reach)
 from .grid import (Domain, GridFn, line, norm, sample, torus, write_csv,
                    write_snapshot_csv)
-from .shock import FVConfig, run_fv, viscosity_sweep
+from .shock import FVConfig, _dt_bound, run_fv, viscosity_sweep
 from .strong import StrongConfig, run_strong
 from .trajectory import (Trajectory, ends_only, synthetic_trajectory,
                          write_series_csv)
@@ -404,17 +406,29 @@ def cmd_breaking(cfg: dict, out: str) -> list[dict]:
     return checks
 
 
+# the keys that only one mode of verify reads, and that mode
+_VERIFY_MODE_KEYS = {
+    "bump_amplitude": ("check", "stability"),
+    "bump_center": ("check", "stability"),
+    "bump_radius": ("check", "stability"),
+    "steps": ("trajectory", "upjump"),
+    "jump_at": ("trajectory", "upjump"),
+    "trajectory": ("check", "entropy"),
+    "lambdas": ("check", "entropy"),
+}
+
+
 def cmd_verify(cfg: dict, out: str) -> list[dict]:
     keys = _config_from(Keys, cfg, n=4000)
+    for key, (mode, value) in _VERIFY_MODE_KEYS.items():
+        if key in cfg and getattr(keys, mode) != value:
+            raise ConfigError(f"{mode}={getattr(keys, mode)!r}, {key}="
+                              f"{getattr(keys, key)!r}: {key} is read only "
+                              f"with {mode}={value!r}")
     scfg = _solver_config(keys.solver, cfg)
     domain = _domain_from(keys)
     n = keys.n
-    checks = []
     if keys.check == "stability":
-        if keys.trajectory is not None:
-            raise ConfigError(f"check='stability', trajectory="
-                              f"{keys.trajectory!r}: a trajectory is checked "
-                              f"only by check='entropy'")
         u0 = _initial_from(cfg, domain, n)
         if norm(u0, "L1") == 0.0:  # l1_growth divides by it
             raise ConfigError(f"profile={keys.profile!r}: the stability check "
@@ -424,18 +438,18 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
         v0 = GridFn(domain, u0.values + bump.values)
         if keys.solver == "fv" and scfg.dt is None:
             # one fixed dt, so the runs share snap times
-            scfg = replace(scfg, dt=scfg.cfl * u0.h
-                           / (2.0 + norm(u0, "Linf")))
+            scfg = replace(scfg, dt=_dt_bound(2.0 + norm(u0, "Linf"), u0.h,
+                                              scfg.cfl, scfg.eps))
         tu = _run_from(scfg, u0)
         # v's snapshots are compared as they are recorded, not stored
         stream = L1StabilityRatio(tu)
         tv = _run_from(scfg, v0, sink=stream)
         ratio = stream.value()
-        tol = Thresholds.l1_ratio_tol
-        checks.append(_check("l1_stability_ratio", ratio <= tol, ratio, tol))
         growth = max(tu.series["l1"] / (np.exp(tu.times) * tu.series["l1"][0]))
-        checks.append(_check("l1_growth", growth <= tol, float(growth), tol))
-        return checks + _short_runs(tu, tv)
+        tol = Thresholds.l1_ratio_tol
+        return [_check("l1_stability_ratio", ratio <= tol, ratio, tol),
+                _check("l1_growth", growth <= tol, float(growth), tol),
+                *_short_runs(tu, tv)]
 
     # a run ending before every Oleinik time is refused before it starts
     oleinik_reach(scfg.T)
@@ -452,20 +466,22 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
         u0 = _initial_from(cfg, domain, n)
         traj = _run_from(scfg, u0)
     rep = entropy_report(traj, lambdas=keys.lambdas)
-    checks.append(_check("weak_residual", rep.passes["weak"],
-                         rep.weak_residual_max, Thresholds.weak_tol))
-    checks.append(_check("kruzhkov_residual", rep.passes["kruzhkov"],
-                         rep.kruzhkov_min, -Thresholds.kruzhkov_tol))
-    checks.append(_check("oleinik_margin", rep.passes["oleinik"],
-                         rep.oleinik_margin,
-                         -Thresholds.oleinik_rel_tol * rep.oleinik_scale))
+    weak_tol, kr_bound = Thresholds.weak_tol, -Thresholds.kruzhkov_tol
+    ol_bound = -Thresholds.oleinik_rel_tol * rep.oleinik_scale
+    checks = [_check("weak_residual", rep.weak_residual_max <= weak_tol,
+                     rep.weak_residual_max, weak_tol),
+              _check("kruzhkov_residual", rep.kruzhkov_min >= kr_bound,
+                     rep.kruzhkov_min, kr_bound),
+              _check("oleinik_margin", rep.oleinik_margin >= ol_bound,
+                     rep.oleinik_margin, ol_bound)]
     if domain.periodic:
         checks.append(_mass_check(conservation_report(traj)))
     _write_json(os.path.join(out, "entropy.json"), {
         "weak_residual_max": rep.weak_residual_max,
         "kruzhkov_min": rep.kruzhkov_min,
         "oleinik_margin": rep.oleinik_margin,
-        "passes": rep.passes,
+        "passes": {name: c["pass"] for name, c
+                   in zip(("weak", "kruzhkov", "oleinik"), checks)},
     })
     return checks + _short_runs(traj)
 

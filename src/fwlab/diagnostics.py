@@ -15,7 +15,7 @@ is defined in ``grid`` (the run recorder needs it) and re-exported here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -268,7 +268,8 @@ class KruzhkovPair:
 
 @dataclass(frozen=True)
 class TestFn:
-    """Smooth compactly supported bump psi((x-x0)/r) psi((t-t0)/s)."""
+    """Smooth compactly supported bump psi((x-x0)/r) psi((t-t0)/s); with
+    ``periodic``, which the residuals take from the domain, x - x0 wraps."""
 
     __test__ = False  # not a pytest class despite the name
 
@@ -276,19 +277,18 @@ class TestFn:
     t0: float
     r: float
     s: float
-    periodic: bool = False
 
-    def _zx(self, x: np.ndarray) -> np.ndarray:
+    def _zx(self, x: np.ndarray, periodic: bool = False) -> np.ndarray:
         dx = x - self.x0
-        if self.periodic:
+        if periodic:
             dx = np.mod(dx + 0.5, 1.0) - 0.5
         return dx / self.r
 
     def _zt(self, t: float) -> float:
         return (t - self.t0) / self.s
 
-    def phi(self, x: np.ndarray, t: float) -> np.ndarray:
-        return _psi(self._zx(x)) * _psi(np.asarray([self._zt(t)]))[0]
+    def phi(self, x: np.ndarray, t: float, periodic: bool = False):
+        return _psi(self._zx(x, periodic)) * _psi(np.array([self._zt(t)]))[0]
 
 
 def make_test_family(domain: Domain, t_end: float, count: int = 12) -> list:
@@ -298,7 +298,6 @@ def make_test_family(domain: Domain, t_end: float, count: int = 12) -> list:
     both the weak form and the initial-value-free entropy form.
     """
     L = domain.length
-    periodic = domain.periodic
     dt_half = 0.42 * t_end
     t0 = 0.5 * t_end
     n_small = (count + 1) // 2
@@ -308,13 +307,13 @@ def make_test_family(domain: Domain, t_end: float, count: int = 12) -> list:
         if m == 0:
             continue
         r = r_frac * L
-        if periodic:
+        if domain.periodic:
             centers = domain.a + (np.arange(m) + 0.5) * L / m
         else:
             lo, hi = domain.a + 1.05 * r, domain.b - 1.05 * r
             centers = np.linspace(lo, hi, m)
         for x0 in centers:
-            fam.append(TestFn(float(x0), t0, r, dt_half, periodic=periodic))
+            fam.append(TestFn(float(x0), t0, r, dt_half))
     return fam
 
 
@@ -346,9 +345,10 @@ def _residuals(traj: Trajectory, family, lambdas=()):
     pass over the snapshots.
 
     Returns the weak residual of each bump, initial term included, (J,), and
-    the Kruzhkov integrals, one row per lambda, (L, J).  Without its initial
-    term the weak form is the entropy form of (u, u^2/2, 1).  For an entropy
-    eta with flux q, each snapshot interval [t_k, t_k+1] adds
+    the Kruzhkov integrals, one row per lambda, (L, J).  With lambdas, whose
+    forms have no initial term, every bump must vanish at t = 0.  Without
+    its initial term the weak form is the entropy form of (u, u^2/2, 1).
+    For an entropy eta with flux q, each snapshot interval [t_k, t_k+1] adds
     h <eta_bar, phi_k+1 - phi_k> + dt <q_bar, g_bar>
     - dt h (<s_k, phi_k> + <s_k+1, phi_k+1>) / 2, where bars average the two
     ends, g is the cell-interface difference of phi (wrapped at the seam on
@@ -365,21 +365,22 @@ def _residuals(traj: Trajectory, family, lambdas=()):
     lies only in intervals that add zeros: it is not contracted, and its
     stack rows stay zero.
     """
+    pair = KruzhkovPair(np.atleast_1d(np.asarray(lambdas,
+                                                 dtype=np.float64))[:, None])
+    L = pair.lam.shape[0]
+    _validate_family(traj, family, need_zero_at_t0=L > 0)
     n, J = traj.n, len(family)
     op = KernelOp(traj.domain, n)
     x = traj.domain.cell_centers(n)
     periodic = traj.domain.periodic
     xi = traj.domain.a + np.arange(n + (not periodic)) * traj.h
-    P = np.column_stack([_psi(tf._zx(x)) for tf in family])
-    G = _interface_diff(np.column_stack([_psi(tf._zx(xi)) for tf in family]),
-                        periodic)
+    P = np.column_stack([_psi(tf._zx(x, periodic)) for tf in family])
+    G = _interface_diff(np.column_stack([_psi(tf._zx(xi, periodic))
+                                         for tf in family]), periodic)
     times = traj.snap_times
     A = np.column_stack([_psi(tf._zt(times)) for tf in family])
     live = np.pad(A.any(axis=1), 1)
     needed = np.flatnonzero(live[:-2] | live[1:-1] | live[2:])
-    pair = KruzhkovPair(np.atleast_1d(np.asarray(lambdas,
-                                                 dtype=np.float64))[:, None])
-    L = pair.lam.shape[0]
     buf = np.empty((4, L, n))
     # the weak row is contracted apart: stacked on the lambda rows, its
     # products would round differently
@@ -405,7 +406,8 @@ def _residuals(traj: Trajectory, family, lambdas=()):
                 - 0.5 * dt * h * (S[:-1] * a0 + S[1:] * a1)).sum(axis=0)
 
     w = pairings(Ew, Qw, Sw)[0]
-    w += h * np.array([np.dot(traj.snapshots[0], tf.phi(x, times[0]))
+    w += h * np.array([np.dot(traj.snapshots[0],
+                              tf.phi(x, times[0], periodic))
                        for tf in family])
     return w, pairings(E, Q, S)
 
@@ -413,20 +415,16 @@ def _residuals(traj: Trajectory, family, lambdas=()):
 def weak_residual(traj: Trajectory, family) -> float:
     """max |R(phi)| of the weak form: R = integral of u phi_t + (u^2/2) phi_x
     - (K'*u) phi, plus the initial term."""
-    _validate_family(traj, family, need_zero_at_t0=False)
     w, _ = _residuals(traj, family)
     return float(np.abs(w).max(initial=0.0))
 
 
-def kruzhkov_residual(traj: Trajectory, lambdas, family,
-                      return_matrix: bool = False):
+def kruzhkov_residual(traj: Trajectory, lambdas, family) -> float:
     """min over (lambda, phi) of the entropy-form integral; admissible runs
     keep it above -tol, an inadmissible up-jump drives it strongly negative.
-    The matrix has one row per lambda and one column per bump."""
-    _validate_family(traj, family, need_zero_at_t0=True)
+    ``_residuals`` gives the matrix, one row per lambda and one column per
+    bump."""
     _, mat = _residuals(traj, family, lambdas)
-    if return_matrix:
-        return float(mat.min()), mat
     return float(mat.min())
 
 
@@ -457,26 +455,26 @@ class EntropyReport:
     kruzhkov_min: float
     oleinik_margin: float
     oleinik_scale: float
-    passes: dict = field(default_factory=dict)
 
 
 OLEINIK_TIMES = (0.25, 0.5, 1.0)
 
 
-def oleinik_reach(t_end: float, oleinik_times=OLEINIK_TIMES) -> list:
+def oleinik_reach(t_end: float) -> list:
     """The Oleinik times up to t_end.  With none the Oleinik check would
     pass vacuously, so that raises ValueError; given T, this refuses a run
     before it starts."""
-    reached = [t for t in oleinik_times if t <= t_end + 1e-12]
+    reached = [t for t in OLEINIK_TIMES if t <= t_end + 1e-12]
     if not reached:
-        raise ValueError(f"oleinik_times={tuple(oleinik_times)!r}, "
+        raise ValueError(f"oleinik_times={OLEINIK_TIMES!r}, "
                          f"t_end={t_end!r}: no Oleinik time up to t_end")
     return reached
 
 
-def entropy_report(traj: Trajectory, lambdas=None, family=None,
-                   oleinik_times=OLEINIK_TIMES) -> EntropyReport:
-    """Weak + Kruzhkov + Oleinik checks on one trajectory."""
+def entropy_report(traj: Trajectory, lambdas=None,
+                   family=None) -> EntropyReport:
+    """Weak + Kruzhkov + Oleinik values on one trajectory; the caller
+    compares them with their ``Thresholds``."""
     t_end = float(traj.snap_times[-1])
     if family is None:
         family = make_test_family(traj.domain, t_end)
@@ -484,30 +482,23 @@ def entropy_report(traj: Trajectory, lambdas=None, family=None,
     linf = norm(u0, "Linf")
     if lambdas is None:
         lambdas = np.linspace(-1.5 * max(linf, 1e-6), 1.5 * max(linf, 1e-6), 9)
-    _validate_family(traj, family, need_zero_at_t0=True)
+    w, mat = _residuals(traj, family, lambdas)
     # the snapshot nearest each Oleinik time up to t_end; at t = 0 the bound
     # says nothing, and with no snapshot left the check would pass vacuously
     nearest = (int(np.argmin(np.abs(traj.snap_times - t)))
-               for t in oleinik_reach(t_end, oleinik_times))
+               for t in oleinik_reach(t_end))
     checked = [(i, float(traj.snap_times[i])) for i in nearest
                if traj.snap_times[i] > 0]
     if not checked:
-        raise ValueError(f"oleinik_times={tuple(oleinik_times)!r}, "
+        raise ValueError(f"oleinik_times={OLEINIK_TIMES!r}, "
                          f"t_end={t_end!r}: no snapshot in (0, t_end] is the "
                          f"nearest to one of these times")
-    w, mat = _residuals(traj, family, lambdas)
-    wr = float(np.abs(w).max(initial=0.0))
-    kr = float(mat.min())
     u0_l1 = norm(u0, "L1")
     margin = min(oleinik_check(traj.snapshot(i), ti, u0_l1)
                  for i, ti in checked)
     scale = max([1.0] + [oleinik_coefficient(ti, u0_l1) for _, ti in checked])
-    passes = {
-        "weak": wr <= Thresholds.weak_tol,
-        "kruzhkov": kr >= -Thresholds.kruzhkov_tol,
-        "oleinik": margin >= -Thresholds.oleinik_rel_tol * scale,
-    }
-    return EntropyReport(wr, kr, margin, scale, passes)
+    return EntropyReport(float(np.abs(w).max(initial=0.0)), float(mat.min()),
+                         margin, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ term.  Line: second-order central differences; an optional first-order
 upwind mode exists for runs that are driven through wave breaking, where a
 non-dissipative stencil rings at the grid scale and contaminates the slope
 diagnostics (see the breaking preset).  ``run_strong`` takes exactly T/dt
-RK4 steps through ``trajectory.march``, so T must be a multiple of dt.
+RK4 steps through ``trajectory.march``, so T must be a multiple of dt, and
+refuses a step past RK4's linear stability reach, so that an unstable run is
+not reported the way wave breaking is.
 """
 
 from __future__ import annotations
@@ -133,16 +135,36 @@ def _rk4(f, n: int):
 def run_strong(u0: GridFn, cfg: StrongConfig, sink=None) -> Trajectory:
     """Integrate to T, or stop early when min slope < -stop_slope or on
     numerical overflow (stop_reason records which).  A sink receives the
-    snapshots in place of the trajectory (see ``_Recorder``)."""
+    snapshots in place of the trajectory (see ``_Recorder``).
+
+    Before each step the linear stability number dt lam max|u| k_max, with
+    k_max = 2 pi n / 3 (torus, dealiased), pi n (torus) or 1/h (line), is
+    held to RK4's reach: 2 sqrt 2 on the imaginary axis, or 1.3926 on the
+    upwind circle -nu (1 - e^{-i theta}).  Past it the step raises
+    ValueError("time step too large"), as ``run_fv``'s CFL guard does."""
     step = _rk4(_make_rhs(KernelOp(u0.domain, u0.n), cfg.lambda_coeff,
                           cfg.dealias, cfg.advect), u0.n)
     rec = _Recorder(u0.domain, u0.n, cfg.snapshot_stride, sink)
     nsteps = int(round(cfg.T / cfg.dt))
-    # a fixed step count, not t < T: accumulated t drifts from k * dt, and
-    # rec holds t = 0 plus one record per step taken
-    traj = march(u0.values, rec,
-                 lambda t, u: cfg.dt if len(rec.times) <= nsteps else None,
-                 step,
+    h = u0.h
+    if u0.domain.periodic:
+        k_max = 2.0 * np.pi / (3.0 * h) if cfg.dealias else np.pi / h
+    else:
+        k_max = 1.0 / h
+    upwind = cfg.advect == "upwind" and not u0.domain.periodic
+    reach = 1.3926 if upwind else 2.0 * np.sqrt(2.0)
+    number = cfg.dt * cfg.lambda_coeff * k_max  # times max|u|
+
+    def next_dt(t, u):
+        # a fixed step count, not t < T: accumulated t drifts from k * dt,
+        # and rec holds t = 0 plus one record per step taken
+        if len(rec.times) > nsteps:
+            return None
+        if number * rec.cols["linf"][-1] > reach:  # max|u| of u, recorded
+            raise ValueError("time step too large")
+        return cfg.dt
+
+    traj = march(u0.values, rec, next_dt, step,
                  stop=lambda r: r.cols["m1"][-1] < -cfg.stop_slope)
     return replace(traj, config=cfg)
 

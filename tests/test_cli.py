@@ -150,6 +150,16 @@ def test_breaking_small_run(tmp_path):
     assert code == EXIT_OK
 
 
+def _assert_entropy_passes_are_the_verdicts(out):
+    # entropy.json's passes are the report's verdicts, not a second copy
+    passes = json.loads((out / "entropy.json").read_text())["passes"]
+    report = json.loads((out / "report.json").read_text())
+    verdicts = {c["check_name"]: c["pass"] for c in report["checks"]}
+    assert passes == {"weak": verdicts["weak_residual"],
+                      "kruzhkov": verdicts["kruzhkov_residual"],
+                      "oleinik": verdicts["oleinik_margin"]}
+
+
 def test_verify_upjump_detects_inadmissible(tmp_path):
     # an inadmissible trajectory must make verify exit 1
     code, out = run_cli(tmp_path, "verify", "--preset", "upjump_adversarial",
@@ -160,6 +170,7 @@ def test_verify_upjump_detects_inadmissible(tmp_path):
     report = json.loads((out / "report.json").read_text())
     failed = {c["check_name"] for c in report["checks"] if not c["pass"]}
     assert "kruzhkov_residual" in failed
+    _assert_entropy_passes_are_the_verdicts(out)  # weak and kruzhkov fail
 
 
 def test_verify_upjump_on_the_torus(tmp_path):
@@ -171,6 +182,7 @@ def test_verify_upjump_on_the_torus(tmp_path):
     report = json.loads((out / "report.json").read_text())
     failed = {c["check_name"] for c in report["checks"] if not c["pass"]}
     assert "kruzhkov_residual" in failed
+    _assert_entropy_passes_are_the_verdicts(out)  # kruzhkov and oleinik fail
 
 
 def test_verify_reports_a_run_that_stops_short(tmp_path):
@@ -198,13 +210,25 @@ def test_verify_strong_stability_keeps_its_own_dt(tmp_path):
 
 
 def test_verify_fv_stability_steps_at_its_cfl(tmp_path):
-    # the fixed step shared by the two FV runs is cfl h / (2 + max|u0|), so
-    # a smaller cfl gives a smaller step, not "time step too large"
+    # the fixed step shared by the two FV runs is run_fv's own bound,
+    # shock._dt_bound, at the speed 2 + max|u0|: a smaller cfl gives a
+    # smaller step, not "time step too large"
     code, out = run_cli(tmp_path, "verify", "--preset", "l1_stability",
                         "cfl=0.1", "n=1000")
     assert code == EXIT_OK
     report = json.loads((out / "report.json").read_text())
     assert all(c["pass"] for c in report["checks"])
+
+
+def test_verify_fv_stability_steps_at_the_viscous_limit(tmp_path):
+    # with eps = 0.5 the viscous limit h / (max|u| + 2 eps / h) lies below
+    # cfl h / (2 + max|u0|); the shared step is _dt_bound's, which takes both
+    code, out = run_cli(tmp_path, "verify", "--preset", "l1_stability",
+                        "eps=0.5", "n=400")
+    assert code == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert [(c["check_name"], c["pass"]) for c in report["checks"]] == [
+        ("l1_stability_ratio", True), ("l1_growth", True)]
 
 
 def test_fv_run_takes_a_dt_no_strong_run_could(tmp_path):
@@ -321,14 +345,18 @@ def test_sweep_resolution(tmp_path):
 
 
 def test_exit_code_contract_on_check_failure(tmp_path):
-    # an overflow-bound run must exit 1
+    # a run that overflows inside RK4's reach writes its report and exits 1
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text(
         "solver = strong\ndomain = torus\nprofile = sine\n"
-        "profile.amplitude = 50.0\nn = 64\ndt = 0.5\nT = 5.0\ndealias = false\n"
-        "stop_slope = 1e308\n")
+        "profile.amplitude = 2e153\nprofile.wavenumber = 16\nn = 64\n"
+        "dt = 1e-160\nT = 1e-159\ndealias = false\nstop_slope = 1e308\n")
     code, out = run_cli(tmp_path, "simulate", "--config", str(cfgfile))
     assert code == EXIT_CHECK_FAILED
+    report = json.loads((out / "report.json").read_text())
+    (check,) = [c for c in report["checks"] if c["check_name"] == "completed"]
+    assert check["pass"] is False
+    assert check["value"] == "overflow"
 
 
 @pytest.mark.parametrize("verb, preset, overrides, code, message", [
@@ -472,6 +500,20 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     # the stability check runs the profile: a trajectory would be ignored
     ("verify", "l1_stability", ["n=400", "trajectory=upjump"], EXIT_USAGE,
      "check='stability', trajectory='upjump'"),
+    # each key that only one mode of verify reads is refused in the others
+    ("verify", "l1_stability", ["n=400", "lambdas=0,1"], EXIT_USAGE,
+     "check='stability', lambdas=[0.0, 1.0]"),
+    ("verify", "l1_stability", ["n=400", "steps=5", "jump_at=3"], EXIT_USAGE,
+     "trajectory=None, steps=5"),
+    ("verify", "l1_stability", ["n=400", "jump_at=3"], EXIT_USAGE,
+     "trajectory=None, jump_at=3.0"),
+    ("verify", "riemann_entropy", ["n=400", "bump_radius=1"], EXIT_USAGE,
+     "check='entropy', bump_radius=1.0"),
+    ("verify", "upjump_adversarial", ["bump_amplitude=0.1"], EXIT_USAGE,
+     "check='entropy', bump_amplitude=0.1"),
+    # a strong step past RK4's reach, which ran on as slope_threshold
+    ("simulate", "conservation_sine", ["n=2000", "T=0.5"], EXIT_CHECK_FAILED,
+     "time step too large"),
 ])
 def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
                                  code, message):

@@ -248,11 +248,24 @@ def test_kruzhkov_reduction_identity():
     traj = run_fv(u0, FVConfig(T=0.6, snapshot_stride=4))
     fam = make_test_family(dom, 0.6, count=4)
     r = 1.5 * float(np.abs(traj.snapshots[0]).max())
-    _, mat = kruzhkov_residual(traj, [r, -r], fam, return_matrix=True)
+    _, mat = diagnostics._residuals(traj, fam, [r, -r])
     # E(r) + E(-r) = 0 to roundoff, and each equals -+ the weak form
     assert np.abs(mat[0] + mat[1]).max() < 1e-10
     wr = weak_residual(traj, fam)
     assert abs(np.abs(mat).max() - wr) < 1e-12
+
+
+def test_hand_built_family_wraps_on_the_torus():
+    # the residuals wrap x - x0 by the trajectory's domain, so a family built
+    # by hand, bumps straddling the seam included, is the default family
+    traj = _torus_run()
+    fam = make_test_family(traj.domain, float(traj.snap_times[-1]))
+    hand = [TestFn(tf.x0, tf.t0, tf.r, tf.s) for tf in fam]
+    lams = np.linspace(-0.6, 0.6, 5)
+    w, mat = diagnostics._residuals(traj, fam, lams)
+    w_hand, mat_hand = diagnostics._residuals(traj, hand, lams)
+    assert np.array_equal(w_hand, w)
+    assert np.array_equal(mat_hand, mat)
 
 
 def test_kruzhkov_stationary_burgers_shock_is_clean(monkeypatch):
@@ -301,6 +314,7 @@ def _reference_residuals(traj, lambdas, family):
                        traj.snapshots)
     x = dom.cell_centers(n)
     xi = dom.a + np.arange(n + 1) * h
+    periodic = dom.periodic
     op = KernelOp(dom, n)
     conv = [op.conv_Kprime_values(v) for v in u]
     forms = [(lambda z: z, lambda z: 0.5 * z * z, lambda z: 1.0)]
@@ -309,9 +323,10 @@ def _reference_residuals(traj, lambdas, family):
                lambda z, lam=lam: np.sign(z - lam)) for lam in lambdas]
     out = np.zeros((len(forms), len(family)))
     for j, tf in enumerate(family):
-        phi = [tf.phi(x, tk) for tk in t]
-        if dom.periodic:
-            g = [np.roll(v, -1) - v for v in (tf.phi(xi[:-1], tk) for tk in t)]
+        phi = [tf.phi(x, tk, periodic) for tk in t]
+        if periodic:
+            g = [np.roll(v, -1) - v
+                 for v in (tf.phi(xi[:-1], tk, periodic) for tk in t)]
         else:
             g = [np.diff(tf.phi(xi, tk)) for tk in t]
         out[0, j] = h * np.dot(u[0], phi[0])
@@ -339,7 +354,7 @@ def test_residuals_match_direct_quadrature(dom, n, profile, params, lams):
                   FVConfig(T=0.3, snapshot_stride=2))
     fam = make_test_family(dom, float(traj.snap_times[-1]))
     ref = _reference_residuals(traj, lams, fam)
-    _, mat = kruzhkov_residual(traj, lams, fam, return_matrix=True)
+    _, mat = diagnostics._residuals(traj, fam, lams)
     assert np.abs(mat - ref[1:]).max() <= 1e-13
     assert abs(weak_residual(traj, fam) - np.abs(ref[0]).max()) <= 1e-13
     assert np.abs(ref).max() > 1e-5  # the comparison is not between zeros
@@ -353,9 +368,10 @@ def _two_pass_residuals(traj, lambdas, family):
     x = traj.domain.cell_centers(traj.n)
     xi = traj.domain.a + np.arange(traj.n + 1) * traj.h
     psi = diagnostics._psi
-    P = np.column_stack([psi(tf._zx(x)) for tf in family])
-    if traj.domain.periodic:
-        Gv = np.column_stack([psi(tf._zx(xi[:-1])) for tf in family])
+    periodic = traj.domain.periodic
+    P = np.column_stack([psi(tf._zx(x, periodic)) for tf in family])
+    if periodic:
+        Gv = np.column_stack([psi(tf._zx(xi[:-1], periodic)) for tf in family])
         G = np.roll(Gv, -1, axis=0) - Gv
     else:
         G = np.diff(np.column_stack([psi(tf._zx(xi)) for tf in family]),
@@ -381,7 +397,7 @@ def _two_pass_residuals(traj, lambdas, family):
 
     lam = np.atleast_1d(np.asarray(lambdas, dtype=np.float64))[:, None]
     w = residuals(lambda u: (u, 0.5 * u * u, 1.0))[0]
-    w += h * np.array([np.dot(traj.snapshots[0], tf.phi(x, times[0]))
+    w += h * np.array([np.dot(traj.snapshots[0], tf.phi(x, times[0], periodic))
                        for tf in family])
     mat = residuals(lambda u: (np.abs(u - lam),
                                np.sign(u - lam) * 0.5 * (u * u - lam ** 2),
@@ -471,8 +487,7 @@ def test_one_pass_residuals_are_bit_identical_to_two_passes(case,
     assert rep.weak_residual_max == np.abs(ref_w).max()
     assert rep.kruzhkov_min == ref_mat.min()
     assert weak_residual(traj, family) == np.abs(ref_w).max()
-    _, mat = kruzhkov_residual(traj, lams, family, return_matrix=True)
-    assert np.array_equal(mat, ref_mat)
+    assert kruzhkov_residual(traj, lams, family) == ref_mat.min()
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ def test_rhs_zero():
 def test_rhs_constant_is_steady():
     c = sample("constant", torus(), 256, value=0.7)
     assert np.abs(_rhs(c, 1.0)).max() < 1e-13
-    stepped = _one_step(c, 1e-2, 1.0)
+    stepped = _one_step(c, 1e-3, 1.0)  # 1e-2 is past RK4's reach at n = 256
     assert np.abs(stepped - 0.7).max() < 1e-13
 
 
@@ -121,11 +121,12 @@ def test_slope_differential_inequalities():
 
 
 def test_overflow_abort():
-    u0 = sample("sine", torus(), 64, amplitude=50.0, offset=0.0)
-    traj = run_strong(u0, StrongConfig(dt=0.5, T=10.0, stop_slope=math.inf,
-                                       dealias=False))
+    # u^2 overflows in the first stage at a step far inside RK4's reach
+    u0 = sample("sine", torus(), 64, amplitude=1e160, offset=0.0)
+    traj = run_strong(u0, StrongConfig(dt=1e-170, T=1e-169,
+                                       stop_slope=math.inf, dealias=False))
     assert traj.stop_reason == "overflow"
-    assert traj.t_stop < 10.0
+    assert traj.t_stop == 0.0
     assert np.all(np.isfinite(traj.snapshots[-1]))
 
 
@@ -134,11 +135,34 @@ def test_overflow_abort_line(advect):
     # a non-finite stage reaches the line kernel solve; the run must stop as
     # overflow at the last finite state, not raise from the solver
     u0 = sample("gaussian", line(-8, 8), 512, amplitude=1e160)
-    traj = run_strong(u0, StrongConfig(dt=0.01, T=1.0, stop_slope=math.inf,
-                                       advect=advect))
+    traj = run_strong(u0, StrongConfig(dt=1e-170, T=1e-169,
+                                       stop_slope=math.inf, advect=advect))
     assert traj.stop_reason == "overflow"
     assert traj.t_stop == 0.0
     assert np.all(np.isfinite(traj.snapshots[-1]))
+
+
+@pytest.mark.parametrize("domain, dealias, advect, k_max_h, reach", [
+    (torus(), True, "central", 2.0 * math.pi / 3.0, 2.0 * math.sqrt(2.0)),
+    (torus(), False, "central", math.pi, 2.0 * math.sqrt(2.0)),
+    (line(-8, 8), True, "central", 1.0, 2.0 * math.sqrt(2.0)),
+    (line(-8, 8), True, "upwind", 1.0, 1.3926),
+], ids=["torus-dealiased", "torus", "line-central", "line-upwind"])
+def test_step_past_rk4_reach_is_refused(domain, dealias, advect, k_max_h,
+                                        reach):
+    # one step from max|u| = 0.5: the guard holds dt lam max|u| k_max to
+    # RK4's reach, k_max h fixed by the operator
+    u0 = sample("constant", domain, 64, value=-0.5)
+    lam = 2.0
+    limit = reach * u0.h / (k_max_h * lam * 0.5)
+    for dt, ok in ((0.999 * limit, True), (1.001 * limit, False)):
+        cfg = StrongConfig(dt=dt, T=dt, lambda_coeff=lam, dealias=dealias,
+                           advect=advect)
+        if ok:
+            assert run_strong(u0, cfg).stop_reason == "completed"
+        else:
+            with pytest.raises(ValueError, match="time step too large"):
+                run_strong(u0, cfg)
 
 
 def _central_dx_ref(v, h):
