@@ -13,13 +13,17 @@ verb and refuses a non-finite float (list items included), and Keys rejects an
 unknown choice, an n or n_list entry below 4, a non-nested n_list or one of
 fewer than 3 entries, a zero bump_amplitude or bump_radius and an eps_list of
 fewer than 2 entries or not positive and strictly descending.  Every verb
-builds its solver config (the one the solver key names; FVConfig for sweep)
-before any work, so a bad solver key exits 2 also where no run follows;
-breaking refuses solver=fv, sweep solver=strong, and verify a key that only
-another of its modes reads (_VERIFY_MODE_KEYS) and, for trajectory=upjump (T
-from the solver config), a jump_at with a state off the grid.  verify's
-stability check steps both FV runs at the solver's own bound, _dt_bound, at
-the speed 2 + max|u0|.  simulate, breaking and sweep keep only the first and
+refuses a Keys field it never reads, or reads only in another of its modes
+(_READ_BY, one table for all verbs), and builds its solver config (the one
+the solver key names; FVConfig for sweep) before any work, so a bad solver
+key exits 2 also where no run follows; breaking refuses solver=fv, sweep
+solver=strong, and verify, for trajectory=upjump (T from the solver config),
+a jump_at with a state off the grid.  verify's stability check steps both FV
+runs at the solver's own bound, _dt_bound, at the speed 2 + max|u0|, and
+compares the second run with the first as it records.  verify's entropy
+check builds its sink, diagnostics.EntropyCheck, over [0, T] before the run
+and stores no snapshot; a run that stops before T reports its failing
+completed check alone.  simulate, breaking and sweep keep only the first and
 last snapshot of a run, which is all they read.  Outputs are written once and
 atomically renamed, so identical config + seed gives identical bytes.
 """
@@ -34,14 +38,15 @@ import sys
 import tempfile
 import typing
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from importlib import resources
 
 import numpy as np
 
 from . import __version__
-from .diagnostics import (L1StabilityRatio, Thresholds, attach_observation,
-                          breaking_precheck, conservation_report,
-                          entropy_report, envelope_check, oleinik_reach)
+from .diagnostics import (EntropyCheck, L1StabilityRatio, Thresholds,
+                          attach_observation, breaking_precheck,
+                          conservation_report, envelope_check)
 from .grid import (Domain, GridFn, line, norm, sample, torus, write_csv,
                    write_snapshot_csv)
 from .shock import FVConfig, _dt_bound, run_fv, viscosity_sweep
@@ -241,6 +246,52 @@ def _config_from(cls, cfg: dict, **defaults):
         raise ConfigError(str(exc)) from exc
 
 
+# the verbs that read each field of Keys: None in every mode, or the mode (a
+# field of Keys and its value) in which alone the verb reads it
+_VERBS = ("simulate", "breaking", "verify", "wave", "sweep")
+_STABILITY, _ENTROPY = ("check", "stability"), ("check", "entropy")
+_READ_BY = {
+    "solver": dict.fromkeys(_VERBS),
+    "domain": dict.fromkeys(("simulate", "breaking", "verify", "sweep")),
+    "a": dict.fromkeys(_VERBS),
+    "b": dict.fromkeys(_VERBS),
+    "profile": dict.fromkeys(("simulate", "breaking", "verify", "sweep")),
+    "n": {**dict.fromkeys(("simulate", "breaking", "verify", "wave")),
+          "sweep": ("kind", "viscosity")},
+    "check": {"verify": None},
+    "bump_amplitude": {"verify": _STABILITY},
+    "bump_center": {"verify": _STABILITY},
+    "bump_radius": {"verify": _STABILITY},
+    "trajectory": {"verify": _ENTROPY},
+    "steps": {"verify": ("trajectory", "upjump")},
+    "jump_at": {"verify": ("trajectory", "upjump")},
+    "lambdas": {"verify": _ENTROPY},
+    "kind": dict.fromkeys(("wave", "sweep")),
+    "c": {"wave": ("kind", "cusp")},
+    "eps_list": {"sweep": ("kind", "viscosity")},
+    "n_list": {"sweep": ("kind", "resolution")},
+}
+
+
+def _refuse_unread(verb: str, cfg: dict, keys: Keys) -> None:
+    """Refuse a Keys field in cfg that verb never reads, or reads only in
+    another mode: the command would ignore it.  The solver config fields
+    and profile.* are checked by the configs and the profile they build."""
+    for key in cfg:
+        readers = _READ_BY.get(key)
+        if readers is None:
+            continue
+        if verb not in readers:
+            raise ConfigError(f"{key}={getattr(keys, key)!r}: {verb} reads "
+                              f"no {key}")
+        if readers[verb] is not None:
+            mode, value = readers[verb]
+            if getattr(keys, mode) != value:
+                raise ConfigError(f"{mode}={getattr(keys, mode)!r}, {key}="
+                                  f"{getattr(keys, key)!r}: {key} is read "
+                                  f"only with {mode}={value!r}")
+
+
 # ---------------------------------------------------------------------------
 # pieces shared by the commands
 
@@ -337,6 +388,7 @@ def _emit_outputs(traj: Trajectory, out: str) -> None:
 
 def cmd_simulate(cfg: dict, out: str) -> list[dict]:
     keys = _config_from(Keys, cfg)
+    _refuse_unread("simulate", cfg, keys)
     scfg = ends_only(_solver_config(keys.solver, cfg))  # reads the ends only
     domain = _domain_from(keys)
     u0 = _initial_from(cfg, domain, keys.n)
@@ -372,6 +424,7 @@ def _crest(x: np.ndarray, u: np.ndarray) -> float:
 
 def cmd_breaking(cfg: dict, out: str) -> list[dict]:
     keys = _config_from(Keys, cfg, n=20480, solver="strong")
+    _refuse_unread("breaking", cfg, keys)
     if keys.solver != "strong":
         raise ConfigError(f"solver={keys.solver!r}: the blow-up time is read "
                           f"from a strong run's stop_slope")
@@ -406,25 +459,9 @@ def cmd_breaking(cfg: dict, out: str) -> list[dict]:
     return checks
 
 
-# the keys that only one mode of verify reads, and that mode
-_VERIFY_MODE_KEYS = {
-    "bump_amplitude": ("check", "stability"),
-    "bump_center": ("check", "stability"),
-    "bump_radius": ("check", "stability"),
-    "steps": ("trajectory", "upjump"),
-    "jump_at": ("trajectory", "upjump"),
-    "trajectory": ("check", "entropy"),
-    "lambdas": ("check", "entropy"),
-}
-
-
 def cmd_verify(cfg: dict, out: str) -> list[dict]:
     keys = _config_from(Keys, cfg, n=4000)
-    for key, (mode, value) in _VERIFY_MODE_KEYS.items():
-        if key in cfg and getattr(keys, mode) != value:
-            raise ConfigError(f"{mode}={getattr(keys, mode)!r}, {key}="
-                              f"{getattr(keys, key)!r}: {key} is read only "
-                              f"with {mode}={value!r}")
+    _refuse_unread("verify", cfg, keys)
     scfg = _solver_config(keys.solver, cfg)
     domain = _domain_from(keys)
     n = keys.n
@@ -451,21 +488,27 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
                 _check("l1_growth", growth <= tol, float(growth), tol),
                 *_short_runs(tu, tv)]
 
-    # a run ending before every Oleinik time is refused before it starts
-    oleinik_reach(scfg.T)
     if keys.trajectory == "upjump":
         x = domain.cell_centers(n)
         if not x[0] < keys.jump_at <= x[-1]:  # else one state is off the grid
             raise ConfigError(f"jump_at={keys.jump_at!r}: expected {x[0]:g} "
                               f"< jump_at <= {x[-1]:g}, the cell centres")
+        times = scfg.T * np.arange(keys.steps + 1) / keys.steps
+        t_end = float(times[-1])
         # stationary non-entropic expansion shock (-1 -> +1), source off
-        traj = synthetic_trajectory(
-            domain, n, scfg.T * np.arange(keys.steps + 1) / keys.steps,
-            lambda x, t: np.where(x < keys.jump_at, -1.0, 1.0))
+        run = partial(synthetic_trajectory, domain, n, times,
+                      lambda x, t: np.where(x < keys.jump_at, -1.0, 1.0))
     else:
-        u0 = _initial_from(cfg, domain, n)
-        traj = _run_from(scfg, u0)
-    rep = entropy_report(traj, lambdas=keys.lambdas)
+        t_end = scfg.T
+        run = partial(_run_from, scfg, _initial_from(cfg, domain, n))
+    # the run's snapshots are contracted as they are recorded, not stored;
+    # a run ending before every Oleinik time is refused before it starts
+    check = EntropyCheck(domain, n, t_end, lambdas=keys.lambdas)
+    traj = run(sink=check)
+    if traj.stop_reason != "completed":
+        # no residual over a window the run never reached
+        return _short_runs(traj)
+    rep = check.value()
     weak_tol, kr_bound = Thresholds.weak_tol, -Thresholds.kruzhkov_tol
     ol_bound = -Thresholds.oleinik_rel_tol * rep.oleinik_scale
     checks = [_check("weak_residual", rep.weak_residual_max <= weak_tol,
@@ -483,11 +526,12 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
         "passes": {name: c["pass"] for name, c
                    in zip(("weak", "kruzhkov", "oleinik"), checks)},
     })
-    return checks + _short_runs(traj)
+    return checks
 
 
 def cmd_wave(cfg: dict, out: str) -> list[dict]:
     keys = _config_from(Keys, cfg, n=8000, a=-30.0, b=30.0)
+    _refuse_unread("wave", cfg, keys)
     kind, n, window = keys.kind, keys.n, (keys.a, keys.b)
     if kind not in ("peakon", "cusp"):
         raise ConfigError("wave kind must be 'peakon' or 'cusp'")
@@ -546,6 +590,7 @@ def _max_workers() -> int:
 
 def cmd_sweep(cfg: dict, out: str) -> list[dict]:
     keys = _config_from(Keys, cfg, n=2000, kind="viscosity")
+    _refuse_unread("sweep", cfg, keys)
     if keys.solver != "fv":
         raise ConfigError(f"solver={keys.solver!r}: every sweep runs the FV "
                           f"solver")

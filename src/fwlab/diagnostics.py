@@ -4,11 +4,15 @@ Covers the wave-breaking precheck (slope asymmetry criterion and the blow-up
 bound t* = 1/|m1(0) + 1/2|), Riccati comparison envelopes for the maximum
 slope, the one-sided Oleinik estimate, L1 stability between runs, weak-form
 and Kruzhkov entropy residuals over a family of smooth space-time bumps, and
-conservation drift.  The bounds of these checks are the fixed ``Thresholds``,
-set by no config key; the bands of the wave and sweep checks (peakon speed
-2 %, speed scan 0.01, first integral 2e-3, |lambda1| 0.5, fit mismatch
-0.05, jump 5 %, viscosity ratios [1.5, 2.5], order [0.7, 1.2]) are
-constants in the ``cli`` commands that apply them.  ``slope_extrema_values``
+conservation drift.  The L1 ratio, the residuals and the entropy report are
+snapshot sinks (``L1StabilityRatio``, ``ResidualQuadrature``,
+``EntropyCheck``), which a run feeds as it records, so they need no stored
+snapshots; the functions that take a stored trajectory feed its snapshots
+through the same sinks.  The bounds of these checks are the fixed
+``Thresholds``, set by no config key; the bands of the wave and sweep
+checks (peakon speed 2 %, speed scan 0.01, first integral 2e-3, |lambda1|
+0.5, fit mismatch 0.05, jump 5 %, viscosity ratios [1.5, 2.5], order
+[0.7, 1.2]) are constants in the ``cli`` commands that apply them.  ``slope_extrema_values``
 is defined in ``grid`` (the run recorder needs it) and re-exported here.
 """
 
@@ -47,6 +51,8 @@ __all__ = [
     "ConservationReport",
     "conservation_report",
     "EntropyReport",
+    "EntropyCheck",
+    "ResidualQuadrature",
     "entropy_report",
     "slope_inequality_fractions",
     "convolution_bound_margin",
@@ -222,14 +228,20 @@ class L1StabilityRatio:
         return float(self._ratio)
 
 
+def _replay(traj: Trajectory, sink):
+    """Feed a stored trajectory's snapshots to a snapshot sink, in order, as
+    its run would have; returns the sink."""
+    for t, values in zip(traj.snap_times, traj.snapshots):
+        sink(t, values)
+    return sink
+
+
 def l1_stability_check(traj_u: Trajectory, traj_v: Trajectory) -> float:
     """max over shared snapshot times of |u(t)-v(t)|_1 / (e^t |u0-v0|_1)."""
     if traj_u.domain != traj_v.domain or traj_u.n != traj_v.n:
         raise ValueError("mismatched trajectories: domain/n differ")
-    ratio = L1StabilityRatio(traj_u)  # it checks the snapshot times
-    for t, v in zip(traj_v.snap_times, traj_v.snapshots):
-        ratio(t, v)
-    return ratio.value()
+    # the ratio checks the snapshot times
+    return _replay(traj_v, L1StabilityRatio(traj_u)).value()
 
 
 # ---------------------------------------------------------------------------
@@ -317,38 +329,18 @@ def make_test_family(domain: Domain, t_end: float, count: int = 12) -> list:
     return fam
 
 
-def _validate_family(traj: Trajectory, family, need_zero_at_t0: bool):
-    h = traj.h
-    t_end = float(traj.snap_times[-1])
-    for tf in family:
-        if tf.r < 8.0 * h:
-            raise ValueError(f"test function at x0={tf.x0} is unresolved: "
-                             f"r={tf.r} < 8h")
-        if not traj.domain.periodic:
-            if tf.x0 - tf.r < traj.domain.a or tf.x0 + tf.r > traj.domain.b:
-                raise ValueError("test function support leaves the window")
-        if tf.t0 + tf.s > t_end + 1e-12:
-            raise ValueError("test function support extends past the last "
-                             "recorded time")
-        if need_zero_at_t0 and tf.t0 - tf.s <= 0.0:
-            raise ValueError("entropy-form test functions need t0 - s > 0")
-        # off |t - t0| < s the time factor is exactly zero, and a bump zero at
-        # every snapshot gives integrals of exactly 0 whatever the solution
-        if not (np.abs(tf._zt(traj.snap_times)) < 1.0).any():
-            raise ValueError(f"test function at t0={tf.t0} is zero at every "
-                             f"snapshot: no snapshot time lies inside "
-                             f"|t - t0| < s={tf.s}")
+class ResidualQuadrature:
+    """Weak-form and Kruzhkov entropy-form integrals against J bumps, as a
+    run's snapshot sink (see ``trajectory._Recorder``): called ``(t, u)``
+    for each snapshot in order, it contracts each snapshot as it arrives.
+    ``value()`` is the weak residual of each bump, initial term included,
+    (J,), and the Kruzhkov integrals, one row per lambda, (L, J).
 
-
-def _residuals(traj: Trajectory, family, lambdas=()):
-    """Weak-form and Kruzhkov entropy-form integrals against J bumps, in one
-    pass over the snapshots.
-
-    Returns the weak residual of each bump, initial term included, (J,), and
-    the Kruzhkov integrals, one row per lambda, (L, J).  With lambdas, whose
-    forms have no initial term, every bump must vanish at t = 0.  Without
-    its initial term the weak form is the entropy form of (u, u^2/2, 1).
-    For an entropy eta with flux q, each snapshot interval [t_k, t_k+1] adds
+    With lambdas, whose forms have no initial term, every bump must vanish
+    at t = 0; ``lambdas=None`` takes nine levels across +-1.5 max|u0| from
+    the first snapshot.  Without its initial term the weak form is the
+    entropy form of (u, u^2/2, 1).  For an entropy eta with flux q, each
+    snapshot interval [t_k, t_k+1] adds
     h <eta_bar, phi_k+1 - phi_k> + dt <q_bar, g_bar>
     - dt h (<s_k, phi_k> + <s_k+1, phi_k+1>) / 2, where bars average the two
     ends, g is the cell-interface difference of phi (wrapped at the seam on
@@ -358,58 +350,161 @@ def _residuals(traj: Trajectory, family, lambdas=()):
     -+ the weak form; in floating point both hold to round-off.
 
     Every bump is separable, phi = psi(zx) psi(zt) with psi exactly zero off
-    its support, so phi at t_k is P a_k (P is n x J, a_k one time factor per
-    bump).  Each snapshot is contracted once, into eta @ P, q @ G and s @ P
-    from one K'*u, and the pairings act on those (K, L, J) stacks.  A
-    snapshot whose time factors and both neighbours' are zero for every bump
-    lies only in intervals that add zeros: it is not contracted, and its
-    stack rows stay zero.
+    its support, so phi at t_k is P a_k (P is n x J, built once with G; a_k
+    is one time factor per bump).  A snapshot is contracted once, into the
+    rows eta @ P, q @ G and s @ P from one K'*u (the weak row apart: stacked
+    on the lambda rows, its products would round differently).  The rows of
+    up to ``BATCH`` + 1 snapshots are held, and the pairings of their
+    intervals are added to the sums one by one, in order, as numpy sums a
+    stack of rows over its leading axis (a row of one entry aside, which it
+    sums pairwise).  A
+    snapshot whose time factors and both neighbours' are zero for every
+    bump lies only in intervals that add zeros: it is not contracted and its
+    rows are zero.  Whether the newest snapshot is needed waits on the next
+    time, so it is held as a copy.  Memory is O(n (J + L)), whatever the
+    number of snapshots.
     """
-    pair = KruzhkovPair(np.atleast_1d(np.asarray(lambdas,
-                                                 dtype=np.float64))[:, None])
-    L = pair.lam.shape[0]
-    _validate_family(traj, family, need_zero_at_t0=L > 0)
-    n, J = traj.n, len(family)
-    op = KernelOp(traj.domain, n)
-    x = traj.domain.cell_centers(n)
-    periodic = traj.domain.periodic
-    xi = traj.domain.a + np.arange(n + (not periodic)) * traj.h
-    P = np.column_stack([_psi(tf._zx(x, periodic)) for tf in family])
-    G = _interface_diff(np.column_stack([_psi(tf._zx(xi, periodic))
-                                         for tf in family]), periodic)
-    times = traj.snap_times
-    A = np.column_stack([_psi(tf._zt(times)) for tf in family])
-    live = np.pad(A.any(axis=1), 1)
-    needed = np.flatnonzero(live[:-2] | live[1:-1] | live[2:])
-    buf = np.empty((4, L, n))
-    # the weak row is contracted apart: stacked on the lambda rows, its
-    # products would round differently
-    Ew, Qw, Sw = np.zeros((3, times.size, 1, J))
-    E, Q, S = np.zeros((3, times.size, L, J))
-    for k in needed:
-        u = traj.snapshots[k]
-        kpu = op.conv_Kprime_values(u)
-        Ew[k] = u[None] @ P
-        Qw[k] = (0.5 * u * u)[None] @ G
-        Sw[k] = kpu[None] @ P
-        eta, q, deta = pair.terms(u, buf)
-        E[k] = eta @ P
-        Q[k] = q @ G
-        S[k] = np.multiply(deta, kpu, out=buf[3]) @ P
-    h = traj.h
-    dt = np.diff(times)[:, None, None]
-    a0, a1 = A[:-1, None, :], A[1:, None, :]
 
-    def pairings(E, Q, S):
-        return (h * 0.5 * (E[:-1] + E[1:]) * (a1 - a0)
-                + dt * 0.5 * (Q[:-1] + Q[1:]) * 0.5 * (a0 + a1)
-                - 0.5 * dt * h * (S[:-1] * a0 + S[1:] * a1)).sum(axis=0)
+    BATCH = 32  # intervals whose pairings are formed at once
 
-    w = pairings(Ew, Qw, Sw)[0]
-    w += h * np.array([np.dot(traj.snapshots[0],
-                              tf.phi(x, times[0], periodic))
-                       for tf in family])
-    return w, pairings(E, Q, S)
+    def __init__(self, domain: Domain, n: int, family, lambdas=()):
+        h = domain.length / n
+        need_zero_at_t0 = lambdas is None or np.size(lambdas) > 0
+        for tf in family:
+            if tf.r < 8.0 * h:
+                raise ValueError(f"test function at x0={tf.x0} is "
+                                 f"unresolved: r={tf.r} < 8h")
+            if not domain.periodic and (tf.x0 - tf.r < domain.a
+                                        or tf.x0 + tf.r > domain.b):
+                raise ValueError("test function support leaves the window")
+            if need_zero_at_t0 and tf.t0 - tf.s <= 0.0:
+                raise ValueError("entropy-form test functions need t0 - s > 0")
+        self._family = family
+        self._lambdas = lambdas
+        self._domain, self._h = domain, h
+        self._op = KernelOp(domain, n)
+        periodic = domain.periodic
+        x = domain.cell_centers(n)
+        xi = domain.a + np.arange(n + (not periodic)) * h
+        self._P = np.column_stack([_psi(tf._zx(x, periodic)) for tf in family])
+        self._G = _interface_diff(np.column_stack([_psi(tf._zx(xi, periodic))
+                                                   for tf in family]),
+                                  periodic)
+        self._t0 = np.array([tf.t0 for tf in family])
+        self._s = np.array([tf.s for tf in family])
+        self._held = None   # (t, a, copy) of a snapshot not yet decided
+        self._last_live = False
+        self._t_end = None  # the newest snapshot time
+
+    def _start(self, t: float, u: np.ndarray) -> None:
+        """Set up at the first snapshot, u0: the entropy levels, the held
+        rows, the sums and the initial term of the weak form."""
+        lambdas = self._lambdas
+        if lambdas is None:
+            linf = max(norm(GridFn(self._domain, u), "Linf"), 1e-6)
+            lambdas = np.linspace(-1.5 * linf, 1.5 * linf, 9)
+        self._pair = KruzhkovPair(np.atleast_1d(np.asarray(
+            lambdas, dtype=np.float64))[:, None])
+        L, J = self._pair.lam.shape[0], len(self._family)
+        self._buf = np.empty((4, L, u.size))
+        # (E, Q, S) rows, time factor and time of the decided snapshots whose
+        # intervals are not summed yet
+        self._rows = np.zeros((self.BATCH + 1, 3, 1 + L, J))
+        self._a = np.zeros((self.BATCH + 1, J))
+        self._t = np.zeros(self.BATCH + 1)
+        self._k = 0
+        self._seen = np.zeros(J, dtype=bool)  # a nonzero time factor
+        self._sum = np.zeros((1 + L, J))  # the weak row, then one per lambda
+        x = self._domain.cell_centers(u.size)
+        periodic = self._domain.periodic
+        self._initial = self._h * np.array([np.dot(u, tf.phi(x, t, periodic))
+                                            for tf in self._family])
+
+    def _contract(self, u: np.ndarray, rows: np.ndarray) -> None:
+        """Write the rows (eta @ P, q @ G, s @ P) of u, weak row first."""
+        P, G, buf = self._P, self._G, self._buf
+        kpu = self._op.conv_Kprime_values(u)
+        np.matmul(u[None], P, out=rows[0, :1])
+        np.matmul((0.5 * u * u)[None], G, out=rows[1, :1])
+        np.matmul(kpu[None], P, out=rows[2, :1])
+        eta, q, deta = self._pair.terms(u, buf)
+        np.matmul(eta, P, out=rows[0, 1:])
+        np.matmul(q, G, out=rows[1, 1:])
+        np.matmul(np.multiply(deta, kpu, out=buf[3]), P, out=rows[2, 1:])
+
+    def _decide(self, t: float, a: np.ndarray, u) -> None:
+        """Hold the rows of the next snapshot: u's, or zeros if u is None."""
+        if self._k == self.BATCH + 1:
+            self._flush()
+        k = self._k
+        self._t[k], self._a[k] = t, a
+        if u is None:
+            self._rows[k] = 0.0
+        else:
+            self._contract(u, self._rows[k])
+        self._k = k + 1
+
+    def _flush(self) -> None:
+        """Add the pairings of the held intervals to the sums, and keep only
+        the newest snapshot's rows."""
+        k = self._k
+        E, Q, S = self._rows[:k].swapaxes(0, 1)
+        a = self._a[:k, None, :]
+        a0, a1 = a[:-1], a[1:]
+        dt = np.diff(self._t[:k])[:, None, None]
+        h = self._h
+        terms = (h * 0.5 * (E[:-1] + E[1:]) * (a1 - a0)
+                 + dt * 0.5 * (Q[:-1] + Q[1:]) * 0.5 * (a0 + a1)
+                 - 0.5 * dt * h * (S[:-1] * a0 + S[1:] * a1))
+        for term in terms:
+            self._sum += term
+        self._seen |= (self._a[:k] != 0.0).any(axis=0)
+        self._rows[0], self._a[0], self._t[0] = (self._rows[k - 1],
+                                                 self._a[k - 1],
+                                                 self._t[k - 1])
+        self._k = 1
+
+    def __call__(self, t: float, u: np.ndarray) -> None:
+        if self._t_end is None:
+            self._start(t, u)
+        self._t_end = t
+        a = _psi((t - self._t0) / self._s)
+        live = bool(a.any())
+        if self._held is not None:  # needed only if this snapshot is live
+            th, ah, uh = self._held
+            self._held = None
+            self._decide(th, ah, uh if live else None)
+        if live or self._last_live:
+            self._decide(t, a, u)
+        else:
+            self._held = (t, a, u.copy())
+        self._last_live = live
+
+    def value(self):
+        if self._t_end is None:
+            raise ValueError("no snapshot was recorded")
+        if self._held is not None:  # no next snapshot: not needed
+            self._decide(*self._held[:2], None)
+            self._held = None
+        self._flush()
+        for tf, seen in zip(self._family, self._seen):
+            if tf.t0 + tf.s > self._t_end + 1e-12:
+                raise ValueError("test function support extends past the "
+                                 "last recorded time")
+            # a bump zero at every snapshot gives integrals of exactly 0
+            # whatever the solution; psi underflows to 0 short of |zt| = 1
+            if not seen:
+                raise ValueError(f"test function at t0={tf.t0} is zero at "
+                                 f"every snapshot: psi((t - t0)/s), s={tf.s}, "
+                                 f"is 0 at every snapshot time")
+        return self._sum[0] + self._initial, self._sum[1:]
+
+
+def _residuals(traj: Trajectory, family, lambdas=()):
+    """``ResidualQuadrature``'s (weak, Kruzhkov) integrals of a stored
+    trajectory, its snapshots fed in order."""
+    return _replay(traj, ResidualQuadrature(traj.domain, traj.n, family,
+                                            lambdas)).value()
 
 
 def weak_residual(traj: Trajectory, family) -> float:
@@ -471,34 +566,66 @@ def oleinik_reach(t_end: float) -> list:
     return reached
 
 
+class EntropyCheck:
+    """Weak + Kruzhkov + Oleinik values of a run whose snapshots end at
+    t_end, as its snapshot sink (see ``trajectory._Recorder``); ``value()``
+    is the ``EntropyReport``, which the caller compares with its
+    ``Thresholds``.
+
+    The residuals are a ``ResidualQuadrature`` over ``family``, by default
+    ``make_test_family(domain, t_end)``.  The Oleinik bound is checked at the
+    snapshot nearest each Oleinik time up to t_end (the earlier of two
+    equally near), so a copy of the nearest so far is held for each; at
+    t = 0 the bound says nothing.  With no Oleinik time up to t_end the
+    check would pass vacuously, so that raises ValueError here, before a run.
+    """
+
+    def __init__(self, domain: Domain, n: int, t_end: float, lambdas=None,
+                 family=None):
+        self._domain, self._t_end = domain, t_end
+        self._times = oleinik_reach(t_end)
+        if family is None:
+            family = make_test_family(domain, t_end)
+        self._quad = ResidualQuadrature(domain, n, family, lambdas)
+        self._near = {}  # Oleinik time -> [distance, t, copy of u]
+        self._u0_l1 = None
+
+    def __call__(self, t: float, u: np.ndarray) -> None:
+        self._quad(t, u)
+        if self._u0_l1 is None:
+            self._u0_l1 = norm(GridFn(self._domain, u), "L1")
+        for to in self._times:
+            best = self._near.get(to)
+            if best is None:
+                self._near[to] = [abs(t - to), t, u.copy()]
+            elif abs(t - to) < best[0]:
+                best[:2] = abs(t - to), t
+                np.copyto(best[2], u)
+
+    def value(self) -> EntropyReport:
+        w, mat = self._quad.value()
+        checked = [(float(t), u) for _, t, u in self._near.values() if t > 0]
+        if not checked:
+            raise ValueError(f"oleinik_times={OLEINIK_TIMES!r}, "
+                             f"t_end={self._t_end!r}: no snapshot in "
+                             f"(0, t_end] is the nearest to one of these "
+                             f"times")
+        u0_l1 = self._u0_l1
+        margin = min(oleinik_check(GridFn(self._domain, u), ti, u0_l1)
+                     for ti, u in checked)
+        scale = max([1.0] + [oleinik_coefficient(ti, u0_l1)
+                             for ti, _ in checked])
+        return EntropyReport(float(np.abs(w).max(initial=0.0)),
+                             float(mat.min()), margin, scale)
+
+
 def entropy_report(traj: Trajectory, lambdas=None,
                    family=None) -> EntropyReport:
-    """Weak + Kruzhkov + Oleinik values on one trajectory; the caller
-    compares them with their ``Thresholds``."""
-    t_end = float(traj.snap_times[-1])
-    if family is None:
-        family = make_test_family(traj.domain, t_end)
-    u0 = traj.snapshot(0)
-    linf = norm(u0, "Linf")
-    if lambdas is None:
-        lambdas = np.linspace(-1.5 * max(linf, 1e-6), 1.5 * max(linf, 1e-6), 9)
-    w, mat = _residuals(traj, family, lambdas)
-    # the snapshot nearest each Oleinik time up to t_end; at t = 0 the bound
-    # says nothing, and with no snapshot left the check would pass vacuously
-    nearest = (int(np.argmin(np.abs(traj.snap_times - t)))
-               for t in oleinik_reach(t_end))
-    checked = [(i, float(traj.snap_times[i])) for i in nearest
-               if traj.snap_times[i] > 0]
-    if not checked:
-        raise ValueError(f"oleinik_times={OLEINIK_TIMES!r}, "
-                         f"t_end={t_end!r}: no snapshot in (0, t_end] is the "
-                         f"nearest to one of these times")
-    u0_l1 = norm(u0, "L1")
-    margin = min(oleinik_check(traj.snapshot(i), ti, u0_l1)
-                 for i, ti in checked)
-    scale = max([1.0] + [oleinik_coefficient(ti, u0_l1) for _, ti in checked])
-    return EntropyReport(float(np.abs(w).max(initial=0.0)), float(mat.min()),
-                         margin, scale)
+    """``EntropyCheck``'s values on a stored trajectory, its snapshots fed
+    in order."""
+    return _replay(traj, EntropyCheck(traj.domain, traj.n,
+                                      float(traj.snap_times[-1]), lambdas,
+                                      family)).value()
 
 
 # ---------------------------------------------------------------------------

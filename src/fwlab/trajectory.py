@@ -160,15 +160,16 @@ def march(u0: np.ndarray, rec: _Recorder, next_dt, step,
     return rec.build(stop_reason, dts)
 
 
-def synthetic_trajectory(domain: Domain, n: int, times,
-                         field_fn) -> Trajectory:
+def synthetic_trajectory(domain: Domain, n: int, times, field_fn,
+                         sink=None) -> Trajectory:
     """Trajectory built from an analytic field (x, t) -> values.
 
-    Snapshots are recorded at every listed time; used for closed-form
-    references (transported profiles, stationary jumps) in tests and checks.
+    Snapshots are recorded at every listed time, or passed to the sink (see
+    ``_Recorder``); used for closed-form references (transported profiles,
+    stationary jumps) in tests and checks.
     """
     x = domain.cell_centers(n)
-    rec = _Recorder(domain, n, 1)
+    rec = _Recorder(domain, n, 1, sink)
     times = np.asarray(times, dtype=np.float64)
     for t in times:
         rec.record(float(t),

@@ -196,6 +196,9 @@ def test_verify_reports_a_run_that_stops_short(tmp_path):
     assert check["value"] == "slope_threshold"
     assert check["threshold"] == 0.5
     assert check["details"]["t_stop"] < 0.5
+    # no residual is taken over a window the run never reached
+    assert [c["check_name"] for c in report["checks"]] == ["completed"]
+    assert not (out / "entropy.json").exists()
 
 
 def test_verify_strong_stability_keeps_its_own_dt(tmp_path):
@@ -514,6 +517,26 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     # a strong step past RK4's reach, which ran on as slope_threshold
     ("simulate", "conservation_sine", ["n=2000", "T=0.5"], EXIT_CHECK_FAILED,
      "time step too large"),
+    # every verb refuses a key it never reads, or reads only in another mode
+    ("wave", "wave_peakon", ["n=2000", "domain=torus"], EXIT_USAGE,
+     "domain='torus': wave reads no domain"),
+    ("wave", "wave_peakon", ["n=2000", "trajectory=upjump"], EXIT_USAGE,
+     "trajectory='upjump': wave reads no trajectory"),
+    ("wave", "wave_peakon", ["n=2000", "lambdas=1"], EXIT_USAGE,
+     "lambdas=[1.0]: wave reads no lambdas"),
+    ("wave", "wave_peakon", ["n=2000", "kind=peakon", "c=2"], EXIT_USAGE,
+     "kind='peakon', c=2.0: c is read only with kind='cusp'"),
+    ("simulate", "peakon_transport", ["n=400", "c=2"], EXIT_USAGE,
+     "c=2.0: simulate reads no c"),
+    ("simulate", "peakon_transport", ["n=400", "check=entropy"], EXIT_USAGE,
+     "check='entropy': simulate reads no check"),
+    ("breaking", "breaking_gaussian", ["n=512", "steps=5"], EXIT_USAGE,
+     "steps=5: breaking reads no steps"),
+    ("sweep", "viscosity_sweep", ["n=200", "n_list=200,400,800"], EXIT_USAGE,
+     "kind='viscosity', n_list=[200, 400, 800]: n_list is read only with "
+     "kind='resolution'"),
+    ("sweep", "convergence_peakon", ["n_list=200,400,800", "n=5"], EXIT_USAGE,
+     "kind='resolution', n=5: n is read only with kind='viscosity'"),
 ])
 def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
                                  code, message):
@@ -607,6 +630,16 @@ def test_each_field_has_one_key(tmp_path_factory):
     assert _config_from(StrongConfig, cfg).lambda_coeff == 2.0
     cfg = load_config(None, "peakon_transport", ["splitting=lie"])
     assert _config_from(FVConfig, cfg).source_splitting == "lie"
+
+
+def test_each_keys_field_names_its_readers():
+    # a field missing from _READ_BY would be accepted by every verb unread
+    verbs = {"simulate", "breaking", "verify", "wave", "sweep"}
+    assert set(cli._READ_BY) == {f.name for f in fields(Keys)}
+    for readers in cli._READ_BY.values():
+        assert readers and set(readers) <= verbs
+        for mode in filter(None, readers.values()):
+            assert mode[0] in cli._READ_BY
 
 
 def test_readme_key_table_names_the_keys():
@@ -715,6 +748,22 @@ def test_config_text_round_trip(config):
 _PRESETS = sorted(p.name[:-4] for p in
                   (resources.files("fwlab") / "presets").iterdir()
                   if p.name.endswith(".cfg"))
+
+
+_PRESET_VERBS = {
+    "breaking_gaussian": "breaking", "conservation_sine": "simulate",
+    "dispersion_mode1": "simulate", "peakon_transport": "simulate",
+    "l1_stability": "verify", "riemann_entropy": "verify",
+    "upjump_adversarial": "verify", "viscosity_sweep": "sweep",
+    "convergence_peakon": "sweep", "wave_peakon": "wave", "wave_cusp": "wave"}
+
+
+def test_shipped_preset_keys_are_read_by_its_verb():
+    # every key of a shipped preset is one its verb reads in its mode
+    assert sorted(_PRESET_VERBS) == _PRESETS
+    for preset, verb in _PRESET_VERBS.items():
+        cfg = load_config(None, preset, [])
+        cli._refuse_unread(verb, cfg, _config_from(Keys, cfg))
 
 
 @pytest.mark.parametrize("preset", _PRESETS)

@@ -1,6 +1,7 @@
 """Every demo script runs to the end without raising."""
 
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,5 +10,7 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(path):
+def test_demo_runs(path, monkeypatch):
+    # as a script run with no arguments, not with the test runner's
+    monkeypatch.setattr(sys, "argv", [str(path)])
     runpy.run_path(str(path), run_name="__main__")

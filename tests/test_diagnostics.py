@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,8 @@ from fwlab import (FVConfig, GridFn, KernelOp, TestFn, breaking_precheck,
                    line, make_test_family, norm, oleinik_check,
                    oleinik_coefficient, riccati_envelope, run_fv, sample,
                    slope_extrema, torus, weak_residual)
-from fwlab.diagnostics import L1StabilityRatio
+from fwlab.diagnostics import (EntropyCheck, L1StabilityRatio,
+                               ResidualQuadrature)
 from fwlab.trajectory import synthetic_trajectory
 
 E = math.e
@@ -405,23 +407,44 @@ def _two_pass_residuals(traj, lambdas, family):
     return w, mat
 
 
-def _ac8_run():
+def _ac8_run(sink=None):
     # the AC-8 set-up: regularised Riemann step, n = 4000, T = 0.5, stride 2
     dom = line(-20, 20)
     u0 = sample("step", dom, 4000, left=1.0, right=-1.0, width=0.2)
-    return run_fv(u0, FVConfig(T=0.5, snapshot_stride=2))
+    return run_fv(u0, FVConfig(T=0.5, snapshot_stride=2), sink)
 
 
-def _upjump_run():
+def _upjump_run(sink=None, steps=100):
     # the upjump_adversarial set-up: 101 snapshots of a stationary up-jump
     return synthetic_trajectory(line(-20, 20), 4000,
-                                [0.5 * k / 100 for k in range(101)],
-                                lambda x, t: np.where(x < 0, -1.0, 1.0))
+                                [0.5 * k / steps for k in range(steps + 1)],
+                                lambda x, t: np.where(x < 0, -1.0, 1.0), sink)
 
 
-def _torus_run():
+def _torus_run(sink=None):
     return run_fv(sample("sine", torus(), 256, amplitude=0.5),
-                  FVConfig(T=0.3, snapshot_stride=2))
+                  FVConfig(T=0.3, snapshot_stride=2), sink)
+
+
+def _gapped_run(sink=None):
+    # disjoint time supports: the needed snapshots fall into two runs
+    # separated by idle ones, and the last of the first run and the first of
+    # the second are never paired as an interval
+    return run_fv(sample("step", line(-20, 20), 800, left=1.0, right=-1.0,
+                         width=0.2), FVConfig(T=1.0), sink)
+
+
+_GAPPED_FAMILY = [TestFn(-4.0, 0.15, 3.0, 0.1), TestFn(4.0, 0.75, 3.0, 0.1)]
+
+# each case: its run (taking a sink), its levels, its family (None: the
+# default one over its window [0, T]) and T
+_CASES = {
+    "ac8": (_ac8_run, np.linspace(-1.5, 1.5, 9), None, 0.5),
+    "upjump": (_upjump_run, np.linspace(-1.5, 1.5, 9), None, 0.5),
+    # the default torus family has bumps straddling the seam
+    "torus": (_torus_run, np.linspace(-0.6, 0.6, 5), None, 0.3),
+    "gapped": (_gapped_run, np.linspace(-1.5, 1.5, 9), _GAPPED_FAMILY, 1.0),
+}
 
 
 def _counting(monkeypatch):
@@ -449,26 +472,12 @@ def test_entropy_report_solves_each_needed_snapshot_once(case, solves,
     assert count["solves"] == solves
 
 
-@pytest.mark.parametrize("case", ["ac8", "upjump", "torus", "gapped"])
+@pytest.mark.parametrize("case", list(_CASES))
 def test_one_pass_residuals_are_bit_identical_to_two_passes(case,
                                                             monkeypatch):
-    lams = np.linspace(-1.5, 1.5, 9)
-    if case == "ac8":
-        traj = _ac8_run()
-    elif case == "upjump":
-        traj = _upjump_run()
-    elif case == "torus":
-        # the default torus family has bumps straddling the seam
-        traj, lams = _torus_run(), np.linspace(-0.6, 0.6, 5)
-    else:
-        # disjoint time supports: the needed snapshots fall into two runs
-        # separated by idle ones, and the last of the first run and the
-        # first of the second are never paired as an interval
-        dom = line(-20, 20)
-        traj = run_fv(sample("step", dom, 800, left=1.0, right=-1.0,
-                             width=0.2), FVConfig(T=1.0))
+    run, lams, family, _ = _CASES[case]
+    traj = run()
     if case == "gapped":
-        family = [TestFn(-4.0, 0.15, 3.0, 0.1), TestFn(4.0, 0.75, 3.0, 0.1)]
         count = _counting(monkeypatch)
     else:
         family = make_test_family(traj.domain, float(traj.snap_times[-1]))
@@ -488,6 +497,79 @@ def test_one_pass_residuals_are_bit_identical_to_two_passes(case,
     assert rep.kruzhkov_min == ref_mat.min()
     assert weak_residual(traj, family) == np.abs(ref_w).max()
     assert kruzhkov_residual(traj, lams, family) == ref_mat.min()
+
+
+@pytest.mark.parametrize("case", list(_CASES))
+def test_streamed_residuals_are_bit_identical_to_stored(case):
+    # the same run, its snapshots contracted as they are recorded instead of
+    # replayed from the stored trajectory
+    run, lams, family, T = _CASES[case]
+    traj = run()
+    fam = family or make_test_family(traj.domain, T)
+    quad = ResidualQuadrature(traj.domain, traj.n, fam, lams)
+    streamed = run(quad)
+    assert streamed.snapshots == []
+    assert np.array_equal(streamed.snap_times, traj.snap_times)
+    w, mat = quad.value()
+    ref_w, ref_mat = diagnostics._residuals(traj, fam, lams)
+    assert np.array_equal(w, ref_w)
+    assert np.array_equal(mat, ref_mat)
+    assert np.abs(ref_mat).max() > 1e-5  # the comparison is not between zeros
+    check = EntropyCheck(traj.domain, traj.n, T, lams, family)
+    run(check)
+    assert check.value() == entropy_report(traj, lams, family)
+
+
+@pytest.mark.parametrize("case, solves", [("ac8", 58), ("upjump", 85)])
+def test_streamed_check_solves_each_needed_snapshot_once(case, solves,
+                                                         monkeypatch):
+    # the run's own solves (the FV source step's) are counted apart
+    run, lams, _, T = _CASES[case]
+    count = _counting(monkeypatch)
+    traj = run()
+    own = count["solves"]
+    check = EntropyCheck(traj.domain, traj.n, T, lams)
+    run(check)
+    assert count["solves"] - 2 * own == solves
+
+
+def _upjump_peak(steps: int, stream: bool) -> int:
+    """The peak traced memory of the up-jump's entropy report with steps
+    intervals, streamed or from the stored trajectory."""
+    lams = np.linspace(-1.5, 1.5, 9)
+    tracemalloc.start()
+    try:
+        if stream:
+            check = EntropyCheck(line(-20, 20), 4000, 0.5, lams)
+            _upjump_run(check, steps)
+            check.value()
+        else:
+            entropy_report(_upjump_run(steps=steps), lams)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_check_memory_does_not_grow_with_the_snapshots():
+    # four times the snapshots: the stored report holds each one, the
+    # streamed check one lookahead and one per Oleinik time
+    streamed = [_upjump_peak(steps, True) for steps in (100, 400)]
+    stored = [_upjump_peak(steps, False) for steps in (100, 400)]
+    assert streamed[1] <= 1.1 * streamed[0]
+    assert stored[1] >= 2.0 * stored[0]
+
+
+def test_bump_whose_time_factor_underflows_is_refused():
+    # psi underflows to 0 for 0.99933 < |zt| < 1: the snapshots at 0.3001
+    # and 0.6999 lie inside |t - 0.5| < 0.2 but give this bump exact zeros
+    traj = synthetic_trajectory(line(-20, 20), 400, [0.0, 0.3001, 0.6999, 1.0],
+                                lambda x, t: np.where(x < 0, -1.0, 1.0))
+    bump = TestFn(0.0, 0.5, 3.0, 0.2)
+    assert not diagnostics._psi(bump._zt(traj.snap_times)).any()
+    with pytest.raises(ValueError, match="zero at every snapshot"):
+        weak_residual(traj, [bump])
+    with pytest.raises(ValueError, match="zero at every snapshot"):
+        kruzhkov_residual(traj, [0.0], [bump])
 
 
 # ---------------------------------------------------------------------------
