@@ -279,8 +279,8 @@ def slope_extrema_values(values: np.ndarray, h: float, periodic: bool,
     torus reports x = a).  ``out``, n long, takes the differences."""
     d = _interface_diff(values, periodic, out)
     d /= h
-    i1 = int(np.argmin(d))
-    i2 = int(np.argmax(d))
+    i1 = int(d.argmin())
+    i2 = int(d.argmax())
     n = values.size  # the torus's wrap interface n lies at a
     return (float(d[i1]), a + ((i1 + 1) % n) * h,
             float(d[i2]), a + ((i2 + 1) % n) * h)

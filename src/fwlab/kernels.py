@@ -5,10 +5,13 @@ K is the fundamental solution of 1 - d^2/dx^2, so K*g is computed by solving
 a symmetric tridiagonal solve on the line.  The line solve is LAPACK's banded
 Cholesky factor ``dpbtrf`` and solve ``dpbtrs``, called through ``ctypes``
 from the LAPACK that numpy itself links, so the program loads no second BLAS
-and no scipy.  K'*g is the derivative of that smooth field.  The operator is
-fixed by the grid, so each function builds its ``KernelOp`` from the domain
-and n of its own input.  Direct quadrature against the closed-form kernel is
-kept only as a test oracle.
+and no scipy.  The torus transforms are the pocketfft gufuncs that
+``numpy.fft.rfft`` and ``irfft`` call, bound once per operator, so each costs
+the transform and not the wrapper's per-call work; the same bits come out.
+K'*g is the derivative of that smooth field.  The operator is fixed by the
+grid, so each function builds its ``KernelOp`` from the domain and n of its
+own input.  Direct quadrature against the closed-form kernel is kept only as
+a test oracle.
 """
 
 from __future__ import annotations
@@ -79,13 +82,51 @@ def _cholesky_banded(band: np.ndarray) -> np.ndarray:
     return ab
 
 
+def _bind_pocketfft(n: int):
+    """``rfft(values, out=None)`` and ``irfft(spectrum, out=None)`` of n
+    points along the last axis, bit for bit ``numpy.fft.rfft`` and ``irfft``.
+
+    They call the pocketfft gufuncs of numpy's own extension, as numpy.fft
+    does, with the factors of its default backward norm: 1 forward, 1/n
+    inverse.  What they skip is numpy.fft's per-call norm, axis and shape
+    handling, about half the cost of one transform at n = 128 to 256.  So
+    nothing checks a shape: the gufuncs take the transform length from the
+    bound n and from ``out``, and a wrong shape gives a wrong transform, not
+    an error.  Bound only where a torus operator is built, so a line run does
+    not import numpy.fft.
+    """
+    from numpy.fft import _pocketfft_umath
+
+    names = ("rfft_n_even" if n % 2 == 0 else "rfft_n_odd", "irfft")
+    missing = [name for name in names if not hasattr(_pocketfft_umath, name)]
+    if missing:
+        raise ImportError("numpy.fft._pocketfft_umath has no "
+                          + ", ".join(missing))
+    forward, inverse = (getattr(_pocketfft_umath, name) for name in names)
+    modes, inv_n = n // 2 + 1, 1.0 / n
+
+    def rfft(values, out=None):
+        if out is None:
+            out = np.empty(np.shape(values)[:-1] + (modes,), dtype=complex)
+        return forward(values, 1.0, out=out)
+
+    def irfft(spectrum, out=None):
+        if out is None:
+            out = np.empty(np.shape(spectrum)[:-1] + (n,))
+        return inverse(spectrum, inv_n, out=out)
+
+    return rfft, irfft
+
+
 class KernelOp:
     """Precomputed inverse-Helmholtz operator for one (domain, n) pair.
 
-    Torus: multipliers 1/(1 + (2 pi k)^2) over rfft modes.
+    Torus: multipliers 1/(1 + (2 pi k)^2) over rfft modes, and the real
+    transforms ``_rfft`` and ``_irfft`` of ``_bind_pocketfft``.
     Line: Cholesky factor of the tridiagonal (I - D2) with zero ghost cells.
     A line operator solves in one buffer of its own, so two threads must not
-    share one.
+    share one.  On either domain, values or an ``out`` of any shape but (n,)
+    are refused before any transform or solve.
     """
 
     def __init__(self, domain: Domain, n: int):
@@ -98,6 +139,7 @@ class KernelOp:
             k = np.fft.rfftfreq(n, d=1.0 / n)
             self.multipliers = 1.0 / (1.0 + (2.0 * np.pi * k) ** 2)
             self._ik = _spectral_ik(n)
+            self._rfft, self._irfft = _bind_pocketfft(n)
         else:
             band = np.zeros((2, n))
             band[0, 1:] = -1.0 / self.h ** 2
@@ -117,14 +159,19 @@ class KernelOp:
                                  ctypes.c_void_p(self._rhs.ctypes.data),
                                  n_ref, ctypes.byref(self._info), _UPLO_LEN)
 
+    def _check(self, values, out=None) -> None:
+        # the torus transforms check no shape, and a line solve must not
+        # broadcast into its buffer
+        for name, a in (("values", values), ("out", out)):
+            if a is not None and np.shape(a) != (self.n,):
+                raise ValueError(f"the kernel operator takes {name} of shape "
+                                 f"({self.n},), not {np.shape(a)}")
+
     def _solve(self, values: np.ndarray) -> np.ndarray:
         """The line solve of ``values``, in and as the operator's buffer."""
         # the routine cho_solve_banded calls, without its per-call finiteness
         # checks: a non-finite right-hand side gives a non-finite w, which the
         # solvers report as overflow
-        if np.shape(values) != (self.n,):
-            raise ValueError(f"the line solve takes values of shape "
-                             f"({self.n},)")
         np.copyto(self._rhs, values)
         _dpbtrs(*self._dpbtrs_args)
         if self._info.value < 0:
@@ -136,17 +183,22 @@ class KernelOp:
 
     def conv_K_values(self, values: np.ndarray) -> np.ndarray:
         """K*values, as a fresh array."""
+        self._check(values)
         if self.domain.periodic:
-            wh = np.fft.rfft(values) * self.multipliers
-            return np.fft.irfft(wh, self.n)
+            wh = self._rfft(values)
+            wh *= self.multipliers
+            return self._irfft(wh)
         return self._solve(values).copy()
 
     def conv_Kprime_values(self, values: np.ndarray,
                            out: np.ndarray | None = None) -> np.ndarray:
         """K'*values, written into ``out`` and returned when it is given."""
+        self._check(values, out)
         if self.domain.periodic:
-            wh = np.fft.rfft(values) * self.multipliers * self._ik
-            return np.fft.irfft(wh, self.n, out=out)
+            wh = self._rfft(values)
+            wh *= self.multipliers
+            wh *= self._ik
+            return self._irfft(wh, out)
         return _central_dx(self._solve(values), self.h, out=out)
 
 

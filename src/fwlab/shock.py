@@ -113,7 +113,8 @@ def run_fv(u0: GridFn, cfg: FVConfig, sink=None) -> Trajectory:
     def next_dt(t, u):
         if t >= cfg.T - 1e-13:
             return None
-        bound = _dt_bound(np.abs(u).max(), h, cfg.cfl, cfg.eps)
+        # max|u| of u, as recorded
+        bound = _dt_bound(rec.cols["linf"][-1], h, cfg.cfl, cfg.eps)
         if cfg.dt is None:
             return min(bound, cfg.T - t)
         dt = min(cfg.dt, cfg.T - t)

@@ -1,10 +1,12 @@
 """Method-of-lines solver for the smooth regime of u_t + lam u u_x + K'*u = 0.
 
 Torus: Fourier differentiation with 2/3-rule dealiasing of the quadratic
-term.  Line: second-order central differences; an optional first-order
-upwind mode exists for runs that are driven through wave breaking, where a
-non-dissipative stencil rings at the grid scale and contaminates the slope
-diagnostics (see the breaking preset).  ``run_strong`` takes exactly T/dt
+term, through the real transforms the kernel operator binds from numpy's
+pocketfft (4 per dealiased RHS evaluation, 2 without).  Line: second-order
+central differences; an optional first-order upwind mode exists for runs
+that are driven through wave breaking, where a non-dissipative stencil rings
+at the grid scale and contaminates the slope diagnostics (see the breaking
+preset).  ``run_strong`` takes exactly T/dt
 RK4 steps through ``trajectory.march``, so T must be a multiple of dt, and
 refuses a step past RK4's linear stability reach, so that an unstable run is
 not reported the way wave breaking is.
@@ -51,13 +53,14 @@ class StrongConfig:
 def _make_rhs(op: KernelOp, lam: float, dealias: bool, advect: str):
     """Build a raw-array closure f(u, out) writing -lam u u_x - K'*u into
     out and returning it.  The closure computes in a workspace allocated
-    here once, so u and out must not be part of it.  The operations and
-    their order are those of -lam u u_x - K'*u written as whole-array
-    expressions, so the buffers change no bit of the result."""
+    here once, so u and out must not be part of it; on the torus the
+    operator's transforms write into that workspace and check no shape.  The
+    operations and their order are those of -lam u u_x - K'*u written as
+    whole-array expressions, so the buffers change no bit of the result."""
     n, h = op.n, op.h
 
     if op.domain.periodic:
-        ik = op._ik
+        ik, rfft, irfft = op._ik, op._rfft, op._irfft
         uh, ah = np.empty((2, n // 2 + 1), dtype=complex)
         spec = np.empty((2, n // 2 + 1), dtype=complex)
         ux_h, conv_h = spec
@@ -66,16 +69,16 @@ def _make_rhs(op: KernelOp, lam: float, dealias: bool, advect: str):
         adv = np.empty(n)
 
         def f(u, out):
-            np.fft.rfft(u, out=uh)
+            rfft(u, uh)
             np.multiply(uh, ik, out=ux_h)
             np.multiply(uh, op.multipliers, out=conv_h)
             np.multiply(conv_h, ik, out=conv_h)
-            np.fft.irfft(spec, n, out=phys)  # one call for both rows
+            irfft(spec, phys)  # one call for both rows
             np.multiply(u, ux, out=adv)
             if dealias:  # 2/3 rule: keep the modes k <= n // 3
-                np.fft.rfft(adv, out=ah)
+                rfft(adv, ah)
                 ah[n // 3 + 1:] = 0.0
-                np.fft.irfft(ah, n, out=adv)
+                irfft(ah, adv)
             np.multiply(-lam, adv, out=adv)
             return np.subtract(adv, conv, out=out)
         return f

@@ -146,7 +146,7 @@ def march(u0: np.ndarray, rec: _Recorder, next_dt, step,
         rec.record(t, u)
         while (dt := next_dt(t, u)) is not None:
             u_new = step(u, dt)
-            if not np.all(np.isfinite(u_new)):
+            if not np.isfinite(u_new).all():
                 stop_reason = "overflow"
                 break
             u = u_new

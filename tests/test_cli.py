@@ -57,6 +57,21 @@ def test_line_run_needs_no_scipy(tmp_path):
     assert (tmp_path / "out" / "report.json").is_file()
 
 
+def test_line_runs_leave_out_numpy_fft(tmp_path):
+    # only a torus operator binds numpy's pocketfft, so strong and FV runs on
+    # the line never import numpy.fft; the torus run shows the probe sees it
+    runs = [["simulate", "--preset", "breaking_gaussian", "n=512", "T=0.02"],
+            ["simulate", "--preset", "peakon_transport", "n=400", "T=0.1"],
+            ["simulate", "--preset", "conservation_sine", "n=64", "T=0.01"]]
+    probe = ("import sys; from fwlab.cli import main; "
+             "print([(main([*argv, '--out', sys.argv[1] + str(i)]), "
+             f"'numpy.fft' in sys.modules) for i, argv in enumerate({runs!r})])")
+    done = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "out")],
+                          env=_fwlab_env(), check=True, capture_output=True,
+                          text=True)
+    assert done.stdout.strip() == "[(0, False), (0, False), (0, True)]"
+
+
 def test_parse_config_text():
     cfg = parse_config_text("""
 # comment

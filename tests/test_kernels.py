@@ -7,7 +7,7 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 from fwlab import (GridFn, KernelOp, conv_K, conv_Kprime, derivative,
                    kernel_eval, line, norm, sample, torus)
 from fwlab.grid import second_difference
-from fwlab.kernels import _cholesky_banded
+from fwlab.kernels import _bind_pocketfft, _cholesky_banded
 
 E = math.e
 
@@ -159,20 +159,48 @@ def test_banded_cholesky_refuses_what_dpbtrf_refuses():
         _cholesky_banded(np.zeros((0, 4)))
 
 
-@pytest.mark.parametrize("values_len, out_len", [(255, None), (257, None),
-                                                 (255, 256), (1, 256)])
-def test_line_solve_refuses_a_wrong_length(values_len, out_len):
+@pytest.mark.parametrize("dom, values_len, out_len", [
+    pytest.param(dom, values_len, out_len,
+                 id=f"{prefix}{values_len}-{out_len}")
+    for dom, prefix in ((line(-10, 10), ""), (torus(), "torus-"))
+    for values_len, out_len in ((255, None), (257, None), (255, 256),
+                                (1, 256), (256, 255), (256, 257))])
+def test_line_solve_refuses_a_wrong_length(dom, values_len, out_len):
+    # both domains refuse before any solve or transform: an rfft of 257
+    # points also has 129 modes, and an irfft takes its length from out
     n = 256
-    op = KernelOp(line(-10, 10), n)
+    op = KernelOp(dom, n)
     out = None if out_len is None else np.full(out_len, 7.0)
     with pytest.raises(ValueError, match="shape"):
         op.conv_Kprime_values(np.ones(values_len), out=out)
-    with pytest.raises(ValueError, match="shape"):
-        op.conv_K_values(np.ones(values_len))
-    with pytest.raises(ValueError, match="shape"):
+    if values_len != n:
+        with pytest.raises(ValueError, match="shape"):
+            op.conv_K_values(np.ones(values_len))
+    with pytest.raises(ValueError, match=r"shape \(256,\), not \(256, 1\)"):
         op.conv_K_values(np.ones((n, 1)))
     if out is not None:
         assert np.all(out == 7.0)  # refused before anything was written
+
+
+@pytest.mark.parametrize("rows", [(), (2,)], ids=["one_row", "two_rows"])
+@pytest.mark.parametrize("n", [127, 128, 255, 256])
+def test_bound_transforms_are_numpys(rng, n, rows):
+    # the pocketfft gufuncs bound once per operator give numpy.fft.rfft and
+    # irfft bit for bit, into a fresh array or into out
+    rfft, irfft = _bind_pocketfft(n)
+    v = rng.normal(size=rows + (n,))
+    spec = (rng.normal(size=rows + (n // 2 + 1,))
+            + 1j * rng.normal(size=rows + (n // 2 + 1,)))
+    assert np.array_equal(rfft(v), np.fft.rfft(v))
+    assert np.array_equal(irfft(spec), np.fft.irfft(spec, n))
+    out_spec = np.full(rows + (n // 2 + 1,), np.nan, dtype=complex)
+    out_v = np.full(rows + (n,), np.nan)
+    assert rfft(v, out_spec) is out_spec
+    assert irfft(spec, out_v) is out_v
+    assert np.array_equal(out_spec,
+                          np.fft.rfft(v, out=np.empty_like(out_spec)))
+    assert np.array_equal(out_v,
+                          np.fft.irfft(spec, n, out=np.empty_like(out_v)))
 
 
 def test_line_solve_reports_an_illegal_dpbtrs_argument():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded
 
-from fwlab import (GridFn, KernelOp, StrongConfig, conv_Kprime, line, norm,
-                   run_strong, sample, scaling_transport, torus)
+from fwlab import (GridFn, KernelOp, StrongConfig, conv_Kprime, kernels,
+                   line, norm, run_strong, sample, scaling_transport, torus)
 from fwlab.diagnostics import (convolution_bound_margin,
                                slope_inequality_fractions)
 from fwlab.strong import _make_rhs, _rk4
@@ -236,6 +236,49 @@ def test_line_rk4_step_takes_four_kernel_solves(monkeypatch, advect):
     traj = run_strong(u0, StrongConfig(dt=0.01, T=0.1, advect=advect))
     assert traj.times.size - 1 == 10
     assert len(calls) == 40
+
+
+@pytest.mark.parametrize("dealias, per_step", [(True, 16), (False, 8)])
+def test_torus_rk4_step_takes_16_or_8_transforms(monkeypatch, dealias,
+                                                 per_step):
+    # an RHS evaluation transforms u forward and u_x with K'*u back in one
+    # two-row call, and dealiasing adds a forward and an inverse transform
+    bind, calls = kernels._bind_pocketfft, []
+
+    def counting_bind(n):
+        def counted(transform):
+            def call(*args):
+                calls.append(transform.__name__)
+                return transform(*args)
+            return call
+        return tuple(counted(t) for t in bind(n))
+
+    monkeypatch.setattr(kernels, "_bind_pocketfft", counting_bind)
+    u0 = sample("sine", torus(), 128, amplitude=0.2, offset=0.5)
+    traj = run_strong(u0, StrongConfig(dt=1e-3, T=1e-2, dealias=dealias))
+    assert traj.times.size - 1 == 10
+    assert calls.count("rfft") == calls.count("irfft") == 10 * per_step // 2
+    assert len(calls) == 10 * per_step
+
+
+def test_torus_transforms_do_not_call_numpy_fft(monkeypatch):
+    # the bound gufuncs stand in for numpy.fft.rfft and irfft, which a torus
+    # RK4 step and K'*u no longer call
+    n, dt = 256, 1e-3
+    u = sample("sine", torus(), n, amplitude=0.2, offset=0.5).values
+    op = KernelOp(torus(), n)
+    step = _rk4(_make_rhs(op, 1.0, True, "central"), n)(u, dt)
+    kpu = op.conv_Kprime_values(u)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.fft called")
+
+    monkeypatch.setattr(np.fft, "rfft", refuse)
+    monkeypatch.setattr(np.fft, "irfft", refuse)
+    op = KernelOp(torus(), n)
+    assert np.array_equal(_rk4(_make_rhs(op, 1.0, True, "central"), n)(u, dt),
+                          step)
+    assert np.array_equal(op.conv_Kprime_values(u), kpu)
 
 
 def _torus_rhs_ref(u, lam, op, dealias):
