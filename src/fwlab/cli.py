@@ -250,11 +250,14 @@ def _config_from(cls, cfg: dict, **defaults):
 # field of Keys and its value) in which alone the verb reads it
 _VERBS = ("simulate", "breaking", "verify", "wave", "sweep")
 _STABILITY, _ENTROPY = ("check", "stability"), ("check", "entropy")
+# a and b: a verb with a domain key reads them on the line alone
+_WINDOW = {**dict.fromkeys(("simulate", "breaking", "verify", "sweep"),
+                           ("domain", "line")), "wave": None}
 _READ_BY = {
     "solver": dict.fromkeys(_VERBS),
     "domain": dict.fromkeys(("simulate", "breaking", "verify", "sweep")),
-    "a": dict.fromkeys(_VERBS),
-    "b": dict.fromkeys(_VERBS),
+    "a": _WINDOW,
+    "b": _WINDOW,
     "profile": dict.fromkeys(("simulate", "breaking", "verify", "sweep")),
     "n": {**dict.fromkeys(("simulate", "breaking", "verify", "wave")),
           "sweep": ("kind", "viscosity")},

@@ -332,9 +332,10 @@ def make_test_family(domain: Domain, t_end: float, count: int = 12) -> list:
 class ResidualQuadrature:
     """Weak-form and Kruzhkov entropy-form integrals against J bumps, as a
     run's snapshot sink (see ``trajectory._Recorder``): called ``(t, u)``
-    for each snapshot in order, it contracts each snapshot as it arrives.
-    ``value()`` is the weak residual of each bump, initial term included,
-    (J,), and the Kruzhkov integrals, one row per lambda, (L, J).
+    for each snapshot in order, it adds each snapshot interval's pairing to
+    the sums when the interval's right end arrives.  ``value()`` is the weak
+    residual of each bump, initial term included, (J,), and the Kruzhkov
+    integrals, one row per lambda, (L, J).
 
     With lambdas, whose forms have no initial term, every bump must vanish
     at t = 0; ``lambdas=None`` takes nine levels across +-1.5 max|u0| from
@@ -351,21 +352,15 @@ class ResidualQuadrature:
 
     Every bump is separable, phi = psi(zx) psi(zt) with psi exactly zero off
     its support, so phi at t_k is P a_k (P is n x J, built once with G; a_k
-    is one time factor per bump).  A snapshot is contracted once, into the
-    rows eta @ P, q @ G and s @ P from one K'*u (the weak row apart: stacked
-    on the lambda rows, its products would round differently).  The rows of
-    up to ``BATCH`` + 1 snapshots are held, and the pairings of their
-    intervals are added to the sums one by one, in order, as numpy sums a
-    stack of rows over its leading axis (a row of one entry aside, which it
-    sums pairwise).  A
-    snapshot whose time factors and both neighbours' are zero for every
-    bump lies only in intervals that add zeros: it is not contracted and its
-    rows are zero.  Whether the newest snapshot is needed waits on the next
-    time, so it is held as a copy.  Memory is O(n (J + L)), whatever the
-    number of snapshots.
+    is one time factor per bump).  An end is contracted once, into the rows
+    eta @ P, q @ G and s @ P from one K'*u (the weak row apart: stacked on
+    the lambda rows, its products would round differently), when the first
+    interval that needs it is paired.  Only an interval with a nonzero time
+    factor at either end is paired; any other adds zeros to the sums.  Only
+    the newest snapshot is kept: its rows, or a copy of it while no interval
+    has needed it.  Memory is O(n (J + L)), whatever the number of
+    snapshots.
     """
-
-    BATCH = 32  # intervals whose pairings are formed at once
 
     def __init__(self, domain: Domain, n: int, family, lambdas=()):
         h = domain.length / n
@@ -392,13 +387,13 @@ class ResidualQuadrature:
                                   periodic)
         self._t0 = np.array([tf.t0 for tf in family])
         self._s = np.array([tf.s for tf in family])
-        self._held = None   # (t, a, copy) of a snapshot not yet decided
-        self._last_live = False
-        self._t_end = None  # the newest snapshot time
+        # per bump: a nonzero time factor at some snapshot
+        self._seen = np.zeros(len(family), dtype=bool)
+        self._last = None  # the newest snapshot: (t, a, copy or None)
 
     def _start(self, t: float, u: np.ndarray) -> None:
-        """Set up at the first snapshot, u0: the entropy levels, the held
-        rows, the sums and the initial term of the weak form."""
+        """Set up at the first snapshot, u0: the entropy levels, the row
+        buffers, the sums and the initial term of the weak form."""
         lambdas = self._lambdas
         if lambdas is None:
             linf = max(norm(GridFn(self._domain, u), "Linf"), 1e-6)
@@ -407,13 +402,9 @@ class ResidualQuadrature:
             lambdas, dtype=np.float64))[:, None])
         L, J = self._pair.lam.shape[0], len(self._family)
         self._buf = np.empty((4, L, u.size))
-        # (E, Q, S) rows, time factor and time of the decided snapshots whose
-        # intervals are not summed yet
-        self._rows = np.zeros((self.BATCH + 1, 3, 1 + L, J))
-        self._a = np.zeros((self.BATCH + 1, J))
-        self._t = np.zeros(self.BATCH + 1)
-        self._k = 0
-        self._seen = np.zeros(J, dtype=bool)  # a nonzero time factor
+        # the (E, Q, S) rows of the newest snapshot, once contracted, and
+        # the buffer the next snapshot's are written to
+        self._rows = np.empty((3, 1 + L, J)), np.empty((3, 1 + L, J))
         self._sum = np.zeros((1 + L, J))  # the weak row, then one per lambda
         x = self._domain.cell_centers(u.size)
         periodic = self._domain.periodic
@@ -432,63 +423,35 @@ class ResidualQuadrature:
         np.matmul(q, G, out=rows[1, 1:])
         np.matmul(np.multiply(deta, kpu, out=buf[3]), P, out=rows[2, 1:])
 
-    def _decide(self, t: float, a: np.ndarray, u) -> None:
-        """Hold the rows of the next snapshot: u's, or zeros if u is None."""
-        if self._k == self.BATCH + 1:
-            self._flush()
-        k = self._k
-        self._t[k], self._a[k] = t, a
-        if u is None:
-            self._rows[k] = 0.0
-        else:
-            self._contract(u, self._rows[k])
-        self._k = k + 1
-
-    def _flush(self) -> None:
-        """Add the pairings of the held intervals to the sums, and keep only
-        the newest snapshot's rows."""
-        k = self._k
-        E, Q, S = self._rows[:k].swapaxes(0, 1)
-        a = self._a[:k, None, :]
-        a0, a1 = a[:-1], a[1:]
-        dt = np.diff(self._t[:k])[:, None, None]
-        h = self._h
-        terms = (h * 0.5 * (E[:-1] + E[1:]) * (a1 - a0)
-                 + dt * 0.5 * (Q[:-1] + Q[1:]) * 0.5 * (a0 + a1)
-                 - 0.5 * dt * h * (S[:-1] * a0 + S[1:] * a1))
-        for term in terms:
-            self._sum += term
-        self._seen |= (self._a[:k] != 0.0).any(axis=0)
-        self._rows[0], self._a[0], self._t[0] = (self._rows[k - 1],
-                                                 self._a[k - 1],
-                                                 self._t[k - 1])
-        self._k = 1
-
     def __call__(self, t: float, u: np.ndarray) -> None:
-        if self._t_end is None:
+        a1 = _psi((t - self._t0) / self._s)
+        self._seen |= a1 != 0.0
+        if self._last is None:
             self._start(t, u)
-        self._t_end = t
-        a = _psi((t - self._t0) / self._s)
-        live = bool(a.any())
-        if self._held is not None:  # needed only if this snapshot is live
-            th, ah, uh = self._held
-            self._held = None
-            self._decide(th, ah, uh if live else None)
-        if live or self._last_live:
-            self._decide(t, a, u)
         else:
-            self._held = (t, a, u.copy())
-        self._last_live = live
+            t0, a0, u0 = self._last
+            if a0.any() or a1.any():
+                rows0, rows1 = self._rows
+                if u0 is not None:  # the first interval to need it
+                    self._contract(u0, rows0)
+                self._contract(u, rows1)
+                E0, Q0, S0 = rows0
+                E1, Q1, S1 = rows1
+                dt, h = t - t0, self._h
+                self._sum += (h * 0.5 * (E0 + E1) * (a1 - a0)
+                              + dt * 0.5 * (Q0 + Q1) * 0.5 * (a0 + a1)
+                              - 0.5 * dt * h * (S0 * a0 + S1 * a1))
+                self._rows = rows1, rows0
+                self._last = t, a1, None
+                return
+        self._last = t, a1, u.copy()  # the sink must copy what it keeps
 
     def value(self):
-        if self._t_end is None:
+        if self._last is None:
             raise ValueError("no snapshot was recorded")
-        if self._held is not None:  # no next snapshot: not needed
-            self._decide(*self._held[:2], None)
-            self._held = None
-        self._flush()
+        t_end = self._last[0]
         for tf, seen in zip(self._family, self._seen):
-            if tf.t0 + tf.s > self._t_end + 1e-12:
+            if tf.t0 + tf.s > t_end + 1e-12:
                 raise ValueError("test function support extends past the "
                                  "last recorded time")
             # a bump zero at every snapshot gives integrals of exactly 0

@@ -188,11 +188,23 @@ def test_verify_upjump_detects_inadmissible(tmp_path):
     _assert_entropy_passes_are_the_verdicts(out)  # weak and kruzhkov fail
 
 
+def _torus_upjump_config(tmp_path) -> str:
+    """A copy of the upjump_adversarial preset less a and b, which only the
+    line reads; its runs override domain=torus."""
+    text = (resources.files("fwlab") / "presets"
+            / "upjump_adversarial.cfg").read_text()
+    path = tmp_path / "upjump_torus.cfg"
+    path.write_text("".join(row for row in text.splitlines(keepends=True)
+                            if row.split("=")[0].strip() not in ("a", "b")))
+    return str(path)
+
+
 def test_verify_upjump_on_the_torus(tmp_path):
     # with jump_at inside the torus grid both states are on it, and the
     # up-jump fails as it does on the line
-    code, out = run_cli(tmp_path, "verify", "--preset", "upjump_adversarial",
-                        "n=1000", "domain=torus", "jump_at=0.5")
+    code, out = run_cli(tmp_path, "verify", "--config",
+                        _torus_upjump_config(tmp_path), "n=1000",
+                        "domain=torus", "jump_at=0.5")
     assert code == EXIT_CHECK_FAILED
     report = json.loads((out / "report.json").read_text())
     failed = {c["check_name"] for c in report["checks"] if not c["pass"]}
@@ -512,9 +524,9 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     # every sweep runs the FV solver: a strong one was ignored but reported
     ("sweep", "convergence_peakon", ["solver=strong"], EXIT_USAGE,
      "solver='strong'"),
-    # with jump_at = 0 on the torus every cell holds +1: a field with no jump
-    ("verify", "upjump_adversarial", ["domain=torus"], EXIT_USAGE,
-     "jump_at=0.0"),
+    # a and b set no torus: they were ignored
+    ("simulate", "conservation_sine", ["a=5", "b=6"], EXIT_USAGE,
+     "domain='torus', a=5.0: a is read only with domain='line'"),
     # the stability check runs the profile: a trajectory would be ignored
     ("verify", "l1_stability", ["n=400", "trajectory=upjump"], EXIT_USAGE,
      "check='stability', trajectory='upjump'"),
@@ -562,6 +574,17 @@ def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
     err = capsys.readouterr().err
     assert message in err
     assert ("config error" in err) == (code == EXIT_USAGE)
+
+
+def test_verify_upjump_at_zero_on_the_torus_is_refused(tmp_path, capsys):
+    # with jump_at = 0 on the torus every cell holds +1: a field with no jump
+    code, out = run_cli(tmp_path, "verify", "--config",
+                        _torus_upjump_config(tmp_path), "domain=torus")
+    assert code == EXIT_USAGE
+    assert not list(out.rglob("report.json"))
+    err = capsys.readouterr().err
+    assert "jump_at=0.0" in err
+    assert "config error" in err
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from fwlab import (FVConfig, GridFn, KernelOp, TestFn, breaking_precheck,
-                   conservation_report, diagnostics, entropy_report,
-                   envelope_check, kruzhkov_residual, l1_stability_check,
-                   line, make_test_family, norm, oleinik_check,
-                   oleinik_coefficient, riccati_envelope, run_fv, sample,
-                   slope_extrema, torus, weak_residual)
+from fwlab import (FVConfig, GridFn, KernelOp, StrongConfig, TestFn,
+                   breaking_precheck, conservation_report, diagnostics,
+                   entropy_report, envelope_check, kruzhkov_residual,
+                   l1_stability_check, line, make_test_family, norm,
+                   oleinik_check, oleinik_coefficient, riccati_envelope,
+                   run_fv, run_strong, sample, slope_extrema, torus,
+                   weak_residual)
 from fwlab.diagnostics import (EntropyCheck, L1StabilityRatio,
                                ResidualQuadrature)
 from fwlab.trajectory import synthetic_trajectory
@@ -434,6 +435,14 @@ def _gapped_run(sink=None):
                          width=0.2), FVConfig(T=1.0), sink)
 
 
+def _strong_run(sink=None):
+    # the regularised step under the strong solver's upwind RK4: 101
+    # snapshots, one every 5 steps
+    u0 = sample("step", line(-20, 20), 2000, left=1.0, right=-1.0, width=0.2)
+    return run_strong(u0, StrongConfig(dt=1e-3, T=0.5, snapshot_stride=5,
+                                       advect="upwind"), sink)
+
+
 _GAPPED_FAMILY = [TestFn(-4.0, 0.15, 3.0, 0.1), TestFn(4.0, 0.75, 3.0, 0.1)]
 
 # each case: its run (taking a sink), its levels, its family (None: the
@@ -444,6 +453,10 @@ _CASES = {
     # the default torus family has bumps straddling the seam
     "torus": (_torus_run, np.linspace(-0.6, 0.6, 5), None, 0.3),
     "gapped": (_gapped_run, np.linspace(-1.5, 1.5, 9), _GAPPED_FAMILY, 1.0),
+    # a strong run ends at the summed steps, not at T bit for bit, so its
+    # streamed and stored reports share a family over [0, T]
+    "strong": (_strong_run, np.linspace(-1.5, 1.5, 9),
+               make_test_family(line(-20, 20), 0.5), 0.5),
 }
 
 
@@ -531,6 +544,28 @@ def test_streamed_check_solves_each_needed_snapshot_once(case, solves,
     check = EntropyCheck(traj.domain, traj.n, T, lams)
     run(check)
     assert count["solves"] - 2 * own == solves
+
+
+def test_sinks_copy_the_snapshots_they_keep():
+    # a run may pass the same state array at every snapshot, overwritten in
+    # place: an idle snapshot is contracted only once a later interval needs
+    # it, and an Oleinik snapshot is read in value(), so both sinks must
+    # keep copies
+    traj = _ac8_run()
+    lams = np.linspace(-1.5, 1.5, 9)
+    family = make_test_family(traj.domain, 0.5)
+    quad = ResidualQuadrature(traj.domain, traj.n, family, lams)
+    check = EntropyCheck(traj.domain, traj.n, 0.5, lams)
+    state = np.empty(traj.n)
+    for t, u in zip(traj.snap_times, traj.snapshots):
+        np.copyto(state, u)
+        quad(t, state)
+        check(t, state)
+    w, mat = quad.value()
+    ref_w, ref_mat = diagnostics._residuals(traj, family, lams)
+    assert np.array_equal(w, ref_w)
+    assert np.array_equal(mat, ref_mat)
+    assert check.value() == entropy_report(traj, lams)
 
 
 def _upjump_peak(steps: int, stream: bool) -> int:
