@@ -12,11 +12,11 @@ bounds are the fixed Thresholds.  load_config type-checks every key for every
 verb and refuses a non-finite float (list items included), and Keys rejects an
 unknown choice, an n or n_list entry below 4, a non-nested n_list or one of
 fewer than 3 entries, a zero bump_amplitude or bump_radius and an eps_list of
-fewer than 2 entries or not positive and strictly descending.  Every verb
-refuses a Keys field it never reads, or reads only in another of its modes
-(_READ_BY, one table for all verbs), and builds its solver config (the one
-the solver key names; FVConfig for sweep) before any work, so a bad solver
-key exits 2 also where no run follows; breaking refuses solver=fv, sweep
+fewer than 2 entries or not positive and strictly descending.  Before any
+work every verb refuses a key it never reads, or reads only in another of its
+modes (_READ_BY, one table for all keys; snapshot_stride is taken also where
+ends_only overrides it), and builds its solver config, so a bad solver key
+exits 2 also where no run follows; breaking refuses solver=fv, sweep
 solver=strong, and verify, for trajectory=upjump (T from the solver config),
 a jump_at with a state off the grid.  verify's stability check steps both FV
 runs at the solver's own bound, _dt_bound, at the speed 2 + max|u0|, and
@@ -246,53 +246,67 @@ def _config_from(cls, cfg: dict, **defaults):
         raise ConfigError(str(exc)) from exc
 
 
-# the verbs that read each field of Keys: None in every mode, or the mode (a
-# field of Keys and its value) in which alone the verb reads it
-_VERBS = ("simulate", "breaking", "verify", "wave", "sweep")
-_STABILITY, _ENTROPY = ("check", "stability"), ("check", "entropy")
+# the verbs that read each key (profile.* as profile): each verb's mode is the
+# fields of Keys and their values, all of which must hold ({} in every mode)
+_RUNNING = ("simulate", "breaking", "verify", "sweep")
+_STABILITY, _ENTROPY = {"check": "stability"}, {"check": "entropy"}
 # a and b: a verb with a domain key reads them on the line alone
-_WINDOW = {**dict.fromkeys(("simulate", "breaking", "verify", "sweep"),
-                           ("domain", "line")), "wave": None}
+_WINDOW = {**dict.fromkeys(_RUNNING, {"domain": "line"}), "wave": {}}
+# a run's keys (the up-jump of verify is no run) and its solver's own
+_RUN = {**dict.fromkeys(_RUNNING, {}), "verify": {"trajectory": None}}
+_STRONG = {"breaking": {}, "simulate": {"solver": "strong"},
+           "verify": {"solver": "strong", "trajectory": None}}
+_FV = {"sweep": {}, "simulate": {"solver": "fv"},
+       "verify": {"solver": "fv", "trajectory": None}}
 _READ_BY = {
-    "solver": dict.fromkeys(_VERBS),
-    "domain": dict.fromkeys(("simulate", "breaking", "verify", "sweep")),
+    "solver": _RUN,
+    "domain": dict.fromkeys(_RUNNING, {}),
     "a": _WINDOW,
     "b": _WINDOW,
-    "profile": dict.fromkeys(("simulate", "breaking", "verify", "sweep")),
-    "n": {**dict.fromkeys(("simulate", "breaking", "verify", "wave")),
-          "sweep": ("kind", "viscosity")},
-    "check": {"verify": None},
+    "profile": _RUN,
+    "n": {**dict.fromkeys(("simulate", "breaking", "verify", "wave"), {}),
+          "sweep": {"kind": "viscosity"}},
+    "check": {"verify": {}},
     "bump_amplitude": {"verify": _STABILITY},
     "bump_center": {"verify": _STABILITY},
     "bump_radius": {"verify": _STABILITY},
     "trajectory": {"verify": _ENTROPY},
-    "steps": {"verify": ("trajectory", "upjump")},
-    "jump_at": {"verify": ("trajectory", "upjump")},
+    "steps": {"verify": {"trajectory": "upjump"}},
+    "jump_at": {"verify": {"trajectory": "upjump"}},
     "lambdas": {"verify": _ENTROPY},
-    "kind": dict.fromkeys(("wave", "sweep")),
-    "c": {"wave": ("kind", "cusp")},
-    "eps_list": {"sweep": ("kind", "viscosity")},
-    "n_list": {"sweep": ("kind", "resolution")},
+    "kind": dict.fromkeys(("wave", "sweep"), {}),
+    "c": {"wave": {"kind": "cusp"}},
+    "eps_list": {"sweep": {"kind": "viscosity"}},
+    "n_list": {"sweep": {"kind": "resolution"}},
+    "T": dict.fromkeys(_RUNNING, {}),
+    "dt": _RUN,
+    "snapshot_stride": _RUN,  # also where ends_only overrides it
+    "lambda": _STRONG,
+    "stop_slope": _STRONG,
+    "advect": {v: {**m, "domain": "line"} for v, m in _STRONG.items()},
+    "dealias": {v: {**m, "domain": "torus"} for v, m in _STRONG.items()},
+    "cfl": _FV,
+    "splitting": _FV,
+    "source_on": _FV,
+    "eps": {**_FV, "sweep": {"kind": "resolution"}},  # viscosity sweeps set it
 }
+# the mode keys, checked first and in this order, so a refusal names its cause
+_MODES = ("check", "kind", "domain", "trajectory", "solver")
 
 
 def _refuse_unread(verb: str, cfg: dict, keys: Keys) -> None:
-    """Refuse a Keys field in cfg that verb never reads, or reads only in
-    another mode: the command would ignore it.  The solver config fields
-    and profile.* are checked by the configs and the profile they build."""
-    for key in cfg:
-        readers = _READ_BY.get(key)
-        if readers is None:
-            continue
+    """Refuse a key in cfg that verb never reads, or reads only in another
+    mode: the command would ignore it."""
+    for key in [*(k for k in _MODES if k in cfg), *cfg]:
+        readers = _READ_BY[key.split(".")[0]]
+        value = getattr(keys, key, cfg[key])
         if verb not in readers:
-            raise ConfigError(f"{key}={getattr(keys, key)!r}: {verb} reads "
-                              f"no {key}")
-        if readers[verb] is not None:
-            mode, value = readers[verb]
-            if getattr(keys, mode) != value:
+            raise ConfigError(f"{key}={value!r}: {verb} reads no {key}")
+        rule = ", ".join(f"{m}={v!r}" for m, v in readers[verb].items())
+        for mode, need in readers[verb].items():
+            if getattr(keys, mode) != need:
                 raise ConfigError(f"{mode}={getattr(keys, mode)!r}, {key}="
-                                  f"{getattr(keys, key)!r}: {key} is read "
-                                  f"only with {mode}={value!r}")
+                                  f"{value!r}: {key} is read only with {rule}")
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +552,6 @@ def cmd_wave(cfg: dict, out: str) -> list[dict]:
     kind, n, window = keys.kind, keys.n, (keys.a, keys.b)
     if kind not in ("peakon", "cusp"):
         raise ConfigError("wave kind must be 'peakon' or 'cusp'")
-    _solver_config(keys.solver, cfg)  # no run, but its keys are checked
     try:
         defect_fit_mask(line(*window), n)
     except ValueError as exc:

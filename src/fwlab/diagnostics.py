@@ -54,8 +54,6 @@ __all__ = [
     "EntropyCheck",
     "ResidualQuadrature",
     "entropy_report",
-    "slope_inequality_fractions",
-    "convolution_bound_margin",
 ]
 
 
@@ -590,55 +588,3 @@ def entropy_report(traj: Trajectory, lambdas=None,
                                       float(traj.snap_times[-1]), lambdas,
                                       family)).value()
 
-
-# ---------------------------------------------------------------------------
-# differential-inequality checks along a strong run
-
-def slope_inequality_fractions(traj: Trajectory):
-    """Fraction of recorded times where the one-sided slope bounds
-    m_j' <= -m_j^2 + (m2 - m1)/2 + tol hold (centered differences in t),
-    tol = 0.05 (1 + m_j^2).
-
-    Only times where |m1| stays below half a grid slope, 0.5/h, count.
-    """
-    t = traj.times
-    if t.size < 3:
-        raise ValueError("trajectory too short for derivative estimates")
-    out = []
-    gap = 0.5 * (traj.series["m2"] - traj.series["m1"])
-    for name in ("m1", "m2"):
-        m = traj.series[name]
-        dm = (m[2:] - m[:-2]) / (t[2:] - t[:-2])
-        mid = m[1:-1]
-        bound = -mid ** 2 + gap[1:-1] + 0.05 * (1.0 + mid ** 2)
-        ok = dm <= bound
-        resolved = np.abs(traj.series["m1"][1:-1]) <= 0.5 / traj.h
-        if not resolved.any():
-            out.append(1.0)
-            continue
-        out.append(float(ok[resolved].mean()))
-    return tuple(out)
-
-
-def convolution_bound_margin(traj: Trajectory) -> float:
-    """Worst margin of (K*u_xx)(xi_j) >= (m1 - m2)/2 - tol over snapshots,
-    tol = 0.05 (1 + m2 - m1).
-
-    K*u_xx is evaluated through the kernel identity K*u'' = K*u - u, which
-    is exact for the discrete operator.
-    """
-    op = KernelOp(traj.domain, traj.n)
-    x = traj.domain.cell_centers(traj.n)
-    worst = math.inf
-    for tk, u in zip(traj.snap_times, traj.snapshots):
-        i = int(np.argmin(np.abs(traj.times - tk)))
-        m1 = traj.series["m1"][i]
-        m2 = traj.series["m2"][i]
-        conv = op.conv_K_values(u) - u
-        lower = 0.5 * (m1 - m2)
-        tol = 0.05 * (1.0 + m2 - m1)
-        for name in ("xi1", "xi2"):
-            xi = traj.series[name][i]
-            j = int(np.argmin(np.abs(x - xi)))
-            worst = min(worst, float(conv[j] - (lower - tol)))
-    return worst

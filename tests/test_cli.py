@@ -292,7 +292,7 @@ def test_simulate_and_breaking_keep_only_the_ends(tmp_path, monkeypatch, verb,
 @pytest.mark.parametrize("overrides, solver", [
     (["T=0.2"], "run_fv"),
     (["T=0.2", "solver=strong", "dt=1e-3"], "run_strong"),
-    (["T=0.2", "trajectory=upjump"], "synthetic_trajectory"),
+    (["T=0.2"], "synthetic_trajectory"),
 ])
 def test_verify_refuses_before_the_run(tmp_path, capsys, monkeypatch,
                                        overrides, solver):
@@ -300,8 +300,10 @@ def test_verify_refuses_before_the_run(tmp_path, capsys, monkeypatch,
     def no_run(*args, **kwargs):
         raise AssertionError("the run was started")
     monkeypatch.setattr(cli, solver, no_run)
-    code, out = run_cli(tmp_path, "verify", "--preset", "riemann_entropy",
-                        *overrides)
+    # the up-jump reads none of riemann_entropy's solver and profile keys
+    preset = {"synthetic_trajectory": "upjump_adversarial"}.get(
+        solver, "riemann_entropy")
+    code, out = run_cli(tmp_path, "verify", "--preset", preset, *overrides)
     assert code == EXIT_CHECK_FAILED
     assert not list(out.rglob("report.json"))
     assert "oleinik_times=(0.25, 0.5, 1.0)" in capsys.readouterr().err
@@ -513,7 +515,7 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     # l1_growth divides by the L1 norm of u0: zero data gave NaN
     ("verify", "l1_stability", ["profile=zero", "n=400"], EXIT_USAGE,
      "profile='zero'"),
-    # the solver keys are range-checked also where no run follows
+    # a bad solver key exits 2 also where no run follows (wave reads none)
     ("wave", "wave_peakon", ["n=2000", "snapshot_stride=0"], EXIT_USAGE,
      "snapshot_stride=0"),
     ("wave", "wave_peakon", ["n=2000", "cfl=5"], EXIT_USAGE, "cfl"),
@@ -564,6 +566,40 @@ def test_exit_code_contract_on_check_failure(tmp_path):
      "kind='resolution'"),
     ("sweep", "convergence_peakon", ["n_list=200,400,800", "n=5"], EXIT_USAGE,
      "kind='resolution', n=5: n is read only with kind='viscosity'"),
+    # each solver key is refused where the run would ignore it
+    ("simulate", "peakon_transport", ["T=0.01", "advect=upwind"], EXIT_USAGE,
+     "solver='fv', advect='upwind': advect is read only with "
+     "solver='strong', domain='line'"),
+    ("simulate", "conservation_sine", ["T=0.01", "cfl=0.1"], EXIT_USAGE,
+     "solver='strong', cfl=0.1: cfl is read only with solver='fv'"),
+    ("simulate", "conservation_sine", ["T=0.01", "advect=upwind"], EXIT_USAGE,
+     "domain='torus', advect='upwind'"),
+    ("simulate", "peakon_transport", ["T=0.01", "solver=strong", "dealias=no"],
+     EXIT_USAGE, "domain='line', dealias=False"),
+    ("wave", "wave_peakon", ["n=2000", "T=5"], EXIT_USAGE,
+     "T=5: wave reads no T"),
+    ("wave", "wave_peakon", ["n=2000", "solver=strong"], EXIT_USAGE,
+     "solver='strong': wave reads no solver"),
+    ("wave", "wave_peakon", ["n=2000", "profile.beta=3"], EXIT_USAGE,
+     "profile.beta=3: wave reads no profile.beta"),
+    ("sweep", "viscosity_sweep", ["n=200", "T=0.05", "stop_slope=3"],
+     EXIT_USAGE, "stop_slope=3: sweep reads no stop_slope"),
+    ("sweep", "viscosity_sweep", ["n=200", "T=0.05", "eps=0.5"], EXIT_USAGE,
+     "kind='viscosity', eps=0.5: eps is read only with kind='resolution'"),
+    ("breaking", "breaking_gaussian", ["n=512", "T=0.05", "eps=0.1"],
+     EXIT_USAGE, "eps=0.1: breaking reads no eps"),
+    # the up-jump runs no solver: its keys and the profile are refused
+    ("verify", "upjump_adversarial", ["n=400", "cfl=0.1"], EXIT_USAGE,
+     "trajectory='upjump', cfl=0.1: cfl is read only with solver='fv', "
+     "trajectory=None"),
+    ("verify", "upjump_adversarial", ["n=400", "profile=peakon"], EXIT_USAGE,
+     "trajectory='upjump', profile='peakon': profile is read only with "
+     "trajectory=None"),
+    ("verify", "upjump_adversarial", ["n=400", "dt=1e-3"], EXIT_USAGE,
+     "trajectory='upjump', dt=0.001"),
+    # the table refuses advect on the torus: StrongConfig checks it on the line
+    ("breaking", "breaking_gaussian", ["n=512", "advect=sideways"], EXIT_USAGE,
+     "advect must be 'central' or 'upwind'"),
 ])
 def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
                                  code, message):
@@ -671,13 +707,21 @@ def test_each_field_has_one_key(tmp_path_factory):
 
 
 def test_each_keys_field_names_its_readers():
-    # a field missing from _READ_BY would be accepted by every verb unread
+    # a key missing from _READ_BY would stop every verb with a KeyError, so a
+    # field added to Keys, StrongConfig or FVConfig fails here until it has a
+    # row
     verbs = {"simulate", "breaking", "verify", "wave", "sweep"}
-    assert set(cli._READ_BY) == {f.name for f in fields(Keys)}
+    kinds = {"wave": ("peakon", "cusp"), "sweep": ("viscosity", "resolution")}
+    assert set(cli._READ_BY) == _KEYS
+    assert set(cli._MODES) <= {f.name for f in fields(Keys)}
     for readers in cli._READ_BY.values():
         assert readers and set(readers) <= verbs
-        for mode in filter(None, readers.values()):
-            assert mode[0] in cli._READ_BY
+        for verb, mode in readers.items():
+            # each mode names the mode keys with values Keys accepts
+            assert set(mode) <= set(cli._MODES)
+            Keys(**mode)
+            if "kind" in mode:
+                assert mode["kind"] in kinds[verb]
 
 
 def test_readme_key_table_names_the_keys():
