@@ -10,15 +10,16 @@ FVConfig) is set by exactly one key: its name, or for lambda_coeff and
 source_splitting only the alias lambda or splitting (_ALIASES); the check
 bounds are the fixed Thresholds.  load_config type-checks every key for every
 verb and refuses a non-finite float (list items included), and Keys rejects an
-unknown choice, an n or n_list entry below 4, a non-nested n_list or one of
-fewer than 3 entries, a zero bump_amplitude or bump_radius and an eps_list of
-fewer than 2 entries or not positive and strictly descending.  Before any
-work every verb refuses a key it never reads, or reads only in another of its
-modes (_READ_BY, one table for all keys; snapshot_stride is taken also where
-ends_only overrides it), and builds its solver config, so a bad solver key
-exits 2 also where no run follows; breaking refuses solver=fv, sweep
-solver=strong, and verify, for trajectory=upjump (T from the solver config),
-a jump_at with a state off the grid.  verify's stability check steps both FV
+n or n_list entry below 4, a non-nested n_list or one of fewer than 3
+entries, a zero bump_amplitude or bump_radius and an eps_list of fewer than 2
+entries or not positive and strictly descending.  Before any work every verb
+refuses a mode value, set or defaulted, that it does not take (_MODES, the
+one table of the values each verb takes of each mode key), then a key it
+never reads, or reads only in another of its modes (_READ_BY, one table for
+all keys; snapshot_stride is taken also where ends_only overrides it), and
+builds its solver config, so a bad solver key exits 2 also where no run
+follows; verify refuses, for trajectory=upjump (T from the solver config), a
+jump_at with a state off the grid.  verify's stability check steps both FV
 runs at the solver's own bound, _dt_bound, at the speed 2 + max|u0|, and
 compares the second run with the first as it records.  verify's entropy
 check builds its sink, diagnostics.EntropyCheck, over [0, T] before the run
@@ -161,13 +162,6 @@ class Keys:
     n_list: list[int] = field(default_factory=lambda: [2000, 4000, 8000])
 
     def __post_init__(self):
-        for key, choices in (("solver", ("strong", "fv")),
-                             ("domain", ("line", "torus")),
-                             ("check", ("entropy", "stability")),
-                             ("trajectory", (None, "upjump"))):
-            if getattr(self, key) not in choices:
-                raise ValueError(f"{key}={getattr(self, key)!r}: expected one "
-                                 f"of {choices}")
         if not self.a < self.b:
             raise ValueError(f"a={self.a!r}, b={self.b!r}: expected a < b")
         if self.n < 4:
@@ -290,13 +284,27 @@ _READ_BY = {
     "source_on": _FV,
     "eps": {**_FV, "sweep": {"kind": "resolution"}},  # viscosity sweeps set it
 }
-# the mode keys, checked first and in this order, so a refusal names its cause
-_MODES = ("check", "kind", "domain", "trajectory", "solver")
+# the values each verb that reads a mode key takes of it; the mode keys are
+# checked first and in this order, so a refusal names its cause
+_MODES = {
+    "check": {"verify": ("entropy", "stability")},
+    "kind": {"wave": ("peakon", "cusp"), "sweep": ("viscosity", "resolution")},
+    "domain": dict.fromkeys(_RUNNING, ("line", "torus")),
+    "trajectory": {"verify": (None, "upjump")},
+    "solver": {"simulate": ("strong", "fv"), "breaking": ("strong",),
+               "verify": ("strong", "fv"), "sweep": ("fv",)},
+}
 
 
 def _refuse_unread(verb: str, cfg: dict, keys: Keys) -> None:
-    """Refuse a key in cfg that verb never reads, or reads only in another
-    mode: the command would ignore it."""
+    """Refuse a mode value, set or defaulted, that verb does not take, then a
+    key in cfg that verb never reads, or reads only in another mode: the
+    command would ignore it."""
+    for key, takes in _MODES.items():
+        value = getattr(keys, key)
+        if verb in takes and value not in takes[verb]:
+            raise ConfigError(f"{key}={value!r}: {verb} takes one of "
+                              f"{takes[verb]}")
     for key in [*(k for k in _MODES if k in cfg), *cfg]:
         readers = _READ_BY[key.split(".")[0]]
         value = getattr(keys, key, cfg[key])
@@ -442,9 +450,6 @@ def _crest(x: np.ndarray, u: np.ndarray) -> float:
 def cmd_breaking(cfg: dict, out: str) -> list[dict]:
     keys = _config_from(Keys, cfg, n=20480, solver="strong")
     _refuse_unread("breaking", cfg, keys)
-    if keys.solver != "strong":
-        raise ConfigError(f"solver={keys.solver!r}: the blow-up time is read "
-                          f"from a strong run's stop_slope")
     domain = _domain_from(keys)
     advect = "upwind" if not domain.periodic else "central"
     # reads the ends and the series only
@@ -550,8 +555,6 @@ def cmd_wave(cfg: dict, out: str) -> list[dict]:
     keys = _config_from(Keys, cfg, n=8000, a=-30.0, b=30.0)
     _refuse_unread("wave", cfg, keys)
     kind, n, window = keys.kind, keys.n, (keys.a, keys.b)
-    if kind not in ("peakon", "cusp"):
-        raise ConfigError("wave kind must be 'peakon' or 'cusp'")
     try:
         defect_fit_mask(line(*window), n)
     except ValueError as exc:
@@ -607,9 +610,6 @@ def _max_workers() -> int:
 def cmd_sweep(cfg: dict, out: str) -> list[dict]:
     keys = _config_from(Keys, cfg, n=2000, kind="viscosity")
     _refuse_unread("sweep", cfg, keys)
-    if keys.solver != "fv":
-        raise ConfigError(f"solver={keys.solver!r}: every sweep runs the FV "
-                          f"solver")
     domain = _domain_from(keys)
     checks = []
     if keys.kind == "viscosity":
@@ -626,7 +626,7 @@ def cmd_sweep(cfg: dict, out: str) -> list[dict]:
         _atomic_write(os.path.join(out, "sweep.csv"),
                       lambda tmp: write_csv(tmp, ("eps", "l1_distance"),
                                             ([e for e, _ in pairs], dists)))
-    elif keys.kind == "resolution":
+    else:
         fcfg = ends_only(_config_from(FVConfig, cfg))  # reads the ends only
         runs = [run_fv(_initial_from(cfg, domain, n), fcfg)
                 for n in keys.n_list]
@@ -646,8 +646,6 @@ def cmd_sweep(cfg: dict, out: str) -> list[dict]:
         _atomic_write(os.path.join(out, "convergence.csv"),
                       lambda tmp: write_csv(tmp, ("n", "dt_mean", "l1_err",
                                                   "order"), columns))
-    else:
-        raise ConfigError(f"unknown sweep kind {keys.kind!r}")
     return checks
 
 

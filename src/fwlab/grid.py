@@ -4,9 +4,10 @@ slope extrema and CSV output.
 Everything downstream operates on cell-centered samples: a ``GridFn`` holds
 ``n`` values at ``x_i = a + (i + 1/2) h``.  The torus has period 1 by
 convention; line domains are truncation windows on which fields are treated
-as zero outside ``[a, b]``.  What lies past the last cell is written once:
-``_pad`` (wrapped ghost cells on the torus, zero ones on the line) and
-``_interface_diff`` (n differences on the torus, n - 1 on the line).
+as zero outside ``[a, b]``.  What lies past the last cell is ``_pad``
+(wrapped ghost cells on the torus, zero ones on the line) and
+``_interface_diff`` (n differences on the torus, n - 1 on the line); only
+``strong``'s upwind RHS also writes the line's zero ghost cells, for speed.
 """
 
 from __future__ import annotations

@@ -600,6 +600,12 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     # the table refuses advect on the torus: StrongConfig checks it on the line
     ("breaking", "breaking_gaussian", ["n=512", "advect=sideways"], EXIT_USAGE,
      "advect must be 'central' or 'upwind'"),
+    # a mode value the verb does not take is the cause, not a key it gates
+    ("wave", "wave_cusp", ["kind=foo"], EXIT_USAGE, "kind='foo': wave"),
+    ("sweep", "viscosity_sweep", ["kind=peakon"], EXIT_USAGE,
+     "kind='peakon': sweep"),
+    ("sweep", "convergence_peakon", ["kind=cusp"], EXIT_USAGE,
+     "kind='cusp': sweep"),
 ])
 def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
                                  code, message):
@@ -711,17 +717,18 @@ def test_each_keys_field_names_its_readers():
     # field added to Keys, StrongConfig or FVConfig fails here until it has a
     # row
     verbs = {"simulate", "breaking", "verify", "wave", "sweep"}
-    kinds = {"wave": ("peakon", "cusp"), "sweep": ("viscosity", "resolution")}
     assert set(cli._READ_BY) == _KEYS
     assert set(cli._MODES) <= {f.name for f in fields(Keys)}
+    for key, takes in cli._MODES.items():
+        # the verbs that take values of a mode key are the ones reading it
+        assert set(takes) == set(cli._READ_BY[key])
     for readers in cli._READ_BY.values():
         assert readers and set(readers) <= verbs
         for verb, mode in readers.items():
-            # each mode names the mode keys with values Keys accepts
+            # each mode names mode keys with values its verb takes
             assert set(mode) <= set(cli._MODES)
-            Keys(**mode)
-            if "kind" in mode:
-                assert mode["kind"] in kinds[verb]
+            for key, value in mode.items():
+                assert value in cli._MODES[key][verb]
 
 
 def test_readme_key_table_names_the_keys():

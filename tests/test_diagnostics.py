@@ -587,7 +587,7 @@ def _upjump_peak(steps: int, stream: bool) -> int:
 
 def test_streamed_check_memory_does_not_grow_with_the_snapshots():
     # four times the snapshots: the stored report holds each one, the
-    # streamed check one lookahead and one per Oleinik time
+    # streamed check the newest snapshot and one per Oleinik time
     streamed = [_upjump_peak(steps, True) for steps in (100, 400)]
     stored = [_upjump_peak(steps, False) for steps in (100, 400)]
     assert streamed[1] <= 1.1 * streamed[0]

@@ -299,3 +299,29 @@ def test_weak_and_strong_solutions_agree_at_first_order(domain, profile, T,
         dists.append(u0.h * np.abs(gap).sum())
     for coarse, fine in zip(dists, dists[1:]):
         assert 1.7 <= coarse / fine <= 2.3
+
+
+def test_weak_and_strong_solutions_part_at_the_blow_up():
+    # the breaking datum blows up at T* ~ 0.5016 (demos/07_blowup_rate.py).
+    # Before T* the FV run converges to the strong one, so doubling n halves
+    # the L1 distance between them; past it the strong run has left the
+    # entropy solution, the distance no longer falls with n, and the strong
+    # run still reports completed.  Ratios, n = 1280 over n = 2560: 1.96,
+    # 1.88 and 1.81 at t = 0.30, 0.40 and 0.45; 0.86 at t = 0.60
+    dists = []
+    for n in (1280, 2560):
+        u0 = sample("gaussian_derivative", line(-8, 8), n, beta=2.0)
+        strong = run_strong(u0, StrongConfig(dt=2e-4, T=0.6, advect="upwind",
+                                             stop_slope=1e300,
+                                             snapshot_stride=250))
+        fv = run_fv(u0, FVConfig(T=0.6, dt=2e-4, snapshot_stride=250))
+        assert strong.stop_reason == fv.stop_reason == "completed"
+        # both record every 0.05, so their snapshots pair by index
+        np.testing.assert_allclose(strong.snap_times, np.linspace(0, 0.6, 13))
+        np.testing.assert_allclose(fv.snap_times, strong.snap_times)
+        gap = np.asarray(strong.snapshots) - np.asarray(fv.snapshots)
+        dists.append(u0.h * np.abs(gap).sum(axis=1))
+    coarse, fine = dists
+    before, after = [6, 8, 9], 12  # t = 0.30, 0.40, 0.45 and t = 0.60
+    assert min(coarse[before] / fine[before]) >= 1.7
+    assert coarse[after] / fine[after] <= 1.3
