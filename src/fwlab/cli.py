@@ -9,24 +9,27 @@ check and a non-finite value bound for a JSON file exit 1.  Each field of Keys
 FVConfig) is set by exactly one key: its name, or for lambda_coeff and
 source_splitting only the alias lambda or splitting (_ALIASES); the check
 bounds are the fixed Thresholds.  load_config type-checks every key for every
-verb and refuses a non-finite float (list items included), and Keys rejects an
-n or n_list entry below 4, a non-nested n_list or one of fewer than 3
-entries, a zero bump_amplitude or bump_radius and an eps_list of fewer than 2
-entries or not positive and strictly descending.  Before any work every verb
-refuses a mode value, set or defaulted, that it does not take (_MODES, the
-one table of the values each verb takes of each mode key), then a key it
-never reads, or reads only in another of its modes (_READ_BY, one table for
-all keys; snapshot_stride is taken also where ends_only overrides it), and
-builds its solver config, so a bad solver key exits 2 also where no run
-follows; verify refuses, for trajectory=upjump (T from the solver config), a
-jump_at with a state off the grid.  verify's stability check steps both FV
-runs at the solver's own bound, _dt_bound, at the speed 2 + max|u0|, and
-compares the second run with the first as it records.  verify's entropy
-check builds its sink, diagnostics.EntropyCheck, over [0, T] before the run
-and stores no snapshot; a run that stops before T reports its failing
-completed check alone.  simulate, breaking and sweep keep only the first and
-last snapshot of a run, which is all they read.  Outputs are written once and
-atomically renamed, so identical config + seed gives identical bytes.
+verb and refuses a non-finite float (list items included).  Before any work
+every verb refuses a mode value, set or defaulted, that it does not take
+(_MODES, the one table of the values each verb takes of each mode key), then
+a key it never reads, or reads only in another of its modes (_READ_BY, one
+table for all keys; snapshot_stride is taken also where ends_only overrides
+it), whatever its value.  Only then does Keys.check_ranges reject an n or
+n_list entry below 4, a non-nested n_list or one of fewer than 3 entries, a
+zero bump_amplitude or bump_radius and an eps_list of fewer than 2 entries
+or not positive and strictly descending; and the verb builds its solver
+config, so a bad solver key exits 2 also where no run follows.  verify
+refuses, for trajectory=upjump (T from the solver config), a jump_at with a
+state off the grid.  verify's stability check steps both FV runs at the
+solver's own bound, _dt_bound, at the speed 2 + max|u0|, and advances the
+two runs in lockstep, comparing each snapshot of the second with the
+first's as both are recorded, so it holds one snapshot of each.  verify's
+entropy check builds its sink, diagnostics.EntropyCheck, over [0, T] before
+the run and stores no snapshot; a run that stops before T reports its
+failing completed check alone.  simulate, breaking and sweep keep only the
+first and last snapshot of a run, which is all they read.  Outputs are
+written once and atomically renamed, so identical config + seed gives
+identical bytes.
 """
 
 from __future__ import annotations
@@ -50,9 +53,9 @@ from .diagnostics import (EntropyCheck, L1StabilityRatio, Thresholds,
                           conservation_report, envelope_check)
 from .grid import (Domain, GridFn, line, norm, sample, torus, write_csv,
                    write_snapshot_csv)
-from .shock import FVConfig, _dt_bound, run_fv, viscosity_sweep
-from .strong import StrongConfig, run_strong
-from .trajectory import (Trajectory, ends_only, synthetic_trajectory,
+from .shock import FVConfig, _dt_bound, _marching_fv, run_fv, viscosity_sweep
+from .strong import StrongConfig, _marching_strong, run_strong
+from .trajectory import (LiveRun, Trajectory, ends_only, synthetic_trajectory,
                          write_series_csv)
 from .waves import (b_formula, cusp_fit_masks, cusp_profile, defect_fit_mask,
                     measured_cusp_jump, peakon, tw_defect, tw_first_integral)
@@ -140,7 +143,8 @@ def load_config(path: str | None, preset: str | None,
 @dataclass(frozen=True)
 class Keys:
     """The keys the commands read themselves.  A verb whose default differs
-    (n, a, b, solver, kind) passes it to _config_from."""
+    (n, a, b, solver, kind) passes it to _keys_for, which checks the ranges
+    after the reader pass."""
 
     solver: str = "fv"
     domain: str = "line"
@@ -161,7 +165,8 @@ class Keys:
     eps_list: list[float] = field(default_factory=lambda: [1e-2, 5e-3, 2.5e-3])
     n_list: list[int] = field(default_factory=lambda: [2000, 4000, 8000])
 
-    def __post_init__(self):
+    def check_ranges(self) -> None:
+        """Refuse a value out of its key's range (after the reader pass)."""
         if not self.a < self.b:
             raise ValueError(f"a={self.a!r}, b={self.b!r}: expected a < b")
         if self.n < 4:
@@ -317,6 +322,19 @@ def _refuse_unread(verb: str, cfg: dict, keys: Keys) -> None:
                                   f"{value!r}: {key} is read only with {rule}")
 
 
+def _keys_for(verb: str, cfg: dict, **defaults) -> Keys:
+    """verb's Keys of cfg over defaults (see _config_from).  A key verb would
+    ignore is refused (_refuse_unread) before any range is checked, so that
+    the refusal names it as unread whatever its value."""
+    keys = _config_from(Keys, cfg, **defaults)
+    _refuse_unread(verb, cfg, keys)
+    try:
+        keys.check_ranges()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return keys
+
+
 # ---------------------------------------------------------------------------
 # pieces shared by the commands
 
@@ -345,6 +363,13 @@ def _solver_config(solver: str, cfg: dict, **defaults):
 def _run_from(scfg, u0: GridFn, sink=None) -> Trajectory:
     run = run_strong if isinstance(scfg, StrongConfig) else run_fv
     return run(u0, scfg, sink)
+
+
+def _live_run_from(scfg, u0: GridFn) -> LiveRun:
+    """The run of ``_run_from``, advanced only as far as it is read."""
+    strong = isinstance(scfg, StrongConfig)
+    start = partial(_marching_strong if strong else _marching_fv, u0, scfg)
+    return LiveRun(start, u0.h)
 
 
 def _atomic_write(path: str, writer) -> None:
@@ -412,8 +437,7 @@ def _emit_outputs(traj: Trajectory, out: str) -> None:
 # commands: each writes its outputs under out and returns its checks
 
 def cmd_simulate(cfg: dict, out: str) -> list[dict]:
-    keys = _config_from(Keys, cfg)
-    _refuse_unread("simulate", cfg, keys)
+    keys = _keys_for("simulate", cfg)
     scfg = ends_only(_solver_config(keys.solver, cfg))  # reads the ends only
     domain = _domain_from(keys)
     u0 = _initial_from(cfg, domain, keys.n)
@@ -448,8 +472,7 @@ def _crest(x: np.ndarray, u: np.ndarray) -> float:
 
 
 def cmd_breaking(cfg: dict, out: str) -> list[dict]:
-    keys = _config_from(Keys, cfg, n=20480, solver="strong")
-    _refuse_unread("breaking", cfg, keys)
+    keys = _keys_for("breaking", cfg, n=20480, solver="strong")
     domain = _domain_from(keys)
     advect = "upwind" if not domain.periodic else "central"
     # reads the ends and the series only
@@ -482,8 +505,7 @@ def cmd_breaking(cfg: dict, out: str) -> list[dict]:
 
 
 def cmd_verify(cfg: dict, out: str) -> list[dict]:
-    keys = _config_from(Keys, cfg, n=4000)
-    _refuse_unread("verify", cfg, keys)
+    keys = _keys_for("verify", cfg, n=4000)
     scfg = _solver_config(keys.solver, cfg)
     domain = _domain_from(keys)
     n = keys.n
@@ -499,11 +521,14 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
             # one fixed dt, so the runs share snap times
             scfg = replace(scfg, dt=_dt_bound(2.0 + norm(u0, "Linf"), u0.h,
                                               scfg.cfl, scfg.eps))
-        tu = _run_from(scfg, u0)
-        # v's snapshots are compared as they are recorded, not stored
-        stream = L1StabilityRatio(tu)
+        # the runs advance in lockstep: each snapshot of v, as it is
+        # recorded, is compared with u's, to which u has just advanced, so
+        # one snapshot of each run is held
+        live_u = _live_run_from(scfg, u0)
+        stream = L1StabilityRatio(live_u)
         tv = _run_from(scfg, v0, sink=stream)
         ratio = stream.value()
+        tu = live_u.finish()  # its series, for l1_growth and _short_runs
         growth = max(tu.series["l1"] / (np.exp(tu.times) * tu.series["l1"][0]))
         tol = Thresholds.l1_ratio_tol
         return [_check("l1_stability_ratio", ratio <= tol, ratio, tol),
@@ -552,8 +577,7 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
 
 
 def cmd_wave(cfg: dict, out: str) -> list[dict]:
-    keys = _config_from(Keys, cfg, n=8000, a=-30.0, b=30.0)
-    _refuse_unread("wave", cfg, keys)
+    keys = _keys_for("wave", cfg, n=8000, a=-30.0, b=30.0)
     kind, n, window = keys.kind, keys.n, (keys.a, keys.b)
     try:
         defect_fit_mask(line(*window), n)
@@ -608,8 +632,7 @@ def _max_workers() -> int:
 
 
 def cmd_sweep(cfg: dict, out: str) -> list[dict]:
-    keys = _config_from(Keys, cfg, n=2000, kind="viscosity")
-    _refuse_unread("sweep", cfg, keys)
+    keys = _keys_for("sweep", cfg, n=2000, kind="viscosity")
     domain = _domain_from(keys)
     checks = []
     if keys.kind == "viscosity":

@@ -194,34 +194,35 @@ def oleinik_check(u_t: GridFn, t: float, u0_l1: float) -> float:
 # L1 stability between two runs
 
 class L1StabilityRatio:
-    """max over snapshot times of |u(t)-v(t)|_1 / (e^t |u0-v0|_1), with u a
-    stored run and v streamed: called as a run's snapshot sink (see
-    ``trajectory._Recorder``), ``(t, v)`` for each snapshot of v in order,
-    it compares v with u's snapshot at the same time, so only u's
-    snapshots are held.  ``value()`` is the ratio once all are matched."""
+    """max over snapshot times of |u(t)-v(t)|_1 / (e^t |u0-v0|_1), with v
+    streamed: called as a run's snapshot sink (see ``trajectory._Recorder``),
+    ``(t, v)`` for each snapshot of v in order, it compares v with the next
+    snapshot of u at the same time.  u is read in order as ``(t, values)``,
+    with its cell width ``u.h``: a stored Trajectory, or a
+    ``trajectory.LiveRun``, which advances u only to the snapshot compared,
+    so that one snapshot of each run is held.  ``value()`` is the ratio once
+    all are matched."""
 
-    def __init__(self, traj_u: Trajectory):
-        self._u = traj_u
-        self._k = 0  # the next snapshot of u to match
+    def __init__(self, u):
+        self._u = iter(u)
+        self._h = u.h
         self._d0 = None
         self._ratio = 0.0
 
     def __call__(self, t: float, v: np.ndarray) -> None:
-        u, k = self._u, self._k
-        if k >= u.snap_times.size or not abs(t - u.snap_times[k]) <= 1e-11:
+        tu, u = next(self._u, (None, None))
+        if tu is None or not abs(t - tu) <= 1e-11:
             raise ValueError("mismatched trajectories: snapshot times differ")
-        d = u.h * np.abs(u.snapshots[k] - v).sum()
-        if k == 0:
+        d = self._h * np.abs(u - v).sum()
+        if self._d0 is None:
             if d == 0.0:
                 raise ValueError("u0 and v0 coincide; stability ratio "
                                  "undefined")
             self._d0 = d
-        self._ratio = max(self._ratio,
-                          d / (math.exp(u.snap_times[k]) * self._d0))
-        self._k += 1
+        self._ratio = max(self._ratio, d / (math.exp(tu) * self._d0))
 
     def value(self) -> float:
-        if self._k != self._u.snap_times.size:
+        if next(self._u, None) is not None:
             raise ValueError("mismatched trajectories: snapshot times differ")
         return float(self._ratio)
 
@@ -229,7 +230,7 @@ class L1StabilityRatio:
 def _replay(traj: Trajectory, sink):
     """Feed a stored trajectory's snapshots to a snapshot sink, in order, as
     its run would have; returns the sink."""
-    for t, values in zip(traj.snap_times, traj.snapshots):
+    for t, values in traj:
         sink(t, values)
     return sink
 
@@ -353,10 +354,12 @@ class ResidualQuadrature:
     is one time factor per bump).  An end is contracted once, into the rows
     eta @ P, q @ G and s @ P from one K'*u (the weak row apart: stacked on
     the lambda rows, its products would round differently), when the first
-    interval that needs it is paired.  Only an interval with a nonzero time
-    factor at either end is paired; any other adds zeros to the sums.  Only
-    the newest snapshot is kept: its rows, or a copy of it while no interval
-    has needed it.  Memory is O(n (J + L)), whatever the number of
+    interval that needs it is paired; an end bitwise equal to the newest
+    contracted one, as a stationary field's are, takes a copy of its rows.
+    Only an interval with a nonzero time factor at either end is paired; any
+    other adds zeros to the sums.  Only the newest snapshot is kept: its
+    rows, or a copy of it while no interval has needed it, and a copy of the
+    newest contracted one.  Memory is O(n (J + L)), whatever the number of
     snapshots.
     """
 
@@ -388,6 +391,7 @@ class ResidualQuadrature:
         # per bump: a nonzero time factor at some snapshot
         self._seen = np.zeros(len(family), dtype=bool)
         self._last = None  # the newest snapshot: (t, a, copy or None)
+        self._held = None  # a copy of the newest contracted snapshot
 
     def _start(self, t: float, u: np.ndarray) -> None:
         """Set up at the first snapshot, u0: the entropy levels, the row
@@ -410,7 +414,17 @@ class ResidualQuadrature:
                                             for tf in self._family])
 
     def _contract(self, u: np.ndarray, rows: np.ndarray) -> None:
-        """Write the rows (eta @ P, q @ G, s @ P) of u, weak row first."""
+        """Write the rows (eta @ P, q @ G, s @ P) of u, weak row first, or
+        copy them from self._rows[0] if u equals the snapshot they were
+        contracted from, self._held."""
+        held = self._held
+        if held is not None and np.array_equal(u, held):
+            np.copyto(rows, self._rows[0])
+            return
+        if held is None:
+            self._held = u.copy()
+        else:
+            np.copyto(held, u)
         P, G, buf = self._P, self._G, self._buf
         kpu = self._op.conv_Kprime_values(u)
         np.matmul(u[None], P, out=rows[0, :1])

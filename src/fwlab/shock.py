@@ -6,7 +6,7 @@ Strang ordered.  The source sub-step uses an explicit midpoint evaluation,
 which keeps the splitting second order in the smooth regime.  A nonnegative
 viscosity eps adds an explicit eps*D2 u term to the Burgers sub-step
 (vanishing-viscosity variant).  ``run_fv`` marches through
-``trajectory.march`` with a CFL-adapted (or fixed, CFL-checked) step that is
+``trajectory.marching`` with a CFL-adapted (or fixed, CFL-checked) step that is
 shortened to land on T.
 """
 
@@ -18,7 +18,8 @@ import numpy as np
 
 from .grid import GridFn, _pad, second_difference
 from .kernels import KernelOp
-from .trajectory import Trajectory, _Recorder, check_span, ends_only, march
+from .trajectory import (Trajectory, _Recorder, check_span, drain, ends_only,
+                         marching)
 
 __all__ = ["FVConfig", "godunov_flux", "run_fv", "viscosity_sweep"]
 
@@ -106,6 +107,11 @@ def run_fv(u0: GridFn, cfg: FVConfig, sink=None) -> Trajectory:
     A sink receives the snapshots in place of the trajectory (see
     ``_Recorder``).
     """
+    return drain(_marching_fv(u0, cfg, sink))
+
+
+def _marching_fv(u0: GridFn, cfg: FVConfig, sink=None):
+    """``run_fv``'s run as a ``trajectory.marching`` generator."""
     op = KernelOp(u0.domain, u0.n)
     h = u0.h
     rec = _Recorder(u0.domain, u0.n, cfg.snapshot_stride, sink)
@@ -122,8 +128,8 @@ def run_fv(u0: GridFn, cfg: FVConfig, sink=None) -> Trajectory:
             raise ValueError("time step too large")
         return dt
 
-    traj = march(u0.values, rec, next_dt,
-                 lambda u, dt: _step_values(u, dt, op, cfg))
+    traj = yield from marching(u0.values, rec, next_dt,
+                               lambda u, dt: _step_values(u, dt, op, cfg))
     return replace(traj, config=cfg)
 
 

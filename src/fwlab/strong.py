@@ -7,7 +7,7 @@ central differences; an optional first-order upwind mode exists for runs
 that are driven through wave breaking, where a non-dissipative stencil rings
 at the grid scale and contaminates the slope diagnostics (see the breaking
 preset).  ``run_strong`` takes exactly T/dt
-RK4 steps through ``trajectory.march``, so T must be a multiple of dt, and
+RK4 steps through ``trajectory.marching``, so T must be a multiple of dt, and
 refuses a step past RK4's linear stability reach, so that an unstable run is
 not reported the way wave breaking is.
 """
@@ -20,7 +20,7 @@ import numpy as np
 
 from .grid import GridFn, _central_dx
 from .kernels import KernelOp
-from .trajectory import Trajectory, _Recorder, check_span, march
+from .trajectory import Trajectory, _Recorder, check_span, drain, marching
 
 __all__ = ["StrongConfig", "run_strong", "scaling_transport"]
 
@@ -145,6 +145,11 @@ def run_strong(u0: GridFn, cfg: StrongConfig, sink=None) -> Trajectory:
     held to RK4's reach: 2 sqrt 2 on the imaginary axis, or 1.3926 on the
     upwind circle -nu (1 - e^{-i theta}).  Past it the step raises
     ValueError("time step too large"), as ``run_fv``'s CFL guard does."""
+    return drain(_marching_strong(u0, cfg, sink))
+
+
+def _marching_strong(u0: GridFn, cfg: StrongConfig, sink=None):
+    """``run_strong``'s run as a ``trajectory.marching`` generator."""
     step = _rk4(_make_rhs(KernelOp(u0.domain, u0.n), cfg.lambda_coeff,
                           cfg.dealias, cfg.advect), u0.n)
     rec = _Recorder(u0.domain, u0.n, cfg.snapshot_stride, sink)
@@ -167,8 +172,10 @@ def run_strong(u0: GridFn, cfg: StrongConfig, sink=None) -> Trajectory:
             raise ValueError("time step too large")
         return cfg.dt
 
-    traj = march(u0.values, rec, next_dt, step,
-                 stop=lambda r: r.cols["m1"][-1] < -cfg.stop_slope)
+    def stop(r):
+        return r.cols["m1"][-1] < -cfg.stop_slope
+
+    traj = yield from marching(u0.values, rec, next_dt, step, stop)
     return replace(traj, config=cfg)
 
 

@@ -52,6 +52,10 @@ class Trajectory:
     def snapshot(self, i: int) -> GridFn:
         return GridFn(self.domain, self.snapshots[i])
 
+    def __iter__(self):
+        """The stored snapshots, ``(t, values)`` in order."""
+        return zip(self.snap_times, self.snapshots)
+
     @property
     def t_stop(self) -> float:
         return float(self.times[-1])
@@ -127,37 +131,99 @@ class _Recorder:
         )
 
 
-def march(u0: np.ndarray, rec: _Recorder, next_dt, step,
-          stop=None) -> Trajectory:
-    """Record u0 at t = 0, then advance u <- step(u, dt) while
-    dt = next_dt(t, u) is not None, recording after every step.
+def marching(u0: np.ndarray, rec: _Recorder, next_dt, step, stop=None):
+    """The time-marching loop, as a generator that yields after each record
+    and returns the Trajectory: record u0 at t = 0, then advance
+    u <- step(u, dt) while dt = next_dt(t, u) is not None, recording after
+    every step.
 
     A step with non-finite output is not taken and ends the run as
     ``"overflow"`` (the last finite state is kept); ``stop(rec)`` holding
     after a record ends it as ``"slope_threshold"``.  The end state is
-    always snapshotted, and the dt of every step taken is kept.
+    always snapshotted, and the dt of every step taken is kept.  ``drain``
+    and ``LiveRun`` advance it with overflow ignored.
     """
     u = u0
     t = 0.0
     dts = []  # one per step taken
     stop_reason = "completed"
-    # overflow here is detected and reported, not a numerical accident
-    with np.errstate(over="ignore", invalid="ignore"):
+    rec.record(t, u)
+    yield
+    while (dt := next_dt(t, u)) is not None:
+        u_new = step(u, dt)
+        if not np.isfinite(u_new).all():
+            stop_reason = "overflow"
+            break
+        u = u_new
+        t += dt
+        dts.append(dt)
         rec.record(t, u)
-        while (dt := next_dt(t, u)) is not None:
-            u_new = step(u, dt)
-            if not np.isfinite(u_new).all():
-                stop_reason = "overflow"
-                break
-            u = u_new
-            t += dt
-            dts.append(dt)
-            rec.record(t, u)
-            if stop is not None and stop(rec):
-                stop_reason = "slope_threshold"
-                break
+        yield
+        if stop is not None and stop(rec):
+            stop_reason = "slope_threshold"
+            break
     rec.force_snapshot(t, u)
     return rec.build(stop_reason, dts)
+
+
+def _advance(run, to_end: bool):
+    """Advance a ``marching`` run by one record, or to_end to its end;
+    returns its Trajectory once it has ended, else None."""
+    # overflow here is detected and reported, not a numerical accident
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            next(run)
+            while to_end:
+                next(run)
+        except StopIteration as end:
+            return end.value
+    return None
+
+
+def drain(run) -> Trajectory:
+    """Advance a ``marching`` run to its end; returns its Trajectory."""
+    return _advance(run, to_end=True)
+
+
+def march(u0: np.ndarray, rec: _Recorder, next_dt, step,
+          stop=None) -> Trajectory:
+    """``marching``'s run, drained: the one loop that advances a state."""
+    return drain(marching(u0, rec, next_dt, step, stop))
+
+
+class LiveRun:
+    """A run advanced only as far as its snapshots are read.
+
+    ``start(sink)`` is the run's ``marching`` generator with that sink.
+    Iterating yields each snapshot ``(t, values)`` the run keeps, in order,
+    advancing the run to it and no further; ``values`` is the run's state,
+    so a reader that keeps it must copy it.  ``finish()`` advances the run
+    to its end, keeping no more snapshots, and returns its Trajectory.
+    ``h`` is the cell width, as a Trajectory's.
+    """
+
+    def __init__(self, start, h: float):
+        self.h = h
+        self._kept = []  # the newest snapshot, until it is read
+        self._run = start(self._keep)
+        self._end = None  # the Trajectory, once the run has ended
+
+    def _keep(self, t: float, values: np.ndarray) -> None:
+        if self._kept is not None:
+            self._kept.append((t, values))
+
+    def __iter__(self):
+        while self._kept or self._end is None:
+            if self._kept:
+                yield self._kept.pop(0)
+            else:
+                self._end = _advance(self._run, to_end=False)
+
+    def finish(self) -> Trajectory:
+        self._kept = None
+        if self._end is None:
+            self._end = drain(self._run)
+        return self._end
 
 
 def synthetic_trajectory(domain: Domain, n: int, times, field_fn,

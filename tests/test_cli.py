@@ -606,6 +606,12 @@ def test_exit_code_contract_on_check_failure(tmp_path):
      "kind='peakon': sweep"),
     ("sweep", "convergence_peakon", ["kind=cusp"], EXIT_USAGE,
      "kind='cusp': sweep"),
+    # a key the verb would ignore is refused as unread before its range is
+    # checked: the range was blamed
+    ("wave", "wave_peakon", ["eps_list=1e-3,1e-2"], EXIT_USAGE,
+     "eps_list=[0.001, 0.01]: wave reads no eps_list"),
+    ("sweep", "convergence_peakon", ["n=2"], EXIT_USAGE,
+     "kind='resolution', n=2: n is read only with kind='viscosity'"),
 ])
 def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
                                  code, message):

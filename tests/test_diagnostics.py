@@ -13,9 +13,10 @@ from fwlab import (FVConfig, GridFn, KernelOp, StrongConfig, TestFn,
                    oleinik_check, oleinik_coefficient, riccati_envelope,
                    run_fv, run_strong, sample, slope_extrema, torus,
                    weak_residual)
+from fwlab.cli import _live_run_from
 from fwlab.diagnostics import (EntropyCheck, L1StabilityRatio,
                                ResidualQuadrature)
-from fwlab.trajectory import synthetic_trajectory
+from fwlab.trajectory import SERIES_NAMES, synthetic_trajectory
 
 E = math.e
 
@@ -187,6 +188,74 @@ def test_streamed_l1_stability_equals_the_stored_check():
     run_fv(v0, replace(cfg, T=10 * cfg.dt), sink=short)
     with pytest.raises(ValueError, match="snapshot times differ"):
         short.value()
+
+
+@pytest.mark.parametrize("solver", ["fv", "strong"])
+def test_live_l1_stability_equals_the_stored_check(solver):
+    # u advanced in lockstep with v, as verify runs them: the stored check's
+    # ratio exactly, and u's run is its stored run, whose snapshots it reads
+    u0, v0, cfg = _stability_setup()
+    run = run_fv
+    if solver == "strong":
+        cfg = StrongConfig(dt=0.01, T=0.2, advect="upwind", snapshot_stride=2)
+        run = run_strong
+    tu = run(u0, cfg)
+    live = _live_run_from(cfg, u0)
+    stream = L1StabilityRatio(live)
+    run(v0, cfg, sink=stream)
+    assert stream.value() == l1_stability_check(tu, run(v0, cfg))
+    finished = live.finish()
+    assert finished.snapshots == []
+    assert np.array_equal(finished.snap_times, tu.snap_times)
+    assert np.array_equal(finished.times, tu.times)
+    for name in SERIES_NAMES:
+        assert np.array_equal(finished.series[name], tu.series[name])
+    assert (finished.stop_reason, finished.config) == (tu.stop_reason, cfg)
+    # the ratio of a contraction is its t = 0 term, 1: the snapshots it
+    # compares are the stored ones, bit for bit
+    pairs = list(zip(_live_run_from(cfg, u0), tu, strict=True))
+    assert len(pairs) == tu.snap_times.size > 2
+    for (t, values), (ts, stored) in pairs:
+        assert t == ts and np.array_equal(values, stored)
+    # a v with other snapshot times, or fewer, is refused as for stored runs
+    with pytest.raises(ValueError, match="snapshot times differ"):
+        run(v0, replace(cfg, snapshot_stride=3),
+            sink=L1StabilityRatio(_live_run_from(cfg, u0)))
+    short = L1StabilityRatio(_live_run_from(cfg, u0))
+    run(v0, replace(cfg, T=10 * cfg.dt), sink=short)
+    with pytest.raises(ValueError, match="snapshot times differ"):
+        short.value()
+
+
+def _stability_peak(stride: int, live: bool) -> int:
+    """The peak traced memory of the L1 stability ratio of two n = 4000 FV
+    runs over 445 steps, snapshotted every stride steps: u advanced in
+    lockstep with v, or stored first."""
+    dom = line(-20, 20)
+    u0 = sample("peakon", dom, 4000)
+    bump = sample("bump", dom, 4000, amplitude=0.01, radius=2.0)
+    v0 = GridFn(dom, u0.values + bump.values)
+    cfg = FVConfig(T=1.0, dt=0.45 * u0.h / 2.0, snapshot_stride=stride)
+    tracemalloc.start()
+    try:
+        u = _live_run_from(cfg, u0) if live else run_fv(u0, cfg)
+        stream = L1StabilityRatio(u)
+        run_fv(v0, cfg, sink=stream)
+        stream.value()
+        if live:
+            u.finish()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_live_stability_check_memory_does_not_grow_with_the_snapshots():
+    # four times the snapshots: a stored u holds each one, a live u the one
+    # compared
+    live = [_stability_peak(stride, True) for stride in (16, 4)]
+    stored = [_stability_peak(stride, False) for stride in (16, 4)]
+    assert live[1] <= 1.1 * live[0]
+    assert stored[1] >= 2.0 * stored[0]
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +542,13 @@ def _counting(monkeypatch):
     return count
 
 
-@pytest.mark.parametrize("case, solves", [("ac8", 58), ("upjump", 85)])
+@pytest.mark.parametrize("case, solves", [("ac8", 58), ("upjump", 1)])
 def test_entropy_report_solves_each_needed_snapshot_once(case, solves,
                                                          monkeypatch):
     # one K'*u per snapshot for both residuals, and none for the snapshots
-    # whose time factors and both neighbours' are zero for every bump
-    # (10 of 68 on AC-8, 16 of 101 on the up-jump); two passes made 136, 202
+    # whose time factors and both neighbours' are zero for every bump (10 of
+    # 68 on AC-8) or that equal the newest contracted one (the up-jump's 85
+    # needed snapshots are one field); two passes made 136, 202
     traj = _ac8_run() if case == "ac8" else _upjump_run()
     count = _counting(monkeypatch)
     entropy_report(traj, np.linspace(-1.5, 1.5, 9))
@@ -533,7 +603,7 @@ def test_streamed_residuals_are_bit_identical_to_stored(case):
     assert check.value() == entropy_report(traj, lams, family)
 
 
-@pytest.mark.parametrize("case, solves", [("ac8", 58), ("upjump", 85)])
+@pytest.mark.parametrize("case, solves", [("ac8", 58), ("upjump", 1)])
 def test_streamed_check_solves_each_needed_snapshot_once(case, solves,
                                                          monkeypatch):
     # the run's own solves (the FV source step's) are counted apart
@@ -566,6 +636,30 @@ def test_sinks_copy_the_snapshots_they_keep():
     assert np.array_equal(w, ref_w)
     assert np.array_equal(mat, ref_mat)
     assert check.value() == entropy_report(traj, lams)
+
+
+def test_a_stationary_field_is_contracted_once(monkeypatch):
+    # the up-jump's snapshots are one field: its rows are contracted once
+    # and copied for the others, the bits that contracting each one gives
+    dom, lams = line(-20, 20), np.linspace(-1.5, 1.5, 9)
+    family = make_test_family(dom, 0.5)
+
+    class EverySnapshot(ResidualQuadrature):
+        def _contract(self, u, rows):
+            self._held = None  # no contracted snapshot to compare with
+            super()._contract(u, rows)
+
+    count = _counting(monkeypatch)
+    quad = ResidualQuadrature(dom, 4000, family, lams)
+    _upjump_run(quad)
+    assert count["solves"] == 1
+    ref = EverySnapshot(dom, 4000, family, lams)
+    _upjump_run(ref)
+    assert count["solves"] == 1 + 85
+    (w, mat), (ref_w, ref_mat) = quad.value(), ref.value()
+    assert np.array_equal(w, ref_w)
+    assert np.array_equal(mat, ref_mat)
+    assert np.abs(ref_mat).max() > 1e-5  # the comparison is not between zeros
 
 
 def _upjump_peak(steps: int, stream: bool) -> int:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fwlab import line, torus
-from fwlab.trajectory import _Recorder, march
+from fwlab.trajectory import LiveRun, _Recorder, march, marching
 
 
 def recorder(stride=1):
@@ -70,6 +70,30 @@ def test_march_streams_kept_snapshots_to_a_sink():
     assert received == [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (1.25, 1.25)]
     assert traj.snap_times.tolist() == [0.0, 0.5, 1.0, 1.25]
     assert traj.snapshots == []
+
+
+def test_live_run_advances_only_to_the_snapshot_read():
+    # each kept snapshot is read as soon as it is kept, under the caller's
+    # error state, not the run's; finish() ends the run, keeping no more
+    recs = []
+
+    def start(sink):
+        recs.append(_Recorder(torus(), 8, 2, sink))
+        return marching(np.zeros(8), recs[-1], steps_of(0.25, 5, recs[-1]),
+                        lambda u, dt: u + dt)
+    live = LiveRun(start, 1 / 8)
+    read = [(t, values[0], len(recs[0].times), np.geterr()["over"])
+            for t, values in live]
+    assert read == [(0.0, 0.0, 1, "warn"), (0.5, 0.5, 3, "warn"),
+                    (1.0, 1.0, 5, "warn"), (1.25, 1.25, 6, "warn")]
+    traj = live.finish()
+    assert traj.times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0, 1.25]
+    assert traj.snap_times.tolist() == [0.0, 0.5, 1.0, 1.25]
+    assert traj.snapshots == []
+    early = LiveRun(start, 1 / 8)
+    assert next(iter(early))[0] == 0.0
+    assert early.finish().times.tolist() == traj.times.tolist()
+    assert list(early) == []
 
 
 @pytest.mark.parametrize("dom", [torus(), line(-20, 20)], ids=["torus", "line"])
