@@ -14,7 +14,7 @@ from fwlab import (FVConfig, GridFn, entropy_report, l1_stability_check,
                    line, make_test_family, norm, run_fv, sample,
                    viscosity_sweep)
 from fwlab.diagnostics import kruzhkov_residual
-from fwlab.trajectory import synthetic_trajectory
+from fwlab.trajectory import drain, synthetic_trajectory
 
 dom = line(-20, 20)
 n = 4000
@@ -28,8 +28,8 @@ print("Kruzhkov residual min:", rep.kruzhkov_min)
 print("Oleinik margin:", rep.oleinik_margin, "(>= 0 means the bound holds)")
 
 # --- an inadmissible stationary up-jump is rejected loudly
-adv = synthetic_trajectory(dom, n, np.linspace(0, 0.5, 101),
-                           lambda x, t: np.where(x < 0, -1.0, 1.0))
+adv = drain(synthetic_trajectory(dom, n, np.linspace(0, 0.5, 101),
+                                 lambda x, t: np.where(x < 0, -1.0, 1.0)))
 fam = make_test_family(dom, 0.5)
 print("up-jump Kruzhkov residual:",
       kruzhkov_residual(adv, np.linspace(-1.5, 1.5, 9), fam))

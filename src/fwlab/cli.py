@@ -23,10 +23,11 @@ refuses, for trajectory=upjump (T from the solver config), a jump_at with a
 state off the grid.  verify's stability check steps both FV runs at the
 solver's own bound, _dt_bound, at the speed 2 + max|u0|, and advances the
 two runs in lockstep, comparing each snapshot of the second with the
-first's as both are recorded, so it holds one snapshot of each.  verify's
-entropy check builds its sink, diagnostics.EntropyCheck, over [0, T] before
-the run and stores no snapshot; a run that stops before T reports its
-failing completed check alone.  simulate, breaking and sweep keep only the
+first's as both are yielded, so it holds one snapshot of each.  verify's
+entropy check passes the run's snapshots to its sink,
+diagnostics.EntropyCheck, built over [0, T] before the run, and stores
+none.  In either check a run that stops before T reports its failing
+completed check alone.  simulate, breaking and sweep keep only the
 first and last snapshot of a run, which is all they read.  Outputs are
 written once and atomically renamed, so identical config + seed gives
 identical bytes.
@@ -55,7 +56,7 @@ from .grid import (Domain, GridFn, line, norm, sample, torus, write_csv,
                    write_snapshot_csv)
 from .shock import FVConfig, _dt_bound, _marching_fv, run_fv, viscosity_sweep
 from .strong import StrongConfig, _marching_strong, run_strong
-from .trajectory import (LiveRun, Trajectory, ends_only, synthetic_trajectory,
+from .trajectory import (Trajectory, drain, ends_only, synthetic_trajectory,
                          write_series_csv)
 from .waves import (b_formula, cusp_fit_masks, cusp_profile, defect_fit_mask,
                     measured_cusp_jump, peakon, tw_defect, tw_first_integral)
@@ -365,13 +366,6 @@ def _run_from(scfg, u0: GridFn, sink=None) -> Trajectory:
     return run(u0, scfg, sink)
 
 
-def _live_run_from(scfg, u0: GridFn) -> LiveRun:
-    """The run of ``_run_from``, advanced only as far as it is read."""
-    strong = isinstance(scfg, StrongConfig)
-    start = partial(_marching_strong if strong else _marching_fv, u0, scfg)
-    return LiveRun(start, u0.h)
-
-
 def _atomic_write(path: str, writer) -> None:
     d = os.path.dirname(path) or "."
     os.makedirs(d, exist_ok=True)
@@ -522,18 +516,19 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
             scfg = replace(scfg, dt=_dt_bound(2.0 + norm(u0, "Linf"), u0.h,
                                               scfg.cfl, scfg.eps))
         # the runs advance in lockstep: each snapshot of v, as it is
-        # recorded, is compared with u's, to which u has just advanced, so
-        # one snapshot of each run is held
-        live_u = _live_run_from(scfg, u0)
-        stream = L1StabilityRatio(live_u)
+        # yielded, is compared with u's, to which u's run has just advanced,
+        # so one snapshot of each run is held
+        marching = {"strong": _marching_strong, "fv": _marching_fv}[keys.solver]
+        stream = L1StabilityRatio(marching(u0, scfg), u0.h)
         tv = _run_from(scfg, v0, sink=stream)
+        tu = stream.finish()  # u's run, ended: its series and stop reason
+        if short := _short_runs(tu, tv):
+            return short  # no ratio over a window a run never reached
         ratio = stream.value()
-        tu = live_u.finish()  # its series, for l1_growth and _short_runs
         growth = max(tu.series["l1"] / (np.exp(tu.times) * tu.series["l1"][0]))
         tol = Thresholds.l1_ratio_tol
         return [_check("l1_stability_ratio", ratio <= tol, ratio, tol),
-                _check("l1_growth", growth <= tol, float(growth), tol),
-                *_short_runs(tu, tv)]
+                _check("l1_growth", growth <= tol, float(growth), tol)]
 
     if keys.trajectory == "upjump":
         x = domain.cell_centers(n)
@@ -543,12 +538,13 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
         times = scfg.T * np.arange(keys.steps + 1) / keys.steps
         t_end = float(times[-1])
         # stationary non-entropic expansion shock (-1 -> +1), source off
-        run = partial(synthetic_trajectory, domain, n, times,
-                      lambda x, t: np.where(x < keys.jump_at, -1.0, 1.0))
+        jump = lambda x, t: np.where(x < keys.jump_at, -1.0, 1.0)
+        run = lambda sink: drain(synthetic_trajectory(domain, n, times, jump),
+                                 sink)
     else:
         t_end = scfg.T
         run = partial(_run_from, scfg, _initial_from(cfg, domain, n))
-    # the run's snapshots are contracted as they are recorded, not stored;
+    # the run's snapshots are contracted as they are yielded, not stored;
     # a run ending before every Oleinik time is refused before it starts
     check = EntropyCheck(domain, n, t_end, lambdas=keys.lambdas)
     traj = run(sink=check)

@@ -6,14 +6,15 @@ slope, the one-sided Oleinik estimate, L1 stability between runs, weak-form
 and Kruzhkov entropy residuals over a family of smooth space-time bumps, and
 conservation drift.  The L1 ratio, the residuals and the entropy report are
 snapshot sinks (``L1StabilityRatio``, ``ResidualQuadrature``,
-``EntropyCheck``), which a run feeds as it records, so they need no stored
-snapshots; the functions that take a stored trajectory feed its snapshots
-through the same sinks.  The bounds of these checks are the fixed
-``Thresholds``, set by no config key; the bands of the wave and sweep
-checks (peakon speed 2 %, speed scan 0.01, first integral 2e-3, |lambda1|
-0.5, fit mismatch 0.05, jump 5 %, viscosity ratios [1.5, 2.5], order
-[0.7, 1.2]) are constants in the ``cli`` commands that apply them.  ``slope_extrema_values``
-is defined in ``grid`` (the run recorder needs it) and re-exported here.
+``EntropyCheck``), which ``trajectory.drain`` feeds as a run yields its
+snapshots, so they need no stored snapshots; the functions that take a
+stored trajectory feed its snapshots through the same sinks.  The bounds of
+these checks are the fixed ``Thresholds``, set by no config key; the bands
+of the wave and sweep checks (peakon speed 2 %, speed scan 0.01, first
+integral 2e-3, |lambda1| 0.5, fit mismatch 0.05, jump 5 %, viscosity ratios
+[1.5, 2.5], order [0.7, 1.2]) are constants in the ``cli`` commands that
+apply them.  ``slope_extrema_values`` is defined in ``grid`` (the run
+recorder needs it) and re-exported here.
 """
 
 from __future__ import annotations
@@ -195,24 +196,39 @@ def oleinik_check(u_t: GridFn, t: float, u0_l1: float) -> float:
 
 class L1StabilityRatio:
     """max over snapshot times of |u(t)-v(t)|_1 / (e^t |u0-v0|_1), with v
-    streamed: called as a run's snapshot sink (see ``trajectory._Recorder``),
+    streamed: called as a run's snapshot sink (see ``trajectory.drain``),
     ``(t, v)`` for each snapshot of v in order, it compares v with the next
-    snapshot of u at the same time.  u is read in order as ``(t, values)``,
-    with its cell width ``u.h``: a stored Trajectory, or a
-    ``trajectory.LiveRun``, which advances u only to the snapshot compared,
-    so that one snapshot of each run is held.  ``value()`` is the ratio once
-    all are matched."""
+    snapshot of u at the same time.  u is read in order as ``(t, values)``
+    on cells of width h: a stored Trajectory, or a run (a
+    ``trajectory.marching`` generator), which is then advanced only to the
+    snapshot compared, so that one snapshot of each run is held.  Differing
+    snapshot times are refused by ``value()``, not mid-run, so that a run
+    stopping before the other still ends.  ``finish()`` reads u to its end
+    and returns what u returns there: a run's Trajectory."""
 
-    def __init__(self, u):
+    def __init__(self, u, h: float):
         self._u = iter(u)
-        self._h = u.h
+        self._h = h
+        self._end = None  # what u returned at its end
+        self._matched = True
         self._d0 = None
         self._ratio = 0.0
 
+    def _next_u(self):
+        """u's next snapshot, or (None, None) once u has ended."""
+        if self._u is not None:
+            try:
+                return next(self._u)
+            except StopIteration as end:
+                self._u, self._end = None, end.value
+        return None, None
+
     def __call__(self, t: float, v: np.ndarray) -> None:
-        tu, u = next(self._u, (None, None))
-        if tu is None or not abs(t - tu) <= 1e-11:
-            raise ValueError("mismatched trajectories: snapshot times differ")
+        if self._matched:
+            tu, u = self._next_u()
+            self._matched = tu is not None and abs(t - tu) <= 1e-11
+        if not self._matched:
+            return
         d = self._h * np.abs(u - v).sum()
         if self._d0 is None:
             if d == 0.0:
@@ -221,8 +237,14 @@ class L1StabilityRatio:
             self._d0 = d
         self._ratio = max(self._ratio, d / (math.exp(tu) * self._d0))
 
+    def finish(self):
+        while self._next_u()[0] is not None:
+            self._matched = False
+        return self._end
+
     def value(self) -> float:
-        if next(self._u, None) is not None:
+        self.finish()
+        if not self._matched:
             raise ValueError("mismatched trajectories: snapshot times differ")
         return float(self._ratio)
 
@@ -240,7 +262,7 @@ def l1_stability_check(traj_u: Trajectory, traj_v: Trajectory) -> float:
     if traj_u.domain != traj_v.domain or traj_u.n != traj_v.n:
         raise ValueError("mismatched trajectories: domain/n differ")
     # the ratio checks the snapshot times
-    return _replay(traj_v, L1StabilityRatio(traj_u)).value()
+    return _replay(traj_v, L1StabilityRatio(traj_u, traj_u.h)).value()
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +352,7 @@ def make_test_family(domain: Domain, t_end: float, count: int = 12) -> list:
 
 class ResidualQuadrature:
     """Weak-form and Kruzhkov entropy-form integrals against J bumps, as a
-    run's snapshot sink (see ``trajectory._Recorder``): called ``(t, u)``
+    run's snapshot sink (see ``trajectory.drain``): called ``(t, u)``
     for each snapshot in order, it adds each snapshot interval's pairing to
     the sums when the interval's right end arrives.  ``value()`` is the weak
     residual of each bump, initial term included, (J,), and the Kruzhkov
@@ -543,7 +565,7 @@ def oleinik_reach(t_end: float) -> list:
 
 class EntropyCheck:
     """Weak + Kruzhkov + Oleinik values of a run whose snapshots end at
-    t_end, as its snapshot sink (see ``trajectory._Recorder``); ``value()``
+    t_end, as its snapshot sink (see ``trajectory.drain``); ``value()``
     is the ``EntropyReport``, which the caller compares with its
     ``Thresholds``.
 

@@ -105,16 +105,16 @@ def run_fv(u0: GridFn, cfg: FVConfig, sink=None) -> Trajectory:
     With cfg.dt set the step is fixed instead (and validated against the CFL
     bound every step).  Slope extrema are recorded from one-sided differences.
     A sink receives the snapshots in place of the trajectory (see
-    ``_Recorder``).
+    ``trajectory.drain``).
     """
-    return drain(_marching_fv(u0, cfg, sink))
+    return drain(_marching_fv(u0, cfg), sink)
 
 
-def _marching_fv(u0: GridFn, cfg: FVConfig, sink=None):
+def _marching_fv(u0: GridFn, cfg: FVConfig):
     """``run_fv``'s run as a ``trajectory.marching`` generator."""
     op = KernelOp(u0.domain, u0.n)
     h = u0.h
-    rec = _Recorder(u0.domain, u0.n, cfg.snapshot_stride, sink)
+    rec = _Recorder(u0.domain, u0.n, cfg.snapshot_stride)
 
     def next_dt(t, u):
         if t >= cfg.T - 1e-13:

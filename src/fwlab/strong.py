@@ -138,21 +138,21 @@ def _rk4(f, n: int):
 def run_strong(u0: GridFn, cfg: StrongConfig, sink=None) -> Trajectory:
     """Integrate to T, or stop early when min slope < -stop_slope or on
     numerical overflow (stop_reason records which).  A sink receives the
-    snapshots in place of the trajectory (see ``_Recorder``).
+    snapshots in place of the trajectory (see ``trajectory.drain``).
 
     Before each step the linear stability number dt lam max|u| k_max, with
     k_max = 2 pi n / 3 (torus, dealiased), pi n (torus) or 1/h (line), is
     held to RK4's reach: 2 sqrt 2 on the imaginary axis, or 1.3926 on the
     upwind circle -nu (1 - e^{-i theta}).  Past it the step raises
     ValueError("time step too large"), as ``run_fv``'s CFL guard does."""
-    return drain(_marching_strong(u0, cfg, sink))
+    return drain(_marching_strong(u0, cfg), sink)
 
 
-def _marching_strong(u0: GridFn, cfg: StrongConfig, sink=None):
+def _marching_strong(u0: GridFn, cfg: StrongConfig):
     """``run_strong``'s run as a ``trajectory.marching`` generator."""
     step = _rk4(_make_rhs(KernelOp(u0.domain, u0.n), cfg.lambda_coeff,
                           cfg.dealias, cfg.advect), u0.n)
-    rec = _Recorder(u0.domain, u0.n, cfg.snapshot_stride, sink)
+    rec = _Recorder(u0.domain, u0.n, cfg.snapshot_stride)
     nsteps = int(round(cfg.T / cfg.dt))
     h = u0.h
     if u0.domain.periodic:

@@ -31,12 +31,12 @@ def ends_only(cfg):
 class Trajectory:
     """Snapshots (subsampled at a stride) plus per-step scalar series.
 
-    ``snapshots`` is empty when the run streamed them to a sink (see
-    ``_Recorder``); ``snap_times`` is kept either way.  ``dts[k]`` is the
-    step from ``times[k]`` to ``times[k + 1]``; ``stop_reason`` is one of
-    ``"completed"``, ``"slope_threshold"``, ``"overflow"``; ``t_stop`` is
-    the last valid time; ``config`` is the run's StrongConfig or FVConfig,
-    None for a synthetic trajectory.
+    ``snapshots`` holds the copies ``drain`` stored, so it is empty when the
+    run's snapshots went to a sink; ``snap_times`` is kept either way.
+    ``dts[k]`` is the step from ``times[k]`` to ``times[k + 1]``;
+    ``stop_reason`` is one of ``"completed"``, ``"slope_threshold"``,
+    ``"overflow"``; ``t_stop`` is the last valid time; ``config`` is the
+    run's StrongConfig or FVConfig, None for a synthetic trajectory.
     """
 
     domain: Domain
@@ -66,34 +66,22 @@ class Trajectory:
 
 
 class _Recorder:
-    """Accumulates the per-step series and strided snapshots during a run.
+    """Accumulates the per-step series during a run and picks its snapshots:
+    every stride-th record and the end state."""
 
-    With a sink, each snapshot the recorder would keep is passed to
-    ``sink(t, values)`` in place of a stored copy; ``values`` is the run's
-    state, so a sink that keeps it must copy it.
-    """
-
-    def __init__(self, domain: Domain, n: int, stride: int, sink=None):
+    def __init__(self, domain: Domain, n: int, stride: int):
         self.domain = domain
         self.n = n
         self.h = domain.length / n
         self.stride = stride
-        self.sink = sink
         self.times = []
         self.cols = {name: [] for name in SERIES_NAMES}
         self.snap_times = []
-        self.snapshots = []
         # scratch for |values|, values**2 and the slope differences in turn
         self._work = np.empty(n)
 
-    def _keep(self, t: float, values: np.ndarray) -> None:
-        self.snap_times.append(t)
-        if self.sink is None:
-            self.snapshots.append(values.copy())
-        else:
-            self.sink(t, values)
-
-    def record(self, t: float, values: np.ndarray) -> None:
+    def record(self, t: float, values: np.ndarray) -> bool:
+        """Add the series of values at t; returns whether it is a snapshot."""
         h = self.h
         work = self._work
         self.times.append(t)
@@ -109,13 +97,18 @@ class _Recorder:
         self.cols["m2"].append(m2)
         self.cols["xi1"].append(xi1)
         self.cols["xi2"].append(xi2)
-        if (len(self.times) - 1) % self.stride == 0:
-            self._keep(t, values)
+        kept = (len(self.times) - 1) % self.stride == 0
+        if kept:
+            self.snap_times.append(t)
+        return kept
 
-    def force_snapshot(self, t: float, values: np.ndarray) -> None:
-        if self.snap_times and self.snap_times[-1] == t:
-            return
-        self._keep(t, values)
+    def force_snapshot(self, t: float) -> bool:
+        """Take the end state, at t, as a snapshot unless its record did;
+        returns whether it was taken here."""
+        kept = not self.snap_times or self.snap_times[-1] != t
+        if kept:
+            self.snap_times.append(t)
+        return kept
 
     def build(self, stop_reason: str, dts) -> Trajectory:
         series = {k: np.asarray(v) for k, v in self.cols.items()}
@@ -126,120 +119,88 @@ class _Recorder:
             dts=np.asarray(dts, dtype=np.float64),
             series=series,
             snap_times=np.asarray(self.snap_times),
-            snapshots=self.snapshots,
+            snapshots=[],
             stop_reason=stop_reason,
         )
 
 
 def marching(u0: np.ndarray, rec: _Recorder, next_dt, step, stop=None):
-    """The time-marching loop, as a generator that yields after each record
-    and returns the Trajectory: record u0 at t = 0, then advance
+    """The time-marching loop, as a generator of the run's snapshots that
+    returns its Trajectory: record u0 at t = 0, then advance
     u <- step(u, dt) while dt = next_dt(t, u) is not None, recording after
-    every step.
+    every step, and yield ``(t, u)`` at each record ``rec`` keeps as a
+    snapshot and at the end state.  ``u`` is the run's state, so a reader
+    that keeps it must copy it; ``drain`` stores or streams them.
 
     A step with non-finite output is not taken and ends the run as
     ``"overflow"`` (the last finite state is kept); ``stop(rec)`` holding
-    after a record ends it as ``"slope_threshold"``.  The end state is
-    always snapshotted, and the dt of every step taken is kept.  ``drain``
-    and ``LiveRun`` advance it with overflow ignored.
+    after a record ends it as ``"slope_threshold"``.  The dt of every step
+    taken is kept.  Overflow is ignored in the steps and records, whose
+    overflow is detected and reported, but not in the reader's code.
     """
     u = u0
     t = 0.0
     dts = []  # one per step taken
     stop_reason = "completed"
-    rec.record(t, u)
-    yield
-    while (dt := next_dt(t, u)) is not None:
-        u_new = step(u, dt)
-        if not np.isfinite(u_new).all():
-            stop_reason = "overflow"
-            break
-        u = u_new
-        t += dt
-        dts.append(dt)
-        rec.record(t, u)
-        yield
+    with _ignore_overflow():
+        kept = rec.record(t, u)
+    if kept:
+        yield t, u
+    while True:
+        with _ignore_overflow():
+            if (dt := next_dt(t, u)) is None:
+                break
+            u_new = step(u, dt)
+            if not np.isfinite(u_new).all():
+                stop_reason = "overflow"
+                break
+            u = u_new
+            t += dt
+            dts.append(dt)
+            kept = rec.record(t, u)
+        if kept:
+            yield t, u
         if stop is not None and stop(rec):
             stop_reason = "slope_threshold"
             break
-    rec.force_snapshot(t, u)
+    if rec.force_snapshot(t):
+        yield t, u
     return rec.build(stop_reason, dts)
 
 
-def _advance(run, to_end: bool):
-    """Advance a ``marching`` run by one record, or to_end to its end;
-    returns its Trajectory once it has ended, else None."""
-    # overflow here is detected and reported, not a numerical accident
-    with np.errstate(over="ignore", invalid="ignore"):
+def _ignore_overflow():
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def drain(run, sink=None) -> Trajectory:
+    """Advance a run (a ``marching`` generator, or one of its kind) to its
+    end, passing each snapshot to ``sink(t, values)``, or without a sink
+    storing a copy of it; returns the run's Trajectory with the copies."""
+    stored = []
+    keep = sink if sink is not None else (
+        lambda t, values: stored.append(values.copy()))
+    while True:
         try:
-            next(run)
-            while to_end:
-                next(run)
+            t, values = next(run)
         except StopIteration as end:
-            return end.value
-    return None
+            return replace(end.value, snapshots=stored)
+        keep(t, values)
 
 
-def drain(run) -> Trajectory:
-    """Advance a ``marching`` run to its end; returns its Trajectory."""
-    return _advance(run, to_end=True)
-
-
-def march(u0: np.ndarray, rec: _Recorder, next_dt, step,
-          stop=None) -> Trajectory:
-    """``marching``'s run, drained: the one loop that advances a state."""
-    return drain(marching(u0, rec, next_dt, step, stop))
-
-
-class LiveRun:
-    """A run advanced only as far as its snapshots are read.
-
-    ``start(sink)`` is the run's ``marching`` generator with that sink.
-    Iterating yields each snapshot ``(t, values)`` the run keeps, in order,
-    advancing the run to it and no further; ``values`` is the run's state,
-    so a reader that keeps it must copy it.  ``finish()`` advances the run
-    to its end, keeping no more snapshots, and returns its Trajectory.
-    ``h`` is the cell width, as a Trajectory's.
-    """
-
-    def __init__(self, start, h: float):
-        self.h = h
-        self._kept = []  # the newest snapshot, until it is read
-        self._run = start(self._keep)
-        self._end = None  # the Trajectory, once the run has ended
-
-    def _keep(self, t: float, values: np.ndarray) -> None:
-        if self._kept is not None:
-            self._kept.append((t, values))
-
-    def __iter__(self):
-        while self._kept or self._end is None:
-            if self._kept:
-                yield self._kept.pop(0)
-            else:
-                self._end = _advance(self._run, to_end=False)
-
-    def finish(self) -> Trajectory:
-        self._kept = None
-        if self._end is None:
-            self._end = drain(self._run)
-        return self._end
-
-
-def synthetic_trajectory(domain: Domain, n: int, times, field_fn,
-                         sink=None) -> Trajectory:
-    """Trajectory built from an analytic field (x, t) -> values.
-
-    Snapshots are recorded at every listed time, or passed to the sink (see
-    ``_Recorder``); used for closed-form references (transported profiles,
-    stationary jumps) in tests and checks.
+def synthetic_trajectory(domain: Domain, n: int, times, field_fn):
+    """An analytic field (x, t) -> values as a run: a generator, as
+    ``marching``, that snapshots every listed time and returns the
+    Trajectory, so ``drain`` stores or streams it; used for closed-form
+    references (transported profiles, stationary jumps) in tests and
+    checks.
     """
     x = domain.cell_centers(n)
-    rec = _Recorder(domain, n, 1, sink)
+    rec = _Recorder(domain, n, 1)
     times = np.asarray(times, dtype=np.float64)
     for t in times:
-        rec.record(float(t),
-                   np.asarray(field_fn(x, float(t)), dtype=np.float64))
+        values = np.asarray(field_fn(x, float(t)), dtype=np.float64)
+        rec.record(float(t), values)
+        yield float(t), values
     return rec.build("completed", np.diff(times))
 
 

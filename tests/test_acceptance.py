@@ -23,7 +23,7 @@ from fwlab import (FVConfig, GridFn, KernelOp, StrongConfig, b_formula,
                    oleinik_coefficient, peakon, run_fv, run_strong, sample,
                    scaling_transport, torus, tw_defect, viscosity_sweep)
 from fwlab.grid import second_difference
-from fwlab.trajectory import synthetic_trajectory
+from fwlab.trajectory import drain, synthetic_trajectory
 
 
 # the sub-checks of the running test, moved into its report's
@@ -249,8 +249,8 @@ def test_ac8_entropy_admissibility():
                     ">= -1e-6 (first-order field error floors this near "
                     "-2.3e-5 at n=4000, halving per doubling of n)",
                     kmin, ">= -1e-6")
-    adv = synthetic_trajectory(dom, n, np.linspace(0, 0.5, 101),
-                               lambda x, t: np.where(x < 0, -1.0, 1.0))
+    adv = drain(synthetic_trajectory(dom, n, np.linspace(0, 0.5, 101),
+                                     lambda x, t: np.where(x < 0, -1.0, 1.0)))
     kadv = kruzhkov_residual(adv, lams, fam)
     ok_adv = report("AC-8b", kadv <= -1e-3,
                     f"stationary up-jump rejected: min residual {kadv:.3e} "

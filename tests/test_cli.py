@@ -228,6 +228,28 @@ def test_verify_reports_a_run_that_stops_short(tmp_path):
     assert not (out / "entropy.json").exists()
 
 
+@pytest.mark.parametrize("T, t_stops", [
+    (0.75, [0.3055, 0.3045]),  # both runs stop, v one step before u
+    (0.305, [0.3045]),         # u reaches T, v stops one step before it
+])
+def test_verify_stability_reports_runs_that_stop_short(tmp_path, T, t_stops):
+    # a stopped run's end snapshot falls off the stride, so the snapshot
+    # times differ; each short run reports its failing completed check
+    # alone, with no ratio over a window it never reached
+    code, out = run_cli(tmp_path, "verify", "check=stability",
+                        "solver=strong", "domain=line", "a=-8", "b=8",
+                        "profile=gaussian_derivative", "profile.beta=2.0",
+                        "n=512", "dt=5e-4", f"T={T}", "stop_slope=5",
+                        "advect=upwind", "bump_amplitude=0.05")
+    assert code == EXIT_CHECK_FAILED
+    report = json.loads((out / "report.json").read_text())
+    assert [(c["check_name"], c["pass"], c["value"], c["threshold"])
+            for c in report["checks"]] == [
+        ("completed", False, "slope_threshold", T)] * len(t_stops)
+    assert [c["details"]["t_stop"] for c in report["checks"]] == \
+        pytest.approx(t_stops, abs=1e-12)
+
+
 def test_verify_strong_stability_keeps_its_own_dt(tmp_path):
     # the fixed CFL step shared by the two FV runs is not forced on strong
     # runs, whose T need only be a multiple of StrongConfig's dt

@@ -13,10 +13,11 @@ from fwlab import (FVConfig, GridFn, KernelOp, StrongConfig, TestFn,
                    oleinik_check, oleinik_coefficient, riccati_envelope,
                    run_fv, run_strong, sample, slope_extrema, torus,
                    weak_residual)
-from fwlab.cli import _live_run_from
 from fwlab.diagnostics import (EntropyCheck, L1StabilityRatio,
                                ResidualQuadrature)
-from fwlab.trajectory import SERIES_NAMES, synthetic_trajectory
+from fwlab.shock import _marching_fv
+from fwlab.strong import _marching_strong
+from fwlab.trajectory import SERIES_NAMES, drain, synthetic_trajectory
 
 E = math.e
 
@@ -173,21 +174,22 @@ def test_l1_stability_guards_and_t0():
 def test_streamed_l1_stability_equals_the_stored_check():
     u0, v0, cfg = _stability_setup()
     t1 = run_fv(u0, cfg)
-    stream = L1StabilityRatio(t1)
+    stream = L1StabilityRatio(t1, t1.h)
     t2 = run_fv(v0, cfg, sink=stream)
     assert t2.snapshots == []
     assert t2.snap_times.size == t1.snap_times.size
     assert stream.value() == l1_stability_check(t1, run_fv(v0, cfg))
     # u0 = v0 is refused at t = 0, before the first step
     with pytest.raises(ValueError, match="coincide"):
-        run_fv(u0, cfg, sink=L1StabilityRatio(t1))
-    # a snapshot at a time t1 has not, or fewer snapshots than t1
-    with pytest.raises(ValueError, match="snapshot times differ"):
-        run_fv(v0, replace(cfg, snapshot_stride=3), sink=L1StabilityRatio(t1))
-    short = L1StabilityRatio(t1)
-    run_fv(v0, replace(cfg, T=10 * cfg.dt), sink=short)
-    with pytest.raises(ValueError, match="snapshot times differ"):
-        short.value()
+        run_fv(u0, cfg, sink=L1StabilityRatio(t1, t1.h))
+    # a snapshot at a time t1 has not, or fewer snapshots than t1: the run
+    # ends, and value() refuses
+    for other in (replace(cfg, snapshot_stride=3),
+                  replace(cfg, T=10 * cfg.dt)):
+        mismatched = L1StabilityRatio(t1, t1.h)
+        run_fv(v0, other, sink=mismatched)
+        with pytest.raises(ValueError, match="snapshot times differ"):
+            mismatched.value()
 
 
 @pytest.mark.parametrize("solver", ["fv", "strong"])
@@ -195,16 +197,15 @@ def test_live_l1_stability_equals_the_stored_check(solver):
     # u advanced in lockstep with v, as verify runs them: the stored check's
     # ratio exactly, and u's run is its stored run, whose snapshots it reads
     u0, v0, cfg = _stability_setup()
-    run = run_fv
+    run, marching = run_fv, _marching_fv
     if solver == "strong":
         cfg = StrongConfig(dt=0.01, T=0.2, advect="upwind", snapshot_stride=2)
-        run = run_strong
+        run, marching = run_strong, _marching_strong
     tu = run(u0, cfg)
-    live = _live_run_from(cfg, u0)
-    stream = L1StabilityRatio(live)
+    stream = L1StabilityRatio(marching(u0, cfg), u0.h)
     run(v0, cfg, sink=stream)
     assert stream.value() == l1_stability_check(tu, run(v0, cfg))
-    finished = live.finish()
+    finished = stream.finish()
     assert finished.snapshots == []
     assert np.array_equal(finished.snap_times, tu.snap_times)
     assert np.array_equal(finished.times, tu.times)
@@ -213,18 +214,19 @@ def test_live_l1_stability_equals_the_stored_check(solver):
     assert (finished.stop_reason, finished.config) == (tu.stop_reason, cfg)
     # the ratio of a contraction is its t = 0 term, 1: the snapshots it
     # compares are the stored ones, bit for bit
-    pairs = list(zip(_live_run_from(cfg, u0), tu, strict=True))
+    pairs = list(zip(marching(u0, cfg), tu, strict=True))
     assert len(pairs) == tu.snap_times.size > 2
     for (t, values), (ts, stored) in pairs:
         assert t == ts and np.array_equal(values, stored)
-    # a v with other snapshot times, or fewer, is refused as for stored runs
-    with pytest.raises(ValueError, match="snapshot times differ"):
-        run(v0, replace(cfg, snapshot_stride=3),
-            sink=L1StabilityRatio(_live_run_from(cfg, u0)))
-    short = L1StabilityRatio(_live_run_from(cfg, u0))
-    run(v0, replace(cfg, T=10 * cfg.dt), sink=short)
-    with pytest.raises(ValueError, match="snapshot times differ"):
-        short.value()
+    # a v with other snapshot times, or fewer, is refused as for stored
+    # runs, and u is still read to its end
+    for other in (replace(cfg, snapshot_stride=3),
+                  replace(cfg, T=10 * cfg.dt)):
+        mismatched = L1StabilityRatio(marching(u0, cfg), u0.h)
+        run(v0, other, sink=mismatched)
+        assert np.array_equal(mismatched.finish().times, tu.times)
+        with pytest.raises(ValueError, match="snapshot times differ"):
+            mismatched.value()
 
 
 def _stability_peak(stride: int, live: bool) -> int:
@@ -238,12 +240,10 @@ def _stability_peak(stride: int, live: bool) -> int:
     cfg = FVConfig(T=1.0, dt=0.45 * u0.h / 2.0, snapshot_stride=stride)
     tracemalloc.start()
     try:
-        u = _live_run_from(cfg, u0) if live else run_fv(u0, cfg)
-        stream = L1StabilityRatio(u)
+        u = _marching_fv(u0, cfg) if live else run_fv(u0, cfg)
+        stream = L1StabilityRatio(u, u0.h)
         run_fv(v0, cfg, sink=stream)
         stream.value()
-        if live:
-            u.finish()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -281,8 +281,8 @@ def test_make_test_family_properties():
 # weak and Kruzhkov residuals
 
 def _zero_traj(n=256, T=1.0):
-    return synthetic_trajectory(line(-20, 20), n, np.linspace(0, T, 81),
-                                lambda x, t: np.zeros_like(x))
+    return drain(synthetic_trajectory(line(-20, 20), n, np.linspace(0, T, 81),
+                                      lambda x, t: np.zeros_like(x)))
 
 
 def test_weak_residual_zero_trajectory():
@@ -292,8 +292,8 @@ def test_weak_residual_zero_trajectory():
 
 
 def test_weak_residual_constant_torus():
-    traj = synthetic_trajectory(torus(), 256, np.linspace(0, 1, 101),
-                                lambda x, t: np.full_like(x, 0.7))
+    traj = drain(synthetic_trajectory(torus(), 256, np.linspace(0, 1, 101),
+                                      lambda x, t: np.full_like(x, 0.7)))
     fam = make_test_family(torus(), 1.0)
     # constants are steady states; quadrature telescopes them exactly
     assert weak_residual(traj, fam) < 1e-13
@@ -345,8 +345,8 @@ def test_kruzhkov_stationary_burgers_shock_is_clean(monkeypatch):
     # quadrature term exact: residuals must be nonnegative to roundoff
     dom = line(-20, 20)
     n = 2000
-    traj = synthetic_trajectory(dom, n, np.linspace(0, 1, 201),
-                                lambda x, t: np.where(x < 0, 1.0, -1.0))
+    traj = drain(synthetic_trajectory(dom, n, np.linspace(0, 1, 201),
+                                      lambda x, t: np.where(x < 0, 1.0, -1.0)))
     fam = make_test_family(dom, 1.0)
     lams = np.linspace(-1.5, 1.5, 9)
     # drop the source term by zeroing the convolution: emulate pure Burgers
@@ -359,8 +359,8 @@ def test_kruzhkov_stationary_burgers_shock_is_clean(monkeypatch):
 def test_kruzhkov_flags_stationary_upjump():
     # non-entropic expansion shock -1 -> +1 held stationary: strongly negative
     dom = line(-20, 20)
-    traj = synthetic_trajectory(dom, 2000, np.linspace(0, 1, 201),
-                                lambda x, t: np.where(x < 0, -1.0, 1.0))
+    traj = drain(synthetic_trajectory(dom, 2000, np.linspace(0, 1, 201),
+                                      lambda x, t: np.where(x < 0, -1.0, 1.0)))
     fam = make_test_family(dom, 1.0)
     lams = np.linspace(-1.5, 1.5, 9)
     kmin = kruzhkov_residual(traj, lams, fam)
@@ -486,9 +486,9 @@ def _ac8_run(sink=None):
 
 def _upjump_run(sink=None, steps=100):
     # the upjump_adversarial set-up: 101 snapshots of a stationary up-jump
-    return synthetic_trajectory(line(-20, 20), 4000,
-                                [0.5 * k / steps for k in range(steps + 1)],
-                                lambda x, t: np.where(x < 0, -1.0, 1.0), sink)
+    return drain(synthetic_trajectory(
+        line(-20, 20), 4000, [0.5 * k / steps for k in range(steps + 1)],
+        lambda x, t: np.where(x < 0, -1.0, 1.0)), sink)
 
 
 def _torus_run(sink=None):
@@ -691,8 +691,9 @@ def test_streamed_check_memory_does_not_grow_with_the_snapshots():
 def test_bump_whose_time_factor_underflows_is_refused():
     # psi underflows to 0 for 0.99933 < |zt| < 1: the snapshots at 0.3001
     # and 0.6999 lie inside |t - 0.5| < 0.2 but give this bump exact zeros
-    traj = synthetic_trajectory(line(-20, 20), 400, [0.0, 0.3001, 0.6999, 1.0],
-                                lambda x, t: np.where(x < 0, -1.0, 1.0))
+    traj = drain(synthetic_trajectory(
+        line(-20, 20), 400, [0.0, 0.3001, 0.6999, 1.0],
+        lambda x, t: np.where(x < 0, -1.0, 1.0)))
     bump = TestFn(0.0, 0.5, 3.0, 0.2)
     assert not diagnostics._psi(bump._zt(traj.snap_times)).any()
     with pytest.raises(ValueError, match="zero at every snapshot"):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from fwlab import line, torus
-from fwlab.trajectory import LiveRun, _Recorder, march, marching
+from fwlab.diagnostics import L1StabilityRatio
+from fwlab.trajectory import _Recorder, drain, marching
 
 
 def recorder(stride=1):
@@ -12,6 +13,11 @@ def recorder(stride=1):
 def steps_of(dt, count, rec):
     """next_dt rule taking exactly `count` steps of size dt."""
     return lambda t, u: dt if len(rec.times) <= count else None
+
+
+def march(u0, rec, next_dt, step, stop=None, sink=None):
+    """The marching run, drained."""
+    return drain(marching(u0, rec, next_dt, step, stop), sink)
 
 
 def test_march_completes_after_exactly_n_steps():
@@ -63,37 +69,64 @@ def test_march_final_snapshot_is_not_duplicated(count, snap_times):
 def test_march_streams_kept_snapshots_to_a_sink():
     # t = 0, every stride-th record and the forced end, in order
     received = []
-    rec = _Recorder(torus(), 8, 2,
-                    sink=lambda t, u: received.append((t, u[0])))
+    rec = recorder(stride=2)
     traj = march(np.zeros(8), rec, steps_of(0.25, 5, rec),
-                 lambda u, dt: u + dt)
+                 lambda u, dt: u + dt,
+                 sink=lambda t, u: received.append((t, u[0])))
     assert received == [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (1.25, 1.25)]
     assert traj.snap_times.tolist() == [0.0, 0.5, 1.0, 1.25]
     assert traj.snapshots == []
 
 
-def test_live_run_advances_only_to_the_snapshot_read():
-    # each kept snapshot is read as soon as it is kept, under the caller's
-    # error state, not the run's; finish() ends the run, keeping no more
-    recs = []
+def test_drain_stores_copies_of_a_state_updated_in_place():
+    # the step overwrites its input and returns it, so every yielded state
+    # is the same array; the stored snapshots must not alias it
+    rec = recorder(stride=2)
 
-    def start(sink):
-        recs.append(_Recorder(torus(), 8, 2, sink))
-        return marching(np.zeros(8), recs[-1], steps_of(0.25, 5, recs[-1]),
-                        lambda u, dt: u + dt)
-    live = LiveRun(start, 1 / 8)
-    read = [(t, values[0], len(recs[0].times), np.geterr()["over"])
-            for t, values in live]
+    def step(u, dt):
+        u += dt
+        return u
+    traj = march(np.zeros(8), rec, steps_of(0.25, 5, rec), step)
+    assert [s[0] for s in traj.snapshots] == [0.0, 0.5, 1.0, 1.25]
+    assert len({id(s) for s in traj.snapshots}) == 4
+
+
+def test_marching_advances_only_to_the_snapshot_read():
+    # each kept snapshot is yielded as soon as it is kept and read under the
+    # reader's error state, not the run's; the run ends when read to its end
+    rec = recorder(stride=2)
+    run = marching(np.zeros(8), rec, steps_of(0.25, 5, rec),
+                   lambda u, dt: u + dt)
+    read = [(t, values[0], len(rec.times), np.geterr()["over"])
+            for t, values in run]
     assert read == [(0.0, 0.0, 1, "warn"), (0.5, 0.5, 3, "warn"),
                     (1.0, 1.0, 5, "warn"), (1.25, 1.25, 6, "warn")]
-    traj = live.finish()
+    early = recorder(stride=2)
+    run = marching(np.zeros(8), early, steps_of(0.25, 5, early),
+                   lambda u, dt: u + dt)
+    assert next(run)[0] == 0.0 and len(early.times) == 1
+    traj = drain(run)
     assert traj.times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0, 1.25]
     assert traj.snap_times.tolist() == [0.0, 0.5, 1.0, 1.25]
-    assert traj.snapshots == []
-    early = LiveRun(start, 1 / 8)
-    assert next(iter(early))[0] == 0.0
-    assert early.finish().times.tolist() == traj.times.tolist()
-    assert list(early) == []
+    assert [s[0] for s in traj.snapshots] == [0.5, 1.0, 1.25]
+
+
+def test_a_run_overflowing_inside_another_runs_sink_ends_without_warning():
+    # the stability check's lockstep: u is advanced inside v's sink, under
+    # the default error state; there the squares of u's record at t = 0.5
+    # overflow, then its second step does, which must end u as "overflow"
+    # without a RuntimeWarning (this suite's settings make one an error)
+    ru, rv = recorder(), recorder()
+    u = marching(np.ones(8), ru, steps_of(0.5, 4, ru),
+                 lambda u, dt: u * 1e200)
+    ratio = L1StabilityRatio(u, 1 / 8)
+    drain(marching(np.zeros(8), rv, steps_of(0.5, 4, rv),
+                   lambda v, dt: v + dt), ratio)
+    tu = ratio.finish()
+    assert (tu.stop_reason, tu.t_stop) == ("overflow", 0.5)
+    assert tu.snap_times.tolist() == [0.0, 0.5]
+    with pytest.raises(ValueError, match="snapshot times differ"):
+        ratio.value()
 
 
 @pytest.mark.parametrize("dom", [torus(), line(-20, 20)], ids=["torus", "line"])
@@ -116,4 +149,4 @@ def test_record_series_are_those_of_fresh_temporaries(rng, dom):
                   "xi2": dom.a + ((int(np.argmax(d)) + 1) % n) * h}
         for name, value in expect.items():
             assert rec.cols[name][k] == value, name
-    assert np.array_equal(rec.snapshots[1], states[1])
+    assert rec.snap_times == [0.0, 0.1, 0.2]

@@ -9,7 +9,7 @@ from fwlab import (FVConfig, KernelOp, b_formula, cusp_profile,
                    kruzhkov_residual, line, make_test_family,
                    measured_cusp_jump, norm, peakon, residual_scan, run_fv,
                    sample, tw_defect, tw_first_integral, waves)
-from fwlab.trajectory import synthetic_trajectory
+from fwlab.trajectory import drain, synthetic_trajectory
 from fwlab.grid import PROFILES
 from fwlab.waves import TravelingWave
 
@@ -216,9 +216,9 @@ def test_transported_peakon_is_entropy_admissible():
     dom = line(-20, 20)
     n = 2000
     c = 4.0 / 3.0
-    traj = synthetic_trajectory(
+    traj = drain(synthetic_trajectory(
         dom, n, np.linspace(0, 1, 201),
-        lambda x, t: PROFILES["peakon"](x, center=c * t))
+        lambda x, t: PROFILES["peakon"](x, center=c * t)))
     fam = make_test_family(dom, 1.0)
     lams = np.linspace(-2.0, 2.0, 9)
     kmin = kruzhkov_residual(traj, lams, fam)
@@ -237,8 +237,8 @@ def test_traveling_waves_as_weak_solutions_in_space_time():
     x = dom.cell_centers(n)
 
     def residuals(profile, c, x0):
-        traj = synthetic_trajectory(dom, n, times,
-                                    lambda x, t: profile(x - x0 - c * t))
+        traj = drain(synthetic_trajectory(
+            dom, n, times, lambda x, t: profile(x - x0 - c * t)))
         return diagnostics._residuals(traj, fam)[0]
 
     peak = residuals(PROFILES["peakon"], 4.0 / 3.0, -2.0)
