@@ -13,24 +13,23 @@ verb and refuses a non-finite float (list items included).  Before any work
 every verb refuses a mode value, set or defaulted, that it does not take
 (_MODES, the one table of the values each verb takes of each mode key), then
 a key it never reads, or reads only in another of its modes (_READ_BY, one
-table for all keys; snapshot_stride is taken also where ends_only overrides
-it), whatever its value.  Only then does Keys.check_ranges reject an n or
-n_list entry below 4, a non-nested n_list or one of fewer than 3 entries, a
-zero bump_amplitude or bump_radius and an eps_list of fewer than 2 entries
-or not positive and strictly descending; and the verb builds its solver
-config, so a bad solver key exits 2 also where no run follows.  verify
-refuses, for trajectory=upjump (T from the solver config), a jump_at with a
-state off the grid.  verify's stability check steps both FV runs at the
-solver's own bound, _dt_bound, at the speed 2 + max|u0|, and advances the
-two runs in lockstep, comparing each snapshot of the second with the
-first's as both are yielded, so it holds one snapshot of each.  verify's
-entropy check passes the run's snapshots to its sink,
+table for all keys; snapshot_stride is read by verify alone, as ends_only
+sets it elsewhere), whatever its value.  Only then does Keys.check_ranges
+reject an n or n_list entry below 4, a non-nested n_list or one of fewer
+than 3 entries, a zero bump_amplitude or bump_radius and an eps_list of
+fewer than 2 entries or not positive and strictly descending; and the
+verb builds its solver config, so a bad solver key exits 2 also where no run
+follows.  verify refuses, for trajectory=upjump (T from the solver config), a
+jump_at with a state off the grid.  verify's stability check steps both FV
+runs at the solver's own bound, _dt_bound, at the speed 2 + max|u0|, and
+advances the two runs in lockstep, comparing each snapshot of the second
+with the first's as both are yielded, so it holds one snapshot of
+each.  verify's entropy check passes the run's snapshots to its sink,
 diagnostics.EntropyCheck, built over [0, T] before the run, and stores
 none.  In either check a run that stops before T reports its failing
-completed check alone.  simulate, breaking and sweep keep only the
-first and last snapshot of a run, which is all they read.  Outputs are
-written once and atomically renamed, so identical config + seed gives
-identical bytes.
+completed check alone.  simulate, breaking and sweep keep only the first and
+last snapshot of a run, which is all they read.  Outputs are written once and
+atomically renamed, so identical config + seed gives identical bytes.
 """
 
 from __future__ import annotations
@@ -280,7 +279,7 @@ _READ_BY = {
     "n_list": {"sweep": {"kind": "resolution"}},
     "T": dict.fromkeys(_RUNNING, {}),
     "dt": _RUN,
-    "snapshot_stride": _RUN,  # also where ends_only overrides it
+    "snapshot_stride": {"verify": {"trajectory": None}},  # else ends_only's
     "lambda": _STRONG,
     "stop_slope": _STRONG,
     "advect": {v: {**m, "domain": "line"} for v, m in _STRONG.items()},
@@ -437,10 +436,10 @@ def cmd_simulate(cfg: dict, out: str) -> list[dict]:
     u0 = _initial_from(cfg, domain, keys.n)
     traj = _run_from(scfg, u0)
     _emit_outputs(traj, out)
-    cons = conservation_report(traj)
     checks = [_check("completed", traj.stop_reason != "overflow",
                      traj.stop_reason, "no overflow")]
     if domain.periodic:
+        cons = conservation_report(traj)
         checks.append(_mass_check(cons))
         if keys.solver == "strong":
             checks.append(_check("l2_conservation",

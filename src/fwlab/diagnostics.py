@@ -376,13 +376,12 @@ class ResidualQuadrature:
     is one time factor per bump).  An end is contracted once, into the rows
     eta @ P, q @ G and s @ P from one K'*u (the weak row apart: stacked on
     the lambda rows, its products would round differently), when the first
-    interval that needs it is paired; an end bitwise equal to the newest
-    contracted one, as a stationary field's are, takes a copy of its rows.
-    Only an interval with a nonzero time factor at either end is paired; any
-    other adds zeros to the sums.  Only the newest snapshot is kept: its
-    rows, or a copy of it while no interval has needed it, and a copy of the
-    newest contracted one.  Memory is O(n (J + L)), whatever the number of
-    snapshots.
+    interval that needs it is paired; a right end bitwise equal to the left,
+    as a stationary field's are, takes a copy of the left end's rows.  Only
+    an interval with a nonzero time factor at either end is paired; any
+    other adds zeros to the sums.  One copy of the newest snapshot is held,
+    with its rows once an interval has needed them.  Memory is
+    O(n (J + L)), whatever the number of snapshots.
     """
 
     def __init__(self, domain: Domain, n: int, family, lambdas=()):
@@ -412,8 +411,8 @@ class ResidualQuadrature:
         self._s = np.array([tf.s for tf in family])
         # per bump: a nonzero time factor at some snapshot
         self._seen = np.zeros(len(family), dtype=bool)
-        self._last = None  # the newest snapshot: (t, a, copy or None)
-        self._held = None  # a copy of the newest contracted snapshot
+        self._prev = None  # a copy of the newest snapshot, at time _t
+        self._paired = False  # whether _rows[0] are _prev's
 
     def _start(self, t: float, u: np.ndarray) -> None:
         """Set up at the first snapshot, u0: the entropy levels, the row
@@ -436,17 +435,7 @@ class ResidualQuadrature:
                                             for tf in self._family])
 
     def _contract(self, u: np.ndarray, rows: np.ndarray) -> None:
-        """Write the rows (eta @ P, q @ G, s @ P) of u, weak row first, or
-        copy them from self._rows[0] if u equals the snapshot they were
-        contracted from, self._held."""
-        held = self._held
-        if held is not None and np.array_equal(u, held):
-            np.copyto(rows, self._rows[0])
-            return
-        if held is None:
-            self._held = u.copy()
-        else:
-            np.copyto(held, u)
+        """Write the rows (eta @ P, q @ G, s @ P) of u, weak row first."""
         P, G, buf = self._P, self._G, self._buf
         kpu = self._op.conv_Kprime_values(u)
         np.matmul(u[None], P, out=rows[0, :1])
@@ -460,30 +449,35 @@ class ResidualQuadrature:
     def __call__(self, t: float, u: np.ndarray) -> None:
         a1 = _psi((t - self._t0) / self._s)
         self._seen |= a1 != 0.0
-        if self._last is None:
+        if self._prev is None:
             self._start(t, u)
+            self._prev = u.copy()  # the sink must copy what it keeps
         else:
-            t0, a0, u0 = self._last
-            if a0.any() or a1.any():
+            a0 = self._a
+            paired = a0.any() or a1.any()
+            if paired:
                 rows0, rows1 = self._rows
-                if u0 is not None:  # the first interval to need it
-                    self._contract(u0, rows0)
-                self._contract(u, rows1)
+                if not self._paired:  # the first interval to need _prev
+                    self._contract(self._prev, rows0)
+                if np.array_equal(u, self._prev):  # a stationary field
+                    np.copyto(rows1, rows0)
+                else:
+                    self._contract(u, rows1)
                 E0, Q0, S0 = rows0
                 E1, Q1, S1 = rows1
-                dt, h = t - t0, self._h
+                dt, h = t - self._t, self._h
                 self._sum += (h * 0.5 * (E0 + E1) * (a1 - a0)
                               + dt * 0.5 * (Q0 + Q1) * 0.5 * (a0 + a1)
                               - 0.5 * dt * h * (S0 * a0 + S1 * a1))
                 self._rows = rows1, rows0
-                self._last = t, a1, None
-                return
-        self._last = t, a1, u.copy()  # the sink must copy what it keeps
+            self._paired = paired
+            np.copyto(self._prev, u)
+        self._t, self._a = t, a1
 
     def value(self):
-        if self._last is None:
+        if self._prev is None:
             raise ValueError("no snapshot was recorded")
-        t_end = self._last[0]
+        t_end = self._t
         for tf, seen in zip(self._family, self._seen):
             if tf.t0 + tf.s > t_end + 1e-12:
                 raise ValueError("test function support extends past the "

@@ -18,8 +18,7 @@ import numpy as np
 
 from .grid import GridFn, _pad, second_difference
 from .kernels import KernelOp
-from .trajectory import (Trajectory, _Recorder, check_span, drain, ends_only,
-                         marching)
+from .trajectory import Trajectory, check_span, drain, ends_only, marching
 
 __all__ = ["FVConfig", "godunov_flux", "run_fv", "viscosity_sweep"]
 
@@ -111,12 +110,11 @@ def run_fv(u0: GridFn, cfg: FVConfig, sink=None) -> Trajectory:
 
 
 def _marching_fv(u0: GridFn, cfg: FVConfig):
-    """``run_fv``'s run as a ``trajectory.marching`` generator."""
+    """``run_fv``'s run: a ``trajectory.marching`` generator."""
     op = KernelOp(u0.domain, u0.n)
     h = u0.h
-    rec = _Recorder(u0.domain, u0.n, cfg.snapshot_stride)
 
-    def next_dt(t, u):
+    def next_dt(t, rec):
         if t >= cfg.T - 1e-13:
             return None
         # max|u| of u, as recorded
@@ -128,9 +126,8 @@ def _marching_fv(u0: GridFn, cfg: FVConfig):
             raise ValueError("time step too large")
         return dt
 
-    traj = yield from marching(u0.values, rec, next_dt,
-                               lambda u, dt: _step_values(u, dt, op, cfg))
-    return replace(traj, config=cfg)
+    return marching(u0, cfg, next_dt,
+                    lambda u, dt: _step_values(u, dt, op, cfg))
 
 
 def viscosity_sweep(u0: GridFn, eps_list, cfg: FVConfig):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .grid import GridFn, _central_dx
 from .kernels import KernelOp
-from .trajectory import Trajectory, _Recorder, check_span, drain, marching
+from .trajectory import Trajectory, check_span, drain, marching
 
 __all__ = ["StrongConfig", "run_strong", "scaling_transport"]
 
@@ -149,10 +149,9 @@ def run_strong(u0: GridFn, cfg: StrongConfig, sink=None) -> Trajectory:
 
 
 def _marching_strong(u0: GridFn, cfg: StrongConfig):
-    """``run_strong``'s run as a ``trajectory.marching`` generator."""
+    """``run_strong``'s run: a ``trajectory.marching`` generator."""
     step = _rk4(_make_rhs(KernelOp(u0.domain, u0.n), cfg.lambda_coeff,
                           cfg.dealias, cfg.advect), u0.n)
-    rec = _Recorder(u0.domain, u0.n, cfg.snapshot_stride)
     nsteps = int(round(cfg.T / cfg.dt))
     h = u0.h
     if u0.domain.periodic:
@@ -163,7 +162,7 @@ def _marching_strong(u0: GridFn, cfg: StrongConfig):
     reach = 1.3926 if upwind else 2.0 * np.sqrt(2.0)
     number = cfg.dt * cfg.lambda_coeff * k_max  # times max|u|
 
-    def next_dt(t, u):
+    def next_dt(t, rec):
         # a fixed step count, not t < T: accumulated t drifts from k * dt,
         # and rec holds t = 0 plus one record per step taken
         if len(rec.times) > nsteps:
@@ -172,11 +171,10 @@ def _marching_strong(u0: GridFn, cfg: StrongConfig):
             raise ValueError("time step too large")
         return cfg.dt
 
-    def stop(r):
-        return r.cols["m1"][-1] < -cfg.stop_slope
+    def stop(rec):
+        return rec.cols["m1"][-1] < -cfg.stop_slope
 
-    traj = yield from marching(u0.values, rec, next_dt, step, stop)
-    return replace(traj, config=cfg)
+    return marching(u0, cfg, next_dt, step, stop)
 
 
 def scaling_transport(traj: Trajectory, lam: float) -> Trajectory:

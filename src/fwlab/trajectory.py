@@ -110,7 +110,7 @@ class _Recorder:
             self.snap_times.append(t)
         return kept
 
-    def build(self, stop_reason: str, dts) -> Trajectory:
+    def build(self, stop_reason: str, dts, config) -> Trajectory:
         series = {k: np.asarray(v) for k, v in self.cols.items()}
         return Trajectory(
             domain=self.domain,
@@ -121,15 +121,17 @@ class _Recorder:
             snap_times=np.asarray(self.snap_times),
             snapshots=[],
             stop_reason=stop_reason,
+            config=config,
         )
 
 
-def marching(u0: np.ndarray, rec: _Recorder, next_dt, step, stop=None):
+def marching(u0: GridFn, cfg, next_dt, step, stop=None):
     """The time-marching loop, as a generator of the run's snapshots that
-    returns its Trajectory: record u0 at t = 0, then advance
-    u <- step(u, dt) while dt = next_dt(t, u) is not None, recording after
-    every step, and yield ``(t, u)`` at each record ``rec`` keeps as a
-    snapshot and at the end state.  ``u`` is the run's state, so a reader
+    returns its Trajectory, with ``config`` cfg: record u0 at t = 0, then
+    advance u <- step(u, dt) while dt = next_dt(t, rec) is not None,
+    recording after every step into ``rec``, the run's ``_Recorder`` at
+    cfg.snapshot_stride, and yield ``(t, u)`` at each record ``rec`` keeps as
+    a snapshot and at the end state.  ``u`` is the run's state, so a reader
     that keeps it must copy it; ``drain`` stores or streams them.
 
     A step with non-finite output is not taken and ends the run as
@@ -138,7 +140,8 @@ def marching(u0: np.ndarray, rec: _Recorder, next_dt, step, stop=None):
     taken is kept.  Overflow is ignored in the steps and records, whose
     overflow is detected and reported, but not in the reader's code.
     """
-    u = u0
+    rec = _Recorder(u0.domain, u0.n, cfg.snapshot_stride)
+    u = u0.values
     t = 0.0
     dts = []  # one per step taken
     stop_reason = "completed"
@@ -148,7 +151,7 @@ def marching(u0: np.ndarray, rec: _Recorder, next_dt, step, stop=None):
         yield t, u
     while True:
         with _ignore_overflow():
-            if (dt := next_dt(t, u)) is None:
+            if (dt := next_dt(t, rec)) is None:
                 break
             u_new = step(u, dt)
             if not np.isfinite(u_new).all():
@@ -165,7 +168,7 @@ def marching(u0: np.ndarray, rec: _Recorder, next_dt, step, stop=None):
             break
     if rec.force_snapshot(t):
         yield t, u
-    return rec.build(stop_reason, dts)
+    return rec.build(stop_reason, dts, cfg)
 
 
 def _ignore_overflow():
@@ -192,7 +195,8 @@ def synthetic_trajectory(domain: Domain, n: int, times, field_fn):
     ``marching``, that snapshots every listed time and returns the
     Trajectory, so ``drain`` stores or streams it; used for closed-form
     references (transported profiles, stationary jumps) in tests and
-    checks.
+    checks.  It keeps its own stride-1 recorder, since ``marching``'s
+    accumulated t would not reproduce the listed times bit for bit.
     """
     x = domain.cell_centers(n)
     rec = _Recorder(domain, n, 1)
@@ -201,7 +205,7 @@ def synthetic_trajectory(domain: Domain, n: int, times, field_fn):
         values = np.asarray(field_fn(x, float(t)), dtype=np.float64)
         rec.record(float(t), values)
         yield float(t), values
-    return rec.build("completed", np.diff(times))
+    return rec.build("completed", np.diff(times), None)
 
 
 def write_series_csv(traj: Trajectory, path) -> None:

@@ -155,7 +155,7 @@ def test_breaking_small_run(tmp_path):
     cfgfile.write_text(
         "domain = line\na = -8\nb = 8\nprofile = gaussian_derivative\n"
         "profile.beta = 2.0\nn = 4096\ndt = 1e-3\nT = 0.75\n"
-        "stop_slope = 300\nadvect = upwind\nsnapshot_stride = 50\n")
+        "stop_slope = 300\nadvect = upwind\n")
     code, out = run_cli(tmp_path, "breaking", "--config", str(cfgfile))
     payload = json.loads((out / "breaking.json").read_text())
     assert payload["condition_met"] is True
@@ -472,7 +472,7 @@ def test_exit_code_contract_on_check_failure(tmp_path):
      "trajectory='upjmp'"),
     # an int field takes an int or an integral float, never truncating
     ("simulate", "peakon_transport", ["n=4000.7"], EXIT_USAGE, "n=4000.7"),
-    ("simulate", "peakon_transport", ["snapshot_stride=2.5"], EXIT_USAGE,
+    ("verify", "l1_stability", ["snapshot_stride=2.5"], EXIT_USAGE,
      "snapshot_stride=2.5"),
     ("simulate", "peakon_transport", ["solver=strnog"], EXIT_USAGE,
      "solver='strnog'"),
@@ -522,10 +522,10 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     ("verify", "riemann_entropy", ["lambdas=0,nan"], EXIT_USAGE,
      "lambdas=nan"),
     # a stride below 1 ran as stride 1
-    ("simulate", "peakon_transport", ["snapshot_stride=0"], EXIT_USAGE,
-     "snapshot_stride=0"),
-    ("simulate", "conservation_sine", ["snapshot_stride=-3"], EXIT_USAGE,
-     "snapshot_stride=-3"),
+    ("verify", "l1_stability", ["snapshot_stride=0"], EXIT_USAGE,
+     "snapshot_stride=0: expected at least 1"),
+    ("verify", "riemann_entropy", ["snapshot_stride=-3"], EXIT_USAGE,
+     "snapshot_stride=-3: expected at least 1"),
     # too short a sweep list left a check judging an empty list of values
     ("sweep", "convergence_peakon", ["n_list=2000,4000"], EXIT_USAGE,
      "n_list=[2000, 4000]"),
@@ -634,6 +634,15 @@ def test_exit_code_contract_on_check_failure(tmp_path):
      "eps_list=[0.001, 0.01]: wave reads no eps_list"),
     ("sweep", "convergence_peakon", ["n=2"], EXIT_USAGE,
      "kind='resolution', n=2: n is read only with kind='viscosity'"),
+    # the verbs that keep only a run's ends read no stride (ends_only sets it)
+    ("simulate", "peakon_transport", ["snapshot_stride=3"], EXIT_USAGE,
+     "snapshot_stride=3: simulate reads no snapshot_stride"),
+    ("breaking", "breaking_gaussian", ["snapshot_stride=50"], EXIT_USAGE,
+     "snapshot_stride=50: breaking reads no snapshot_stride"),
+    ("sweep", "viscosity_sweep", ["snapshot_stride=2"], EXIT_USAGE,
+     "snapshot_stride=2: sweep reads no snapshot_stride"),
+    ("sweep", "convergence_peakon", ["snapshot_stride=2"], EXIT_USAGE,
+     "snapshot_stride=2: sweep reads no snapshot_stride"),
 ])
 def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
                                  code, message):

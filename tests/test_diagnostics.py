@@ -645,9 +645,17 @@ def test_a_stationary_field_is_contracted_once(monkeypatch):
     family = make_test_family(dom, 0.5)
 
     class EverySnapshot(ResidualQuadrature):
+        # the held snapshot is spoilt once its rows are contracted, so no
+        # snapshot compares equal to it
         def _contract(self, u, rows):
-            self._held = None  # no contracted snapshot to compare with
             super()._contract(u, rows)
+            if u is self._prev:
+                u.fill(np.nan)
+
+        def __call__(self, t, u):
+            super().__call__(t, u)
+            if self._paired:
+                self._prev.fill(np.nan)
 
     count = _counting(monkeypatch)
     quad = ResidualQuadrature(dom, 4000, family, lams)

@@ -1,29 +1,38 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from fwlab import line, torus
+from fwlab import GridFn, line, sample, torus
 from fwlab.diagnostics import L1StabilityRatio
+from fwlab.shock import FVConfig, _marching_fv
+from fwlab.strong import StrongConfig
 from fwlab.trajectory import _Recorder, drain, marching
 
 
-def recorder(stride=1):
-    return _Recorder(torus(), 8, stride)
+def start(values=0.0):
+    """An 8-cell torus state: the constant values, or an array of 8."""
+    return GridFn(torus(), np.broadcast_to(values, 8))
 
 
-def steps_of(dt, count, rec):
-    """next_dt rule taking exactly `count` steps of size dt."""
-    return lambda t, u: dt if len(rec.times) <= count else None
+def stride(k=1):
+    """A config as ``marching`` reads it: its snapshot stride alone."""
+    return SimpleNamespace(snapshot_stride=k)
 
 
-def march(u0, rec, next_dt, step, stop=None, sink=None):
+def steps_of(dt, count):
+    """next_dt rule taking exactly `count` steps of size dt, read from the
+    run's recorder: t = 0 plus one record per step taken."""
+    return lambda t, rec: dt if len(rec.times) <= count else None
+
+
+def march(u0, cfg, next_dt, step, stop=None, sink=None):
     """The marching run, drained."""
-    return drain(marching(u0, rec, next_dt, step, stop), sink)
+    return drain(marching(u0, cfg, next_dt, step, stop), sink)
 
 
 def test_march_completes_after_exactly_n_steps():
-    rec = recorder()
-    traj = march(np.zeros(8), rec, steps_of(0.25, 4, rec),
-                 lambda u, dt: u + dt)
+    traj = march(start(), stride(), steps_of(0.25, 4), lambda u, dt: u + dt)
     assert traj.stop_reason == "completed"
     assert traj.times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert traj.dts.tolist() == [0.25] * 4
@@ -32,9 +41,9 @@ def test_march_completes_after_exactly_n_steps():
 
 
 def test_march_overflow_keeps_the_last_finite_state():
-    rec = recorder()
     u0 = np.linspace(1.0, 2.0, 8)
-    traj = march(u0, rec, steps_of(0.5, 10, rec), lambda u, dt: u * 1e200)
+    traj = march(start(u0), stride(), steps_of(0.5, 10),
+                 lambda u, dt: u * 1e200)
     assert traj.stop_reason == "overflow"
     assert traj.t_stop == 0.5  # the second step overflows
     assert traj.times.tolist() == [0.0, 0.5]
@@ -45,9 +54,8 @@ def test_march_overflow_keeps_the_last_finite_state():
 
 
 def test_march_stops_when_stop_holds():
-    rec = recorder()
-    traj = march(np.zeros(8), rec, steps_of(0.25, 8, rec),
-                 lambda u, dt: u + dt, stop=lambda r: r.times[-1] >= 0.5)
+    traj = march(start(), stride(), steps_of(0.25, 8), lambda u, dt: u + dt,
+                 stop=lambda rec: rec.times[-1] >= 0.5)
     assert traj.stop_reason == "slope_threshold"
     assert traj.t_stop == 0.5
     assert traj.times.tolist() == [0.0, 0.25, 0.5]
@@ -59,8 +67,7 @@ def test_march_stops_when_stop_holds():
     (3, [0.0, 0.5, 0.75]),   # the end state is snapshotted once more
 ])
 def test_march_final_snapshot_is_not_duplicated(count, snap_times):
-    rec = recorder(stride=2)
-    traj = march(np.zeros(8), rec, steps_of(0.25, count, rec),
+    traj = march(start(), stride(2), steps_of(0.25, count),
                  lambda u, dt: u + dt)
     assert traj.snap_times.tolist() == snap_times
     assert len(traj.snapshots) == len(snap_times)
@@ -69,24 +76,39 @@ def test_march_final_snapshot_is_not_duplicated(count, snap_times):
 def test_march_streams_kept_snapshots_to_a_sink():
     # t = 0, every stride-th record and the forced end, in order
     received = []
-    rec = recorder(stride=2)
-    traj = march(np.zeros(8), rec, steps_of(0.25, 5, rec),
-                 lambda u, dt: u + dt,
+    traj = march(start(), stride(2), steps_of(0.25, 5), lambda u, dt: u + dt,
                  sink=lambda t, u: received.append((t, u[0])))
     assert received == [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (1.25, 1.25)]
     assert traj.snap_times.tolist() == [0.0, 0.5, 1.0, 1.25]
     assert traj.snapshots == []
 
 
+def test_marching_stamps_its_config_and_snapshots_at_its_stride():
+    # the run's recorder is built from cfg, and cfg is the Trajectory's
+    cfg = StrongConfig(dt=0.25, T=1.25, snapshot_stride=2)
+    traj = march(start(), cfg, steps_of(cfg.dt, 5), lambda u, dt: u + dt)
+    assert traj.config is cfg
+    assert traj.snap_times.tolist() == [0.0, 0.5, 1.0, 1.25]
+    assert [s[0] for s in traj.snapshots] == [0.0, 0.5, 1.0, 1.25]
+    # so for a solver's run, every third record and the end state
+    fcfg = FVConfig(T=0.5, snapshot_stride=3)
+    traj = drain(_marching_fv(sample("peakon", line(-20, 20), 400), fcfg))
+    assert traj.config is fcfg
+    assert traj.times.size > 7
+    kept = traj.times[::3]
+    assert np.array_equal(traj.snap_times[:kept.size], kept)
+    assert traj.snap_times[-1] == traj.t_stop
+    assert len(traj.snapshots) == traj.snap_times.size
+
+
 def test_drain_stores_copies_of_a_state_updated_in_place():
-    # the step overwrites its input and returns it, so every yielded state
-    # is the same array; the stored snapshots must not alias it
-    rec = recorder(stride=2)
+    # the step writes into one array and returns it, so every yielded state
+    # after u0 is that array; the stored snapshots must not alias it
+    state = np.empty(8)
 
     def step(u, dt):
-        u += dt
-        return u
-    traj = march(np.zeros(8), rec, steps_of(0.25, 5, rec), step)
+        return np.add(u, dt, out=state)
+    traj = march(start(), stride(2), steps_of(0.25, 5), step)
     assert [s[0] for s in traj.snapshots] == [0.0, 0.5, 1.0, 1.25]
     assert len({id(s) for s in traj.snapshots}) == 4
 
@@ -94,17 +116,23 @@ def test_drain_stores_copies_of_a_state_updated_in_place():
 def test_marching_advances_only_to_the_snapshot_read():
     # each kept snapshot is yielded as soon as it is kept and read under the
     # reader's error state, not the run's; the run ends when read to its end
-    rec = recorder(stride=2)
-    run = marching(np.zeros(8), rec, steps_of(0.25, 5, rec),
-                   lambda u, dt: u + dt)
-    read = [(t, values[0], len(rec.times), np.geterr()["over"])
-            for t, values in run]
-    assert read == [(0.0, 0.0, 1, "warn"), (0.5, 0.5, 3, "warn"),
-                    (1.0, 1.0, 5, "warn"), (1.25, 1.25, 6, "warn")]
-    early = recorder(stride=2)
-    run = marching(np.zeros(8), early, steps_of(0.25, 5, early),
-                   lambda u, dt: u + dt)
-    assert next(run)[0] == 0.0 and len(early.times) == 1
+    def run_asking(asked):
+        """A 5-step run whose next_dt logs the records made when asked."""
+        rule = steps_of(0.25, 5)
+
+        def next_dt(t, rec):
+            asked.append(len(rec.times))
+            return rule(t, rec)
+        return marching(start(), stride(2), next_dt, lambda u, dt: u + dt)
+    asked = []
+    read = [(t, values[0], len(asked), np.geterr()["over"])
+            for t, values in run_asking(asked)]
+    assert read == [(0.0, 0.0, 0, "warn"), (0.5, 0.5, 2, "warn"),
+                    (1.0, 1.0, 4, "warn"), (1.25, 1.25, 6, "warn")]
+    assert asked == [1, 2, 3, 4, 5, 6]
+    early = []
+    run = run_asking(early)
+    assert next(run)[0] == 0.0 and early == []
     traj = drain(run)
     assert traj.times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0, 1.25]
     assert traj.snap_times.tolist() == [0.0, 0.5, 1.0, 1.25]
@@ -116,12 +144,11 @@ def test_a_run_overflowing_inside_another_runs_sink_ends_without_warning():
     # the default error state; there the squares of u's record at t = 0.5
     # overflow, then its second step does, which must end u as "overflow"
     # without a RuntimeWarning (this suite's settings make one an error)
-    ru, rv = recorder(), recorder()
-    u = marching(np.ones(8), ru, steps_of(0.5, 4, ru),
+    u = marching(start(1.0), stride(), steps_of(0.5, 4),
                  lambda u, dt: u * 1e200)
     ratio = L1StabilityRatio(u, 1 / 8)
-    drain(marching(np.zeros(8), rv, steps_of(0.5, 4, rv),
-                   lambda v, dt: v + dt), ratio)
+    drain(marching(start(), stride(), steps_of(0.5, 4), lambda v, dt: v + dt),
+          ratio)
     tu = ratio.finish()
     assert (tu.stop_reason, tu.t_stop) == ("overflow", 0.5)
     assert tu.snap_times.tolist() == [0.0, 0.5]
