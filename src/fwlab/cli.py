@@ -57,8 +57,9 @@ from .shock import FVConfig, _dt_bound, _marching_fv, run_fv, viscosity_sweep
 from .strong import StrongConfig, _marching_strong, run_strong
 from .trajectory import (Trajectory, drain, ends_only, synthetic_trajectory,
                          write_series_csv)
-from .waves import (b_formula, cusp_fit_masks, cusp_profile, defect_fit_mask,
-                    measured_cusp_jump, peakon, tw_defect, tw_first_integral)
+from .waves import (b_formula, cusp_fit_masks, cusp_profile, cusp_seed_slope,
+                    defect_fit_mask, measured_cusp_jump, peakon, tw_defect,
+                    tw_first_integral)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -286,7 +287,6 @@ _READ_BY = {
     "dealias": {v: {**m, "domain": "torus"} for v, m in _STRONG.items()},
     "cfl": _FV,
     "splitting": _FV,
-    "source_on": _FV,
     "eps": {**_FV, "sweep": {"kind": "resolution"}},  # viscosity sweeps set it
 }
 # the values each verb that reads a mode key takes of it; the mode keys are
@@ -592,12 +592,11 @@ def cmd_wave(cfg: dict, out: str) -> list[dict]:
                    "mismatch": mismatch, "first_integral_oscillation": osc}
     else:
         c = keys.c
-        if not c > 4.0 / 3.0 + 1e-6:
-            raise ConfigError("cusp waves require c > 4/3")
-        try:
+        try:  # waves' rule for c (the seed slope's), before construction
+            cusp_seed_slope(c)
             cusp_fit_masks(line(*window), n)
         except ValueError as exc:
-            raise ConfigError(f"n={n}: {exc}") from exc
+            raise ConfigError(f"c={c}, n={n}: {exc}") from exc
         try:
             wave = cusp_profile(c, n=n, window=window)
         except ValueError as exc:

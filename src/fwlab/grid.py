@@ -12,6 +12,7 @@ as zero outside ``[a, b]``.  What lies past the last cell is ``_pad``
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -175,10 +176,9 @@ PROFILES = {
 
 
 def sample(profile: str, domain: Domain, n: int, **params) -> GridFn:
-    """Sample a named closed-form profile at the cell centers.
-
-    Raises ``ValueError`` for unknown names, non-finite parameters, or n < 4.
-    """
+    """Sample a named closed-form profile at the cell centers.  Raises
+    ``ValueError`` for an unknown name, a parameter the profile does not
+    take, a non-finite parameter or n < 4."""
     if n < 4:
         raise ValueError("n must be at least 4")
     try:
@@ -186,7 +186,10 @@ def sample(profile: str, domain: Domain, n: int, **params) -> GridFn:
     except KeyError:
         raise ValueError(f"unknown profile {profile!r}; "
                          f"choices: {sorted(PROFILES)}") from None
+    takes = list(inspect.signature(fn).parameters)[1:]  # x comes first
     for key, val in params.items():
+        if key not in takes:
+            raise ValueError(f"profile {profile!r} takes {takes}, not {key!r}")
         if not math.isfinite(float(val)):
             raise ValueError(f"profile parameter {key}={val!r} is not finite")
     x = domain.cell_centers(n)

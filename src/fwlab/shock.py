@@ -1,13 +1,13 @@
 """First-order Godunov flux-splitting solver for the weak entropy regime.
 
 Each step composes the conservative Burgers update (exact Riemann fluxes for
-f(u) = u^2/2) with the nonlocal source update u <- u - dt K'*u, either Lie or
-Strang ordered.  The source sub-step uses an explicit midpoint evaluation,
-which keeps the splitting second order in the smooth regime.  A nonnegative
-viscosity eps adds an explicit eps*D2 u term to the Burgers sub-step
-(vanishing-viscosity variant).  ``run_fv`` marches through
-``trajectory.marching`` with a CFL-adapted (or fixed, CFL-checked) step that is
-shortened to land on T.
+f(u) = u^2/2) with the nonlocal source update u <- u - dt K'*u, Lie or Strang
+ordered, or leaves the source out (source_splitting="none": Burgers alone).
+The source sub-step uses an explicit midpoint evaluation, which keeps the
+splitting second order in the smooth regime.  A nonnegative viscosity eps
+adds an explicit eps*D2 u term to the Burgers sub-step (vanishing-viscosity
+variant).  ``run_fv`` marches through ``trajectory.marching`` with a
+CFL-adapted (or fixed, CFL-checked) step that is shortened to land on T.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ class FVConfig:
     T: float = 1.0
     cfl: float = 0.45
     eps: float = 0.0
-    source_splitting: str = "strang"  # "strang" | "lie"
+    source_splitting: str = "strang"  # "strang" | "lie" | "none"
     dt: float | None = None  # fixed step override; still CFL-checked
-    source_on: bool = True
     snapshot_stride: int = 4
 
     def __post_init__(self):
@@ -41,8 +40,8 @@ class FVConfig:
             raise ValueError("cfl must lie in (0, 1]")
         if self.eps < 0.0:
             raise ValueError("eps must be nonnegative")
-        if self.source_splitting not in ("strang", "lie"):
-            raise ValueError("source_splitting must be 'strang' or 'lie'")
+        if self.source_splitting not in ("strang", "lie", "none"):
+            raise ValueError("source_splitting must be strang, lie or none")
         if self.dt is not None and not self.dt > 0:
             raise ValueError("fixed dt must be positive")
 
@@ -88,7 +87,7 @@ def _source_update(u: np.ndarray, tau: float, op: KernelOp) -> np.ndarray:
 def _step_values(u: np.ndarray, dt: float, op: KernelOp,
                  cfg: FVConfig) -> np.ndarray:
     periodic = op.domain.periodic
-    if not cfg.source_on:
+    if cfg.source_splitting == "none":  # Burgers alone
         return _burgers_update(u, dt, op.h, periodic, cfg.eps)
     if cfg.source_splitting == "lie":
         u = _burgers_update(u, dt, op.h, periodic, cfg.eps)

@@ -53,8 +53,9 @@ class Trajectory:
         return GridFn(self.domain, self.snapshots[i])
 
     def __iter__(self):
-        """The stored snapshots, ``(t, values)`` in order."""
-        return zip(self.snap_times, self.snapshots)
+        """Yields the stored ``(t, values)`` and returns self, as a run."""
+        yield from zip(self.snap_times, self.snapshots)
+        return self
 
     @property
     def t_stop(self) -> float:

@@ -53,9 +53,9 @@ def cusp_seed_slope(c: float) -> float:
 
     Integrating w'' = w + c - sqrt(2w) - c^2/2 against w' from the cusp
     (w = 0) to the far field (w = c^2/2, w' = 0) pins the seed slope:
-    w'(0+)^2 = c^3 (3c - 4) / 12.
+    w'(0+)^2 = c^3 (3c - 4) / 12.  The cusp speed rule: c > 4/3 + 1e-6.
     """
-    if c <= 4.0 / 3.0:
+    if not c > 4.0 / 3.0 + 1e-6:
         raise ValueError("cusp waves require c > 4/3")
     return math.sqrt(c ** 3 * (3.0 * c - 4.0) / 12.0)
 
@@ -267,9 +267,7 @@ def _integrate_cusp_half(c: float, xi_max: float):
 def cusp_profile(c: float, n: int = 8000,
                  window: tuple = (-30.0, 30.0)) -> TravelingWave:
     """Even cusped profile with v(0+) -> c, square-root singularity at 0,
-    and exponential decay; requires c > 4/3."""
-    if not c > 4.0 / 3.0 + 1e-6:
-        raise ValueError("cusp waves require c > 4/3")
+    and exponential decay; requires c > 4/3 (see ``cusp_seed_slope``)."""
     dom = line(*window)
     x = dom.cell_centers(n)
     r = np.abs(x)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fwlab
 from fwlab import (FVConfig, StrongConfig, Thresholds, cli, line, run_fv,
                    sample)
 from fwlab.cli import (_ALIASES, _KEYS, _TYPES, EXIT_CHECK_FAILED, EXIT_OK,
@@ -97,6 +98,30 @@ def test_unknown_preset_lists_choices(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "simulate", "--preset", "nope")
     assert code == EXIT_USAGE
     assert "available" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--config", "no_such.cfg"], "cannot read config no_such.cfg"),
+    (["simulate", "--preset", "peakon_transport", "n400"],
+     "override must be key=value, got 'n400'"),
+    (["simulate", "--preset", "peakon_transport", "profile.bogus=1"],
+     "profile 'peakon' takes ['center'], not 'bogus'"),
+    (["simulate", "--preset", "peakon_transport", "--bogus"],
+     "unrecognized arguments: --bogus"),  # an argparse usage error
+    (["simulate2", "--preset", "peakon_transport"], "invalid choice"),
+])
+def test_usage_errors_exit_2_without_report(tmp_path, capsys, argv, message):
+    code, out = run_cli(tmp_path, *argv)
+    assert code == EXIT_USAGE
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_version_exits_0(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "--version")
+    assert code == EXIT_OK
+    assert not out.exists()
+    assert capsys.readouterr().out.strip() == f"fwlab {fwlab.__version__}"
 
 
 def test_missing_profile_is_usage_error(tmp_path):
@@ -331,6 +356,40 @@ def test_verify_refuses_before_the_run(tmp_path, capsys, monkeypatch,
     assert "oleinik_times=(0.25, 0.5, 1.0)" in capsys.readouterr().err
 
 
+def test_splitting_none_is_a_burgers_run(tmp_path):
+    code, out = run_cli(tmp_path, "simulate", "--preset", "peakon_transport",
+                        "n=400", "T=0.2", "splitting=none")
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["splitting"] == "none"
+    # without the source the peakon is no traveling wave of speed 4/3
+    assert code == EXIT_CHECK_FAILED
+    assert [c["check_name"] for c in report["checks"] if not c["pass"]] == \
+        ["peakon_speed"]
+    u0 = sample("peakon", line(-20, 20), 400)
+    burgers = run_fv(u0, FVConfig(T=0.2, source_splitting="none"))
+    final = np.loadtxt(out / "snapshot_final.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(final[:, 1], burgers.snapshots[-1])
+
+
+def test_verify_default_lambdas_are_the_riemann_presets_own(tmp_path):
+    # max|u0| = 1, so the nine default levels across +-1.5 max|u0| are
+    # the preset's list: the checks and entropy.json match bit for bit
+    text = (resources.files("fwlab") / "presets"
+            / "riemann_entropy.cfg").read_text()
+    cfgfile = tmp_path / "no_lambdas.cfg"
+    cfgfile.write_text("".join(line for line in text.splitlines(True)
+                               if not line.startswith("lambdas")))
+    assert "lambdas" not in cfgfile.read_text()
+    results = []
+    for name, source in (("preset", ["--preset", "riemann_entropy"]),
+                         ("default", ["--config", str(cfgfile)])):
+        code, out = run_cli(tmp_path / name, "verify", *source)
+        report = json.loads((out / "report.json").read_text())
+        results.append((code, report["checks"],
+                        (out / "entropy.json").read_bytes()))
+    assert results[0] == results[1]
+
+
 def test_wave_peakon(tmp_path):
     code, out = run_cli(tmp_path, "wave", "--preset", "wave_peakon", "n=4000")
     assert code == EXIT_OK
@@ -341,9 +400,11 @@ def test_wave_peakon(tmp_path):
     assert prof[0] == "xi,v"
 
 
-def test_wave_cusp_small_speed_exits_2(tmp_path):
+def test_wave_cusp_small_speed_exits_2(tmp_path, capsys):
+    # waves' rule for c, cusp_seed_slope's, applied before construction
     code, _ = run_cli(tmp_path, "wave", "--preset", "wave_cusp", "c=1.2")
     assert code == EXIT_USAGE
+    assert "c=1.2, n=8000: cusp waves require c > 4/3" in capsys.readouterr().err
 
 
 def test_wave_cusp_construction_failure_reports_one_check(tmp_path):
@@ -443,8 +504,9 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     # a bool field takes only true/yes/on or false/no/off
     ("simulate", "dispersion_mode1", ["dealias=abc"], EXIT_USAGE,
      "dealias='abc'"),
-    ("simulate", "peakon_transport", ["source_on=nope"], EXIT_USAGE,
-     "source_on='nope'"),
+    # the source step is set by splitting alone: source_on is no key
+    ("simulate", "peakon_transport", ["source_on=false"], EXIT_USAGE,
+     "unknown key 'source_on'"),
     # every key a command reads itself goes through the same coercion
     ("wave", "wave_cusp", ["c=abc"], EXIT_USAGE, "c='abc'"),
     ("simulate", "peakon_transport", ["a=abc"], EXIT_USAGE, "a='abc'"),
@@ -856,9 +918,8 @@ _fv_configs = st.builds(
     T=_finite(min_value=0.0, exclude_min=True),
     cfl=_finite(min_value=0.0, max_value=1.0, exclude_min=True),
     eps=_finite(min_value=0.0),
-    source_splitting=st.sampled_from(["strang", "lie"]),
+    source_splitting=st.sampled_from(["strang", "lie", "none"]),
     dt=st.none() | _finite(min_value=0.0, exclude_min=True),
-    source_on=st.booleans(),
     snapshot_stride=st.integers(1, 10 ** 6))
 
 

@@ -192,6 +192,39 @@ def test_streamed_l1_stability_equals_the_stored_check():
             mismatched.value()
 
 
+def test_l1_stability_refuses_runs_on_other_grids():
+    u0, v0, cfg = _stability_setup()
+    coarse = sample("peakon", u0.domain, u0.n // 2)
+    with pytest.raises(ValueError, match="domain/n differ"):
+        l1_stability_check(run_fv(u0, cfg), run_fv(coarse, cfg))
+
+
+def test_l1_ratio_finish_returns_u_for_a_stored_and_a_live_u():
+    # a stored u ends as a run does: its iterator returns the Trajectory
+    u0, v0, cfg = _stability_setup()
+    tu = run_fv(u0, cfg)
+    assert L1StabilityRatio(tu, tu.h).finish() is tu
+    stream = L1StabilityRatio(tu, tu.h)
+    run_fv(v0, cfg, sink=stream)
+    assert stream.finish() is tu
+    live = L1StabilityRatio(_marching_fv(u0, cfg), u0.h).finish()
+    assert live.snapshots == []
+    assert np.array_equal(live.times, tu.times)
+    # replayed through drain, a stored run gives itself back, copies kept
+    again = drain(iter(tu))
+    assert np.array_equal(again.times, tu.times)
+    assert len(again.snapshots) == len(tu.snapshots)
+    for kept, stored in zip(again.snapshots, tu.snapshots):
+        assert kept is not stored and np.array_equal(kept, stored)
+
+
+def test_attach_observation_refuses_an_fv_run():
+    u0 = sample("gaussian_derivative", line(-10, 10), 400)
+    report = breaking_precheck(u0)
+    with pytest.raises(ValueError, match="needs a strong run"):
+        diagnostics.attach_observation(report, run_fv(u0, FVConfig(T=0.1)))
+
+
 @pytest.mark.parametrize("solver", ["fv", "strong"])
 def test_live_l1_stability_equals_the_stored_check(solver):
     # u advanced in lockstep with v, as verify runs them: the stored check's
@@ -297,6 +330,21 @@ def test_weak_residual_constant_torus():
     fam = make_test_family(torus(), 1.0)
     # constants are steady states; quadrature telescopes them exactly
     assert weak_residual(traj, fam) < 1e-13
+
+
+def test_weak_residual_refuses_a_bump_past_the_last_snapshot():
+    traj = _zero_traj(T=0.5)
+    with pytest.raises(ValueError, match="support extends past the last"):
+        weak_residual(traj, [TestFn(0.0, 0.4, 2.0, 0.2)])
+
+
+def test_entropy_report_refuses_when_t0_is_nearest_every_oleinik_time():
+    # snapshots at t = 0, 2, 4: t = 0 is the nearest to 0.25 and 0.5, and
+    # the earlier of two equally near to 1, so no Oleinik time is checked
+    traj = drain(synthetic_trajectory(line(-20, 20), 400, [0.0, 2.0, 4.0],
+                                      lambda x, t: np.exp(-x * x)))
+    with pytest.raises(ValueError, match=r"no snapshot in \(0, t_end\]"):
+        entropy_report(traj)
 
 
 def test_weak_residual_rejects_unresolved():

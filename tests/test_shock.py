@@ -104,7 +104,7 @@ def test_fv_step_is_an_l1_contraction_but_for_the_source(domain, n,
         assert d1 <= math.exp(norm_d * dt) * d0 * (1 + 1e-12), (k, d1 / d0)
         # the Burgers sub-step alone: a contraction, the max principle (the
         # zero far field included on the line) and no new variation
-        burgers = replace(cfg, source_on=False)
+        burgers = replace(cfg, source_splitting="none")
         su = _step_values(u, dt, op, burgers)
         sv = _step_values(v, dt, op, burgers)
         assert np.abs(su - sv).sum() <= d0 * (1 + 1e-12), k
@@ -129,12 +129,27 @@ def test_lie_splitting_conserves_mass_and_is_first_order_off_strang():
     assert 1.8 <= dists[0] / dists[1] <= 2.2
 
 
+@pytest.mark.parametrize("periodic", [False, True], ids=["line", "torus"])
+def test_splitting_none_steps_burgers_alone(rng, periodic):
+    dom = torus() if periodic else line(-5, 5)
+    op = KernelOp(dom, 200)
+    u = rng.normal(size=200)
+    cfg = FVConfig(eps=1e-3, source_splitting="none")
+    dt = _dt_bound(np.abs(u).max(), op.h, cfg.cfl, cfg.eps)
+    burgers = _burgers_update(u, dt, op.h, periodic, cfg.eps)
+    assert np.array_equal(_step_values(u, dt, op, cfg), burgers)
+    for splitting in ("strang", "lie"):
+        with_source = replace(cfg, source_splitting=splitting)
+        assert not np.array_equal(_step_values(u, dt, op, with_source),
+                                  burgers)
+
+
 def test_burgers_shock_speed():
     # Riemann 2 -> 0 with the source off: Rankine-Hugoniot speed (2+0)/2 = 1
     dom = line(-20, 20)
     n = 2000
     u0 = sample("step", dom, n, left=2.0, right=0.0, center=-5.0)
-    cfg = FVConfig(T=6.0, source_on=False, snapshot_stride=10 ** 9)
+    cfg = FVConfig(T=6.0, source_splitting="none", snapshot_stride=10 ** 9)
     traj = run_fv(u0, cfg)
     final = traj.snapshots[-1]
     x = dom.cell_centers(n)

@@ -102,10 +102,13 @@ def test_cusp_profile_shape():
 
 
 def test_cusp_profile_rejects_small_speed():
-    with pytest.raises(ValueError):
-        cusp_profile(1.2)
-    with pytest.raises(ValueError):
-        cusp_profile(4.0 / 3.0)
+    # one bound, 4/3 + 1e-6, stated by cusp_seed_slope, through which
+    # cusp_profile and, before construction, the wave command refuse c
+    for c in (1.2, 4.0 / 3.0, 4.0 / 3.0 + 5e-7):
+        for refuses in (cusp_seed_slope, cusp_profile):
+            with pytest.raises(ValueError, match="require c > 4/3"):
+                refuses(c)
+    assert cusp_seed_slope(4.0 / 3.0 + 2e-6) > 0.0
 
 
 def _solve_ivp_reference(fun, t0, y0, t_bound):
