@@ -1,35 +1,40 @@
 """Command-line driver: reproducible experiments from flat key=value configs.
 
-Verbs: simulate, breaking, verify, wave, sweep.  Each verb writes its outputs
-and returns its checks; main alone writes report.json and exits 0 if its
-overall_pass holds, else 1.  A command that raises writes no report.json: a
-usage/config error exits 2; a step rejected mid-run, a check with nothing to
-check and a non-finite value bound for a JSON file exit 1.  Each field of Keys
-(read by the commands themselves) and of the solver configs (StrongConfig,
-FVConfig) is set by exactly one key: its name, or for lambda_coeff and
-source_splitting only the alias lambda or splitting (_ALIASES); the check
-bounds are the fixed Thresholds.  load_config type-checks every key for every
-verb and refuses a non-finite float (list items included).  Before any work
-every verb refuses a mode value, set or defaulted, that it does not take
-(_MODES, the one table of the values each verb takes of each mode key), then
-a key it never reads, or reads only in another of its modes (_READ_BY, one
-table for all keys; snapshot_stride is read by verify alone, as ends_only
-sets it elsewhere), whatever its value.  Only then does Keys.check_ranges
-reject an n or n_list entry below 4, a non-nested n_list or one of fewer
-than 3 entries, a zero bump_amplitude or bump_radius and an eps_list of
-fewer than 2 entries or not positive and strictly descending; and the
-verb builds its solver config, so a bad solver key exits 2 also where no run
-follows.  verify refuses, for trajectory=upjump (T from the solver config), a
-jump_at with a state off the grid.  verify's stability check steps both FV
-runs at the solver's own bound, _dt_bound, at the speed 2 + max|u0|, and
-advances the two runs in lockstep, comparing each snapshot of the second
-with the first's as both are yielded, so it holds one snapshot of
-each.  verify's entropy check passes the run's snapshots to its sink,
-diagnostics.EntropyCheck, built over [0, T] before the run, and stores
-none.  In either check a run that stops before T reports its failing
-completed check alone.  simulate, breaking and sweep keep only the first and
-last snapshot of a run, which is all they read.  Outputs are written once and
-atomically renamed, so identical config + seed gives identical bytes.
+Verbs: simulate, breaking, verify, wave, sweep.  Each returns its checks and
+its files, a map from output name to a JSON payload or a CSV writer (called
+with a path).  main alone writes under --out: it encodes every JSON payload
+before it writes any file, then renames each file into place, report.json
+last, and exits 0 if overall_pass holds, else 1.  So a command that raises
+leaves no file under --out: a usage/config error exits 2; a step rejected
+mid-run, a check with nothing to check and a non-finite value bound for a
+JSON file exit 1.  Each field of Keys (read by the commands themselves) and
+of the solver configs (StrongConfig, FVConfig) is set by exactly one key:
+its name, or for lambda_coeff and source_splitting only the alias lambda or
+splitting (_ALIASES); the check bounds are the fixed Thresholds.  A bool
+word (true/yes/on, false/no/off) is a bool for a bool key (dealias) alone;
+any other key keeps the word, so its refusal names it.  load_config
+type-checks every key for every verb and refuses a non-finite float (list
+items included); grid.sample refuses a profile.* parameter that is no
+finite real number.  Before any work every verb refuses a mode value, set
+or defaulted, that it does not take (_MODES, the one table of the values
+each verb takes of each mode key), then a key it never reads, or reads only
+in another of its modes (_READ_BY, one table for all keys; snapshot_stride
+is read by verify alone, as ends_only sets it elsewhere), whatever its
+value.  Only then does Keys.check_ranges reject an n or n_list entry below
+4, a non-nested n_list or one of fewer than 3 entries, a zero bump_amplitude
+or bump_radius and an eps_list of fewer than 2 entries or not positive and
+strictly descending; and the verb builds its solver config, so a bad solver
+key exits 2 also where no run follows.  verify refuses, for
+trajectory=upjump (T from the solver config), a jump_at with a state off the
+grid.  verify's stability check steps both FV runs at the solver's own
+bound, _dt_bound, at the speed 2 + max|u0|, and advances the two runs in
+lockstep, comparing each snapshot of the second with the first's as both
+are yielded, so it holds one snapshot of each.  verify's entropy check
+passes the run's snapshots to its sink, diagnostics.EntropyCheck, built over
+[0, T] before the run, and stores none.  In either check a run that stops
+before T reports its failing completed check alone.  simulate, breaking and
+sweep keep only the first and last snapshot of a run, which is all they
+read.  Identical config + seed gives identical bytes.
 """
 
 from __future__ import annotations
@@ -73,13 +78,12 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # config parsing: flat key=value lines, '#' comments
 
-def _parse_value(text: str):
+def _parse_value(key: str, text: str):
+    """key's value of text; a bool word is a bool for a bool key alone."""
     text = text.strip()
-    low = text.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
+    if _TYPES.get(_ALIASES.get(key, key)) is bool:
+        return {"true": True, "yes": True, "on": True, "false": False,
+                "no": False, "off": False}.get(text.lower(), text)
     try:
         return int(text)
     except ValueError:
@@ -89,7 +93,8 @@ def _parse_value(text: str):
     except ValueError:
         pass
     if "," in text:
-        return [_parse_value(tok) for tok in text.split(",") if tok.strip()]
+        return [_parse_value(key, tok) for tok in text.split(",")
+                if tok.strip()]
     return text
 
 
@@ -102,7 +107,7 @@ def parse_config_text(text: str) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, val = stripped.split("=", 1)
-        cfg[key.strip()] = _parse_value(val)
+        cfg[key.strip()] = _parse_value(key.strip(), val)
     return cfg
 
 
@@ -127,7 +132,7 @@ def load_config(path: str | None, preset: str | None,
         if "=" not in item:
             raise ConfigError(f"override must be key=value, got {item!r}")
         key, val = item.split("=", 1)
-        cfg[key.strip()] = _parse_value(val)
+        cfg[key.strip()] = _parse_value(key.strip(), val)
     if not cfg:
         raise ConfigError("no configuration given (use --config or --preset)")
     for key, value in cfg.items():
@@ -215,8 +220,6 @@ def _coerce(key: str, value, typ):
     try:
         if typ is bool and not isinstance(value, bool):
             raise TypeError("a bool is true/yes/on or false/no/off")
-        if isinstance(value, bool) and typ in (int, float):
-            raise TypeError("yes/true/on parse as True, which is no number")
         if typ is int and isinstance(value, float) and not value.is_integer():
             raise ValueError("an int field takes no fraction")
         out = typ(value)
@@ -350,7 +353,7 @@ def _initial_from(cfg: dict, domain: Domain, n: int) -> GridFn:
               if k.startswith("profile.")}
     try:
         return sample(name, domain, n, **params)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -365,26 +368,24 @@ def _run_from(scfg, u0: GridFn, sink=None) -> Trajectory:
     return run(u0, scfg, sink)
 
 
-def _atomic_write(path: str, writer) -> None:
+def _atomic_write(path: str, content) -> None:
+    """Write content, text or a writer called with a path, to a temporary
+    file beside path and rename it to path: one that raises leaves neither."""
     d = os.path.dirname(path) or "."
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     os.close(fd)
     try:
-        writer(tmp)
+        if callable(content):
+            content(tmp)
+        else:
+            with open(tmp, "w") as fh:
+                fh.write(content)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _write_json(path: str, payload: dict) -> None:
-    def w(tmp):
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
-    _atomic_write(path, w)
 
 
 def _report(command: str, cfg: dict, checks: list[dict]) -> dict:
@@ -417,25 +418,24 @@ def _short_runs(*trajs: Trajectory) -> list[dict]:
             for t in trajs if t.stop_reason != "completed"]
 
 
-def _emit_outputs(traj: Trajectory, out: str) -> None:
-    write_series = lambda tmp: write_series_csv(traj, tmp)
-    _atomic_write(os.path.join(out, "series.csv"), write_series)
-    for label, idx in (("initial", 0), ("final", len(traj.snapshots) - 1)):
-        g = traj.snapshot(idx)
-        _atomic_write(os.path.join(out, f"snapshot_{label}.csv"),
-                      lambda tmp, g=g: write_snapshot_csv(g, tmp))
+def _run_files(traj: Trajectory) -> dict:
+    """A run's series and its first and last snapshot, by file name."""
+    files = {"series.csv": partial(write_series_csv, traj)}
+    for label, i in (("initial", 0), ("final", -1)):
+        files[f"snapshot_{label}.csv"] = partial(write_snapshot_csv,
+                                                 traj.snapshot(i))
+    return files
 
 
 # ---------------------------------------------------------------------------
-# commands: each writes its outputs under out and returns its checks
+# commands: each returns its checks and its files (see the module doc)
 
-def cmd_simulate(cfg: dict, out: str) -> list[dict]:
+def cmd_simulate(cfg: dict) -> tuple[list[dict], dict]:
     keys = _keys_for("simulate", cfg)
     scfg = ends_only(_solver_config(keys.solver, cfg))  # reads the ends only
     domain = _domain_from(keys)
     u0 = _initial_from(cfg, domain, keys.n)
     traj = _run_from(scfg, u0)
-    _emit_outputs(traj, out)
     checks = [_check("completed", traj.stop_reason != "overflow",
                      traj.stop_reason, "no overflow")]
     if domain.periodic:
@@ -451,7 +451,7 @@ def cmd_simulate(cfg: dict, out: str) -> list[dict]:
             / traj.t_stop if traj.t_stop > 0 else 0.0
         checks.append(_check("peakon_speed", abs(speed - 4.0 / 3.0) <= 0.02 * 4 / 3,
                              speed, "4/3 +- 2%"))
-    return checks
+    return checks, _run_files(traj)
 
 
 def _crest(x: np.ndarray, u: np.ndarray) -> float:
@@ -464,7 +464,7 @@ def _crest(x: np.ndarray, u: np.ndarray) -> float:
     return float(x[i])
 
 
-def cmd_breaking(cfg: dict, out: str) -> list[dict]:
+def cmd_breaking(cfg: dict) -> tuple[list[dict], dict]:
     keys = _keys_for("breaking", cfg, n=20480, solver="strong")
     domain = _domain_from(keys)
     advect = "upwind" if not domain.periodic else "central"
@@ -476,6 +476,7 @@ def cmd_breaking(cfg: dict, out: str) -> list[dict]:
                                         "m2_0": report.m2_0,
                                         "t_star": report.t_star},
                      "S >= 1 triggers the breaking run")]
+    files = {}
     if report.condition_met and report.t_star is not None:
         cfg.setdefault("solver", keys.solver)  # report.json names both
         cfg.setdefault("advect", advect)
@@ -489,15 +490,15 @@ def cmd_breaking(cfg: dict, out: str) -> list[dict]:
         env_ok, worst, _ = envelope_check(traj)
         checks.append(_check("slope_envelope", env_ok, worst,
                              "m2 <= riccati envelope + slack"))
-        _emit_outputs(traj, out)
+        files = _run_files(traj)
     else:
         checks.append(_check("criterion_not_met", True, report.S,
                              "S < 1: no breaking guarantee; run skipped"))
-    _write_json(os.path.join(out, "breaking.json"), asdict(report))
-    return checks
+    files["breaking.json"] = asdict(report)
+    return checks, files
 
 
-def cmd_verify(cfg: dict, out: str) -> list[dict]:
+def cmd_verify(cfg: dict) -> tuple[list[dict], dict]:
     keys = _keys_for("verify", cfg, n=4000)
     scfg = _solver_config(keys.solver, cfg)
     domain = _domain_from(keys)
@@ -522,12 +523,12 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
         tv = _run_from(scfg, v0, sink=stream)
         tu = stream.finish()  # u's run, ended: its series and stop reason
         if short := _short_runs(tu, tv):
-            return short  # no ratio over a window a run never reached
+            return short, {}  # no ratio over a window a run never reached
         ratio = stream.value()
         growth = max(tu.series["l1"] / (np.exp(tu.times) * tu.series["l1"][0]))
         tol = Thresholds.l1_ratio_tol
         return [_check("l1_stability_ratio", ratio <= tol, ratio, tol),
-                _check("l1_growth", growth <= tol, float(growth), tol)]
+                _check("l1_growth", growth <= tol, float(growth), tol)], {}
 
     if keys.trajectory == "upjump":
         x = domain.cell_centers(n)
@@ -549,7 +550,7 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
     traj = run(sink=check)
     if traj.stop_reason != "completed":
         # no residual over a window the run never reached
-        return _short_runs(traj)
+        return _short_runs(traj), {}
     rep = check.value()
     weak_tol, kr_bound = Thresholds.weak_tol, -Thresholds.kruzhkov_tol
     ol_bound = -Thresholds.oleinik_rel_tol * rep.oleinik_scale
@@ -561,17 +562,16 @@ def cmd_verify(cfg: dict, out: str) -> list[dict]:
                      rep.oleinik_margin, ol_bound)]
     if domain.periodic:
         checks.append(_mass_check(conservation_report(traj)))
-    _write_json(os.path.join(out, "entropy.json"), {
+    return checks, {"entropy.json": {
         "weak_residual_max": rep.weak_residual_max,
         "kruzhkov_min": rep.kruzhkov_min,
         "oleinik_margin": rep.oleinik_margin,
         "passes": {name: c["pass"] for name, c
                    in zip(("weak", "kruzhkov", "oleinik"), checks)},
-    })
-    return checks
+    }}
 
 
-def cmd_wave(cfg: dict, out: str) -> list[dict]:
+def cmd_wave(cfg: dict) -> tuple[list[dict], dict]:
     keys = _keys_for("wave", cfg, n=8000, a=-30.0, b=30.0)
     kind, n, window = keys.kind, keys.n, (keys.a, keys.b)
     try:
@@ -600,7 +600,7 @@ def cmd_wave(cfg: dict, out: str) -> list[dict]:
         try:
             wave = cusp_profile(c, n=n, window=window)
         except ValueError as exc:
-            return [_check("construction", False, str(exc), "")]
+            return [_check("construction", False, str(exc), "")], {}
         lam1, mismatch = tw_defect(wave)
         jump = measured_cusp_jump(wave)
         checks.append(_check("defect_nonzero", abs(lam1) >= 0.5, lam1,
@@ -613,11 +613,9 @@ def cmd_wave(cfg: dict, out: str) -> list[dict]:
         payload = {"kind": kind, "c": c, "b": b_formula(c), "lambda1": lam1,
                    "mismatch": mismatch, "slope_jump": jump}
     prof = wave.profile
-    _atomic_write(os.path.join(out, "profile.csv"),
-                  lambda tmp: write_csv(tmp, ("xi", "v"),
-                                        (prof.x, prof.values)))
-    _write_json(os.path.join(out, "defect.json"), payload)
-    return checks
+    return checks, {"profile.csv": partial(write_csv, header=("xi", "v"),
+                                           columns=(prof.x, prof.values)),
+                    "defect.json": payload}
 
 
 def _max_workers() -> int:
@@ -625,7 +623,7 @@ def _max_workers() -> int:
     return 1
 
 
-def cmd_sweep(cfg: dict, out: str) -> list[dict]:
+def cmd_sweep(cfg: dict) -> tuple[list[dict], dict]:
     keys = _keys_for("sweep", cfg, n=2000, kind="viscosity")
     domain = _domain_from(keys)
     checks = []
@@ -640,9 +638,8 @@ def cmd_sweep(cfg: dict, out: str) -> list[dict]:
         checks.append(_check("first_order_in_eps",
                              all(1.5 <= r <= 2.5 for r in ratios),
                              ratios, "2 +- 0.5"))
-        _atomic_write(os.path.join(out, "sweep.csv"),
-                      lambda tmp: write_csv(tmp, ("eps", "l1_distance"),
-                                            ([e for e, _ in pairs], dists)))
+        files = {"sweep.csv": partial(write_csv, header=("eps", "l1_distance"),
+                                      columns=([e for e, _ in pairs], dists))}
     else:
         fcfg = ends_only(_config_from(FVConfig, cfg))  # reads the ends only
         runs = [run_fv(_initial_from(cfg, domain, n), fcfg)
@@ -660,10 +657,10 @@ def cmd_sweep(cfg: dict, out: str) -> list[dict]:
                              "[0.7, 1.2]"))
         columns = [[e[i] for e in errs] for i in range(3)]
         columns.append([math.nan] + orders)
-        _atomic_write(os.path.join(out, "convergence.csv"),
-                      lambda tmp: write_csv(tmp, ("n", "dt_mean", "l1_err",
-                                                  "order"), columns))
-    return checks
+        files = {"convergence.csv": partial(
+            write_csv, header=("n", "dt_mean", "l1_err", "order"),
+            columns=columns)}
+    return checks, files
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +672,9 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version",
                         version=f"fwlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "breaking", "verify", "wave", "sweep"):
+    dispatch = {"simulate": cmd_simulate, "breaking": cmd_breaking,
+                "verify": cmd_verify, "wave": cmd_wave, "sweep": cmd_sweep}
+    for name in dispatch:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
         p.add_argument("--preset", default=None)
@@ -686,18 +685,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    dispatch = {
-        "simulate": cmd_simulate,
-        "breaking": cmd_breaking,
-        "verify": cmd_verify,
-        "wave": cmd_wave,
-        "sweep": cmd_sweep,
-    }
     try:
         cfg = load_config(args.config, args.preset, args.overrides)
-        checks = dispatch[args.command](cfg, args.out)
-        report = _report(args.command, cfg, checks)
-        _write_json(os.path.join(args.out, "report.json"), report)
+        checks, files = dispatch[args.command](cfg)
+        report = files["report.json"] = _report(args.command, cfg, checks)
+        # every JSON text is encoded before any file is written, so a value
+        # JSON cannot hold (NaN, infinity) leaves no file under --out
+        files = {name: content if callable(content) else
+                 json.dumps(content, indent=2, sort_keys=True,
+                            allow_nan=False) + "\n"
+                 for name, content in files.items()}
+        for name, content in files.items():
+            _atomic_write(os.path.join(args.out, name), content)
     except ConfigError as exc:
         print(f"fwlab: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

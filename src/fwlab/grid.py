@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,7 +179,8 @@ PROFILES = {
 def sample(profile: str, domain: Domain, n: int, **params) -> GridFn:
     """Sample a named closed-form profile at the cell centers.  Raises
     ``ValueError`` for an unknown name, a parameter the profile does not
-    take, a non-finite parameter or n < 4."""
+    take, a parameter that is no real number (a bool, a string or a list)
+    or not finite, or n < 4."""
     if n < 4:
         raise ValueError("n must be at least 4")
     try:
@@ -190,8 +192,12 @@ def sample(profile: str, domain: Domain, n: int, **params) -> GridFn:
     for key, val in params.items():
         if key not in takes:
             raise ValueError(f"profile {profile!r} takes {takes}, not {key!r}")
-        if not math.isfinite(float(val)):
-            raise ValueError(f"profile parameter {key}={val!r} is not finite")
+        if isinstance(val, bool) or not isinstance(val, numbers.Real):
+            raise ValueError(f"profile {profile!r} parameter {key}={val!r} "
+                             f"is not a real number")
+        if not math.isfinite(val):
+            raise ValueError(f"profile {profile!r} parameter {key}={val!r} "
+                             f"is not finite")
     x = domain.cell_centers(n)
     return GridFn(domain, fn(x, **params))
 

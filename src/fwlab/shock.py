@@ -37,13 +37,14 @@ class FVConfig:
     def __post_init__(self):
         check_span(self)
         if not (0.0 < self.cfl <= 1.0):
-            raise ValueError("cfl must lie in (0, 1]")
+            raise ValueError(f"cfl must lie in (0, 1], not {self.cfl!r}")
         if self.eps < 0.0:
-            raise ValueError("eps must be nonnegative")
+            raise ValueError(f"eps must be nonnegative, not {self.eps!r}")
         if self.source_splitting not in ("strang", "lie", "none"):
-            raise ValueError("source_splitting must be strang, lie or none")
+            raise ValueError(f"source_splitting must be strang, lie or none, "
+                             f"not {self.source_splitting!r}")
         if self.dt is not None and not self.dt > 0:
-            raise ValueError("fixed dt must be positive")
+            raise ValueError(f"fixed dt must be positive, not {self.dt!r}")
 
 
 def godunov_flux(ul, ur):

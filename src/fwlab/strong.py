@@ -43,11 +43,14 @@ class StrongConfig:
             raise ValueError(f"T={self.T!r} is not an integer multiple of "
                              f"dt={self.dt!r}")
         if not self.stop_slope > 0:
-            raise ValueError("stop_slope must be positive")
+            raise ValueError(f"stop_slope must be positive, not "
+                             f"{self.stop_slope!r}")
         if self.lambda_coeff < 0:
-            raise ValueError("lambda_coeff must be nonnegative")
+            raise ValueError(f"lambda_coeff must be nonnegative, not "
+                             f"{self.lambda_coeff!r}")
         if self.advect not in ("central", "upwind"):
-            raise ValueError("advect must be 'central' or 'upwind'")
+            raise ValueError(f"advect must be 'central' or 'upwind', not "
+                             f"{self.advect!r}")
 
 
 def _make_rhs(op: KernelOp, lam: float, dealias: bool, advect: str):

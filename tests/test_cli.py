@@ -705,6 +705,34 @@ def test_exit_code_contract_on_check_failure(tmp_path):
      "snapshot_stride=2: sweep reads no snapshot_stride"),
     ("sweep", "convergence_peakon", ["snapshot_stride=2"], EXIT_USAGE,
      "snapshot_stride=2: sweep reads no snapshot_stride"),
+    # a profile parameter is a finite real number: a list failed with
+    # Python's message and a bool word ran as 1.0
+    ("simulate", "peakon_transport", ["profile.center=1,2"], EXIT_USAGE,
+     "profile 'peakon' parameter center=[1, 2] is not a real number"),
+    ("simulate", "peakon_transport", ["profile.center=yes", "T=0.05"],
+     EXIT_USAGE, "profile 'peakon' parameter center='yes' is not a real number"),
+    ("simulate", "peakon_transport", ["profile.center=abc"], EXIT_USAGE,
+     "profile 'peakon' parameter center='abc' is not a real number"),
+    # a bool word is a bool for a bool key alone: any other keeps the word
+    ("verify", "riemann_entropy", ["trajectory=off"], EXIT_USAGE,
+     "trajectory='off': verify takes one of (None, 'upjump')"),
+    ("simulate", "conservation_sine", ["advect=off"], EXIT_USAGE,
+     "domain='torus', advect='off'"),
+    ("simulate", "peakon_transport", ["splitting=off"], EXIT_USAGE,
+     "source_splitting must be strang, lie or none, not 'off'"),
+    # a solver config's refusal names the refused value
+    ("breaking", "breaking_gaussian", ["advect=off"], EXIT_USAGE,
+     "advect must be 'central' or 'upwind', not 'off'"),
+    ("simulate", "peakon_transport", ["cfl=1.5"], EXIT_USAGE,
+     "cfl must lie in (0, 1], not 1.5"),
+    ("simulate", "peakon_transport", ["eps=-1"], EXIT_USAGE,
+     "eps must be nonnegative, not -1.0"),
+    ("simulate", "peakon_transport", ["dt=-1"], EXIT_USAGE,
+     "fixed dt must be positive, not -1.0"),
+    ("simulate", "conservation_sine", ["stop_slope=-1"], EXIT_USAGE,
+     "stop_slope must be positive, not -1.0"),
+    ("simulate", "conservation_sine", ["lambda=-1"], EXIT_USAGE,
+     "lambda_coeff must be nonnegative, not -1.0"),
 ])
 def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
                                  code, message):
@@ -733,10 +761,63 @@ def test_non_finite_report_value_exits_1_without_report(tmp_path, monkeypatch,
                                                         bad):
     # json.dump would write NaN or Infinity, which is not JSON
     monkeypatch.setattr(cli, "cmd_wave",
-                        lambda cfg, out: [cli._check("x", True, bad, 0.0)])
+                        lambda cfg: ([cli._check("x", True, bad, 0.0)], {}))
     code, out = run_cli(tmp_path, "wave", "--preset", "wave_peakon")
     assert code == EXIT_CHECK_FAILED
     assert not list(out.rglob("*"))
+
+
+def test_non_finite_payload_value_leaves_no_file(tmp_path, monkeypatch):
+    # defect.json's lambda1 cannot be encoded: profile.csv was written first
+    monkeypatch.setattr(cli, "tw_defect", lambda wave: (math.nan, 0.0))
+    code, out = run_cli(tmp_path, "wave", "--preset", "wave_peakon", "n=2000")
+    assert code == EXIT_CHECK_FAILED
+    assert not list(out.rglob("*"))
+
+
+def test_a_writer_that_raises_leaves_no_file(tmp_path, monkeypatch):
+    def half_then_raise(path):
+        with open(path, "w") as fh:
+            fh.write("x,u\n0,")
+        raise ValueError("writer failed")
+    monkeypatch.setattr(cli, "cmd_wave", lambda cfg: (
+        [cli._check("x", True, 0.0, 0.0)], {"profile.csv": half_then_raise}))
+    code, out = run_cli(tmp_path, "wave", "--preset", "wave_peakon")
+    assert code == EXIT_CHECK_FAILED
+    # neither the target nor its temporary file, and no report after it
+    assert out.is_dir() and not list(out.rglob("*"))
+
+
+_RUN_FILES = {"series.csv", "snapshot_initial.csv", "snapshot_final.csv"}
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["simulate", "--preset", "peakon_transport", "n=400", "T=0.1"],
+     _RUN_FILES),
+    (["breaking", "--preset", "breaking_gaussian", "n=4096", "dt=1e-3",
+      "stop_slope=300"], _RUN_FILES | {"breaking.json"}),
+    (["breaking", "--preset", "breaking_gaussian", "profile.beta=0.1",
+      "n=512"], {"breaking.json"}),  # the criterion is not met: no run
+    (["verify", "--preset", "upjump_adversarial", "n=400"], {"entropy.json"}),
+    (["verify", "--preset", "l1_stability", "n=400", "T=0.25"], set()),
+    (["verify", "--preset", "riemann_entropy", "solver=strong", "dt=1e-3",
+      "n=800", "stop_slope=20"], set()),  # a short run
+    (["wave", "--preset", "wave_peakon", "n=2000"],
+     {"profile.csv", "defect.json"}),
+    (["wave", "--preset", "wave_cusp", "a=-2", "b=2", "n=800"], set()),
+    (["sweep", "--preset", "viscosity_sweep", "n=400", "T=0.1"],
+     {"sweep.csv"}),
+    (["sweep", "--preset", "convergence_peakon", "n_list=250,500,1000",
+      "T=0.1"], {"convergence.csv"}),
+], ids=["simulate", "breaking", "breaking-criterion-not-met", "verify-entropy",
+        "verify-stability", "verify-short-run", "wave", "wave-construction",
+        "sweep-viscosity", "sweep-resolution"])
+def test_each_verb_writes_its_files(tmp_path, argv, files):
+    # the files a command returns and report.json, and nothing else
+    code, out = run_cli(tmp_path, *argv)
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+    assert sorted(p.name for p in out.iterdir()) == sorted(files
+                                                         | {"report.json"})
 
 
 def _main_stderr(argv):

@@ -33,6 +33,10 @@ def test_sample_errors():
         sample("nope", torus(), 8)
     with pytest.raises(ValueError, match="not finite"):
         sample("sine", torus(), 8, amplitude=float("nan"))
+    for bad in (True, "1.0", [1.0, 2.0]):  # no real number
+        with pytest.raises(ValueError,
+                           match="profile 'sine' parameter amplitude="):
+            sample("sine", torus(), 8, amplitude=bad)
     with pytest.raises(ValueError):
         sample("zero", torus(), 2)
 
