@@ -15,7 +15,7 @@ from .trajectory import Trajectory
 from .strong import StrongConfig, run_strong, scaling_transport
 from .shock import FVConfig, godunov_flux, run_fv, viscosity_sweep
 from .diagnostics import (BreakingReport, ConservationReport, EntropyReport,
-                          KruzhkovPair, TestFn, Thresholds, attach_observation,
+                          TestFn, Thresholds, attach_observation,
                           breaking_precheck, conservation_report,
                           envelope_check, entropy_report, kruzhkov_residual,
                           l1_stability_check, make_test_family,
@@ -33,7 +33,7 @@ __all__ = [
     "StrongConfig", "run_strong", "scaling_transport",
     "FVConfig", "godunov_flux", "run_fv", "viscosity_sweep",
     "BreakingReport", "ConservationReport", "EntropyReport",
-    "KruzhkovPair", "TestFn",
+    "TestFn",
     "Thresholds", "attach_observation", "breaking_precheck",
     "conservation_report", "envelope_check", "entropy_report",
     "kruzhkov_residual", "l1_stability_check", "make_test_family",

@@ -2,17 +2,20 @@
 
 Verbs: simulate, breaking, verify, wave, sweep.  Each returns its checks and
 its files, a map from output name to a JSON payload or a CSV writer (called
-with a path).  main alone writes under --out: it encodes every JSON payload
-before it writes any file, then renames each file into place, report.json
-last, and exits 0 if overall_pass holds, else 1.  So a command that raises
-leaves no file under --out: a usage/config error exits 2; a step rejected
-mid-run, a check with nothing to check and a non-finite value bound for a
-JSON file exit 1.  Each field of Keys (read by the commands themselves) and
-of the solver configs (StrongConfig, FVConfig) is set by exactly one key:
-its name, or for lambda_coeff and source_splitting only the alias lambda or
-splitting (_ALIASES); the check bounds are the fixed Thresholds.  A bool
-word (true/yes/on, false/no/off) is a bool for a bool key (dealias) alone;
-any other key keeps the word, so its refusal names it.  load_config
+with a path).  main alone writes under --out: it writes every file into one
+fresh staging directory there, then renames each into place, report.json
+last, removes the directory and exits 0 if overall_pass holds, else 1.  So
+a command that raises, or a file that fails to write, leaves no new file
+under --out: a usage/config error exits 2; a step rejected mid-run, a check
+with nothing to check, a non-finite value bound for a JSON file and an
+OSError exit 1.  The files are made by open, so they follow the umask.
+Each field of Keys (read by the commands themselves) and of the solver
+configs (StrongConfig, FVConfig) is set by exactly one key: its name, or
+for lambda_coeff and source_splitting only the alias lambda or splitting
+(_ALIASES); the check bounds are the fixed Thresholds.  A bool word
+(true/yes/on, false/no/off) is a bool for a bool key (dealias) alone, and
+only a list key or a profile.* parameter splits on commas; any other key
+keeps the text, so its refusal names it.  load_config
 type-checks every key for every verb and refuses a non-finite float (list
 items included); grid.sample refuses a profile.* parameter that is no
 finite real number.  Before any work every verb refuses a mode value, set
@@ -43,6 +46,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 import typing
@@ -79,9 +83,11 @@ class ConfigError(Exception):
 # config parsing: flat key=value lines, '#' comments
 
 def _parse_value(key: str, text: str):
-    """key's value of text; a bool word is a bool for a bool key alone."""
+    """key's value of text: a bool word is a bool for a bool key alone, and
+    text splits on commas for a list key or a profile.* parameter alone."""
     text = text.strip()
-    if _TYPES.get(_ALIASES.get(key, key)) is bool:
+    typ = _TYPES.get(_ALIASES.get(key, key))
+    if typ is bool:
         return {"true": True, "yes": True, "on": True, "false": False,
                 "no": False, "off": False}.get(text.lower(), text)
     try:
@@ -92,7 +98,8 @@ def _parse_value(key: str, text: str):
         return float(text)
     except ValueError:
         pass
-    if "," in text:
+    if "," in text and (key.startswith("profile.") or list in map(
+            typing.get_origin, (typ, *typing.get_args(typ)))):
         return [_parse_value(key, tok) for tok in text.split(",")
                 if tok.strip()]
     return text
@@ -219,11 +226,11 @@ def _coerce(key: str, value, typ):
         return [_coerce(key, v, typing.get_args(typ)[0]) for v in items]
     try:
         if typ is bool and not isinstance(value, bool):
-            raise TypeError("a bool is true/yes/on or false/no/off")
+            raise ValueError("a bool is true/yes/on or false/no/off")
         if typ is int and isinstance(value, float) and not value.is_integer():
             raise ValueError("an int field takes no fraction")
         out = typ(value)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{key}={value!r}: expected {typ.__name__}") from exc
     if typ is float and not math.isfinite(out):
         raise ConfigError(f"{key}={value!r}: expected a finite float")
@@ -345,14 +352,13 @@ def _domain_from(keys: Keys) -> Domain:
     return torus() if keys.domain == "torus" else line(keys.a, keys.b)
 
 
-def _initial_from(cfg: dict, domain: Domain, n: int) -> GridFn:
-    name = cfg.get("profile")
-    if name is None:
+def _initial_from(keys: Keys, cfg: dict, domain: Domain, n: int) -> GridFn:
+    if keys.profile is None:
         raise ConfigError("missing profile key")
     params = {k.split(".", 1)[1]: v for k, v in cfg.items()
               if k.startswith("profile.")}
     try:
-        return sample(name, domain, n, **params)
+        return sample(keys.profile, domain, n, **params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -366,26 +372,6 @@ def _solver_config(solver: str, cfg: dict, **defaults):
 def _run_from(scfg, u0: GridFn, sink=None) -> Trajectory:
     run = run_strong if isinstance(scfg, StrongConfig) else run_fv
     return run(u0, scfg, sink)
-
-
-def _atomic_write(path: str, content) -> None:
-    """Write content, text or a writer called with a path, to a temporary
-    file beside path and rename it to path: one that raises leaves neither."""
-    d = os.path.dirname(path) or "."
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    os.close(fd)
-    try:
-        if callable(content):
-            content(tmp)
-        else:
-            with open(tmp, "w") as fh:
-                fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _report(command: str, cfg: dict, checks: list[dict]) -> dict:
@@ -434,7 +420,7 @@ def cmd_simulate(cfg: dict) -> tuple[list[dict], dict]:
     keys = _keys_for("simulate", cfg)
     scfg = ends_only(_solver_config(keys.solver, cfg))  # reads the ends only
     domain = _domain_from(keys)
-    u0 = _initial_from(cfg, domain, keys.n)
+    u0 = _initial_from(keys, cfg, domain, keys.n)
     traj = _run_from(scfg, u0)
     checks = [_check("completed", traj.stop_reason != "overflow",
                      traj.stop_reason, "no overflow")]
@@ -470,7 +456,7 @@ def cmd_breaking(cfg: dict) -> tuple[list[dict], dict]:
     advect = "upwind" if not domain.periodic else "central"
     # reads the ends and the series only
     scfg = ends_only(_solver_config(keys.solver, cfg, advect=advect))
-    u0 = _initial_from(cfg, domain, keys.n)
+    u0 = _initial_from(keys, cfg, domain, keys.n)
     report = breaking_precheck(u0)
     checks = [_check("precheck", True, {"S": report.S, "m1_0": report.m1_0,
                                         "m2_0": report.m2_0,
@@ -504,7 +490,7 @@ def cmd_verify(cfg: dict) -> tuple[list[dict], dict]:
     domain = _domain_from(keys)
     n = keys.n
     if keys.check == "stability":
-        u0 = _initial_from(cfg, domain, n)
+        u0 = _initial_from(keys, cfg, domain, n)
         if norm(u0, "L1") == 0.0:  # l1_growth divides by it
             raise ConfigError(f"profile={keys.profile!r}: the stability check "
                               f"needs initial data with a nonzero L1 norm")
@@ -543,7 +529,7 @@ def cmd_verify(cfg: dict) -> tuple[list[dict], dict]:
                                  sink)
     else:
         t_end = scfg.T
-        run = partial(_run_from, scfg, _initial_from(cfg, domain, n))
+        run = partial(_run_from, scfg, _initial_from(keys, cfg, domain, n))
     # the run's snapshots are contracted as they are yielded, not stored;
     # a run ending before every Oleinik time is refused before it starts
     check = EntropyCheck(domain, n, t_end, lambdas=keys.lambdas)
@@ -628,7 +614,7 @@ def cmd_sweep(cfg: dict) -> tuple[list[dict], dict]:
     domain = _domain_from(keys)
     checks = []
     if keys.kind == "viscosity":
-        u0 = _initial_from(cfg, domain, keys.n)
+        u0 = _initial_from(keys, cfg, domain, keys.n)
         pairs = viscosity_sweep(u0, keys.eps_list,
                                 _config_from(FVConfig, cfg, T=0.5))
         dists = [d for _, d in pairs]
@@ -642,7 +628,7 @@ def cmd_sweep(cfg: dict) -> tuple[list[dict], dict]:
                                       columns=([e for e, _ in pairs], dists))}
     else:
         fcfg = ends_only(_config_from(FVConfig, cfg))  # reads the ends only
-        runs = [run_fv(_initial_from(cfg, domain, n), fcfg)
+        runs = [run_fv(_initial_from(keys, cfg, domain, n), fcfg)
                 for n in keys.n_list]
         errs = []
         for coarse, fine in zip(runs, runs[1:]):
@@ -689,18 +675,27 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.preset, args.overrides)
         checks, files = dispatch[args.command](cfg)
         report = files["report.json"] = _report(args.command, cfg, checks)
-        # every JSON text is encoded before any file is written, so a value
-        # JSON cannot hold (NaN, infinity) leaves no file under --out
-        files = {name: content if callable(content) else
-                 json.dumps(content, indent=2, sort_keys=True,
-                            allow_nan=False) + "\n"
-                 for name, content in files.items()}
-        for name, content in files.items():
-            _atomic_write(os.path.join(args.out, name), content)
+        os.makedirs(args.out, exist_ok=True)
+        stage = tempfile.mkdtemp(dir=args.out, suffix=".tmp")
+        try:  # every file is written before any is renamed into place
+            for name, content in files.items():
+                path = os.path.join(stage, name)
+                if callable(content):
+                    content(path)
+                    continue
+                with open(path, "w") as fh:
+                    json.dump(content, fh, indent=2, sort_keys=True,
+                              allow_nan=False)
+                    fh.write("\n")
+            for name in files:  # report.json last
+                os.replace(os.path.join(stage, name),
+                           os.path.join(args.out, name))
+        finally:
+            shutil.rmtree(stage)
     except ConfigError as exc:
         print(f"fwlab: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"fwlab: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK if report["overall_pass"] else EXIT_CHECK_FAILED

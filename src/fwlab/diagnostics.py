@@ -43,9 +43,7 @@ __all__ = [
     "oleinik_check",
     "l1_stability_check",
     "L1StabilityRatio",
-    "oleinik_reach",
     "TestFn",
-    "KruzhkovPair",
     "make_test_family",
     "weak_residual",
     "kruzhkov_residual",
@@ -269,37 +267,6 @@ def l1_stability_check(traj_u: Trajectory, traj_v: Trajectory) -> float:
 # test functions and entropy residuals
 
 @dataclass(frozen=True)
-class KruzhkovPair:
-    """Entropy |z - lam| with flux sgn(z - lam)(z^2 - lam^2)/2.
-
-    The flux is the unique (up to constants) Q with Q'(z) = eta'(z) z.
-    ``lam`` may be an array, e.g. a column of lambdas, and ``terms`` then
-    broadcasts it against z.
-    """
-
-    lam: float
-
-    def terms(self, z, out=None):
-        """eta(z), q(z) and eta'(z) = sgn(z - lam), the sign taken once.
-
-        ``out`` is four arrays of the broadcast shape of z and lam: the first
-        three receive the results, the fourth is scratch.
-        """
-        z = np.asarray(z, dtype=np.float64)
-        if out is None:
-            shape = np.broadcast_shapes(z.shape, np.shape(self.lam))
-            out = [np.empty(shape) for _ in range(4)]
-        eta, q, sgn, work = out
-        np.subtract(z, self.lam, out=work)
-        np.abs(work, out=eta)
-        np.sign(work, out=sgn)
-        np.multiply(sgn, 0.5, out=q)
-        np.subtract(z * z, self.lam ** 2, out=work)
-        np.multiply(q, work, out=q)
-        return eta, q, sgn
-
-
-@dataclass(frozen=True)
 class TestFn:
     """Smooth compactly supported bump psi((x-x0)/r) psi((t-t0)/s); with
     ``periodic``, which the residuals take from the domain, x - x0 wraps."""
@@ -348,6 +315,22 @@ def make_test_family(domain: Domain, t_end: float, count: int = 12) -> list:
         for x0 in centers:
             fam.append(TestFn(float(x0), t0, r, dt_half))
     return fam
+
+
+def _kruzhkov_terms(z, lam, out):
+    """Entropy |z - lam|, its flux sgn(z - lam)(z^2 - lam^2)/2 (the Q, up to
+    constants, with Q'(z) = eta'(z) z) and eta'(z) = sgn(z - lam), the sign
+    taken once, written to the first three of the four arrays ``out`` of the
+    broadcast shape of z and lam (a column of lambdas); the fourth is
+    scratch."""
+    eta, q, sgn, work = out
+    np.subtract(z, lam, out=work)
+    np.abs(work, out=eta)
+    np.sign(work, out=sgn)
+    np.multiply(sgn, 0.5, out=q)
+    np.subtract(z * z, lam ** 2, out=work)
+    np.multiply(q, work, out=q)
+    return eta, q, sgn
 
 
 class ResidualQuadrature:
@@ -421,9 +404,9 @@ class ResidualQuadrature:
         if lambdas is None:
             linf = max(norm(GridFn(self._domain, u), "Linf"), 1e-6)
             lambdas = np.linspace(-1.5 * linf, 1.5 * linf, 9)
-        self._pair = KruzhkovPair(np.atleast_1d(np.asarray(
-            lambdas, dtype=np.float64))[:, None])
-        L, J = self._pair.lam.shape[0], len(self._family)
+        self._lam = np.atleast_1d(np.asarray(lambdas,
+                                             dtype=np.float64))[:, None]
+        L, J = self._lam.shape[0], len(self._family)
         self._buf = np.empty((4, L, u.size))
         # the (E, Q, S) rows of the newest snapshot, once contracted, and
         # the buffer the next snapshot's are written to
@@ -441,7 +424,7 @@ class ResidualQuadrature:
         np.matmul(u[None], P, out=rows[0, :1])
         np.matmul((0.5 * u * u)[None], G, out=rows[1, :1])
         np.matmul(kpu[None], P, out=rows[2, :1])
-        eta, q, deta = self._pair.terms(u, buf)
+        eta, q, deta = _kruzhkov_terms(u, self._lam, buf)
         np.matmul(eta, P, out=rows[0, 1:])
         np.matmul(q, G, out=rows[1, 1:])
         np.matmul(np.multiply(deta, kpu, out=buf[3]), P, out=rows[2, 1:])
@@ -546,17 +529,6 @@ class EntropyReport:
 OLEINIK_TIMES = (0.25, 0.5, 1.0)
 
 
-def oleinik_reach(t_end: float) -> list:
-    """The Oleinik times up to t_end.  With none the Oleinik check would
-    pass vacuously, so that raises ValueError; given T, this refuses a run
-    before it starts."""
-    reached = [t for t in OLEINIK_TIMES if t <= t_end + 1e-12]
-    if not reached:
-        raise ValueError(f"oleinik_times={OLEINIK_TIMES!r}, "
-                         f"t_end={t_end!r}: no Oleinik time up to t_end")
-    return reached
-
-
 class EntropyCheck:
     """Weak + Kruzhkov + Oleinik values of a run whose snapshots end at
     t_end, as its snapshot sink (see ``trajectory.drain``); ``value()``
@@ -574,7 +546,10 @@ class EntropyCheck:
     def __init__(self, domain: Domain, n: int, t_end: float, lambdas=None,
                  family=None):
         self._domain, self._t_end = domain, t_end
-        self._times = oleinik_reach(t_end)
+        self._times = [t for t in OLEINIK_TIMES if t <= t_end + 1e-12]
+        if not self._times:
+            raise ValueError(f"oleinik_times={OLEINIK_TIMES!r}, "
+                             f"t_end={t_end!r}: no Oleinik time up to t_end")
         if family is None:
             family = make_test_family(domain, t_end)
         self._quad = ResidualQuadrature(domain, n, family, lambdas)

@@ -123,7 +123,8 @@ def _marching_fv(u0: GridFn, cfg: FVConfig):
             return min(bound, cfg.T - t)
         dt = min(cfg.dt, cfg.T - t)
         if dt > bound * (1.0 + 1e-9):
-            raise ValueError("time step too large")
+            raise ValueError(f"time step too large: dt={dt:g} at t={t:g} "
+                             f"exceeds the CFL bound {bound:g}")
         return dt
 
     return marching(u0, cfg, next_dt,

@@ -147,7 +147,8 @@ def run_strong(u0: GridFn, cfg: StrongConfig, sink=None) -> Trajectory:
     k_max = 2 pi n / 3 (torus, dealiased), pi n (torus) or 1/h (line), is
     held to RK4's reach: 2 sqrt 2 on the imaginary axis, or 1.3926 on the
     upwind circle -nu (1 - e^{-i theta}).  Past it the step raises
-    ValueError("time step too large"), as ``run_fv``'s CFL guard does."""
+    ValueError("time step too large: ..."), naming dt, t, the number and the
+    reach, as ``run_fv``'s CFL guard names dt, t and its bound."""
     return drain(_marching_strong(u0, cfg), sink)
 
 
@@ -170,8 +171,11 @@ def _marching_strong(u0: GridFn, cfg: StrongConfig):
         # and rec holds t = 0 plus one record per step taken
         if len(rec.times) > nsteps:
             return None
-        if number * rec.cols["linf"][-1] > reach:  # max|u| of u, recorded
-            raise ValueError("time step too large")
+        stability = number * rec.cols["linf"][-1]  # max|u| of u, recorded
+        if stability > reach:
+            raise ValueError(f"time step too large: dt={cfg.dt:g} at t={t:g} "
+                             f"gives the stability number {stability:g}, past "
+                             f"RK4's reach {reach:.5g}")
         return cfg.dt
 
     def stop(rec):

@@ -476,7 +476,7 @@ def test_exit_code_contract_on_check_failure(tmp_path):
 
 @pytest.mark.parametrize("verb, preset, overrides, code, message", [
     # bad values and rejected configs are config errors naming the key
-    ("simulate", "conservation_sine", ["T=1,2"], EXIT_USAGE, "T=[1, 2]"),
+    ("simulate", "conservation_sine", ["T=1,2"], EXIT_USAGE, "T='1,2'"),
     ("simulate", "conservation_sine", ["T=0.25", "dt=0.1"], EXIT_USAGE,
      "T=0.25 is not an integer multiple of dt=0.1"),
     ("simulate", "conservation_sine", ["advect=sideways"], EXIT_USAGE,
@@ -517,7 +517,7 @@ def test_exit_code_contract_on_check_failure(tmp_path):
      "lambdas='abc'"),
     ("sweep", "viscosity_sweep", ["eps_list=abc"], EXIT_USAGE,
      "eps_list='abc'"),
-    ("wave", "wave_cusp", ["c=1,2"], EXIT_USAGE, "c=[1, 2]"),
+    ("wave", "wave_cusp", ["c=1,2"], EXIT_USAGE, "c='1,2': expected float"),
     ("verify", "upjump_adversarial", ["jump_at=abc"], EXIT_USAGE,
      "jump_at='abc'"),
     ("verify", "upjump_adversarial", ["steps=0"], EXIT_USAGE, "steps=0"),
@@ -733,6 +733,12 @@ def test_exit_code_contract_on_check_failure(tmp_path):
      "stop_slope must be positive, not -1.0"),
     ("simulate", "conservation_sine", ["lambda=-1"], EXIT_USAGE,
      "lambda_coeff must be nonnegative, not -1.0"),
+    # only a list key or a profile.* parameter splits on commas: a list
+    # profile name reached grid.sample and ended in a TypeError
+    ("simulate", "peakon_transport", ["profile=sine,peakon"], EXIT_USAGE,
+     "unknown profile 'sine,peakon'"),
+    ("simulate", "peakon_transport", ["solver=fv,strong"], EXIT_USAGE,
+     "solver='fv,strong': simulate takes one of"),
 ])
 def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
                                  code, message):
@@ -784,8 +790,50 @@ def test_a_writer_that_raises_leaves_no_file(tmp_path, monkeypatch):
         [cli._check("x", True, 0.0, 0.0)], {"profile.csv": half_then_raise}))
     code, out = run_cli(tmp_path, "wave", "--preset", "wave_peakon")
     assert code == EXIT_CHECK_FAILED
-    # neither the target nor its temporary file, and no report after it
+    # neither the target nor its staging directory, and no report after it
     assert out.is_dir() and not list(out.rglob("*"))
+    assert not list(out.glob("*.tmp"))
+
+
+def test_a_writer_that_raises_after_another_file_leaves_no_file(
+        tmp_path, monkeypatch, capsys):
+    # a.csv is complete before b.csv fails: it was renamed into place
+    def a_written(path):
+        with open(path, "w") as fh:
+            fh.write("x\n0\n")
+
+    def b_fails(path):
+        raise OSError("disk full")
+    monkeypatch.setattr(cli, "cmd_wave", lambda cfg: (
+        [cli._check("x", True, 0.0, 0.0)],
+        {"a.csv": a_written, "b.csv": b_fails}))
+    code, out = run_cli(tmp_path, "wave", "--preset", "wave_peakon")
+    assert code == EXIT_CHECK_FAILED
+    assert "fwlab: disk full" in capsys.readouterr().err
+    assert out.is_dir() and not list(out.iterdir())
+
+
+def test_out_naming_a_file_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("kept\n")
+    code = main(["wave", "--preset", "wave_peakon", "n=400", "--out",
+                 str(out)])
+    assert code == EXIT_CHECK_FAILED
+    assert capsys.readouterr().err.startswith("fwlab: ")
+    assert out.read_text() == "kept\n"
+
+
+def test_output_files_follow_the_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        code, out = run_cli(tmp_path, "wave", "--preset", "wave_peakon",
+                            "n=2000")
+    finally:
+        os.umask(old)
+    assert code == EXIT_OK
+    modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+    assert modes == dict.fromkeys(("profile.csv", "defect.json",
+                                   "report.json"), 0o644)
 
 
 _RUN_FILES = {"series.csv", "snapshot_initial.csv", "snapshot_final.csv"}
@@ -816,8 +864,10 @@ def test_each_verb_writes_its_files(tmp_path, argv, files):
     # the files a command returns and report.json, and nothing else
     code, out = run_cli(tmp_path, *argv)
     assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+    # no *.tmp: the staging directory is gone
     assert sorted(p.name for p in out.iterdir()) == sorted(files
                                                          | {"report.json"})
+    assert not list(out.glob("*.tmp"))
 
 
 def _main_stderr(argv):
