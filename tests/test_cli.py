@@ -819,7 +819,8 @@ def test_out_naming_a_file_exits_1(tmp_path, capsys):
     code = main(["wave", "--preset", "wave_peakon", "n=400", "--out",
                  str(out)])
     assert code == EXIT_CHECK_FAILED
-    assert capsys.readouterr().err.startswith("fwlab: ")
+    err = capsys.readouterr().err
+    assert err.startswith("fwlab: ") and str(out) in err
     assert out.read_text() == "kept\n"
 
 
