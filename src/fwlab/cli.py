@@ -21,15 +21,19 @@ items included); grid.sample refuses a profile.* parameter that is no
 finite real number.  Before any work every verb refuses a mode value, set
 or defaulted, that it does not take (_MODES, the one table of the values
 each verb takes of each mode key), then a key it never reads, or reads only
-in another of its modes (_READ_BY, one table for all keys; snapshot_stride
-is read by verify alone, as ends_only sets it elsewhere), whatever its
-value.  Only then does Keys.check_ranges reject an n or n_list entry below
-4, a non-nested n_list or one of fewer than 3 entries, a zero bump_amplitude
-or bump_radius and an eps_list of fewer than 2 entries or not positive and
-strictly descending; and the verb builds its solver config, so a bad solver
-key exits 2 also where no run follows.  verify refuses, for
-trajectory=upjump (T from the solver config), a jump_at with a state off the
-grid.  verify's stability check steps both FV runs at the solver's own
+in another of its modes (_READ_BY, one table for all keys, whose modes name
+one value or a tuple of values of a mode key; snapshot_stride is read by
+verify alone, as ends_only sets it elsewhere), whatever its value.  Only
+then does Keys.check_ranges reject a line window whose cell width h has a
+zero or non-finite 1/h^2, an n or n_list entry below 4, a non-nested n_list
+or one of fewer than 3 entries, a zero bump_amplitude or bump_radius and an
+eps_list of fewer than 2 entries or not positive and strictly descending;
+and the verb builds its solver config, so a bad solver key exits 2 also
+where no run follows.  verify has one mode key, check: entropy and stability
+check a solver run, upjump the stationary up-jump, which runs no solver and
+reads T from the solver config; it refuses a jump_at with a state off the
+grid.  Both entropy checks take nine Kruzhkov levels across +-1.5 max|u0|
+from the data.  verify's stability check steps both FV runs at the solver's own
 bound, _dt_bound, at the speed 2 + max|u0|, and advances the two runs in
 lockstep, comparing each snapshot of the second with the first's as both
 are yielded, so it holds one snapshot of each.  verify's entropy check
@@ -62,6 +66,7 @@ from .diagnostics import (EntropyCheck, L1StabilityRatio, Thresholds,
                           conservation_report, envelope_check)
 from .grid import (Domain, GridFn, line, norm, sample, torus, write_csv,
                    write_snapshot_csv)
+from .kernels import _finite_inverse_square
 from .shock import FVConfig, _dt_bound, _marching_fv, run_fv, viscosity_sweep
 from .strong import StrongConfig, _marching_strong, run_strong
 from .trajectory import (Trajectory, drain, ends_only, synthetic_trajectory,
@@ -98,8 +103,8 @@ def _parse_value(key: str, text: str):
         return float(text)
     except ValueError:
         pass
-    if "," in text and (key.startswith("profile.") or list in map(
-            typing.get_origin, (typ, *typing.get_args(typ)))):
+    if "," in text and (key.startswith("profile.")
+                        or typing.get_origin(typ) is list):
         return [_parse_value(key, tok) for tok in text.split(",")
                 if tok.strip()]
     return text
@@ -169,10 +174,8 @@ class Keys:
     bump_amplitude: float = 0.01
     bump_center: float = 0.0
     bump_radius: float = 2.0
-    trajectory: str | None = None
     steps: int = 100
     jump_at: float = 0.0
-    lambdas: list[float] | None = None
     kind: str | None = None
     c: float = 1.5
     eps_list: list[float] = field(default_factory=lambda: [1e-2, 5e-3, 2.5e-3])
@@ -184,6 +187,11 @@ class Keys:
             raise ValueError(f"a={self.a!r}, b={self.b!r}: expected a < b")
         if self.n < 4:
             raise ValueError(f"n={self.n!r}: expected at least 4")
+        if self.domain == "line" and not _finite_inverse_square(
+                (self.b - self.a) / self.n):  # an infinite length gives 0
+            raise ValueError(f"a={self.a!r}, b={self.b!r}, n={self.n!r}: "
+                             f"expected a cell width h with a finite, nonzero "
+                             f"1/h^2")
         for key in ("bump_amplitude", "bump_radius"):
             if getattr(self, key) == 0:
                 raise ValueError(f"{key}={getattr(self, key)!r}: expected a "
@@ -259,15 +267,16 @@ def _config_from(cls, cfg: dict, **defaults):
 # the verbs that read each key (profile.* as profile): each verb's mode is the
 # fields of Keys and their values, all of which must hold ({} in every mode)
 _RUNNING = ("simulate", "breaking", "verify", "sweep")
-_STABILITY, _ENTROPY = {"check": "stability"}, {"check": "entropy"}
+_STABILITY, _UPJUMP = {"check": "stability"}, {"check": "upjump"}
+_SOLVED = {"check": ("entropy", "stability")}  # verify's checks of a run
 # a and b: a verb with a domain key reads them on the line alone
 _WINDOW = {**dict.fromkeys(_RUNNING, {"domain": "line"}), "wave": {}}
 # a run's keys (the up-jump of verify is no run) and its solver's own
-_RUN = {**dict.fromkeys(_RUNNING, {}), "verify": {"trajectory": None}}
+_RUN = {**dict.fromkeys(_RUNNING, {}), "verify": _SOLVED}
 _STRONG = {"breaking": {}, "simulate": {"solver": "strong"},
-           "verify": {"solver": "strong", "trajectory": None}}
+           "verify": {"solver": "strong", **_SOLVED}}
 _FV = {"sweep": {}, "simulate": {"solver": "fv"},
-       "verify": {"solver": "fv", "trajectory": None}}
+       "verify": {"solver": "fv", **_SOLVED}}
 _READ_BY = {
     "solver": _RUN,
     "domain": dict.fromkeys(_RUNNING, {}),
@@ -280,17 +289,15 @@ _READ_BY = {
     "bump_amplitude": {"verify": _STABILITY},
     "bump_center": {"verify": _STABILITY},
     "bump_radius": {"verify": _STABILITY},
-    "trajectory": {"verify": _ENTROPY},
-    "steps": {"verify": {"trajectory": "upjump"}},
-    "jump_at": {"verify": {"trajectory": "upjump"}},
-    "lambdas": {"verify": _ENTROPY},
+    "steps": {"verify": _UPJUMP},
+    "jump_at": {"verify": _UPJUMP},
     "kind": dict.fromkeys(("wave", "sweep"), {}),
     "c": {"wave": {"kind": "cusp"}},
     "eps_list": {"sweep": {"kind": "viscosity"}},
     "n_list": {"sweep": {"kind": "resolution"}},
     "T": dict.fromkeys(_RUNNING, {}),
     "dt": _RUN,
-    "snapshot_stride": {"verify": {"trajectory": None}},  # else ends_only's
+    "snapshot_stride": {"verify": _SOLVED},  # else ends_only's
     "lambda": _STRONG,
     "stop_slope": _STRONG,
     "advect": {v: {**m, "domain": "line"} for v, m in _STRONG.items()},
@@ -302,10 +309,9 @@ _READ_BY = {
 # the values each verb that reads a mode key takes of it; the mode keys are
 # checked first and in this order, so a refusal names its cause
 _MODES = {
-    "check": {"verify": ("entropy", "stability")},
+    "check": {"verify": ("entropy", "stability", "upjump")},
     "kind": {"wave": ("peakon", "cusp"), "sweep": ("viscosity", "resolution")},
     "domain": dict.fromkeys(_RUNNING, ("line", "torus")),
-    "trajectory": {"verify": (None, "upjump")},
     "solver": {"simulate": ("strong", "fv"), "breaking": ("strong",),
                "verify": ("strong", "fv"), "sweep": ("fv",)},
 }
@@ -325,9 +331,11 @@ def _refuse_unread(verb: str, cfg: dict, keys: Keys) -> None:
         value = getattr(keys, key, cfg[key])
         if verb not in readers:
             raise ConfigError(f"{key}={value!r}: {verb} reads no {key}")
-        rule = ", ".join(f"{m}={v!r}" for m, v in readers[verb].items())
+        rule = ", ".join(f"{m} in {v!r}" if isinstance(v, tuple)
+                         else f"{m}={v!r}" for m, v in readers[verb].items())
         for mode, need in readers[verb].items():
-            if getattr(keys, mode) != need:
+            if getattr(keys, mode) not in (
+                    need if isinstance(need, tuple) else (need,)):
                 raise ConfigError(f"{mode}={getattr(keys, mode)!r}, {key}="
                                   f"{value!r}: {key} is read only with {rule}")
 
@@ -516,7 +524,7 @@ def cmd_verify(cfg: dict) -> tuple[list[dict], dict]:
         return [_check("l1_stability_ratio", ratio <= tol, ratio, tol),
                 _check("l1_growth", growth <= tol, float(growth), tol)], {}
 
-    if keys.trajectory == "upjump":
+    if keys.check == "upjump":
         x = domain.cell_centers(n)
         if not x[0] < keys.jump_at <= x[-1]:  # else one state is off the grid
             raise ConfigError(f"jump_at={keys.jump_at!r}: expected {x[0]:g} "
@@ -532,7 +540,7 @@ def cmd_verify(cfg: dict) -> tuple[list[dict], dict]:
         run = partial(_run_from, scfg, _initial_from(keys, cfg, domain, n))
     # the run's snapshots are contracted as they are yielded, not stored;
     # a run ending before every Oleinik time is refused before it starts
-    check = EntropyCheck(domain, n, t_end, lambdas=keys.lambdas)
+    check = EntropyCheck(domain, n, t_end)
     traj = run(sink=check)
     if traj.stop_reason != "completed":
         # no residual over a window the run never reached
@@ -618,6 +626,9 @@ def cmd_sweep(cfg: dict) -> tuple[list[dict], dict]:
         pairs = viscosity_sweep(u0, keys.eps_list,
                                 _config_from(FVConfig, cfg, T=0.5))
         dists = [d for _, d in pairs]
+        if 0.0 in dists[1:]:  # a ratio with nothing to check
+            raise ValueError(f"eps_list={keys.eps_list!r}: L1 distances "
+                             f"{dists!r} leave a ratio with a zero divisor")
         decreasing = all(b < a for a, b in zip(dists, dists[1:]))
         checks.append(_check("distances_decreasing", decreasing, dists, ""))
         ratios = [a / b for a, b in zip(dists, dists[1:])]
@@ -636,6 +647,9 @@ def cmd_sweep(cfg: dict) -> tuple[list[dict], dict]:
             fv = np.asarray(fine.snapshots[-1]).reshape(-1, ratio).mean(axis=1)
             errs.append((coarse.n, float(np.mean(coarse.dts)),
                          float(coarse.h * np.abs(coarse.snapshots[-1] - fv).sum())))
+        if 0.0 in (l1 := [e for _, _, e in errs]):  # an order with no value
+            raise ValueError(f"n_list={keys.n_list!r}: L1 errors {l1!r} "
+                             f"leave an order of a zero error")
         orders = [math.log2(e0 / e1) for (_, _, e0), (_, _, e1)
                   in zip(errs, errs[1:])]
         ok = all(0.7 <= o <= 1.2 for o in orders)

@@ -118,6 +118,13 @@ def _bind_pocketfft(n: int):
     return rfft, irfft
 
 
+def _finite_inverse_square(h: float) -> bool:
+    """Whether 1/h^2, which the line operator's band holds, is finite and
+    nonzero for the cell width h (h ** 2 raises OverflowError where h * h is
+    inf)."""
+    return h * h > 0.0 and 0.0 < 1.0 / (h * h) < math.inf
+
+
 class KernelOp:
     """Precomputed inverse-Helmholtz operator for one (domain, n) pair.
 
@@ -126,7 +133,8 @@ class KernelOp:
     Line: Cholesky factor of the tridiagonal (I - D2) with zero ghost cells.
     A line operator solves in one buffer of its own, so two threads must not
     share one.  On either domain, values or an ``out`` of any shape but (n,)
-    are refused before any transform or solve.
+    are refused before any transform or solve; on the line, so is a cell
+    width h whose 1/h^2 is zero or not finite.
     """
 
     def __init__(self, domain: Domain, n: int):
@@ -141,6 +149,9 @@ class KernelOp:
             self._ik = _spectral_ik(n)
             self._rfft, self._irfft = _bind_pocketfft(n)
         else:
+            if not _finite_inverse_square(self.h):
+                raise ValueError(f"h={self.h!r}: the line operator needs a "
+                                 f"finite, nonzero 1/h^2")
             band = np.zeros((2, n))
             band[0, 1:] = -1.0 / self.h ** 2
             band[1, :] = 1.0 + 2.0 / self.h ** 2

@@ -23,6 +23,7 @@ from .trajectory import Trajectory, check_span, drain, ends_only, marching
 __all__ = ["FVConfig", "godunov_flux", "run_fv", "viscosity_sweep"]
 
 _TINY = 1e-12
+_T_TOL = 1e-13  # a run within this of T has reached it
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,9 @@ class FVConfig:
 
     def __post_init__(self):
         check_span(self)
+        if not self.T > _T_TOL:  # the run would end at t = 0, stepping none
+            raise ValueError(f"T={self.T!r}: expected T > {_T_TOL!r}, the "
+                             f"tolerance within which an FV run ends at T")
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError(f"cfl must lie in (0, 1], not {self.cfl!r}")
         if self.eps < 0.0:
@@ -115,7 +119,7 @@ def _marching_fv(u0: GridFn, cfg: FVConfig):
     h = u0.h
 
     def next_dt(t, rec):
-        if t >= cfg.T - 1e-13:
+        if t >= cfg.T - _T_TOL:
             return None
         # max|u| of u, as recorded
         bound = _dt_bound(rec.cols["linf"][-1], h, cfg.cfl, cfg.eps)

@@ -41,11 +41,24 @@ class TravelingWave:
     profile: GridFn
 
 
+def _finite_in_c(name: str, c: float, formula) -> float:
+    """formula(c), refused with a ValueError naming c where no float holds
+    it (float ** raises OverflowError where * gives inf)."""
+    try:
+        value = formula(c)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} overflows a float at c={c!r}")
+    return value
+
+
 def b_formula(c: float) -> float:
     """Reference constant 4 |c|^(3/2) sqrt(c - 4/3) of the cusp family."""
     if c < 4.0 / 3.0:
         raise ValueError("b(c) requires c >= 4/3")
-    return 4.0 * abs(c) ** 1.5 * math.sqrt(c - 4.0 / 3.0)
+    return _finite_in_c("b(c)", c, lambda c: 4.0 * abs(c) ** 1.5
+                        * math.sqrt(c - 4.0 / 3.0))
 
 
 def cusp_seed_slope(c: float) -> float:
@@ -53,11 +66,13 @@ def cusp_seed_slope(c: float) -> float:
 
     Integrating w'' = w + c - sqrt(2w) - c^2/2 against w' from the cusp
     (w = 0) to the far field (w = c^2/2, w' = 0) pins the seed slope:
-    w'(0+)^2 = c^3 (3c - 4) / 12.  The cusp speed rule: c > 4/3 + 1e-6.
+    w'(0+)^2 = c^3 (3c - 4) / 12.  The cusp speed rule: c > 4/3 + 1e-6, and
+    a slope a float holds.
     """
     if not c > 4.0 / 3.0 + 1e-6:
         raise ValueError("cusp waves require c > 4/3")
-    return math.sqrt(c ** 3 * (3.0 * c - 4.0) / 12.0)
+    return _finite_in_c("the cusp seed slope", c, lambda c: math.sqrt(
+        c ** 3 * (3.0 * c - 4.0) / 12.0))
 
 
 # ---------------------------------------------------------------------------

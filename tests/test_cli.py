@@ -7,7 +7,9 @@ import re
 import subprocess
 import sys
 import typing
+import warnings
 from dataclasses import fields
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from fwlab import (FVConfig, StrongConfig, Thresholds, cli, line, run_fv,
 from fwlab.cli import (_ALIASES, _KEYS, _TYPES, EXIT_CHECK_FAILED, EXIT_OK,
                        EXIT_USAGE, ConfigError, Keys, _config_from,
                        load_config, main, parse_config_text)
+from fwlab.diagnostics import EntropyCheck
 
 
 def run_cli(tmp_path, *args):
@@ -371,23 +374,25 @@ def test_splitting_none_is_a_burgers_run(tmp_path):
     assert np.array_equal(final[:, 1], burgers.snapshots[-1])
 
 
-def test_verify_default_lambdas_are_the_riemann_presets_own(tmp_path):
-    # max|u0| = 1, so the nine default levels across +-1.5 max|u0| are
-    # the preset's list: the checks and entropy.json match bit for bit
-    text = (resources.files("fwlab") / "presets"
-            / "riemann_entropy.cfg").read_text()
-    cfgfile = tmp_path / "no_lambdas.cfg"
-    cfgfile.write_text("".join(line for line in text.splitlines(True)
-                               if not line.startswith("lambdas")))
-    assert "lambdas" not in cfgfile.read_text()
-    results = []
-    for name, source in (("preset", ["--preset", "riemann_entropy"]),
-                         ("default", ["--config", str(cfgfile)])):
-        code, out = run_cli(tmp_path / name, "verify", *source)
-        report = json.loads((out / "report.json").read_text())
-        results.append((code, report["checks"],
-                        (out / "entropy.json").read_bytes()))
-    assert results[0] == results[1]
+def test_verify_default_lambdas_are_the_riemann_presets_own(tmp_path,
+                                                            monkeypatch):
+    # max|u0| = 1 in both entropy presets, so the nine levels verify takes
+    # from the data, across +-1.5 max|u0|, are the list both presets set
+    # while lambdas was a key: the checks and entropy.json match bit for bit
+    def results(levels):
+        found = {}
+        for preset in ("riemann_entropy", "upjump_adversarial"):
+            code, out = run_cli(tmp_path / levels / preset, "verify",
+                                "--preset", preset)
+            report = json.loads((out / "report.json").read_text())
+            found[preset] = (code, report["checks"],
+                             (out / "entropy.json").read_bytes())
+        return found
+    derived = results("derived")
+    former = [-1.5, -1.125, -0.75, -0.375, 0.0, 0.375, 0.75, 1.125, 1.5]
+    monkeypatch.setattr(cli, "EntropyCheck",
+                        partial(EntropyCheck, lambdas=former))
+    assert results("former") == derived
 
 
 def test_wave_peakon(tmp_path):
@@ -513,8 +518,8 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     ("wave", "wave_peakon", ["b=abc"], EXIT_USAGE, "b='abc'"),
     ("verify", "l1_stability", ["bump_amplitude=abc"], EXIT_USAGE,
      "bump_amplitude='abc'"),
-    ("verify", "riemann_entropy", ["lambdas=abc"], EXIT_USAGE,
-     "lambdas='abc'"),
+    ("verify", "upjump_adversarial", ["steps=abc"], EXIT_USAGE,
+     "steps='abc'"),
     ("sweep", "viscosity_sweep", ["eps_list=abc"], EXIT_USAGE,
      "eps_list='abc'"),
     ("wave", "wave_cusp", ["c=1,2"], EXIT_USAGE, "c='1,2': expected float"),
@@ -530,8 +535,8 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     # a misspelt choice is rejected, not read as the default path
     ("verify", "l1_stability", ["check=stabilty"], EXIT_USAGE,
      "check='stabilty'"),
-    ("verify", "upjump_adversarial", ["trajectory=upjmp"], EXIT_USAGE,
-     "trajectory='upjmp'"),
+    ("verify", "upjump_adversarial", ["check=upjmp"], EXIT_USAGE,
+     "check='upjmp': verify takes one of ('entropy', 'stability', 'upjump')"),
     # an int field takes an int or an integral float, never truncating
     ("simulate", "peakon_transport", ["n=4000.7"], EXIT_USAGE, "n=4000.7"),
     ("verify", "l1_stability", ["snapshot_stride=2.5"], EXIT_USAGE,
@@ -542,7 +547,7 @@ def test_exit_code_contract_on_check_failure(tmp_path):
      "domain='tor'"),
     ("simulate", "peakon_transport", ["a=5", "b=-5"], EXIT_USAGE,
      "a=5.0, b=-5.0"),
-    ("verify", "riemann_entropy", ["lambdas=,"], EXIT_USAGE, "lambdas=[]"),
+    ("sweep", "viscosity_sweep", ["eps_list=,"], EXIT_USAGE, "eps_list=[]"),
     # the viscosity sweep needs positive, strictly descending eps values
     ("sweep", "viscosity_sweep", ["eps_list=1e-3,1e-2"], EXIT_USAGE,
      "eps_list=[0.001, 0.01]"),
@@ -581,8 +586,8 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     ("simulate", "conservation_sine", ["T=inf"], EXIT_USAGE, "T=inf"),
     ("simulate", "peakon_transport", ["eps=nan"], EXIT_USAGE, "eps=nan"),
     ("verify", "upjump_adversarial", ["T=inf"], EXIT_USAGE, "T=inf"),
-    ("verify", "riemann_entropy", ["lambdas=0,nan"], EXIT_USAGE,
-     "lambdas=nan"),
+    ("sweep", "viscosity_sweep", ["eps_list=0.5,nan"], EXIT_USAGE,
+     "eps_list=nan"),
     # a stride below 1 ran as stride 1
     ("verify", "l1_stability", ["snapshot_stride=0"], EXIT_USAGE,
      "snapshot_stride=0: expected at least 1"),
@@ -613,30 +618,31 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     # a and b set no torus: they were ignored
     ("simulate", "conservation_sine", ["a=5", "b=6"], EXIT_USAGE,
      "domain='torus', a=5.0: a is read only with domain='line'"),
-    # the stability check runs the profile: a trajectory would be ignored
+    # the up-jump is a value of check, and the Kruzhkov levels come from the
+    # data: neither trajectory nor lambdas is a key
     ("verify", "l1_stability", ["n=400", "trajectory=upjump"], EXIT_USAGE,
-     "check='stability', trajectory='upjump'"),
-    # each key that only one mode of verify reads is refused in the others
+     "unknown key 'trajectory'"),
     ("verify", "l1_stability", ["n=400", "lambdas=0,1"], EXIT_USAGE,
-     "check='stability', lambdas=[0.0, 1.0]"),
+     "unknown key 'lambdas'"),
+    # each key that only one mode of verify reads is refused in the others
     ("verify", "l1_stability", ["n=400", "steps=5", "jump_at=3"], EXIT_USAGE,
-     "trajectory=None, steps=5"),
+     "check='stability', steps=5: steps is read only with check='upjump'"),
     ("verify", "l1_stability", ["n=400", "jump_at=3"], EXIT_USAGE,
-     "trajectory=None, jump_at=3.0"),
+     "check='stability', jump_at=3.0"),
     ("verify", "riemann_entropy", ["n=400", "bump_radius=1"], EXIT_USAGE,
      "check='entropy', bump_radius=1.0"),
     ("verify", "upjump_adversarial", ["bump_amplitude=0.1"], EXIT_USAGE,
-     "check='entropy', bump_amplitude=0.1"),
+     "check='upjump', bump_amplitude=0.1"),
     # a strong step past RK4's reach, which ran on as slope_threshold
     ("simulate", "conservation_sine", ["n=2000", "T=0.5"], EXIT_CHECK_FAILED,
      "time step too large"),
     # every verb refuses a key it never reads, or reads only in another mode
     ("wave", "wave_peakon", ["n=2000", "domain=torus"], EXIT_USAGE,
      "domain='torus': wave reads no domain"),
-    ("wave", "wave_peakon", ["n=2000", "trajectory=upjump"], EXIT_USAGE,
-     "trajectory='upjump': wave reads no trajectory"),
-    ("wave", "wave_peakon", ["n=2000", "lambdas=1"], EXIT_USAGE,
-     "lambdas=[1.0]: wave reads no lambdas"),
+    ("wave", "wave_peakon", ["n=2000", "check=upjump"], EXIT_USAGE,
+     "check='upjump': wave reads no check"),
+    ("wave", "wave_peakon", ["n=2000", "jump_at=1"], EXIT_USAGE,
+     "jump_at=1.0: wave reads no jump_at"),
     ("wave", "wave_peakon", ["n=2000", "kind=peakon", "c=2"], EXIT_USAGE,
      "kind='peakon', c=2.0: c is read only with kind='cusp'"),
     ("simulate", "peakon_transport", ["n=400", "c=2"], EXIT_USAGE,
@@ -674,13 +680,13 @@ def test_exit_code_contract_on_check_failure(tmp_path):
      EXIT_USAGE, "eps=0.1: breaking reads no eps"),
     # the up-jump runs no solver: its keys and the profile are refused
     ("verify", "upjump_adversarial", ["n=400", "cfl=0.1"], EXIT_USAGE,
-     "trajectory='upjump', cfl=0.1: cfl is read only with solver='fv', "
-     "trajectory=None"),
+     "check='upjump', cfl=0.1: cfl is read only with solver='fv', "
+     "check in ('entropy', 'stability')"),
     ("verify", "upjump_adversarial", ["n=400", "profile=peakon"], EXIT_USAGE,
-     "trajectory='upjump', profile='peakon': profile is read only with "
-     "trajectory=None"),
+     "check='upjump', profile='peakon': profile is read only with "
+     "check in ('entropy', 'stability')"),
     ("verify", "upjump_adversarial", ["n=400", "dt=1e-3"], EXIT_USAGE,
-     "trajectory='upjump', dt=0.001"),
+     "check='upjump', dt=0.001"),
     # the table refuses advect on the torus: StrongConfig checks it on the line
     ("breaking", "breaking_gaussian", ["n=512", "advect=sideways"], EXIT_USAGE,
      "advect must be 'central' or 'upwind'"),
@@ -714,8 +720,8 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     ("simulate", "peakon_transport", ["profile.center=abc"], EXIT_USAGE,
      "profile 'peakon' parameter center='abc' is not a real number"),
     # a bool word is a bool for a bool key alone: any other keeps the word
-    ("verify", "riemann_entropy", ["trajectory=off"], EXIT_USAGE,
-     "trajectory='off': verify takes one of (None, 'upjump')"),
+    ("verify", "riemann_entropy", ["check=off"], EXIT_USAGE,
+     "check='off': verify takes one of ('entropy', 'stability', 'upjump')"),
     ("simulate", "conservation_sine", ["advect=off"], EXIT_USAGE,
      "domain='torus', advect='off'"),
     ("simulate", "peakon_transport", ["splitting=off"], EXIT_USAGE,
@@ -739,6 +745,26 @@ def test_exit_code_contract_on_check_failure(tmp_path):
      "unknown profile 'sine,peakon'"),
     ("simulate", "peakon_transport", ["solver=fv,strong"], EXIT_USAGE,
      "solver='fv,strong': simulate takes one of"),
+    # a line window no operator holds: 1/h^2 was a ZeroDivisionError, and an
+    # infinite length wrote NaN
+    ("simulate", "peakon_transport", ["a=0", "b=1e-300", "n=16", "T=0.01"],
+     EXIT_USAGE, "a=0.0, b=1e-300, n=16: expected a cell width h"),
+    ("simulate", "peakon_transport", ["a=-1e308", "b=1e308", "n=16",
+                                      "T=0.01"],
+     EXIT_USAGE, "a=-1e+308, b=1e+308, n=16: expected a cell width h"),
+    # a cusp speed whose seed slope overflows was an OverflowError
+    ("wave", "wave_cusp", ["n=400", "c=1e300"], EXIT_USAGE,
+     "the cusp seed slope overflows a float at c=1e+300"),
+    # distances of 0 leave the ratio check nothing to check
+    ("sweep", "viscosity_sweep", ["n=16", "eps_list=1e-300,1e-301"],
+     EXIT_CHECK_FAILED, "eps_list=[1e-300, 1e-301]: L1 distances [0.0, 0.0]"),
+    # an FV T within the run's end tolerance ran no step
+    ("sweep", "convergence_peakon", ["n_list=4,8,16", "T=1e-300"], EXIT_USAGE,
+     "T=1e-300: expected T > 1e-13"),
+    # L1 errors of 0 leave the order check nothing to check
+    ("sweep", "convergence_peakon", ["profile=zero", "n_list=8,16,32",
+                                     "T=0.1"],
+     EXIT_CHECK_FAILED, "n_list=[8, 16, 32]: L1 errors [0.0, 0.0]"),
 ])
 def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
                                  code, message):
@@ -749,6 +775,31 @@ def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
     err = capsys.readouterr().err
     assert message in err
     assert ("config error" in err) == (code == EXIT_USAGE)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--preset", "peakon_transport", "a=0", "b=1e-300", "n=16",
+     "T=0.01"],
+    ["simulate", "--preset", "peakon_transport", "a=-1e308", "b=1e308",
+     "n=16", "T=0.01"],
+    ["wave", "--preset", "wave_cusp", "n=400", "c=1e300"],
+    ["sweep", "--preset", "viscosity_sweep", "n=16", "eps_list=1e-300,1e-301"],
+    ["sweep", "--preset", "convergence_peakon", "n_list=4,8,16", "T=1e-300"],
+    ["sweep", "--preset", "convergence_peakon", "profile=zero",
+     "n_list=8,16,32", "T=0.1"],
+    ["verify", "--preset", "riemann_entropy", "trajectory=upjump"],
+    ["verify", "--preset", "riemann_entropy", "lambdas=0,1"],
+])
+def test_a_refused_input_ends_in_one_fwlab_line(tmp_path, argv):
+    # main raises nothing and warns nothing: it exits 1 or 2 with one line
+    # naming the cause, and a refusal leaves no file
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _main_stderr([*argv, "--out", str(out)])
+    assert code in (EXIT_CHECK_FAILED, EXIT_USAGE)
+    assert err.startswith("fwlab: ") and err.count("\n") == 1
+    assert not out.exists() or not list(out.rglob("*"))
 
 
 def test_verify_upjump_at_zero_on_the_torus_is_refused(tmp_path, capsys):
@@ -956,10 +1007,12 @@ def test_each_keys_field_names_its_readers():
     for readers in cli._READ_BY.values():
         assert readers and set(readers) <= verbs
         for verb, mode in readers.items():
-            # each mode names mode keys with values its verb takes
+            # each mode names mode keys with values its verb takes, one or
+            # a tuple of them
             assert set(mode) <= set(cli._MODES)
-            for key, value in mode.items():
-                assert value in cli._MODES[key][verb]
+            for key, need in mode.items():
+                for value in need if isinstance(need, tuple) else (need,):
+                    assert value in cli._MODES[key][verb]
 
 
 def test_readme_key_table_names_the_keys():
@@ -1047,7 +1100,7 @@ def _strong_configs(draw):
 
 _fv_configs = st.builds(
     FVConfig,
-    T=_finite(min_value=0.0, exclude_min=True),
+    T=_finite(min_value=1e-13, exclude_min=True),  # an FV run's end tolerance
     cfl=_finite(min_value=0.0, max_value=1.0, exclude_min=True),
     eps=_finite(min_value=0.0),
     source_splitting=st.sampled_from(["strang", "lie", "none"]),

@@ -159,6 +159,15 @@ def test_banded_cholesky_refuses_what_dpbtrf_refuses():
         _cholesky_banded(np.zeros((0, 4)))
 
 
+@pytest.mark.parametrize("a, b", [(0.0, 1e-300), (-1e200, 1e200),
+                                  (-1e308, 1e308)])
+def test_line_operator_refuses_a_width_without_a_finite_inverse_square(a, b):
+    # h^2 underflowing to 0 was a ZeroDivisionError, h^2 past the float range
+    # an OverflowError, and an infinite length a band of 0 and 1
+    with pytest.raises(ValueError, match=r"finite, nonzero 1/h\^2"):
+        KernelOp(line(a, b), 16)
+
+
 @pytest.mark.parametrize("dom, values_len, out_len", [
     pytest.param(dom, values_len, out_len,
                  id=f"{prefix}{values_len}-{out_len}")

@@ -283,6 +283,10 @@ def test_fixed_dt_schedule_reproducible():
 def test_config_validation():
     with pytest.raises(ValueError):
         FVConfig(T=0.0)
+    # a run within 1e-13 of T has reached it: such a T ran no step
+    with pytest.raises(ValueError, match="T=1e-13: expected T > 1e-13"):
+        FVConfig(T=1e-13)
+    assert FVConfig(T=2e-13).T == 2e-13
     with pytest.raises(ValueError):
         FVConfig(T=1.0, cfl=1.5)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,17 @@ def test_b_formula_values():
     assert all(b2 > b1 for b1, b2 in zip(bs, bs[1:]))
     with pytest.raises(ValueError):
         b_formula(1.0)
+
+
+@pytest.mark.parametrize("formula, c", [(cusp_seed_slope, 1e77),
+                                        (cusp_seed_slope, 1e300),
+                                        (b_formula, 1e300)])
+def test_cusp_formulas_refuse_a_speed_that_overflows(formula, c):
+    # c ** 3 and abs(c) ** 1.5 raised OverflowError, and a product past the
+    # float range gave an infinite slope
+    with pytest.raises(ValueError,
+                       match=re.escape(f"overflows a float at c={c!r}")):
+        formula(c)
 
 
 def test_cusp_seed_slope_energy_identity():
