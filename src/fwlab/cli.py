@@ -6,9 +6,11 @@ with a path).  main alone writes under --out: it writes every file into one
 fresh staging directory there, then renames each into place, report.json
 last, removes the directory and exits 0 if overall_pass holds, else 1.  So
 a command that raises, or a file that fails to write, leaves no new file
-under --out: a usage/config error exits 2; a step rejected mid-run, a check
-with nothing to check, a non-finite value bound for a JSON file and an
-OSError exit 1.  The files are made by open, so they follow the umask.
+under --out: a usage/config error exits 2; a run refused before its first
+step for taking more than trajectory.MAX_STEPS steps, a step rejected
+mid-run, a check with nothing to check, a non-finite value bound for a JSON
+file and an OSError exit 1.  The files are made by open, so they follow the
+umask.
 Each field of Keys (read by the commands themselves) and of the solver
 configs (StrongConfig, FVConfig) is set by exactly one key: its name, or
 for lambda_coeff and source_splitting only the alias lambda or splitting
@@ -30,10 +32,11 @@ or one of fewer than 3 entries, a zero bump_amplitude or bump_radius and an
 eps_list of fewer than 2 entries or not positive and strictly descending;
 and the verb builds its solver config, so a bad solver key exits 2 also
 where no run follows.  verify has one mode key, check: entropy and stability
-check a solver run, upjump the stationary up-jump, which runs no solver and
-reads T from the solver config; it refuses a jump_at with a state off the
-grid.  Both entropy checks take nine Kruzhkov levels across +-1.5 max|u0|
-from the data.  verify's stability check steps both FV runs at the solver's own
+check a solver run, upjump the stationary up-jump -1 -> +1 at the window's
+centre, snapshotted at 101 times across [0, T], which runs no solver and
+reads T from the solver config.  Both entropy checks take nine Kruzhkov
+levels across +-1.5 max|u0| from the data.  verify's stability check steps
+both FV runs at the solver's own
 bound, _dt_bound, at the speed 2 + max|u0|, and advances the two runs in
 lockstep, comparing each snapshot of the second with the first's as both
 are yielded, so it holds one snapshot of each.  verify's entropy check
@@ -174,8 +177,6 @@ class Keys:
     bump_amplitude: float = 0.01
     bump_center: float = 0.0
     bump_radius: float = 2.0
-    steps: int = 100
-    jump_at: float = 0.0
     kind: str | None = None
     c: float = 1.5
     eps_list: list[float] = field(default_factory=lambda: [1e-2, 5e-3, 2.5e-3])
@@ -196,8 +197,6 @@ class Keys:
             if getattr(self, key) == 0:
                 raise ValueError(f"{key}={getattr(self, key)!r}: expected a "
                                  f"nonzero value")
-        if self.steps < 1:
-            raise ValueError(f"steps={self.steps!r}: expected at least 1")
         # a sweep checks the ratios of neighbouring distances and the orders
         # of neighbouring errors: fewer entries leave a check with no value
         eps = self.eps_list
@@ -267,7 +266,7 @@ def _config_from(cls, cfg: dict, **defaults):
 # the verbs that read each key (profile.* as profile): each verb's mode is the
 # fields of Keys and their values, all of which must hold ({} in every mode)
 _RUNNING = ("simulate", "breaking", "verify", "sweep")
-_STABILITY, _UPJUMP = {"check": "stability"}, {"check": "upjump"}
+_STABILITY = {"check": "stability"}
 _SOLVED = {"check": ("entropy", "stability")}  # verify's checks of a run
 # a and b: a verb with a domain key reads them on the line alone
 _WINDOW = {**dict.fromkeys(_RUNNING, {"domain": "line"}), "wave": {}}
@@ -289,8 +288,6 @@ _READ_BY = {
     "bump_amplitude": {"verify": _STABILITY},
     "bump_center": {"verify": _STABILITY},
     "bump_radius": {"verify": _STABILITY},
-    "steps": {"verify": _UPJUMP},
-    "jump_at": {"verify": _UPJUMP},
     "kind": dict.fromkeys(("wave", "sweep"), {}),
     "c": {"wave": {"kind": "cusp"}},
     "eps_list": {"sweep": {"kind": "viscosity"}},
@@ -525,14 +522,12 @@ def cmd_verify(cfg: dict) -> tuple[list[dict], dict]:
                 _check("l1_growth", growth <= tol, float(growth), tol)], {}
 
     if keys.check == "upjump":
-        x = domain.cell_centers(n)
-        if not x[0] < keys.jump_at <= x[-1]:  # else one state is off the grid
-            raise ConfigError(f"jump_at={keys.jump_at!r}: expected {x[0]:g} "
-                              f"< jump_at <= {x[-1]:g}, the cell centres")
-        times = scfg.T * np.arange(keys.steps + 1) / keys.steps
+        times = scfg.T * np.arange(101) / 100
         t_end = float(times[-1])
-        # stationary non-entropic expansion shock (-1 -> +1), source off
-        jump = lambda x, t: np.where(x < keys.jump_at, -1.0, 1.0)
+        # stationary non-entropic expansion shock (-1 -> +1) at the window's
+        # centre, source off: with n >= 4 cells both states are on the grid
+        centre = domain.a + 0.5 * domain.length
+        jump = lambda x, t: np.where(x < centre, -1.0, 1.0)
         run = lambda sink: drain(synthetic_trajectory(domain, n, times, jump),
                                  sink)
     else:

@@ -7,7 +7,9 @@ The source sub-step uses an explicit midpoint evaluation, which keeps the
 splitting second order in the smooth regime.  A nonnegative viscosity eps
 adds an explicit eps*D2 u term to the Burgers sub-step (vanishing-viscosity
 variant).  ``run_fv`` marches through ``trajectory.marching`` with a
-CFL-adapted (or fixed, CFL-checked) step that is shortened to land on T.
+CFL-adapted (or fixed, CFL-checked) step that is shortened to land on T, and
+refuses, before its first step, a run of more than ``trajectory.MAX_STEPS``
+steps, counted as T over the largest step any state can get.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import numpy as np
 
 from .grid import GridFn, _pad, second_difference
 from .kernels import KernelOp
-from .trajectory import Trajectory, check_span, drain, ends_only, marching
+from .trajectory import (Trajectory, check_span, check_steps, drain,
+                         ends_only, marching)
 
 __all__ = ["FVConfig", "godunov_flux", "run_fv", "viscosity_sweep"]
 
@@ -115,8 +118,14 @@ def run_fv(u0: GridFn, cfg: FVConfig, sink=None) -> Trajectory:
 
 def _marching_fv(u0: GridFn, cfg: FVConfig):
     """``run_fv``'s run: a ``trajectory.marching`` generator."""
-    op = KernelOp(u0.domain, u0.n)
     h = u0.h
+    # the largest step any state gets: max|u| enters _dt_bound only as
+    # max(umax, _TINY) and umax + 2 eps/h, so the bound at 0 is the largest
+    largest = cfg.dt or _dt_bound(0.0, h, cfg.cfl, cfg.eps)
+    check_steps(cfg.T / largest if largest > 0 else np.inf,
+                f"T={cfg.T!r}, dt={cfg.dt!r}" if cfg.dt else
+                f"T={cfg.T!r}, cfl={cfg.cfl!r}, eps={cfg.eps!r}, n={u0.n}")
+    op = KernelOp(u0.domain, u0.n)
 
     def next_dt(t, rec):
         if t >= cfg.T - _T_TOL:

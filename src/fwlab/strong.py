@@ -7,7 +7,8 @@ central differences; an optional first-order upwind mode exists for runs
 that are driven through wave breaking, where a non-dissipative stencil rings
 at the grid scale and contaminates the slope diagnostics (see the breaking
 preset).  ``run_strong`` takes exactly T/dt
-RK4 steps through ``trajectory.marching``, so T must be a multiple of dt, and
+RK4 steps through ``trajectory.marching``, so T must be a multiple of dt,
+refuses before its first step a T/dt past ``trajectory.MAX_STEPS``, and
 refuses a step past RK4's linear stability reach, so that an unstable run is
 not reported the way wave breaking is.
 """
@@ -20,7 +21,7 @@ import numpy as np
 
 from .grid import GridFn, _central_dx
 from .kernels import KernelOp
-from .trajectory import Trajectory, check_span, drain, marching
+from .trajectory import Trajectory, check_span, check_steps, drain, marching
 
 __all__ = ["StrongConfig", "run_strong", "scaling_transport"]
 
@@ -39,6 +40,9 @@ class StrongConfig:
         if not self.dt > 0:
             raise ValueError(f"dt={self.dt!r}: expected dt > 0")
         check_span(self)
+        if not self.T / self.dt < np.inf:  # no step count: round() would raise
+            raise ValueError(f"T={self.T!r}, dt={self.dt!r}: T/dt overflows "
+                             f"a float")
         if abs(round(self.T / self.dt) * self.dt - self.T) > 1e-9 * self.T:
             raise ValueError(f"T={self.T!r} is not an integer multiple of "
                              f"dt={self.dt!r}")
@@ -154,9 +158,10 @@ def run_strong(u0: GridFn, cfg: StrongConfig, sink=None) -> Trajectory:
 
 def _marching_strong(u0: GridFn, cfg: StrongConfig):
     """``run_strong``'s run: a ``trajectory.marching`` generator."""
+    nsteps = int(round(cfg.T / cfg.dt))
+    check_steps(nsteps, f"T={cfg.T!r}, dt={cfg.dt!r}")
     step = _rk4(_make_rhs(KernelOp(u0.domain, u0.n), cfg.lambda_coeff,
                           cfg.dealias, cfg.advect), u0.n)
-    nsteps = int(round(cfg.T / cfg.dt))
     h = u0.h
     if u0.domain.periodic:
         k_max = 2.0 * np.pi / (3.0 * h) if cfg.dealias else np.pi / h

@@ -11,6 +11,19 @@ from .grid import Domain, GridFn, slope_extrema_values, write_csv
 
 SERIES_NAMES = ("mass", "l1", "l2", "linf", "m1", "m2", "xi1", "xi2")
 
+# the most steps a run may take: its series cost about 390 bytes a step
+# (tracemalloc), so a run at the cap records about 0.4 GB
+MAX_STEPS = 10 ** 6
+
+
+def check_steps(least: float, names: str) -> None:
+    """Refuse, before its first step, a run that takes at least ``least``
+    steps (inf for a largest step of 0) when that is more than MAX_STEPS;
+    ``names`` names the keys that fix the count."""
+    if least > MAX_STEPS:
+        raise ValueError(f"{names}: the run takes at least {least:.7g} steps, "
+                         f"more than {MAX_STEPS}")
+
 
 def check_span(cfg) -> None:
     """Refuse a StrongConfig or FVConfig with T <= 0 or a stride below 1."""

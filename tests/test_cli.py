@@ -19,12 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fwlab
-from fwlab import (FVConfig, StrongConfig, Thresholds, cli, line, run_fv,
-                   sample)
+from fwlab import (FVConfig, StrongConfig, Thresholds, cli,
+                   conservation_report, line, run_fv, sample, torus)
 from fwlab.cli import (_ALIASES, _KEYS, _TYPES, EXIT_CHECK_FAILED, EXIT_OK,
                        EXIT_USAGE, ConfigError, Keys, _config_from,
                        load_config, main, parse_config_text)
 from fwlab.diagnostics import EntropyCheck
+from fwlab.trajectory import drain, synthetic_trajectory
 
 
 def run_cli(tmp_path, *args):
@@ -228,16 +229,41 @@ def _torus_upjump_config(tmp_path) -> str:
 
 
 def test_verify_upjump_on_the_torus(tmp_path):
-    # with jump_at inside the torus grid both states are on it, and the
+    # at the torus's centre, 0.5, both states are on the grid, and the
     # up-jump fails as it does on the line
     code, out = run_cli(tmp_path, "verify", "--config",
                         _torus_upjump_config(tmp_path), "n=1000",
-                        "domain=torus", "jump_at=0.5")
+                        "domain=torus")
     assert code == EXIT_CHECK_FAILED
     report = json.loads((out / "report.json").read_text())
     failed = {c["check_name"] for c in report["checks"] if not c["pass"]}
     assert "kruzhkov_residual" in failed
     _assert_entropy_passes_are_the_verdicts(out)  # kruzhkov and oleinik fail
+
+
+@pytest.mark.parametrize("domain", [line(-20, 20), torus()],
+                         ids=["line", "torus"])
+def test_verify_upjump_sits_at_the_window_centre(tmp_path, domain):
+    # the up-jump -1 -> +1 at (a + b)/2, snapshotted at T k/100 for k = 0 ..
+    # 100: verify's checks and entropy.json are bit for bit those of the
+    # entropy check drained from that field
+    n, T = 1000, 0.5
+    centre = (domain.a + domain.b) / 2
+    check = EntropyCheck(domain, n, T)
+    traj = drain(synthetic_trajectory(
+        domain, n, T * np.arange(101) / 100,
+        lambda x, t: np.where(x < centre, -1.0, 1.0)), check)
+    rep = check.value()
+    values = [rep.weak_residual_max, rep.kruzhkov_min, rep.oleinik_margin]
+    code, out = run_cli(tmp_path, "verify", "check=upjump",
+                        f"domain={domain.kind}", f"n={n}", f"T={T}")
+    assert code == EXIT_CHECK_FAILED
+    report = json.loads((out / "report.json").read_text())
+    mass = [conservation_report(traj).mass_drift] if domain.periodic else []
+    assert [c["value"] for c in report["checks"]] == values + mass
+    entropy = json.loads((out / "entropy.json").read_text())
+    assert [entropy["weak_residual_max"], entropy["kruzhkov_min"],
+            entropy["oleinik_margin"]] == values
 
 
 def test_verify_reports_a_run_that_stops_short(tmp_path):
@@ -492,8 +518,9 @@ def test_exit_code_contract_on_check_failure(tmp_path):
      "splitting"),
     ("breaking", "breaking_gaussian", ["n=abc"], EXIT_USAGE, "n='abc'"),
     ("verify", "l1_stability", ["n=abc"], EXIT_USAGE, "n='abc'"),
+    # the up-jump sits at the window's centre: jump_at is no key
     ("verify", "upjump_adversarial", ["jump_at=25"], EXIT_USAGE,
-     "jump_at=25.0"),
+     "unknown key 'jump_at'"),
     ("wave", "wave_peakon", ["n=abc"], EXIT_USAGE, "n='abc'"),
     ("sweep", "viscosity_sweep", ["n=abc"], EXIT_USAGE, "n='abc'"),
     ("sweep", "convergence_peakon", ["n_list=500,abc"], EXIT_USAGE,
@@ -518,15 +545,19 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     ("wave", "wave_peakon", ["b=abc"], EXIT_USAGE, "b='abc'"),
     ("verify", "l1_stability", ["bump_amplitude=abc"], EXIT_USAGE,
      "bump_amplitude='abc'"),
-    ("verify", "upjump_adversarial", ["steps=abc"], EXIT_USAGE,
-     "steps='abc'"),
+    # the up-jump's 101 times are fixed: steps is no key, so its 8-GB
+    # times array is never asked for
+    ("verify", "upjump_adversarial", ["steps=1000000000"], EXIT_USAGE,
+     "unknown key 'steps'"),
     ("sweep", "viscosity_sweep", ["eps_list=abc"], EXIT_USAGE,
      "eps_list='abc'"),
     ("wave", "wave_cusp", ["c=1,2"], EXIT_USAGE, "c='1,2': expected float"),
     ("verify", "upjump_adversarial", ["jump_at=abc"], EXIT_USAGE,
-     "jump_at='abc'"),
-    ("verify", "upjump_adversarial", ["steps=0"], EXIT_USAGE, "steps=0"),
-    ("verify", "upjump_adversarial", ["steps=-3"], EXIT_USAGE, "steps=-3"),
+     "unknown key 'jump_at'"),
+    ("verify", "upjump_adversarial", ["steps=0"], EXIT_USAGE,
+     "unknown key 'steps'"),
+    ("verify", "upjump_adversarial", ["steps=-3"], EXIT_USAGE,
+     "unknown key 'steps'"),
     # resolution-sweep grids must nest: each n a larger multiple of the last
     ("sweep", "convergence_peakon", ["n_list=3000,4000"], EXIT_USAGE,
      "n_list=[3000, 4000]"),
@@ -572,9 +603,11 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     # the cusp jump fit needs 4 cells on each side within 0.05 of the cusp
     ("wave", "wave_cusp", ["n=400"], EXIT_USAGE, "n=400"),
     ("wave", "wave_cusp", ["n=4000"], EXIT_USAGE, "n=4000"),
-    # a bump that no snapshot time lies inside would pass vacuously
-    ("verify", "upjump_adversarial", ["n=400", "steps=1"], EXIT_CHECK_FAILED,
-     "t0=0.25"),
+    # a bump that no snapshot time lies inside would pass vacuously (the
+    # stride reaches one in the next row); steps=1 reached one from the
+    # up-jump, but steps is no key
+    ("verify", "upjump_adversarial", ["n=400", "steps=1"], EXIT_USAGE,
+     "unknown key 'steps'"),
     ("verify", "riemann_entropy", ["n=400", "snapshot_stride=50"],
      EXIT_CHECK_FAILED, "t0=0.25"),
     # the defect fit needs a cell in 0.1 < |xi| < 6
@@ -624,11 +657,12 @@ def test_exit_code_contract_on_check_failure(tmp_path):
      "unknown key 'trajectory'"),
     ("verify", "l1_stability", ["n=400", "lambdas=0,1"], EXIT_USAGE,
      "unknown key 'lambdas'"),
-    # each key that only one mode of verify reads is refused in the others
+    # each key that only one mode of verify reads is refused in the others;
+    # steps and jump_at are no keys in any mode
     ("verify", "l1_stability", ["n=400", "steps=5", "jump_at=3"], EXIT_USAGE,
-     "check='stability', steps=5: steps is read only with check='upjump'"),
+     "unknown key 'steps'"),
     ("verify", "l1_stability", ["n=400", "jump_at=3"], EXIT_USAGE,
-     "check='stability', jump_at=3.0"),
+     "unknown key 'jump_at'"),
     ("verify", "riemann_entropy", ["n=400", "bump_radius=1"], EXIT_USAGE,
      "check='entropy', bump_radius=1.0"),
     ("verify", "upjump_adversarial", ["bump_amplitude=0.1"], EXIT_USAGE,
@@ -642,7 +676,7 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     ("wave", "wave_peakon", ["n=2000", "check=upjump"], EXIT_USAGE,
      "check='upjump': wave reads no check"),
     ("wave", "wave_peakon", ["n=2000", "jump_at=1"], EXIT_USAGE,
-     "jump_at=1.0: wave reads no jump_at"),
+     "unknown key 'jump_at'"),
     ("wave", "wave_peakon", ["n=2000", "kind=peakon", "c=2"], EXIT_USAGE,
      "kind='peakon', c=2.0: c is read only with kind='cusp'"),
     ("simulate", "peakon_transport", ["n=400", "c=2"], EXIT_USAGE,
@@ -650,7 +684,7 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     ("simulate", "peakon_transport", ["n=400", "check=entropy"], EXIT_USAGE,
      "check='entropy': simulate reads no check"),
     ("breaking", "breaking_gaussian", ["n=512", "steps=5"], EXIT_USAGE,
-     "steps=5: breaking reads no steps"),
+     "unknown key 'steps'"),
     ("sweep", "viscosity_sweep", ["n=200", "n_list=200,400,800"], EXIT_USAGE,
      "kind='viscosity', n_list=[200, 400, 800]: n_list is read only with "
      "kind='resolution'"),
@@ -765,6 +799,21 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     ("sweep", "convergence_peakon", ["profile=zero", "n_list=8,16,32",
                                      "T=0.1"],
      EXIT_CHECK_FAILED, "n_list=[8, 16, 32]: L1 errors [0.0, 0.0]"),
+    # a run that would take more than trajectory.MAX_STEPS steps is refused
+    # before its first: each of these ran on for good
+    ("simulate", "peakon_transport", ["n=16", "T=0.01", "cfl=1e-300"],
+     EXIT_CHECK_FAILED, "T=0.01, cfl=1e-300, eps=0.0, n=16: the run takes at "
+     "least 4e+285 steps, more than 1000000"),
+    # 2 eps/h overflows: the largest step is 0, infinitely many steps
+    ("simulate", "peakon_transport", ["n=16", "T=0.01", "eps=1e308"],
+     EXIT_CHECK_FAILED, "eps=1e+308, n=16: the run takes at least inf steps"),
+    ("sweep", "viscosity_sweep", ["n=16", "eps_list=1e300,1e299"],
+     EXIT_CHECK_FAILED, "eps=1e+300, n=16: the run takes at least 1.6e+299"),
+    ("simulate", "conservation_sine", ["dt=1e-300"], EXIT_CHECK_FAILED,
+     "T=1.0, dt=1e-300: the run takes at least 1e+300 steps"),
+    # a strong T/dt past the float range was an OverflowError from round()
+    ("simulate", "conservation_sine", ["dt=1e-300", "T=1e10"], EXIT_USAGE,
+     "T=10000000000.0, dt=1e-300: T/dt overflows a float"),
 ])
 def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
                                  code, message):
@@ -789,6 +838,13 @@ def test_config_error_exit_codes(tmp_path, capsys, verb, preset, overrides,
      "n_list=8,16,32", "T=0.1"],
     ["verify", "--preset", "riemann_entropy", "trajectory=upjump"],
     ["verify", "--preset", "riemann_entropy", "lambdas=0,1"],
+    ["simulate", "--preset", "peakon_transport", "n=16", "T=0.01",
+     "cfl=1e-300"],
+    ["simulate", "--preset", "peakon_transport", "n=16", "T=0.01",
+     "eps=1e308"],
+    ["sweep", "--preset", "viscosity_sweep", "n=16", "eps_list=1e300,1e299"],
+    ["simulate", "--preset", "conservation_sine", "dt=1e-300"],
+    ["simulate", "--preset", "conservation_sine", "dt=1e-300", "T=1e10"],
 ])
 def test_a_refused_input_ends_in_one_fwlab_line(tmp_path, argv):
     # main raises nothing and warns nothing: it exits 1 or 2 with one line
@@ -800,17 +856,6 @@ def test_a_refused_input_ends_in_one_fwlab_line(tmp_path, argv):
     assert code in (EXIT_CHECK_FAILED, EXIT_USAGE)
     assert err.startswith("fwlab: ") and err.count("\n") == 1
     assert not out.exists() or not list(out.rglob("*"))
-
-
-def test_verify_upjump_at_zero_on_the_torus_is_refused(tmp_path, capsys):
-    # with jump_at = 0 on the torus every cell holds +1: a field with no jump
-    code, out = run_cli(tmp_path, "verify", "--config",
-                        _torus_upjump_config(tmp_path), "domain=torus")
-    assert code == EXIT_USAGE
-    assert not list(out.rglob("report.json"))
-    err = capsys.readouterr().err
-    assert "jump_at=0.0" in err
-    assert "config error" in err
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

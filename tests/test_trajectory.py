@@ -6,8 +6,8 @@ import pytest
 from fwlab import GridFn, line, sample, torus
 from fwlab.diagnostics import L1StabilityRatio
 from fwlab.shock import FVConfig, _marching_fv
-from fwlab.strong import StrongConfig
-from fwlab.trajectory import _Recorder, drain, marching
+from fwlab.strong import StrongConfig, _marching_strong
+from fwlab.trajectory import MAX_STEPS, _Recorder, drain, marching
 
 
 def start(values=0.0):
@@ -81,6 +81,27 @@ def test_march_streams_kept_snapshots_to_a_sink():
     assert received == [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (1.25, 1.25)]
     assert traj.snap_times.tolist() == [0.0, 0.5, 1.0, 1.25]
     assert traj.snapshots == []
+
+
+def test_a_run_past_the_step_cap_is_refused_before_its_first_step():
+    # the solvers' own step rules bound the count from below before a run
+    # starts: T/dt exactly for a strong run; for an FV run T over the fixed
+    # dt, or over the bound at max|u| = 0, the largest step any state gets
+    u0 = sample("peakon", line(-20, 20), 16)
+    _marching_strong(u0, StrongConfig(T=1.0, dt=1.0 / MAX_STEPS))
+    with pytest.raises(ValueError, match="at least 1000001 steps, more "
+                                         "than 1000000"):
+        _marching_strong(u0, StrongConfig(T=1.0 + 1e-6, dt=1e-6))
+    _marching_fv(u0, FVConfig(T=1.0, dt=1.0 / MAX_STEPS))
+    with pytest.raises(ValueError, match="dt=1e-06: the run takes at least"):
+        _marching_fv(u0, FVConfig(T=1.0 + 1e-6, dt=1e-6))
+    # the bound at speed 0 takes max|u| as 1e-12: cfl h / 1e-12 = 2.5e-7
+    with pytest.raises(ValueError, match="cfl=1e-19, eps=0.0, n=16: the run "
+                                         "takes at least 4000000 steps"):
+        _marching_fv(u0, FVConfig(T=1.0, cfl=1e-19))
+    # 2 eps/h overflows, so the largest step is 0: no ZeroDivisionError
+    with pytest.raises(ValueError, match="at least inf steps"):
+        _marching_fv(u0, FVConfig(T=1.0, eps=1e308))
 
 
 def test_marching_stamps_its_config_and_snapshots_at_its_stride():
