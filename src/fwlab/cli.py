@@ -4,47 +4,30 @@ Verbs: simulate, breaking, verify, wave, sweep.  Each returns its checks and
 its files, a map from output name to a JSON payload or a CSV writer (called
 with a path).  main alone writes under --out: it writes every file into one
 fresh staging directory there, then renames each into place, report.json
-last, removes the directory and exits 0 if overall_pass holds, else 1.  So
-a command that raises, or a file that fails to write, leaves no new file
-under --out: a usage/config error exits 2; a run refused before its first
-step for taking more than trajectory.MAX_STEPS steps, a step rejected
-mid-run, a check with nothing to check, a non-finite value bound for a JSON
-file and an OSError exit 1.  The files are made by open, so they follow the
-umask.
+last, removes the directory and exits 0 if overall_pass holds, else 1.  So a
+command that raises, or a file that fails to write, leaves no new file
+under --out: a usage/config error exits 2; a run refused for taking more
+than trajectory.MAX_STEPS steps, a step rejected mid-run, a check with
+nothing to check, a non-finite value bound for a JSON file and an OSError
+exit 1.  The files are made by open, so they follow the umask.
 Each field of Keys (read by the commands themselves) and of the solver
 configs (StrongConfig, FVConfig) is set by exactly one key: its name, or
 for lambda_coeff and source_splitting only the alias lambda or splitting
-(_ALIASES); the check bounds are the fixed Thresholds.  A bool word
-(true/yes/on, false/no/off) is a bool for a bool key (dealias) alone, and
-only a list key or a profile.* parameter splits on commas; any other key
-keeps the text, so its refusal names it.  load_config
-type-checks every key for every verb and refuses a non-finite float (list
-items included); grid.sample refuses a profile.* parameter that is no
-finite real number.  Before any work every verb refuses a mode value, set
-or defaulted, that it does not take (_MODES, the one table of the values
-each verb takes of each mode key), then a key it never reads, or reads only
-in another of its modes (_READ_BY, one table for all keys, whose modes name
-one value or a tuple of values of a mode key; snapshot_stride is read by
-verify alone, as ends_only sets it elsewhere), whatever its value.  Only
-then does Keys.check_ranges reject a line window whose cell width h has a
-zero or non-finite 1/h^2, an n or n_list entry below 4, a non-nested n_list
-or one of fewer than 3 entries, a zero bump_amplitude or bump_radius and an
-eps_list of fewer than 2 entries or not positive and strictly descending;
-and the verb builds its solver config, so a bad solver key exits 2 also
-where no run follows.  verify has one mode key, check: entropy and stability
-check a solver run, upjump the stationary up-jump -1 -> +1 at the window's
-centre, snapshotted at 101 times across [0, T], which runs no solver and
-reads T from the solver config.  Both entropy checks take nine Kruzhkov
-levels across +-1.5 max|u0| from the data.  verify's stability check steps
-both FV runs at the solver's own
-bound, _dt_bound, at the speed 2 + max|u0|, and advances the two runs in
-lockstep, comparing each snapshot of the second with the first's as both
-are yielded, so it holds one snapshot of each.  verify's entropy check
-passes the run's snapshots to its sink, diagnostics.EntropyCheck, built over
-[0, T] before the run, and stores none.  In either check a run that stops
-before T reports its failing completed check alone.  simulate, breaking and
-sweep keep only the first and last snapshot of a run, which is all they
-read.  Identical config + seed gives identical bytes.
+(_ALIASES); the check bounds are the fixed Thresholds.  A bool word is a
+bool for a bool key (dealias) alone, and no value splits on commas: a value
+that is no number keeps its text, so its refusal names it.  load_config
+type-checks every key for every verb and refuses a non-finite float.
+Before any work every verb refuses a mode value it does not take (_MODES),
+then a key it never reads, or reads only in another of its modes
+(_READ_BY), whatever its value; only then does Keys.check_ranges check the
+ranges, and the verb builds its solver config, so a bad solver key exits 2
+also where no run follows.  verify's check is entropy or stability, of a
+solver run, or upjump, the stationary up-jump -1 -> +1 at the window's
+centre snapshotted at 101 times across [0, T], which runs no solver.  Each
+sweep steps by a factor of 2, as its check assumes: kind=resolution runs
+the grids n, 2n and 4n, kind=viscosity the eps values of _SWEEP_EPS.
+simulate, breaking and sweep keep only the first and last snapshot of a
+run, which is all they read.  Identical config + seed gives identical bytes.
 """
 
 from __future__ import annotations
@@ -57,7 +40,7 @@ import shutil
 import sys
 import tempfile
 import typing
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from importlib import resources
 
@@ -91,11 +74,9 @@ class ConfigError(Exception):
 # config parsing: flat key=value lines, '#' comments
 
 def _parse_value(key: str, text: str):
-    """key's value of text: a bool word is a bool for a bool key alone, and
-    text splits on commas for a list key or a profile.* parameter alone."""
+    """key's value of text: a bool word is a bool for a bool key alone."""
     text = text.strip()
-    typ = _TYPES.get(_ALIASES.get(key, key))
-    if typ is bool:
+    if _TYPES.get(_ALIASES.get(key, key)) is bool:
         return {"true": True, "yes": True, "on": True, "false": False,
                 "no": False, "off": False}.get(text.lower(), text)
     try:
@@ -105,12 +86,7 @@ def _parse_value(key: str, text: str):
     try:
         return float(text)
     except ValueError:
-        pass
-    if "," in text and (key.startswith("profile.")
-                        or typing.get_origin(typ) is list):
-        return [_parse_value(key, tok) for tok in text.split(",")
-                if tok.strip()]
-    return text
+        return text
 
 
 def parse_config_text(text: str) -> dict:
@@ -179,8 +155,6 @@ class Keys:
     bump_radius: float = 2.0
     kind: str | None = None
     c: float = 1.5
-    eps_list: list[float] = field(default_factory=lambda: [1e-2, 5e-3, 2.5e-3])
-    n_list: list[int] = field(default_factory=lambda: [2000, 4000, 8000])
 
     def check_ranges(self) -> None:
         """Refuse a value out of its key's range (after the reader pass)."""
@@ -197,19 +171,6 @@ class Keys:
             if getattr(self, key) == 0:
                 raise ValueError(f"{key}={getattr(self, key)!r}: expected a "
                                  f"nonzero value")
-        # a sweep checks the ratios of neighbouring distances and the orders
-        # of neighbouring errors: fewer entries leave a check with no value
-        eps = self.eps_list
-        if not (len(eps) >= 2 and min(eps) > 0
-                and all(b < a for a, b in zip(eps, eps[1:]))):
-            raise ValueError(f"eps_list={eps!r}: expected at least 2 positive "
-                             f"and strictly descending values")
-        if not (len(self.n_list) >= 3 and min(self.n_list) >= 4
-                and all(m < n and n % m == 0
-                        for m, n in zip(self.n_list, self.n_list[1:]))):
-            raise ValueError(f"n_list={self.n_list!r}: expected at least 3 "
-                             f"entries of at least 4, each a larger multiple "
-                             f"of the one before")
 
 
 # config keys that name a dataclass field by another name
@@ -226,11 +187,6 @@ def _coerce(key: str, value, typ):
     args = typing.get_args(typ)
     if type(None) in args:  # an optional field (int | None): its other type
         (typ,) = set(args) - {type(None)}
-    if typing.get_origin(typ) is list:  # one value or a non-empty list
-        items = value if isinstance(value, list) else [value]
-        if not items:
-            raise ConfigError(f"{key}=[]: expected at least one value")
-        return [_coerce(key, v, typing.get_args(typ)[0]) for v in items]
     try:
         if typ is bool and not isinstance(value, bool):
             raise ValueError("a bool is true/yes/on or false/no/off")
@@ -282,16 +238,13 @@ _READ_BY = {
     "a": _WINDOW,
     "b": _WINDOW,
     "profile": _RUN,
-    "n": {**dict.fromkeys(("simulate", "breaking", "verify", "wave"), {}),
-          "sweep": {"kind": "viscosity"}},
+    "n": {**dict.fromkeys(_RUNNING, {}), "wave": {}},
     "check": {"verify": {}},
     "bump_amplitude": {"verify": _STABILITY},
     "bump_center": {"verify": _STABILITY},
     "bump_radius": {"verify": _STABILITY},
     "kind": dict.fromkeys(("wave", "sweep"), {}),
     "c": {"wave": {"kind": "cusp"}},
-    "eps_list": {"sweep": {"kind": "viscosity"}},
-    "n_list": {"sweep": {"kind": "resolution"}},
     "T": dict.fromkeys(_RUNNING, {}),
     "dt": _RUN,
     "snapshot_stride": {"verify": _SOLVED},  # else ends_only's
@@ -496,9 +449,17 @@ def cmd_verify(cfg: dict) -> tuple[list[dict], dict]:
     n = keys.n
     if keys.check == "stability":
         u0 = _initial_from(keys, cfg, domain, n)
-        if norm(u0, "L1") == 0.0:  # l1_growth divides by it
+        l1 = norm(u0, "L1")
+        if l1 == 0.0:  # l1_growth divides by it
             raise ConfigError(f"profile={keys.profile!r}: the stability check "
                               f"needs initial data with a nonzero L1 norm")
+        try:  # both checks divide by e^t times an L1 norm
+            bound = math.exp(scfg.T) * l1
+        except OverflowError:
+            bound = math.inf
+        if bound == math.inf:
+            raise ConfigError(f"T={scfg.T!r}: the stability bound e^T |u0|_1 "
+                              f"= e^T * {l1:.6g} overflows a float")
         bump = sample("bump", domain, n, amplitude=keys.bump_amplitude,
                       center=keys.bump_center, radius=keys.bump_radius)
         v0 = GridFn(domain, u0.values + bump.values)
@@ -612,18 +573,23 @@ def _max_workers() -> int:
     return 1
 
 
+# the viscosity sweep's eps, halving: first order in eps halves each distance
+_SWEEP_EPS = (1e-2, 5e-3, 2.5e-3)
+
+
 def cmd_sweep(cfg: dict) -> tuple[list[dict], dict]:
     keys = _keys_for("sweep", cfg, n=2000, kind="viscosity")
     domain = _domain_from(keys)
     checks = []
     if keys.kind == "viscosity":
         u0 = _initial_from(keys, cfg, domain, keys.n)
-        pairs = viscosity_sweep(u0, keys.eps_list,
+        pairs = viscosity_sweep(u0, _SWEEP_EPS,
                                 _config_from(FVConfig, cfg, T=0.5))
         dists = [d for _, d in pairs]
         if 0.0 in dists[1:]:  # a ratio with nothing to check
-            raise ValueError(f"eps_list={keys.eps_list!r}: L1 distances "
-                             f"{dists!r} leave a ratio with a zero divisor")
+            raise ValueError(f"profile={keys.profile!r}, n={keys.n}: L1 "
+                             f"distances {dists!r} leave a ratio with a zero "
+                             f"divisor")
         decreasing = all(b < a for a, b in zip(dists, dists[1:]))
         checks.append(_check("distances_decreasing", decreasing, dists, ""))
         ratios = [a / b for a, b in zip(dists, dists[1:])]
@@ -634,17 +600,17 @@ def cmd_sweep(cfg: dict) -> tuple[list[dict], dict]:
                                       columns=([e for e, _ in pairs], dists))}
     else:
         fcfg = ends_only(_config_from(FVConfig, cfg))  # reads the ends only
+        # n, 2n and 4n: each order is log2 of a halving h's error ratio
         runs = [run_fv(_initial_from(keys, cfg, domain, n), fcfg)
-                for n in keys.n_list]
+                for n in (keys.n, 2 * keys.n, 4 * keys.n)]
         errs = []
         for coarse, fine in zip(runs, runs[1:]):
-            ratio = fine.n // coarse.n
-            fv = np.asarray(fine.snapshots[-1]).reshape(-1, ratio).mean(axis=1)
+            fv = np.asarray(fine.snapshots[-1]).reshape(-1, 2).mean(axis=1)
             errs.append((coarse.n, float(np.mean(coarse.dts)),
                          float(coarse.h * np.abs(coarse.snapshots[-1] - fv).sum())))
         if 0.0 in (l1 := [e for _, _, e in errs]):  # an order with no value
-            raise ValueError(f"n_list={keys.n_list!r}: L1 errors {l1!r} "
-                             f"leave an order of a zero error")
+            raise ValueError(f"profile={keys.profile!r}, n={keys.n}: L1 errors "
+                             f"{l1!r} leave an order of a zero error")
         orders = [math.log2(e0 / e1) for (_, _, e0), (_, _, e1)
                   in zip(errs, errs[1:])]
         ok = all(0.7 <= o <= 1.2 for o in orders)

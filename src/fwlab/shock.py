@@ -9,7 +9,8 @@ adds an explicit eps*D2 u term to the Burgers sub-step (vanishing-viscosity
 variant).  ``run_fv`` marches through ``trajectory.marching`` with a
 CFL-adapted (or fixed, CFL-checked) step that is shortened to land on T, and
 refuses, before its first step, a run of more than ``trajectory.MAX_STEPS``
-steps, counted as T over the largest step any state can get.
+steps, counted as T over the largest step any state can get; a run that
+takes more steps than that count is refused at the cap by ``marching``.
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ from .grid import Domain, GridFn, slope_extrema_values, write_csv
 SERIES_NAMES = ("mass", "l1", "l2", "linf", "m1", "m2", "xi1", "xi2")
 
 # the most steps a run may take: its series cost about 390 bytes a step
-# (tracemalloc), so a run at the cap records about 0.4 GB
+# (tracemalloc), so a run at the cap records about 0.4 GB.  ``marching``
+# refuses the step past it; ``check_steps`` refuses a run before its first
+# step when a lower bound on its count already exceeds it
 MAX_STEPS = 10 ** 6
 
 
@@ -150,9 +152,10 @@ def marching(u0: GridFn, cfg, next_dt, step, stop=None):
 
     A step with non-finite output is not taken and ends the run as
     ``"overflow"`` (the last finite state is kept); ``stop(rec)`` holding
-    after a record ends it as ``"slope_threshold"``.  The dt of every step
-    taken is kept.  Overflow is ignored in the steps and records, whose
-    overflow is detected and reported, but not in the reader's code.
+    after a record ends it as ``"slope_threshold"``.  A run that has taken
+    MAX_STEPS steps and is asked for another raises ValueError.  The dt of
+    every step taken is kept.  Overflow is ignored in the steps and records,
+    whose overflow is detected and reported, but not in the reader's code.
     """
     rec = _Recorder(u0.domain, u0.n, cfg.snapshot_stride)
     u = u0.values
@@ -167,6 +170,10 @@ def marching(u0: GridFn, cfg, next_dt, step, stop=None):
         with _ignore_overflow():
             if (dt := next_dt(t, rec)) is None:
                 break
+            if len(dts) == MAX_STEPS:
+                raise ValueError(f"T={cfg.T!r}: the run reached t={t:.7g} "
+                                 f"in {MAX_STEPS} steps, the most a run may "
+                                 f"take")
             u_new = step(u, dt)
             if not np.isfinite(u_new).all():
                 stop_reason = "overflow"

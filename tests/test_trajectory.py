@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fwlab import GridFn, line, sample, torus
+from fwlab import GridFn, line, run_fv, sample, torus, trajectory
 from fwlab.diagnostics import L1StabilityRatio
 from fwlab.shock import FVConfig, _marching_fv
 from fwlab.strong import StrongConfig, _marching_strong
@@ -102,6 +102,30 @@ def test_a_run_past_the_step_cap_is_refused_before_its_first_step():
     # 2 eps/h overflows, so the largest step is 0: no ZeroDivisionError
     with pytest.raises(ValueError, match="at least inf steps"):
         _marching_fv(u0, FVConfig(T=1.0, eps=1e308))
+
+
+def test_marching_refuses_the_step_past_the_cap(monkeypatch):
+    # a run of exactly MAX_STEPS steps ends; one asked for a step more is
+    # refused at the cap, whatever the count before the run allowed
+    monkeypatch.setattr(trajectory, "MAX_STEPS", 5)
+    cfg = SimpleNamespace(snapshot_stride=1, T=6.0)
+    assert len(march(start(), cfg, steps_of(1.0, 5), lambda u, dt: u).dts) == 5
+    with pytest.raises(ValueError, match=r"^T=6.0: the run reached t=5 in 5 "
+                                         r"steps, the most a run may take$"):
+        march(start(), cfg, steps_of(1.0, 6), lambda u, dt: u)
+
+
+def test_an_fv_run_past_the_cap_is_refused_mid_run(monkeypatch):
+    # the FV count before the run is loose (it steps at speed 0): the cap on
+    # the steps taken holds the run's own count, k, and not one step more
+    u0 = sample("peakon", line(-20, 20), 400)
+    k = len(run_fv(u0, FVConfig(T=1.0)).dts)
+    assert k > 1
+    monkeypatch.setattr(trajectory, "MAX_STEPS", k)
+    assert len(run_fv(u0, FVConfig(T=1.0)).dts) == k
+    monkeypatch.setattr(trajectory, "MAX_STEPS", k - 1)
+    with pytest.raises(ValueError, match=f"in {k - 1} steps"):
+        run_fv(u0, FVConfig(T=1.0))
 
 
 def test_marching_stamps_its_config_and_snapshots_at_its_stride():
