@@ -876,6 +876,37 @@ def test_config_error_exit_codes(tmp_path, verb, preset, overrides, code,
     assert not out.exists() or not list(out.rglob("*"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--preset", "peakon_transport", "a=0", "b=1e-300", "n=16",
+     "T=0.01"],
+    ["simulate", "--preset", "peakon_transport", "a=-1e308", "b=1e308",
+     "n=16", "T=0.01"],
+    ["wave", "--preset", "wave_cusp", "n=400", "c=1e300"],
+    ["sweep", "--preset", "viscosity_sweep", "n=16", "profile=zero"],
+    ["sweep", "--preset", "convergence_peakon", "n=4", "T=1e-300"],
+    ["sweep", "--preset", "convergence_peakon", "profile=zero", "n=8"],
+    ["verify", "--preset", "riemann_entropy", "trajectory=upjump"],
+    ["verify", "--preset", "riemann_entropy", "lambdas=0,1"],
+    ["simulate", "--preset", "peakon_transport", "n=16", "T=0.01",
+     "cfl=1e-300"],
+    ["simulate", "--preset", "peakon_transport", "n=16", "T=0.01",
+     "eps=1e308"],
+    ["sweep", "--preset", "convergence_peakon", "n=16", "eps=1e300"],
+    ["simulate", "--preset", "conservation_sine", "dt=1e-300"],
+    ["simulate", "--preset", "conservation_sine", "dt=1e-300", "T=1e10"],
+])
+def test_a_refused_input_ends_in_one_fwlab_line(tmp_path, argv):
+    # each of these once raised or warned; the same inputs are rows of
+    # test_config_error_exit_codes, which also pins the exit code and message
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _main_stderr([*argv, "--out", str(out)])
+    assert code in (EXIT_CHECK_FAILED, EXIT_USAGE)
+    assert err.startswith("fwlab: ") and err.count("\n") == 1
+    assert not out.exists() or not list(out.rglob("*"))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_report_value_exits_1_without_report(tmp_path, monkeypatch,
                                                         bad):
