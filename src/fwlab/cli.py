@@ -23,7 +23,9 @@ then a key it never reads, or reads only in another of its modes
 ranges, and the verb builds its solver config, so a bad solver key exits 2
 also where no run follows.  verify's check is entropy or stability, of a
 solver run, or upjump, the stationary up-jump -1 -> +1 at the window's
-centre snapshotted at 101 times across [0, T], which runs no solver.  Each
+centre snapshotted at 101 times across [0, T], which runs no solver; the
+stability check perturbs u0 by a bump of amplitude 0.01 and radius a
+twentieth of the window, at the window's centre.  Each
 sweep steps by a factor of 2, as its check assumes: kind=resolution runs
 the grids n, 2n and 4n, kind=viscosity the eps values of _SWEEP_EPS.
 simulate, breaking and sweep keep only the first and last snapshot of a
@@ -150,9 +152,6 @@ class Keys:
     profile: str | None = None
     n: int = 1024
     check: str = "entropy"
-    bump_amplitude: float = 0.01
-    bump_center: float = 0.0
-    bump_radius: float = 2.0
     kind: str | None = None
     c: float = 1.5
 
@@ -167,10 +166,6 @@ class Keys:
             raise ValueError(f"a={self.a!r}, b={self.b!r}, n={self.n!r}: "
                              f"expected a cell width h with a finite, nonzero "
                              f"1/h^2")
-        for key in ("bump_amplitude", "bump_radius"):
-            if getattr(self, key) == 0:
-                raise ValueError(f"{key}={getattr(self, key)!r}: expected a "
-                                 f"nonzero value")
 
 
 # config keys that name a dataclass field by another name
@@ -222,7 +217,6 @@ def _config_from(cls, cfg: dict, **defaults):
 # the verbs that read each key (profile.* as profile): each verb's mode is the
 # fields of Keys and their values, all of which must hold ({} in every mode)
 _RUNNING = ("simulate", "breaking", "verify", "sweep")
-_STABILITY = {"check": "stability"}
 _SOLVED = {"check": ("entropy", "stability")}  # verify's checks of a run
 # a and b: a verb with a domain key reads them on the line alone
 _WINDOW = {**dict.fromkeys(_RUNNING, {"domain": "line"}), "wave": {}}
@@ -240,9 +234,6 @@ _READ_BY = {
     "profile": _RUN,
     "n": {**dict.fromkeys(_RUNNING, {}), "wave": {}},
     "check": {"verify": {}},
-    "bump_amplitude": {"verify": _STABILITY},
-    "bump_center": {"verify": _STABILITY},
-    "bump_radius": {"verify": _STABILITY},
     "kind": dict.fromkeys(("wave", "sweep"), {}),
     "c": {"wave": {"kind": "cusp"}},
     "T": dict.fromkeys(_RUNNING, {}),
@@ -460,11 +451,14 @@ def cmd_verify(cfg: dict) -> tuple[list[dict], dict]:
         if bound == math.inf:
             raise ConfigError(f"T={scfg.T!r}: the stability bound e^T |u0|_1 "
                               f"= e^T * {l1:.6g} overflows a float")
-        bump = sample("bump", domain, n, amplitude=keys.bump_amplitude,
-                      center=keys.bump_center, radius=keys.bump_radius)
+        # the bump covers the middle tenth of the window, off the torus's seam
+        bump = sample("bump", domain, n, amplitude=0.01,
+                      center=domain.a + 0.5 * domain.length,
+                      radius=domain.length / 20)
         v0 = GridFn(domain, u0.values + bump.values)
         if keys.solver == "fv" and scfg.dt is None:
-            # one fixed dt, so the runs share snap times
+            # one fixed dt, so the runs share snap times; its speed
+            # 2 + max|u0| bounds max|v0| <= max|u0| + 0.01/e too
             scfg = replace(scfg, dt=_dt_bound(2.0 + norm(u0, "Linf"), u0.h,
                                               scfg.cfl, scfg.eps))
         # the runs advance in lockstep: each snapshot of v, as it is

@@ -8,7 +8,7 @@ conservation drift.  The L1 ratio, the residuals and the entropy report are
 snapshot sinks (``L1StabilityRatio``, ``ResidualQuadrature``,
 ``EntropyCheck``), which ``trajectory.drain`` feeds as a run yields its
 snapshots, so they need no stored snapshots; the functions that take a
-stored trajectory feed its snapshots through the same sinks.  The bounds of
+stored trajectory drain its snapshots into the same sinks.  The bounds of
 these checks are the fixed ``Thresholds``, set by no config key; the bands
 of the wave and sweep checks (peakon speed 2 %, speed scan 0.01, first
 integral 2e-3, |lambda1| 0.5, fit mismatch 0.05, jump 5 %, viscosity ratios
@@ -28,7 +28,7 @@ from .grid import (Domain, GridFn, _interface_diff, _psi, norm,
                    slope_extrema_values)
 from .kernels import KernelOp
 from .strong import StrongConfig
-from .trajectory import Trajectory
+from .trajectory import Trajectory, drain
 
 __all__ = [
     "Thresholds",
@@ -247,20 +247,13 @@ class L1StabilityRatio:
         return float(self._ratio)
 
 
-def _replay(traj: Trajectory, sink):
-    """Feed a stored trajectory's snapshots to a snapshot sink, in order, as
-    its run would have; returns the sink."""
-    for t, values in traj:
-        sink(t, values)
-    return sink
-
-
 def l1_stability_check(traj_u: Trajectory, traj_v: Trajectory) -> float:
     """max over shared snapshot times of |u(t)-v(t)|_1 / (e^t |u0-v0|_1)."""
     if traj_u.domain != traj_v.domain or traj_u.n != traj_v.n:
         raise ValueError("mismatched trajectories: domain/n differ")
-    # the ratio checks the snapshot times
-    return _replay(traj_v, L1StabilityRatio(traj_u, traj_u.h)).value()
+    ratio = L1StabilityRatio(traj_u, traj_u.h)  # it checks the snapshot times
+    drain(iter(traj_v), ratio)
+    return ratio.value()
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +470,9 @@ class ResidualQuadrature:
 def _residuals(traj: Trajectory, family, lambdas=()):
     """``ResidualQuadrature``'s (weak, Kruzhkov) integrals of a stored
     trajectory, its snapshots fed in order."""
-    return _replay(traj, ResidualQuadrature(traj.domain, traj.n, family,
-                                            lambdas)).value()
+    quad = ResidualQuadrature(traj.domain, traj.n, family, lambdas)
+    drain(iter(traj), quad)
+    return quad.value()
 
 
 def weak_residual(traj: Trajectory, family) -> float:
@@ -589,7 +583,8 @@ def entropy_report(traj: Trajectory, lambdas=None,
                    family=None) -> EntropyReport:
     """``EntropyCheck``'s values on a stored trajectory, its snapshots fed
     in order."""
-    return _replay(traj, EntropyCheck(traj.domain, traj.n,
-                                      float(traj.snap_times[-1]), lambdas,
-                                      family)).value()
+    check = EntropyCheck(traj.domain, traj.n, float(traj.snap_times[-1]),
+                         lambdas, family)
+    drain(iter(traj), check)
+    return check.value()
 

@@ -12,6 +12,7 @@ from dataclasses import fields
 from functools import partial
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,13 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fwlab
-from fwlab import (FVConfig, StrongConfig, Thresholds, cli,
+from fwlab import (FVConfig, GridFn, StrongConfig, Thresholds, cli,
                    conservation_report, line, run_fv, sample, torus,
                    trajectory)
 from fwlab.cli import (_ALIASES, _KEYS, _TYPES, EXIT_CHECK_FAILED, EXIT_OK,
                        EXIT_USAGE, ConfigError, Keys, _config_from,
                        load_config, main, parse_config_text)
-from fwlab.diagnostics import EntropyCheck
+from fwlab.diagnostics import EntropyCheck, L1StabilityRatio
+from fwlab.grid import PROFILES
+from fwlab.shock import _marching_fv
 from fwlab.trajectory import drain, synthetic_trajectory
 
 
@@ -268,6 +271,34 @@ def test_verify_upjump_sits_at_the_window_centre(tmp_path, domain):
             entropy["oleinik_margin"]] == values
 
 
+@pytest.mark.parametrize("domain, profile", [(line(-20, 20), "peakon"),
+                                             (torus(), "sine")],
+                         ids=["line", "torus"])
+def test_verify_stability_bump_sits_at_the_window_centre(tmp_path, domain,
+                                                         profile):
+    # v0 = u0 + a bump of amplitude 0.01 and radius (b - a)/20 at (a + b)/2:
+    # verify's checks are bit for bit those of the ratio over the two runs
+    n, T, dt = 400, 0.25, 1e-3
+    cfg = FVConfig(T=T, dt=dt)
+    u0 = sample(profile, domain, n)
+    bump = sample("bump", domain, n, amplitude=0.01,
+                  center=(domain.a + domain.b) / 2,
+                  radius=(domain.b - domain.a) / 20)
+    ratio = L1StabilityRatio(_marching_fv(u0, cfg), u0.h)
+    run_fv(GridFn(domain, u0.values + bump.values), cfg, ratio)
+    tu = ratio.finish()
+    growth = max(tu.series["l1"] / (np.exp(tu.times) * tu.series["l1"][0]))
+    code, out = run_cli(tmp_path, "verify", "check=stability", "solver=fv",
+                        f"domain={domain.kind}", f"profile={profile}",
+                        f"n={n}", f"T={T}", f"dt={dt}")
+    assert code == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert [c["value"] for c in report["checks"]] == [ratio.value(),
+                                                      float(growth)]
+    if domain.periodic:  # the bump is zero in the cells next to the seam
+        assert bump.values[0] == bump.values[-1] == 0.0
+
+
 def test_verify_reports_a_run_that_stops_short(tmp_path):
     # the strong run passes stop_slope = 20 at t ~ 0.39, before T = 0.5
     code, out = run_cli(tmp_path, "verify", "--preset", "riemann_entropy",
@@ -285,8 +316,8 @@ def test_verify_reports_a_run_that_stops_short(tmp_path):
 
 
 @pytest.mark.parametrize("T, t_stops", [
-    (0.75, [0.3055, 0.3045]),  # both runs stop, v one step before u
-    (0.305, [0.3045]),         # u reaches T, v stops one step before it
+    (0.75, [0.30525, 0.30475]),  # both runs stop, v two steps before u
+    (0.305, [0.30475]),          # u reaches T, v stops a step before it
 ])
 def test_verify_stability_reports_runs_that_stop_short(tmp_path, T, t_stops):
     # a stopped run's end snapshot falls off the stride, so the snapshot
@@ -295,8 +326,8 @@ def test_verify_stability_reports_runs_that_stop_short(tmp_path, T, t_stops):
     code, out = run_cli(tmp_path, "verify", "check=stability",
                         "solver=strong", "domain=line", "a=-8", "b=8",
                         "profile=gaussian_derivative", "profile.beta=2.0",
-                        "n=512", "dt=5e-4", f"T={T}", "stop_slope=5",
-                        "advect=upwind", "bump_amplitude=0.05")
+                        "n=512", "dt=2.5e-4", f"T={T}", "stop_slope=5",
+                        "advect=upwind")
     assert code == EXIT_CHECK_FAILED
     report = json.loads((out / "report.json").read_text())
     assert [(c["check_name"], c["pass"], c["value"], c["threshold"])
@@ -577,8 +608,9 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     ("wave", "wave_cusp", ["c=abc"], EXIT_USAGE, "c='abc'"),
     ("simulate", "peakon_transport", ["a=abc"], EXIT_USAGE, "a='abc'"),
     ("wave", "wave_peakon", ["b=abc"], EXIT_USAGE, "b='abc'"),
+    # the stability check's bump is placed from the window: no bump_* key
     ("verify", "l1_stability", ["bump_amplitude=abc"], EXIT_USAGE,
-     "bump_amplitude='abc'"),
+     "unknown key 'bump_amplitude'"),
     # the up-jump's 101 times are fixed: steps is no key, so its 8-GB
     # times array is never asked for
     ("verify", "upjump_adversarial", ["steps=1000000000"], EXIT_USAGE,
@@ -627,11 +659,12 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     ("verify", "upjump_adversarial", ["n=0"], EXIT_USAGE, "n=0"),
     ("sweep", "convergence_peakon", ["n_list=2,4"], EXIT_USAGE,
      "unknown key 'n_list'"),
-    # a zero bump leaves v0 = u0: the stability ratio has nothing to measure
+    # a zero bump left v0 = u0, with nothing to measure; the bump is fixed
+    # now, and no key
     ("verify", "l1_stability", ["bump_amplitude=0"], EXIT_USAGE,
-     "bump_amplitude=0.0"),
+     "unknown key 'bump_amplitude'"),
     ("verify", "l1_stability", ["bump_radius=0"], EXIT_USAGE,
-     "bump_radius=0.0"),
+     "unknown key 'bump_radius'"),
     # the blow-up time is read from the strong run's stop_slope
     ("breaking", "breaking_gaussian", ["solver=fv", "n=800"], EXIT_USAGE,
      "solver='fv'"),
@@ -694,15 +727,15 @@ def test_exit_code_contract_on_check_failure(tmp_path):
     ("verify", "l1_stability", ["n=400", "lambdas=0,1"], EXIT_USAGE,
      "unknown key 'lambdas'"),
     # each key that only one mode of verify reads is refused in the others;
-    # steps and jump_at are no keys in any mode
+    # steps, jump_at and the bump_* keys are no keys in any mode
     ("verify", "l1_stability", ["n=400", "steps=5", "jump_at=3"], EXIT_USAGE,
      "unknown key 'steps'"),
     ("verify", "l1_stability", ["n=400", "jump_at=3"], EXIT_USAGE,
      "unknown key 'jump_at'"),
     ("verify", "riemann_entropy", ["n=400", "bump_radius=1"], EXIT_USAGE,
-     "check='entropy', bump_radius=1.0"),
+     "unknown key 'bump_radius'"),
     ("verify", "upjump_adversarial", ["bump_amplitude=0.1"], EXIT_USAGE,
-     "check='upjump', bump_amplitude=0.1"),
+     "unknown key 'bump_amplitude'"),
     # a strong step past RK4's reach, which ran on as slope_threshold
     ("simulate", "conservation_sine", ["n=2000", "T=0.5"], EXIT_CHECK_FAILED,
      "time step too large"),
@@ -1138,7 +1171,7 @@ def _is_number(text):
 @settings(max_examples=25, deadline=None)
 @given(target=st.sampled_from(_numeric_fields(StrongConfig, "conservation_sine")
                               + _numeric_fields(FVConfig, "peakon_transport")
-                              # simulate reads no c, bump_radius, ...: a
+                              # simulate reads no c: a
                               # known key is type-checked all the same
                               + _numeric_fields(Keys, "peakon_transport")),
        value=st.sampled_from(["yes", "true", "off", "abc", ""])
@@ -1235,3 +1268,65 @@ def test_shipped_preset_builds_its_configs(preset):
     keys = _config_from(Keys, cfg)
     solver_config = StrongConfig if keys.solver == "strong" else FVConfig
     assert isinstance(_config_from(solver_config, cfg), solver_config)
+
+
+# the kinds of value that once ended in a traceback or in a run that never
+# ended: zero, the extremes of a float, negatives, integral floats, comma
+# lists and bool words
+_EDGE_VALUES = (st.sampled_from(["0", "1e-300", "-1e-300", "1e300", "-1e300"])
+                | st.integers(-5, -1).map(str)
+                | st.sampled_from(["-0.5", "-2.5"])
+                | st.integers(0, 8).map(lambda k: f"{k}.0")
+                | st.lists(st.sampled_from(["0", "1", "-1", "0.5"]),
+                           min_size=2, max_size=3).map(",".join)
+                | st.sampled_from(["true", "false", "yes", "no", "on", "off"]))
+
+
+def _values(key):
+    # the edge values, and the values any verb takes of a mode key or the
+    # profile names, so that drawn inputs also reach the runs
+    words = {str(v) for takes in cli._MODES.get(key, {}).values()
+             for v in takes} | (set(PROFILES) if key == "profile" else set())
+    return _EDGE_VALUES | st.sampled_from(sorted(words)) if words \
+        else _EDGE_VALUES
+
+
+@st.composite
+def _main_argv(draw):
+    # a verb, one of its presets and one to three overrides of the keys of
+    # _READ_BY, most of them keys the verb reads; n is pinned small, so that
+    # every run is cheap
+    verb = draw(st.sampled_from(sorted(set(_PRESET_VERBS.values()))))
+    preset = draw(st.sampled_from(sorted(
+        p for p, v in _PRESET_VERBS.items() if v == verb)))
+    keys = sorted(set(cli._READ_BY) - {"n"})
+    read = [k for k in keys if verb in cli._READ_BY[k]]
+    keys = draw(st.lists(st.sampled_from(read) | st.sampled_from(keys),
+                         min_size=1, max_size=3, unique=True))
+    overrides = [f"{key}={draw(_values(key))}" for key in keys]
+    n = {"wave_peakon": 2000, "wave_cusp": 8000}.get(preset) or draw(
+        st.integers(16, 64))
+    return [verb, "--preset", preset, *overrides, f"n={n}"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=_main_argv())
+def test_main_ends_every_drawn_input_in_its_exit_code(tmp_path_factory, argv):
+    # main raises nothing and warns nothing; it writes report.json and prints
+    # nothing, or writes no file and prints one fwlab: line.  The step cap is
+    # lowered, so that every run ends quickly
+    out = tmp_path_factory.mktemp("out")
+    with mock.patch.object(trajectory, "MAX_STEPS", 2000), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = _main_stderr([*argv, "--out", str(out)])
+    assert [str(w.message) for w in caught] == []
+    if (out / "report.json").exists():
+        report = json.loads((out / "report.json").read_text())
+        assert code == (EXIT_OK if report["overall_pass"]
+                        else EXIT_CHECK_FAILED)
+        assert err == ""
+    else:
+        assert code in (EXIT_CHECK_FAILED, EXIT_USAGE)
+        assert err.startswith("fwlab: ") and err.count("\n") == 1
+        assert not list(out.rglob("*"))
