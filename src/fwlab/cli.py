@@ -27,7 +27,7 @@ centre snapshotted at 101 times across [0, T], which runs no solver; the
 stability check perturbs u0 by a bump of amplitude 0.01 and radius a
 twentieth of the window, at the window's centre.  Each
 sweep steps by a factor of 2, as its check assumes: kind=resolution runs
-the grids n, 2n and 4n, kind=viscosity the eps values of _SWEEP_EPS.
+the grids n, 2n and 4n, kind=viscosity shock.viscosity_sweep's eps ladder.
 simulate, breaking and sweep keep only the first and last snapshot of a
 run, which is all they read.  Identical config + seed gives identical bytes.
 """
@@ -567,18 +567,13 @@ def _max_workers() -> int:
     return 1
 
 
-# the viscosity sweep's eps, halving: first order in eps halves each distance
-_SWEEP_EPS = (1e-2, 5e-3, 2.5e-3)
-
-
 def cmd_sweep(cfg: dict) -> tuple[list[dict], dict]:
     keys = _keys_for("sweep", cfg, n=2000, kind="viscosity")
     domain = _domain_from(keys)
     checks = []
     if keys.kind == "viscosity":
         u0 = _initial_from(keys, cfg, domain, keys.n)
-        pairs = viscosity_sweep(u0, _SWEEP_EPS,
-                                _config_from(FVConfig, cfg, T=0.5))
+        pairs = viscosity_sweep(u0, _config_from(FVConfig, cfg, T=0.5))
         dists = [d for _, d in pairs]
         if 0.0 in dists[1:]:  # a ratio with nothing to check
             raise ValueError(f"profile={keys.profile!r}, n={keys.n}: L1 "

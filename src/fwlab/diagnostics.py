@@ -3,12 +3,13 @@
 Covers the wave-breaking precheck (slope asymmetry criterion and the blow-up
 bound t* = 1/|m1(0) + 1/2|), Riccati comparison envelopes for the maximum
 slope, the one-sided Oleinik estimate, L1 stability between runs, weak-form
-and Kruzhkov entropy residuals over a family of smooth space-time bumps, and
-conservation drift.  The L1 ratio, the residuals and the entropy report are
-snapshot sinks (``L1StabilityRatio``, ``ResidualQuadrature``,
-``EntropyCheck``), which ``trajectory.drain`` feeds as a run yields its
-snapshots, so they need no stored snapshots; the functions that take a
-stored trajectory drain its snapshots into the same sinks.  The bounds of
+and Kruzhkov entropy residuals over a family of smooth space-time bumps (by
+default 12 tiling the window, at nine levels from max|u0|), and conservation
+drift.  The L1 ratio, the residuals and the entropy report are snapshot
+sinks (``L1StabilityRatio``, ``ResidualQuadrature``, ``EntropyCheck``),
+which ``trajectory.drain`` feeds as a run yields its snapshots, so they need
+no stored snapshots; the functions that take a stored trajectory drain its
+snapshots into the same sinks.  The bounds of
 these checks are the fixed ``Thresholds``, set by no config key; the bands
 of the wave and sweep checks (peakon speed 2 %, speed scan 0.01, first
 integral 2e-3, |lambda1| 0.5, fit mismatch 0.05, jump 5 %, viscosity ratios
@@ -284,8 +285,9 @@ class TestFn:
         return _psi(self._zx(x, periodic)) * _psi(np.array([self._zt(t)]))[0]
 
 
-def make_test_family(domain: Domain, t_end: float, count: int = 12) -> list:
-    """Tile the space-time window with `count` bumps at two spatial scales.
+def make_test_family(domain: Domain, t_end: float) -> list:
+    """Tile the space-time window with 12 bumps, 6 at each of two spatial
+    scales.
 
     Supports lie strictly inside (0, t_end), so the family is valid for
     both the weak form and the initial-value-free entropy form.
@@ -293,20 +295,14 @@ def make_test_family(domain: Domain, t_end: float, count: int = 12) -> list:
     L = domain.length
     dt_half = 0.42 * t_end
     t0 = 0.5 * t_end
-    n_small = (count + 1) // 2
-    n_big = count - n_small
     fam = []
-    for m, r_frac in ((n_small, 0.08), (n_big, 0.16)):
-        if m == 0:
-            continue
+    for r_frac in (0.08, 0.16):
         r = r_frac * L
         if domain.periodic:
-            centers = domain.a + (np.arange(m) + 0.5) * L / m
+            centers = domain.a + (np.arange(6) + 0.5) * L / 6
         else:
-            lo, hi = domain.a + 1.05 * r, domain.b - 1.05 * r
-            centers = np.linspace(lo, hi, m)
-        for x0 in centers:
-            fam.append(TestFn(float(x0), t0, r, dt_half))
+            centers = np.linspace(domain.a + 1.05 * r, domain.b - 1.05 * r, 6)
+        fam += [TestFn(float(x0), t0, r, dt_half) for x0 in centers]
     return fam
 
 
@@ -530,15 +526,15 @@ class EntropyCheck:
     ``Thresholds``.
 
     The residuals are a ``ResidualQuadrature`` over ``family``, by default
-    ``make_test_family(domain, t_end)``.  The Oleinik bound is checked at the
+    ``make_test_family(domain, t_end)``, at the nine Kruzhkov levels across
+    +-1.5 max|u0|, u0 the first snapshot.  The Oleinik bound is checked at the
     snapshot nearest each Oleinik time up to t_end (the earlier of two
     equally near), so a copy of the nearest so far is held for each; at
     t = 0 the bound says nothing.  With no Oleinik time up to t_end the
     check would pass vacuously, so that raises ValueError here, before a run.
     """
 
-    def __init__(self, domain: Domain, n: int, t_end: float, lambdas=None,
-                 family=None):
+    def __init__(self, domain: Domain, n: int, t_end: float, family=None):
         self._domain, self._t_end = domain, t_end
         self._times = [t for t in OLEINIK_TIMES if t <= t_end + 1e-12]
         if not self._times:
@@ -546,7 +542,7 @@ class EntropyCheck:
                              f"t_end={t_end!r}: no Oleinik time up to t_end")
         if family is None:
             family = make_test_family(domain, t_end)
-        self._quad = ResidualQuadrature(domain, n, family, lambdas)
+        self._quad = ResidualQuadrature(domain, n, family, None)
         self._near = {}  # Oleinik time -> [distance, t, copy of u]
         self._u0_l1 = None
 
@@ -579,12 +575,11 @@ class EntropyCheck:
                              float(mat.min()), margin, scale)
 
 
-def entropy_report(traj: Trajectory, lambdas=None,
-                   family=None) -> EntropyReport:
+def entropy_report(traj: Trajectory, family=None) -> EntropyReport:
     """``EntropyCheck``'s values on a stored trajectory, its snapshots fed
     in order."""
     check = EntropyCheck(traj.domain, traj.n, float(traj.snap_times[-1]),
-                         lambdas, family)
+                         family)
     drain(iter(traj), check)
     return check.value()
 

@@ -241,7 +241,7 @@ def test_ac8_entropy_admissibility():
     n = 4000
     u0 = sample("step", dom, n, left=1.0, right=-1.0, width=0.2)
     traj = run_fv(u0, FVConfig(T=0.5, snapshot_stride=2))
-    fam = make_test_family(dom, 0.5, count=12)
+    fam = make_test_family(dom, 0.5)
     lams = np.linspace(-1.5, 1.5, 9)
     kmin = kruzhkov_residual(traj, lams, fam)
     ok_adm = report("AC-8a", kmin >= -1e-6,
@@ -263,7 +263,7 @@ def test_ac8_entropy_admissibility():
 def test_ac9_vanishing_viscosity():
     dom = line(-20, 20)
     u0 = sample("gaussian", dom, 2000)
-    pairs = viscosity_sweep(u0, [1e-2, 5e-3, 2.5e-3], FVConfig(T=0.5))
+    pairs = viscosity_sweep(u0, FVConfig(T=0.5))
     dists = [d for _, d in pairs]
     ok_dec = report("AC-9a", dists[0] > dists[1] > dists[2] > 0,
                     f"L1 distances strictly decreasing: "

@@ -9,7 +9,6 @@ import sys
 import typing
 import warnings
 from dataclasses import fields
-from functools import partial
 from importlib import resources
 from pathlib import Path
 from unittest import mock
@@ -21,12 +20,13 @@ from hypothesis import strategies as st
 
 import fwlab
 from fwlab import (FVConfig, GridFn, StrongConfig, Thresholds, cli,
-                   conservation_report, line, run_fv, sample, torus,
-                   trajectory)
+                   conservation_report, diagnostics, line, run_fv, sample,
+                   torus, trajectory)
 from fwlab.cli import (_ALIASES, _KEYS, _TYPES, EXIT_CHECK_FAILED, EXIT_OK,
                        EXIT_USAGE, ConfigError, Keys, _config_from,
                        load_config, main, parse_config_text)
-from fwlab.diagnostics import EntropyCheck, L1StabilityRatio
+from fwlab.diagnostics import (EntropyCheck, L1StabilityRatio,
+                               ResidualQuadrature)
 from fwlab.grid import PROFILES
 from fwlab.shock import _marching_fv
 from fwlab.trajectory import drain, synthetic_trajectory
@@ -449,9 +449,17 @@ def test_verify_default_lambdas_are_the_riemann_presets_own(tmp_path,
         return found
     derived = results("derived")
     former = [-1.5, -1.125, -0.75, -0.375, 0.0, 0.375, 0.75, 1.125, 1.5]
-    monkeypatch.setattr(cli, "EntropyCheck",
-                        partial(EntropyCheck, lambdas=former))
+    made = []
+
+    def former_levels(domain, n, family, lambdas):
+        # the entropy check's quadrature, the layer that still takes levels,
+        # is given the former list in place of the data's
+        assert lambdas is None
+        made.append(ResidualQuadrature(domain, n, family, former))
+        return made[-1]
+    monkeypatch.setattr(diagnostics, "ResidualQuadrature", former_levels)
     assert results("former") == derived
+    assert len(made) == 2  # one per preset
 
 
 def test_wave_peakon(tmp_path):

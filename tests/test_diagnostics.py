@@ -15,6 +15,7 @@ from fwlab import (FVConfig, GridFn, KernelOp, StrongConfig, TestFn,
                    weak_residual)
 from fwlab.diagnostics import (EntropyCheck, L1StabilityRatio,
                                ResidualQuadrature)
+from fwlab.grid import PROFILES
 from fwlab.shock import _marching_fv
 from fwlab.strong import _marching_strong
 from fwlab.trajectory import SERIES_NAMES, drain, synthetic_trajectory
@@ -303,7 +304,7 @@ def test_testfn_shape_and_derivatives():
 
 
 def test_make_test_family_properties():
-    fam = make_test_family(line(-20, 20), t_end=1.0, count=12)
+    fam = make_test_family(line(-20, 20), t_end=1.0)
     assert len(fam) == 12
     assert all(tf.t0 - tf.s > 0 for tf in fam)
     assert all(tf.t0 + tf.s < 1.0 for tf in fam)
@@ -355,6 +356,28 @@ def test_weak_residual_rejects_unresolved():
         weak_residual(traj, [TestFn(-19.5, 0.5, 12.0, 0.2)])
 
 
+def test_weak_form_initial_term_balances_a_bump_across_t0():
+    # every family bump vanishes at t = 0, so the initial term adds exact
+    # zeros there; this bump straddles t = 0.  On the exact peakon translate
+    # the initial term h <u0, phi(., 0)> is 0.367 and the weak residual,
+    # which includes it, -6.3e-7
+    dom, n = line(-20, 20), 4000
+    traj = drain(synthetic_trajectory(
+        dom, n, np.linspace(0, 0.4, 401),
+        lambda x, t: PROFILES["peakon"](x, center=4.0 / 3.0 * t)))
+    bump = TestFn(0.0, 0.1, 3.0, 0.3)
+    initial = traj.h * np.dot(traj.snapshots[0],
+                              bump.phi(dom.cell_centers(n), 0.0))
+    assert initial == pytest.approx(0.367, abs=1e-3)
+    assert weak_residual(traj, [bump]) < 1e-6
+    # the entropy forms have no initial term, so they refuse such a bump
+    with pytest.raises(ValueError, match="entropy-form test functions need "
+                                         "t0 - s > 0"):
+        kruzhkov_residual(traj, [0.0], [bump])
+    with pytest.raises(ValueError, match="no snapshot was recorded"):
+        ResidualQuadrature(dom, n, [bump]).value()
+
+
 def test_kruzhkov_zero_trajectory():
     traj = _zero_traj()
     fam = make_test_family(traj.domain, 1.0)
@@ -366,7 +389,7 @@ def test_kruzhkov_reduction_identity():
     dom = line(-20, 20)
     u0 = sample("peakon", dom, 4000)
     traj = run_fv(u0, FVConfig(T=0.6, snapshot_stride=4))
-    fam = make_test_family(dom, 0.6, count=4)
+    fam = make_test_family(dom, 0.6)
     r = 1.5 * float(np.abs(traj.snapshots[0]).max())
     _, mat = diagnostics._residuals(traj, fam, [r, -r])
     # E(r) + E(-r) = 0 to roundoff, and each equals -+ the weak form
@@ -525,6 +548,13 @@ def _two_pass_residuals(traj, lambdas, family):
     return w, mat
 
 
+def _data_levels(traj):
+    """The nine Kruzhkov levels the entropy check takes from the data:
+    across +-1.5 max|u0|, u0 the first snapshot."""
+    linf = float(np.abs(traj.snapshots[0]).max())
+    return np.linspace(-1.5 * linf, 1.5 * linf, 9)
+
+
 def _ac8_run(sink=None):
     # the AC-8 set-up: regularised Riemann step, n = 4000, T = 0.5, stride 2
     dom = line(-20, 20)
@@ -599,7 +629,7 @@ def test_entropy_report_solves_each_needed_snapshot_once(case, solves,
     # needed snapshots are one field); two passes made 136, 202
     traj = _ac8_run() if case == "ac8" else _upjump_run()
     count = _counting(monkeypatch)
-    entropy_report(traj, np.linspace(-1.5, 1.5, 9))
+    entropy_report(traj)
     assert count["solves"] == solves
 
 
@@ -623,11 +653,16 @@ def test_one_pass_residuals_are_bit_identical_to_two_passes(case,
     assert np.array_equal(w, ref_w)
     assert np.array_equal(mat, ref_mat)
     assert np.abs(ref_mat).max() > 1e-5  # the comparison is not between zeros
-    rep = entropy_report(traj, lams, family)
-    assert rep.weak_residual_max == np.abs(ref_w).max()
-    assert rep.kruzhkov_min == ref_mat.min()
     assert weak_residual(traj, family) == np.abs(ref_w).max()
     assert kruzhkov_residual(traj, lams, family) == ref_mat.min()
+    # the report takes the data's levels: the case's own but on the torus
+    levels = _data_levels(traj)
+    assert np.array_equal(levels, lams) == (case != "torus")
+    if case == "torus":
+        _, ref_mat = _two_pass_residuals(traj, levels, family)
+    rep = entropy_report(traj, family)
+    assert rep.weak_residual_max == np.abs(ref_w).max()
+    assert rep.kruzhkov_min == ref_mat.min()
 
 
 @pytest.mark.parametrize("case", list(_CASES))
@@ -646,20 +681,20 @@ def test_streamed_residuals_are_bit_identical_to_stored(case):
     assert np.array_equal(w, ref_w)
     assert np.array_equal(mat, ref_mat)
     assert np.abs(ref_mat).max() > 1e-5  # the comparison is not between zeros
-    check = EntropyCheck(traj.domain, traj.n, T, lams, family)
+    check = EntropyCheck(traj.domain, traj.n, T, family)
     run(check)
-    assert check.value() == entropy_report(traj, lams, family)
+    assert check.value() == entropy_report(traj, family)
 
 
 @pytest.mark.parametrize("case, solves", [("ac8", 58), ("upjump", 1)])
 def test_streamed_check_solves_each_needed_snapshot_once(case, solves,
                                                          monkeypatch):
     # the run's own solves (the FV source step's) are counted apart
-    run, lams, _, T = _CASES[case]
+    run, _, _, T = _CASES[case]
     count = _counting(monkeypatch)
     traj = run()
     own = count["solves"]
-    check = EntropyCheck(traj.domain, traj.n, T, lams)
+    check = EntropyCheck(traj.domain, traj.n, T)
     run(check)
     assert count["solves"] - 2 * own == solves
 
@@ -673,7 +708,7 @@ def test_sinks_copy_the_snapshots_they_keep():
     lams = np.linspace(-1.5, 1.5, 9)
     family = make_test_family(traj.domain, 0.5)
     quad = ResidualQuadrature(traj.domain, traj.n, family, lams)
-    check = EntropyCheck(traj.domain, traj.n, 0.5, lams)
+    check = EntropyCheck(traj.domain, traj.n, 0.5)
     state = np.empty(traj.n)
     for t, u in zip(traj.snap_times, traj.snapshots):
         np.copyto(state, u)
@@ -683,7 +718,7 @@ def test_sinks_copy_the_snapshots_they_keep():
     ref_w, ref_mat = diagnostics._residuals(traj, family, lams)
     assert np.array_equal(w, ref_w)
     assert np.array_equal(mat, ref_mat)
-    assert check.value() == entropy_report(traj, lams)
+    assert check.value() == entropy_report(traj)
 
 
 def test_a_stationary_field_is_contracted_once(monkeypatch):
@@ -721,15 +756,14 @@ def test_a_stationary_field_is_contracted_once(monkeypatch):
 def _upjump_peak(steps: int, stream: bool) -> int:
     """The peak traced memory of the up-jump's entropy report with steps
     intervals, streamed or from the stored trajectory."""
-    lams = np.linspace(-1.5, 1.5, 9)
     tracemalloc.start()
     try:
         if stream:
-            check = EntropyCheck(line(-20, 20), 4000, 0.5, lams)
+            check = EntropyCheck(line(-20, 20), 4000, 0.5)
             _upjump_run(check, steps)
             check.value()
         else:
-            entropy_report(_upjump_run(steps=steps), lams)
+            entropy_report(_upjump_run(steps=steps))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwlab import GridFn, derivative, line, norm, sample, torus
+from fwlab import Domain, GridFn, derivative, line, norm, sample, torus
 from fwlab.grid import (_interface_diff, _pad, second_difference,
                         slope_extrema_values, write_csv, write_snapshot_csv)
 
@@ -143,6 +143,20 @@ def test_quadrature_second_order():
 def test_gridfn_validation():
     with pytest.raises(ValueError):
         GridFn(torus(), np.array([1.0, np.inf, 0.0, 0.0]))
+    for bad in (np.zeros((4, 4)), np.zeros(3)):
+        with pytest.raises(ValueError, match="1-d array with n >= 4"):
+            GridFn(torus(), bad)
+
+
+def test_domain_and_norm_refusals():
+    with pytest.raises(ValueError, match="unknown domain kind: 'disk'"):
+        Domain("disk")
+    with pytest.raises(ValueError, match=r"fixed period 1 on \[0, 1\]"):
+        Domain("torus", 0.0, 2.0)
+    with pytest.raises(ValueError, match="line domain requires a < b"):
+        line(1, 0)
+    with pytest.raises(ValueError, match="unknown norm 'L3'"):
+        norm(sample("zero", torus(), 8), "L3")
 
 
 def test_gridfn_immutable():

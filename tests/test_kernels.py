@@ -159,6 +159,11 @@ def test_banded_cholesky_refuses_what_dpbtrf_refuses():
         _cholesky_banded(np.zeros((0, 4)))
 
 
+def test_kernel_operator_refuses_fewer_than_four_cells():
+    with pytest.raises(ValueError, match="n must be at least 4"):
+        KernelOp(line(), 3)
+
+
 @pytest.mark.parametrize("a, b", [(0.0, 1e-300), (-1e200, 1e200),
                                   (-1e308, 1e308)])
 def test_line_operator_refuses_a_width_without_a_finite_inverse_square(a, b):

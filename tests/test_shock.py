@@ -258,16 +258,16 @@ def test_viscosity_sweep_zero_and_order():
     dom = line(-20, 20)
     z = sample("zero", dom, 500)
     cfg = FVConfig(T=0.25)
-    out = viscosity_sweep(z, [1e-2, 5e-3], cfg)
+    out = viscosity_sweep(z, cfg)
     assert all(d == 0.0 for _, d in out)
     u0 = sample("gaussian", dom, 1000)
-    pairs = viscosity_sweep(u0, [1e-2, 5e-3, 2.5e-3], FVConfig(T=0.5))
+    pairs = viscosity_sweep(u0, FVConfig(T=0.5))
+    # the sweep's own ladder, halving
+    assert [e for e, _ in pairs] == [1e-2, 5e-3, 2.5e-3]
     dists = [d for _, d in pairs]
     assert dists[0] > dists[1] > dists[2] > 0
     for a, b in zip(dists, dists[1:]):
         assert 1.5 <= a / b <= 2.5
-    with pytest.raises(ValueError, match="descending"):
-        viscosity_sweep(u0, [1e-3, 1e-2], cfg)
 
 
 def test_fixed_dt_schedule_reproducible():

@@ -248,7 +248,7 @@ def test_traveling_waves_as_weak_solutions_in_space_time():
     dom = line(-30, 30)
     n = 8000
     times = np.linspace(0.0, 4.0, 401)
-    fam = make_test_family(dom, 4.0, 12)
+    fam = make_test_family(dom, 4.0)
     x = dom.cell_centers(n)
 
     def residuals(profile, c, x0):
