@@ -54,7 +54,7 @@ from .diagnostics import (EntropyCheck, L1StabilityRatio, Thresholds,
                           conservation_report, envelope_check)
 from .grid import (Domain, GridFn, line, norm, sample, torus, write_csv,
                    write_snapshot_csv)
-from .kernels import _finite_inverse_square
+from .kernels import _finite_band
 from .shock import FVConfig, _dt_bound, _marching_fv, run_fv, viscosity_sweep
 from .strong import StrongConfig, _marching_strong, run_strong
 from .trajectory import (Trajectory, drain, ends_only, synthetic_trajectory,
@@ -161,11 +161,11 @@ class Keys:
             raise ValueError(f"a={self.a!r}, b={self.b!r}: expected a < b")
         if self.n < 4:
             raise ValueError(f"n={self.n!r}: expected at least 4")
-        if self.domain == "line" and not _finite_inverse_square(
+        if self.domain == "line" and not _finite_band(
                 (self.b - self.a) / self.n):  # an infinite length gives 0
             raise ValueError(f"a={self.a!r}, b={self.b!r}, n={self.n!r}: "
-                             f"expected a cell width h with a finite, nonzero "
-                             f"1/h^2")
+                             f"expected a cell width h with a finite "
+                             f"1 + 2/h^2 and a nonzero 1/h^2")
 
 
 # config keys that name a dataclass field by another name

@@ -2,12 +2,15 @@
 
 K is the fundamental solution of 1 - d^2/dx^2, so K*g is computed by solving
 (I - D2) w = g instead of by quadrature: a Fourier multiplier on the torus,
-a symmetric tridiagonal solve on the line.  The line solve is LAPACK's banded
-Cholesky factor ``dpbtrf`` and solve ``dpbtrs``, called through ``ctypes``
-from the LAPACK that numpy itself links, so the program loads no second BLAS
-and no scipy.  The torus transforms are the pocketfft gufuncs that
-``numpy.fft.rfft`` and ``irfft`` call, bound once per operator, so each costs
-the transform and not the wrapper's per-call work; the same bits come out.
+a symmetric tridiagonal solve on the line.  The line operator is factored
+once by LAPACK's banded Cholesky ``dpbtrf`` and keeps that factor's LDL^T
+form; each solve is LAPACK's tridiagonal ``dpttrs`` on it, whose divides,
+unlike those of the banded solve ``dpbtrs``, are off its chain of dependent
+operations.  Both are called through ``ctypes`` from the LAPACK that numpy
+itself links, so the program loads no second BLAS and no scipy.  The torus
+transforms are the pocketfft gufuncs that ``numpy.fft.rfft`` and ``irfft``
+call, bound once per operator, so each costs the transform and not the
+wrapper's per-call work; the same bits come out.
 K'*g is the derivative of that smooth field.  The operator is fixed by the
 grid, so each function builds its ``KernelOp`` from the domain and n of its
 own input.  Direct quadrature against the closed-form kernel is kept only as
@@ -28,22 +31,22 @@ __all__ = ["KernelOp", "conv_K", "conv_Kprime", "kernel_eval"]
 
 _E = math.e
 
-# (dpbtrf, dpbtrs, Fortran INTEGER) for each LAPACK numpy may link: the
+# (dpbtrf, dpttrs, Fortran INTEGER) for each LAPACK numpy may link: the
 # ILP64 OpenBLAS of numpy >= 2 wheels, then an LP64 system LAPACK
 _LAPACK_SYMBOLS = (
-    ("scipy_dpbtrf_64_", "scipy_dpbtrs_64_", ctypes.c_int64),
-    ("dpbtrf_", "dpbtrs_", ctypes.c_int32),
+    ("scipy_dpbtrf_64_", "scipy_dpttrs_64_", ctypes.c_int64),
+    ("dpbtrf_", "dpttrs_", ctypes.c_int32),
 )
 
 
 def _bind_lapack():
-    """dpbtrf, dpbtrs and their INTEGER type from numpy's own LAPACK.
+    """dpbtrf, dpttrs and their INTEGER type from numpy's own LAPACK.
 
     dlsym on the handle of numpy's linalg extension also searches the
     libraries it links, so no library is named or loaded a second time.
     The functions take no argtypes, which would convert every argument on
-    every call: callers pass ready ctypes objects, the hidden length of the
-    UPLO string last.
+    every call: callers pass ready ctypes objects, dpbtrf the hidden length
+    of its UPLO string last.
     """
     lib = ctypes.CDLL(_umath_linalg.__file__)
     for trf_name, trs_name, integer in _LAPACK_SYMBOLS:
@@ -53,12 +56,13 @@ def _bind_lapack():
             continue
         trf.restype = trs.restype = None
         return trf, trs, integer
-    raise ImportError("numpy's LAPACK exports none of "
-                      + ", ".join(t for t, _, _ in _LAPACK_SYMBOLS))
+    raise ImportError("numpy's LAPACK exports none of the pairs "
+                      + "; ".join(f"{trf}, {trs}"
+                                  for trf, trs, _ in _LAPACK_SYMBOLS))
 
 
 _UPLO, _UPLO_LEN = ctypes.c_char_p(b"U"), ctypes.c_size_t(1)
-_dpbtrf, _dpbtrs, _lapack_int = _bind_lapack()
+_dpbtrf, _dpttrs, _lapack_int = _bind_lapack()
 
 
 def _cholesky_banded(band: np.ndarray) -> np.ndarray:
@@ -118,11 +122,12 @@ def _bind_pocketfft(n: int):
     return rfft, irfft
 
 
-def _finite_inverse_square(h: float) -> bool:
-    """Whether 1/h^2, which the line operator's band holds, is finite and
-    nonzero for the cell width h (h ** 2 raises OverflowError where h * h is
-    inf)."""
-    return h * h > 0.0 and 0.0 < 1.0 / (h * h) < math.inf
+def _finite_band(h: float) -> bool:
+    """Whether the line operator's band, -1/h^2 beside 1 + 2/h^2 on the
+    diagonal, is finite with a nonzero 1/h^2 for the cell width h (h ** 2
+    raises OverflowError where h * h is inf)."""
+    h2 = h * h
+    return h2 > 0.0 and 1.0 / h2 > 0.0 and 1.0 + 2.0 / h2 < math.inf
 
 
 class KernelOp:
@@ -130,11 +135,13 @@ class KernelOp:
 
     Torus: multipliers 1/(1 + (2 pi k)^2) over rfft modes, and the real
     transforms ``_rfft`` and ``_irfft`` of ``_bind_pocketfft``.
-    Line: Cholesky factor of the tridiagonal (I - D2) with zero ghost cells.
-    A line operator solves in one buffer of its own, so two threads must not
-    share one.  On either domain, values or an ``out`` of any shape but (n,)
-    are refused before any transform or solve; on the line, so is a cell
-    width h whose 1/h^2 is zero or not finite.
+    Line: the LDL^T factor, diagonal ``_d`` and unit subdiagonal ``_e``, of
+    the tridiagonal (I - D2) with zero ghost cells, read off its banded
+    Cholesky factor.  A line operator solves in one buffer of its own, so two
+    threads must not share one.  On either domain, values or an ``out`` of
+    any shape but (n,) are refused before any transform or solve; on the
+    line, so is a cell width h whose 1 + 2/h^2 is not finite or whose 1/h^2
+    is zero.
     """
 
     def __init__(self, domain: Domain, n: int):
@@ -149,26 +156,30 @@ class KernelOp:
             self._ik = _spectral_ik(n)
             self._rfft, self._irfft = _bind_pocketfft(n)
         else:
-            if not _finite_inverse_square(self.h):
+            if not _finite_band(self.h):
                 raise ValueError(f"h={self.h!r}: the line operator needs a "
-                                 f"finite, nonzero 1/h^2")
+                                 f"finite 1 + 2/h^2 and a nonzero 1/h^2")
             band = np.zeros((2, n))
             band[0, 1:] = -1.0 / self.h ** 2
             band[1, :] = 1.0 + 2.0 / self.h ** 2
-            self._cho = _cholesky_banded(band)
+            # U^T U, for U's diagonal l and superdiagonal m, is L D L^T with
+            # D = l^2 and L's subdiagonal m / l.  dpttrf's own LDL^T factor
+            # rounds differently, and moves the wave presets' outputs
+            cho = _cholesky_banded(band)
+            self._d = cho[1] * cho[1]
+            self._e = cho[0, 1:] / cho[1, :-1]
             # LAPACK writes the right-hand side in place, so it is only ever
-            # given the operator's own buffer.  Its dpbtrs arguments, pointers
+            # given the operator's own buffer.  Its dpttrs arguments, pointers
             # included, are built here once: a pointer made per solve costs
             # more than the copy into that buffer
             self._rhs = np.empty(n)
             self._info = _lapack_int()
             n_ref = ctypes.byref(_lapack_int(n))
-            one = ctypes.byref(_lapack_int(1))
-            self._dpbtrs_args = (_UPLO, n_ref, one, one,
-                                 ctypes.c_void_p(self._cho.ctypes.data),
-                                 ctypes.byref(_lapack_int(2)),
+            self._dpttrs_args = (n_ref, ctypes.byref(_lapack_int(1)),
+                                 ctypes.c_void_p(self._d.ctypes.data),
+                                 ctypes.c_void_p(self._e.ctypes.data),
                                  ctypes.c_void_p(self._rhs.ctypes.data),
-                                 n_ref, ctypes.byref(self._info), _UPLO_LEN)
+                                 n_ref, ctypes.byref(self._info))
 
     def _check(self, values, out=None) -> None:
         # the torus transforms check no shape, and a line solve must not
@@ -180,13 +191,12 @@ class KernelOp:
 
     def _solve(self, values: np.ndarray) -> np.ndarray:
         """The line solve of ``values``, in and as the operator's buffer."""
-        # the routine cho_solve_banded calls, without its per-call finiteness
-        # checks: a non-finite right-hand side gives a non-finite w, which the
-        # solvers report as overflow
+        # no per-call finiteness checks: a non-finite right-hand side gives a
+        # non-finite w, which the solvers report as overflow
         np.copyto(self._rhs, values)
-        _dpbtrs(*self._dpbtrs_args)
+        _dpttrs(*self._dpttrs_args)
         if self._info.value < 0:
-            raise ValueError(f"dpbtrs: illegal value in argument "
+            raise ValueError(f"dpttrs: illegal value in argument "
                              f"{-self._info.value}")
         return self._rhs
 

@@ -533,15 +533,15 @@ def test_sweep_resolution(tmp_path):
 
 
 def test_sweep_resolution_writes_the_n_list_bytes(tmp_path):
-    # n=128 writes the bytes that n_list=128,256,512 wrote when the grids
-    # were a list key
+    # n=128 runs the grids 128, 256 and 512 that n_list named when the grids
+    # were a list key; their rows are pinned to the last digit
     code, out = run_cli(tmp_path, "sweep", "--preset", "convergence_peakon",
                         "n=128", "T=0.5")
     assert code == EXIT_OK
     assert (out / "convergence.csv").read_text() == (
         "n,dt_mean,l1_err,order\n"
-        "128,0.10000000000000001,0.047117016915040992,nan\n"
-        "256,0.055555555555555552,0.026237574438154776,0.84461384720448829\n")
+        "128,0.10000000000000001,0.047117016915041061,nan\n"
+        "256,0.055555555555555552,0.026237574438154467,0.84461384720450738\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -900,6 +900,11 @@ def test_exit_code_contract_on_check_failure(tmp_path):
      "unknown key 'trajectory'"),
     ("verify", "riemann_entropy", ["lambdas=0,1"], EXIT_USAGE,
      "unknown key 'lambdas'"),
+    # h = 1e-154: 1/h^2 is finite but the band's 1 + 2/h^2 is not, so its
+    # operator solved to exact zeros; the step count refused it later
+    ("simulate", "peakon_transport", ["a=0", "b=1.6e-153", "n=16", "T=0.01"],
+     EXIT_USAGE, "a=0.0, b=1.6e-153, n=16: expected a cell width h with a "
+     "finite 1 + 2/h^2 and a nonzero 1/h^2"),
 ])
 def test_config_error_exit_codes(tmp_path, verb, preset, overrides, code,
                                  message):

@@ -1,13 +1,15 @@
+import ctypes
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpttrs
 
 from fwlab import (GridFn, KernelOp, conv_K, conv_Kprime, derivative,
-                   kernel_eval, line, norm, sample, torus)
+                   kernel_eval, kernels, line, norm, sample, torus)
 from fwlab.grid import second_difference
-from fwlab.kernels import _bind_pocketfft, _cholesky_banded
+from fwlab.kernels import _bind_lapack, _bind_pocketfft, _cholesky_banded
 
 E = math.e
 
@@ -128,25 +130,47 @@ def test_helmholtz_identity_line(rng):
     assert np.abs(resid[1:-1]).max() < 1e-12
 
 
+def _line_band(h, n):
+    """(I - D2) with zero ghost cells in LAPACK's upper band storage."""
+    band = np.zeros((2, n))
+    band[0, 1:] = -1.0 / h ** 2
+    band[1, :] = 1.0 + 2.0 / h ** 2
+    return band
+
+
+def _ldlt_of(cho):
+    """D and L's subdiagonal of U^T U, from the upper band factor U."""
+    return cho[1] * cho[1], cho[0, 1:] / cho[1, :-1]
+
+
 @pytest.mark.parametrize("n", [2000, 4000, 8000, 20480])
 def test_line_solve_is_the_banded_cholesky_solve(rng, n):
-    # the line solve must round exactly as LAPACK dpbtrs on the banded
-    # Cholesky factor, which cho_solve_banded also calls; another solver
-    # (say a tridiagonal LDL^T) changes the outputs of the presets
+    # the line solve must round exactly as LAPACK dpttrs on the LDL^T form
+    # of scipy's banded Cholesky factor, and stay at round-off from
+    # cho_solve_banded's dpbtrs on that factor; dpttrf's own factor rounds
+    # differently and changes the outputs of the presets
     op = KernelOp(line(-20, 20), n)
+    cho = cholesky_banded(_line_band(op.h, n))
     v = rng.normal(size=n)
-    assert np.array_equal(op.conv_K_values(v),
-                          cho_solve_banded((op._cho, False), v))
+    w = op.conv_K_values(v)
+    ref, info = dpttrs(*_ldlt_of(cho), v)
+    assert info == 0
+    assert np.array_equal(w, ref)
+    banded = cho_solve_banded((cho, False), v)
+    assert np.abs(w - banded).max() <= 1e-13 * np.abs(banded).max()
 
 
 @pytest.mark.parametrize("n", [256, 2000, 4000, 8000, 20480])
 def test_line_factor_is_scipys_banded_cholesky_factor(n):
-    # dpbtrf from numpy's LAPACK gives the factor scipy's gives, bit for bit
+    # dpbtrf from numpy's LAPACK gives the factor scipy's gives, bit for bit,
+    # and the operator keeps only that factor's LDL^T form
     op = KernelOp(line(-20, 20), n)
-    band = np.zeros((2, n))
-    band[0, 1:] = -1.0 / op.h ** 2
-    band[1, :] = 1.0 + 2.0 / op.h ** 2
-    assert np.array_equal(op._cho, cholesky_banded(band))
+    band = _line_band(op.h, n)
+    cho = cholesky_banded(band)
+    assert np.array_equal(_cholesky_banded(band), cho)
+    d, e = _ldlt_of(cho)
+    assert np.array_equal(op._d, d) and np.array_equal(op._e, e)
+    assert not hasattr(op, "_cho")
 
 
 def test_banded_cholesky_refuses_what_dpbtrf_refuses():
@@ -165,11 +189,13 @@ def test_kernel_operator_refuses_fewer_than_four_cells():
 
 
 @pytest.mark.parametrize("a, b", [(0.0, 1e-300), (-1e200, 1e200),
-                                  (-1e308, 1e308)])
+                                  (-1e308, 1e308), (0.0, 1.6e-153)])
 def test_line_operator_refuses_a_width_without_a_finite_inverse_square(a, b):
     # h^2 underflowing to 0 was a ZeroDivisionError, h^2 past the float range
-    # an OverflowError, and an infinite length a band of 0 and 1
-    with pytest.raises(ValueError, match=r"finite, nonzero 1/h\^2"):
+    # an OverflowError, an infinite length a band of 0 and 1, and h = 1e-154,
+    # whose 1/h^2 = 1e308 is finite but 2/h^2 is not, a solve of exact zeros
+    with pytest.raises(ValueError,
+                       match=r"finite 1 \+ 2/h\^2 and a nonzero 1/h\^2"):
         KernelOp(line(a, b), 16)
 
 
@@ -217,11 +243,34 @@ def test_bound_transforms_are_numpys(rng, n, rows):
                           np.fft.irfft(spec, n, out=np.empty_like(out_v)))
 
 
-def test_line_solve_reports_an_illegal_dpbtrs_argument():
+def test_line_solve_reports_an_illegal_dpttrs_argument():
     op = KernelOp(line(-10, 10), 16)
-    op._dpbtrs_args[1]._obj.value = -1  # N < 0: dpbtrs returns info = -2
-    with pytest.raises(ValueError, match="illegal value in argument 2"):
+    op._dpttrs_args[0]._obj.value = -1  # N < 0: dpttrs returns info = -1
+    with pytest.raises(ValueError,
+                       match="dpttrs: illegal value in argument 1"):
         op.conv_K_values(np.ones(16))
+
+
+def test_lapack_binding_falls_back_to_the_next_symbols(monkeypatch):
+    # a pair the LAPACK exports only half of is passed over for the next
+    # pair, which is bound with its own INTEGER type
+    exported = next(entry for entry in kernels._LAPACK_SYMBOLS
+                    if entry[0] == kernels._dpbtrf.__name__)
+    monkeypatch.setattr(kernels, "_LAPACK_SYMBOLS", (
+        (exported[0], "fwlab_missing_dpttrs_", ctypes.c_int16), exported))
+    trf, trs, integer = _bind_lapack()
+    assert (trf.__name__, trs.__name__, integer) == exported
+
+
+def test_lapack_binding_names_every_symbol_when_none_resolves(monkeypatch):
+    monkeypatch.setattr(kernels, "_LAPACK_SYMBOLS", (
+        ("fwlab_no_trf_a", "fwlab_no_trs_a", ctypes.c_int64),
+        ("fwlab_no_trf_b", "fwlab_no_trs_b", ctypes.c_int32)))
+    with pytest.raises(ImportError) as refusal:
+        _bind_lapack()
+    for name in ("fwlab_no_trf_a", "fwlab_no_trs_a", "fwlab_no_trf_b",
+                 "fwlab_no_trs_b"):
+        assert name in str(refusal.value)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve_banded
+from scipy.linalg.lapack import dpttrs
 
-from fwlab import (GridFn, KernelOp, StrongConfig, breaking_precheck,
-                   conv_Kprime, kernels, line, norm, run_strong, sample,
-                   scaling_transport, torus)
+from fwlab import (FVConfig, GridFn, KernelOp, StrongConfig,
+                   breaking_precheck, conv_Kprime, kernels, line, norm,
+                   run_fv, run_strong, sample, scaling_transport, torus)
 from fwlab.strong import _make_rhs, _rk4
 
 
@@ -113,23 +113,48 @@ def _solitary_wave(c, xi_max=65.0, dxi=1e-3):
     return v
 
 
-def test_central_line_rk4_converges_at_order_2_to_the_solitary_wave():
-    # an exact nonlinear reference for the strong line solver: the c = 1.2
-    # solitary wave, translated by cT.  The L1 errors read 9.38e-4, 2.35e-4
-    # and 5.87e-5 at n = 1000, 2000 and 4000, orders 1.9994 and 1.9999
-    c, T = 1.2, 1.0
+def _solitary_errors(c, run):
+    """L1 errors of run(u0, T) from the c solitary wave on line(-60, 60)
+    against its translate by cT, T = 1, at n = 1000, 2000 and 4000, and the
+    orders between them."""
     v = _solitary_wave(c)
-    assert v(np.array([0.0]))[0] == pytest.approx(0.645030, abs=1e-6)
-    dom = line(-60, 60)
+    dom, T = line(-60, 60), 1.0
     errs = []
     for n in (1000, 2000, 4000):
         x = dom.cell_centers(n)
         u0 = GridFn(dom, v(x))
-        traj = run_strong(u0, StrongConfig(dt=1e-3, T=T, snapshot_stride=1000))
+        traj = run(u0, T)
         assert traj.stop_reason == "completed"
         errs.append(u0.h * np.abs(traj.snapshots[-1] - v(x - c * T)).sum())
-    orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+    return errs, [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+
+
+def test_central_line_rk4_converges_at_order_2_to_the_solitary_wave():
+    # an exact nonlinear reference for the strong line solver: the c = 1.2
+    # solitary wave, translated by cT.  The L1 errors read 9.38e-4, 2.35e-4
+    # and 5.87e-5 at n = 1000, 2000 and 4000, orders 1.9994 and 1.9999
+    assert _solitary_wave(1.2)(np.array([0.0]))[0] == pytest.approx(
+        0.645030, abs=1e-6)
+    errs, orders = _solitary_errors(1.2, lambda u0, T: run_strong(
+        u0, StrongConfig(dt=1e-3, T=T, snapshot_stride=1000)))
     assert all(1.95 <= o <= 2.05 for o in orders), (errs, orders)
+
+
+def test_upwind_line_rk4_converges_at_order_1_to_the_solitary_wave():
+    # the upwind scheme on the taller c = 1.3 wave: L1 errors 5.351e-2,
+    # 2.763e-2 and 1.406e-2, orders 0.954 and 0.975
+    errs, orders = _solitary_errors(1.3, lambda u0, T: run_strong(
+        u0, StrongConfig(dt=1e-3, T=T, advect="upwind",
+                         snapshot_stride=1000)))
+    assert all(0.9 <= o <= 1.05 for o in orders), (errs, orders)
+
+
+def test_fv_strang_converges_at_order_1_to_the_solitary_wave():
+    # the weak solver at cfl 0.45 on the same wave: L1 errors 4.315e-2,
+    # 2.191e-2 and 1.106e-2, orders 0.978 and 0.987
+    errs, orders = _solitary_errors(
+        1.3, lambda u0, T: run_fv(u0, FVConfig(T=T, cfl=0.45)))
+    assert all(0.9 <= o <= 1.05 for o in orders), (errs, orders)
 
 
 def test_run_strong_zero_stays_zero():
@@ -298,7 +323,7 @@ def _central_dx_ref(v, h):
 def _rhs_ref(u, lam, op, advect):
     """-lam u u_x - K'*u on the line as whole-array expressions."""
     h = op.h
-    conv = _central_dx_ref(cho_solve_banded((op._cho, False), u), h)
+    conv = _central_dx_ref(dpttrs(op._d, op._e, u)[0], h)
     if advect == "central":
         return -lam * u * _central_dx_ref(u, h) - conv
     back = np.empty_like(u)
